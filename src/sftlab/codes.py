@@ -8,6 +8,7 @@ paths.  An :class:`Automorphism` is a pair of codes certified to compose to
 the identity in both orders.
 """
 
+import itertools
 import os
 
 from .errors import (
@@ -119,18 +120,26 @@ def compose(outer, inner, budget=None):
     return SlidingBlockCode(inner.source, outer.target, m, a, rule, check=False)
 
 
-def power(code, n, budget=None):
-    """n-fold composition of an endomorphism-shaped code, n >= 0."""
+def iterates(code, budget=None):
+    """Yield code^0, code^1, code^2, ... of an endomorphism-shaped code.
+
+    Each iterate past the first power is one compose of the previous
+    iterate with the code, and only the latest one is kept alive.
+    """
     if code.source != code.target:
         raise ShiftMismatch("power needs an endomorphism-shaped code")
+    yield identity_code(code.source)
+    result = code
+    while True:
+        yield result
+        result = compose(result, code, budget=budget)
+
+
+def power(code, n, budget=None):
+    """n-fold composition of an endomorphism-shaped code, n >= 0."""
     if n < 0:
         raise ValueError("negative power; use Automorphism.power")
-    if n == 0:
-        return identity_code(code.source)
-    result = code
-    for _ in range(n - 1):
-        result = compose(result, code, budget=budget)
-    return result
+    return next(itertools.islice(iterates(code, budget=budget), n, None))
 
 
 def pad_code(code, extra_memory=0, extra_anticipation=0):
@@ -278,9 +287,6 @@ def compose_automorphisms(outer, inner, budget=None):
 def automorphism_power(auto, n, budget=None):
     """phi^n packaged with its inverse as a certified-by-construction
     automorphism (n may be negative)."""
-    if n == 0:
-        ident = identity_code(auto.shift)
-        return Automorphism(ident, ident, {"method": "power", "n": 0})
     return Automorphism(
         auto.power(n, budget=budget),
         auto.power(-n, budget=budget),

@@ -21,6 +21,7 @@ from .codes import (
     Automorphism,
     SlidingBlockCode,
     factor_product_code,
+    iterates,
     resolve_budget,
     shift_power_of,
 )
@@ -189,16 +190,19 @@ class WValues:
 
 
 def w_values(auto, n, budget=None):
-    """Exact W^-(n, phi), W^+(n, phi) and the same for phi^-1.
+    """Exact W^-(n, phi), W^+(n, phi) and the same for phi^-1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    budget = resolve_budget(budget)
+    return _scan_w(n, auto.power(n, budget=budget), auto.power(-n, budget=budget))
+
+
+def _scan_w(n, fwd, inv):
+    """W values from the codes of phi^n and phi^-n.
 
     The inverse side is scanned first inside window-derived brackets, then
     the forward side inside the tighter brackets the sum inequalities give.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    budget = resolve_budget(budget)
-    fwd = auto.power(n, budget=budget)
-    inv = auto.power(-n, budget=budget)
     m_f, a_f = fwd.memory, fwd.anticipation
     m_i, a_i = inv.memory, inv.anticipation
     wm_i = _scan_minus(inv, -a_i + 1, a_f)
@@ -238,8 +242,13 @@ class CodingRangeProfile:
 
 
 def coding_range_profile(auto, n_max, budget=None):
+    """W values at n = 1..n_max, walking phi^n and phi^-n in lockstep so
+    each iterate is built once, from the one before."""
     budget = resolve_budget(budget)
-    vals = [w_values(auto, n, budget=budget) for n in range(1, n_max + 1)]
+    forward = iterates(auto.forward, budget)
+    inverse = iterates(auto.inverse, budget)
+    next(forward), next(inverse)  # phi^0
+    vals = list(map(_scan_w, range(1, n_max + 1), forward, inverse))
     wm = tuple(v.minus for v in vals)
     wp = tuple(v.plus for v in vals)
     wmi = tuple(v.minus_inv for v in vals)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratmat
 from .codes import resolve_budget
 from .coding_range import (
@@ -32,7 +30,7 @@ from .errors import (
     ShiftMismatch,
     WindowBudgetExceeded,
 )
-from .shifts import DEFAULT_TOL, dimension_data, perron_data
+from .shifts import DEFAULT_TOL, dimension_data, distinct_roots, perron_data
 
 
 def _primitive_root(cycle):
@@ -199,8 +197,7 @@ def theta(beam, dim):
     """Exact rational image of the beam's class in the eventual range:
     the count vector at level m is pushed through A^k and delta^-(k+m)."""
     v = tuple(Fraction(x) for x in beam.count_vector)
-    afrac = ratmat.frac_matrix(dim._matrix)
-    w = ratmat.vec_mat(v, ratmat.mat_pow(afrac, dim.k))
+    w = ratmat.vec_mat(v, dim.eventual_power)
     return dim.apply_delta_power(w, -(dim.k + beam.level))
 
 
@@ -294,7 +291,7 @@ class DimensionAction:
 
 def _perron_left_coords(dim, tol):
     """Numeric left Perron direction of A, in eventual-range coordinates."""
-    a = dim._matrix
+    a = dim.matrix
     k = dim.k
     u = [1.0 / k] * k
     for _ in range(5000):
@@ -309,12 +306,12 @@ def _perron_left_coords(dim, tol):
     return [u[p] for p in dim.pivots]
 
 
-def lambda_phi_of(action, dim, perron, tol=DEFAULT_TOL):
-    """Rayleigh ratio of the action on the numeric Perron direction of the
-    restricted multiplication map; positive by the theory."""
+def lambda_phi_of(s_phi, dim, perron, tol=DEFAULT_TOL):
+    """Rayleigh ratio of the action matrix ``s_phi`` on the numeric Perron
+    direction of the restricted multiplication map; positive by the theory."""
     c = _perron_left_coords(dim, tol)
     d = len(c)
-    s = [[float(x) for x in row] for row in action.S_phi]
+    s = [[float(x) for x in row] for row in s_phi]
     cs = [sum(c[i] * s[i][j] for i in range(d)) for j in range(d)]
     denom = sum(x * x for x in c)
     lam = sum(cs[j] * c[j] for j in range(d)) / denom
@@ -332,14 +329,7 @@ def lambda_phi_of(action, dim, perron, tol=DEFAULT_TOL):
 def _spectrum(s_phi):
     """Distinct eigenvalues of the exact matrix, via its squarefree
     characteristic polynomial."""
-    cp = ratmat.char_poly(s_phi)
-    coeffs = [Fraction(c) for c in cp]
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    reduced = ratmat.squarefree_part(ints)
-    return [complex(z) for z in np.roots([float(c) for c in reduced])]
+    return [complex(z) for z in distinct_roots(ratmat.char_poly(s_phi))]
 
 
 def dimension_matrix(auto, dim=None, perron=None, tol=DEFAULT_TOL, budget=None):
@@ -407,14 +397,7 @@ def dimension_matrix(auto, dim=None, perron=None, tol=DEFAULT_TOL, budget=None):
             break
         power = ratmat.mat_mul(power, s_phi)
     rho = max(abs(z) for z in _spectrum(s_phi))
-    action = DimensionAction(
-        S_phi=s_phi,
-        lambda_phi=1.0,
-        rho=float(rho),
-        inert=inert,
-        order_if_finite=order,
-    )
-    lam = lambda_phi_of(action, dim, perron, tol=tol)
+    lam = lambda_phi_of(s_phi, dim, perron, tol=tol)
     return DimensionAction(
         S_phi=s_phi,
         lambda_phi=float(lam),

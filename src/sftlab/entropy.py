@@ -8,19 +8,20 @@ Estimates are heuristic unless the rule is a recognized (product of) shift
 power(s) or the value rides on a certified invariant subsystem.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .codes import (
-    Automorphism,
     SlidingBlockCode,
     factor_product_code,
+    iterates,
     resolve_budget,
     shift_power_of,
     verify_automorphism,
 )
 from .errors import NotInvariant, WindowBudgetExceeded, ZeroMatrix
-from .shifts import EdgeShift, build_edge_shift, count_words, perron_data
+from .shifts import build_edge_shift, count_words, perron_data
 
 
 @dataclass(frozen=True)
@@ -77,28 +78,7 @@ def column_census(auto, w, n, budget=None):
                 method="product-form",
             )
 
-    powers = [auto.power(i) for i in range(n)]
-    mem = max(code.memory for code in powers)
-    ant = max(code.anticipation for code in powers)
-    length = (2 * w + 1) + mem + ant
-    needed = shift.word_count(length)
-    if needed > budget:
-        raise WindowBudgetExceeded(needed=needed, budget=budget)
-    seen = set()
-    lo = -w - mem
-    for word in shift.words(length):
-        # word[j] is the edge at coordinate lo + j
-        column = []
-        for code in powers:
-            out = tuple(
-                code.rule[
-                    word[j - code.memory - lo : j + code.anticipation - lo + 1]
-                ]
-                for j in range(-w, w + 1)
-            )
-            column.append(out)
-        seen.add(tuple(column))
-    count = len(seen)
+    count = _distinct_windows(auto, n, 2 * w + 1, True, budget)
     return ColumnCensus(
         w=w,
         n=n,
@@ -109,19 +89,14 @@ def column_census(auto, w, n, budget=None):
     )
 
 
-def _iterate_window_sets(auto, n, ordered, budget):
-    """Distinct collections of iterate windows phi^i(y)|[k, k+2r+1], i=0..n,
-    with r the coding range of the forward rule and k = -W^-(n, phi^-1)."""
-    from .coding_range import w_values  # local import avoids a cycle at load
-
-    budget = resolve_budget(budget)
+def _distinct_windows(auto, count, width, ordered, budget):
+    """Number of distinct collections of iterate windows phi^i(y)|[k,
+    k+width-1], i < count, over all points y, as tuples or as sets.  The
+    iterates commute with the shift, so the number is the same for every k;
+    the window is placed where every iterate's coding window fits inside
+    the enumerated words."""
     shift = auto.shift
-    r = max(auto.forward.memory, auto.forward.anticipation)
-    width = 2 * r + 2
-    # the count is invariant under shifting the window, so k only pins the
-    # reported coordinates; it is computed to honor the pinned choice
-    w_values(auto, n, budget=budget)
-    powers = [auto.power(i) for i in range(n + 1)]
+    powers = list(itertools.islice(iterates(auto.forward, budget), count))
     mem = max(code.memory for code in powers)
     ant = max(code.anticipation for code in powers)
     length = width + mem + ant
@@ -139,6 +114,14 @@ def _iterate_window_sets(auto, n, ordered, budget):
             windows.append(out)
         seen.add(tuple(windows) if ordered else frozenset(windows))
     return len(seen)
+
+
+def _iterate_window_sets(auto, n, ordered, budget):
+    """Distinct collections of iterate windows phi^i(y)|[k, k+2r+1], i=0..n,
+    with r the coding range of the forward rule; k does not change the
+    count."""
+    r = max(auto.forward.memory, auto.forward.anticipation)
+    return _distinct_windows(auto, n + 1, 2 * r + 2, ordered, resolve_budget(budget))
 
 
 def c_phi_count(auto, n, budget=None):

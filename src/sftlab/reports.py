@@ -564,7 +564,7 @@ def _criterion_unit_circle(rec, tol):
         )
 
 
-def _random_code(rng, shift, sigma_pool):
+def _random_code(rng, shift):
     """A random certified-valid sliding block code with window <= 7."""
     kind = rng.randrange(4)
     if kind == 0:
@@ -612,7 +612,7 @@ def _criterion_oracle_equivalence(rec, tol):
     cases = 0
     for _ in range(500):
         shift = pool[rng.randrange(len(pool))]
-        code = _random_code(rng, shift, pool)
+        code = _random_code(rng, shift)
         j = rng.randint(-5, 5)
         cases += 1
         if coded_minus(code, j) != coded_minus_naive(code, j):

@@ -316,8 +316,10 @@ def perron_data(shift, tol=DEFAULT_TOL):
 class DimensionData:
     """Eventual-range data of A acting on row vectors (x -> xA).
 
-    ``basis`` rows are the reduced row echelon form of A^k and span the
-    eventual range R(A) = Q^k . A^k; ``delta_restricted`` is the matrix of
+    ``matrix`` is A itself (integer rows) and ``eventual_power`` is A^k in
+    exact rationals, k the number of states.  ``basis`` rows are the
+    reduced row echelon form of A^k and span the eventual range
+    R(A) = Q^k . A^k; ``delta_restricted`` is the matrix of
     x -> xA on that basis (coordinates multiply on the right), and
     ``delta_inverse`` its exact inverse.  ``rho_minus`` is the reciprocal of
     the smallest modulus among nonzero eigenvalues of A, i.e. the spectral
@@ -331,6 +333,8 @@ class DimensionData:
     delta_inverse: tuple
     char_poly: tuple
     rho_minus: float
+    matrix: tuple
+    eventual_power: tuple
 
     @property
     def d(self):
@@ -346,10 +350,6 @@ class DimensionData:
                 f"vector {vec} is not in the eventual range"
             )
         return c
-
-    def coords_float(self, vec):
-        """Pivot-column coordinates without the exact membership check."""
-        return tuple(float(vec[p]) for p in self.pivots)
 
     def to_ambient(self, coords):
         return tuple(
@@ -370,19 +370,11 @@ class DimensionData:
         if not self.in_eventual_range(vec):
             return False
         x = tuple(Fraction(v) for v in vec)
-        afrac = None
         for _ in range(2 * self.k + 1):
-            if all(Fraction(v).denominator == 1 for v in x):
+            if all(v.denominator == 1 for v in x):
                 return True
-            if afrac is None:
-                afrac = self._matrix_frac()
-            x = ratmat.vec_mat(x, afrac)
+            x = ratmat.vec_mat(x, self.matrix)
         return False
-
-    def _matrix_frac(self):
-        # reconstruct A from delta on the basis: pivot rows of A^k are basis
-        # combinations; simpler to keep A itself
-        return ratmat.frac_matrix(self._matrix)
 
     def apply_delta_power(self, vec, j):
         """(x -> xA)^j applied inside R(A); j may be negative."""
@@ -393,6 +385,15 @@ class DimensionData:
             else ratmat.mat_pow(self.delta_inverse, -j)
         )
         return self.to_ambient(ratmat.vec_mat(c, m))
+
+
+def distinct_roots(coeffs):
+    """Numeric roots of the square-free part of a polynomial (coefficients
+    descending), each distinct root once; empty for a constant."""
+    reduced = ratmat.squarefree_part(list(coeffs))
+    if len(reduced) == 1:
+        return []
+    return list(np.roots([float(c) for c in reduced]))
 
 
 def dimension_data(shift):
@@ -421,9 +422,8 @@ def dimension_data(shift):
         raise InternalInvariantViolation(
             "rank of A^k disagrees with the number of nonzero eigenvalues"
         )
-    roots = np.roots([float(c) for c in ratmat.squarefree_part(nonzero_part)])
-    min_mod = min(abs(r) for r in roots)
-    data = DimensionData(
+    min_mod = min(abs(r) for r in distinct_roots(nonzero_part))
+    return DimensionData(
         k=k,
         basis=basis,
         pivots=pivots,
@@ -431,9 +431,9 @@ def dimension_data(shift):
         delta_inverse=ratmat.inverse(delta),
         char_poly=cp,
         rho_minus=float(1.0 / min_mod),
+        matrix=shift.matrix,
+        eventual_power=ak,
     )
-    object.__setattr__(data, "_matrix", shift.matrix)
-    return data
 
 
 def kronecker_product(a_shift, b_shift):

@@ -22,8 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     NonMonic,
     NotPrimitive,
@@ -31,8 +29,14 @@ from .errors import (
     SftlabError,
     ZeroConstantTerm,
 )
-from .ratmat import char_poly, poly_derivative, poly_gcd, squarefree_part
-from .shifts import DEFAULT_TOL, build_edge_shift, dimension_data, perron_data
+from .ratmat import char_poly, poly_derivative, poly_gcd
+from .shifts import (
+    DEFAULT_TOL,
+    build_edge_shift,
+    dimension_data,
+    distinct_roots,
+    perron_data,
+)
 
 DEFAULT_NET_TRACE_N = 12
 
@@ -155,15 +159,11 @@ def power_traces(p, n_max):
 def net_trace(p, n):
     """Mobius-inverted trace sum at n: the n-periodic orbit count times n
     for any matrix realizing p, hence necessarily >= 0."""
-    traces = power_traces(p, n)
+    return _moebius_sum(power_traces(p, n), n)
+
+
+def _moebius_sum(traces, n):
     return sum(moebius(n // k) * traces[k - 1] for k in range(1, n + 1) if n % k == 0)
-
-
-def _distinct_roots(p):
-    reduced = squarefree_part(list(p.coeffs))
-    if len(reduced) == 1:
-        return []
-    return list(np.roots([float(c) for c in reduced]))
 
 
 def _margin_status(margin, tol):
@@ -183,13 +183,10 @@ def check_conditions(p, n_max=DEFAULT_NET_TRACE_N, tol=DEFAULT_TOL):
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
     traces = power_traces(p, n_max)
-    nets = tuple(
-        sum(moebius(n // k) * traces[k - 1] for k in range(1, n + 1) if n % k == 0)
-        for n in range(1, n_max + 1)
-    )
+    nets = tuple(_moebius_sum(traces, n) for n in range(1, n_max + 1))
     net_ok = all(v >= 0 for v in nets)
 
-    roots = _distinct_roots(p)
+    roots = distinct_roots(p.coeffs)
     top = max(roots, key=lambda z: (abs(z), z.real))
     others = sorted(roots, key=lambda z: (abs(z), z.real))[:-1]
     scale = max(1.0, abs(top))

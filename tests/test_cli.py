@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output, JSON artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,19 @@ def test_analyze_single_automorphism_with_entropy_bound(tau_file, capsys):
     out = capsys.readouterr().out
     assert "tau/entropy-bound" in out
     assert "tau/main-bounds" in out
+
+
+def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch):
+    # the README's tau.json example, input and output, verbatim
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    system = readme.split("$ cat tau.json\n", 1)[1].split("$ sftlab", 1)[0]
+    table = readme.split("$ sftlab analyze tau.json --n-max 4\n", 1)[1]
+    table = table.split("```", 1)[0]
+    (tmp_path / "tau.json").write_text(system)
+    monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "tau.json", "--n-max", "4"]) == 0
+    assert capsys.readouterr().out == table
 
 
 def test_analyze_census_option(tau_file, tmp_path):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from sftlab.builtins import make_builtin
+from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.coding_range import (
     coded_minus,
     coded_minus_naive,
@@ -79,6 +79,15 @@ def test_profile_at_accessor():
     p = coding_range_profile(auto, 3)
     v = p.at(2)
     assert (v.n, v.minus, v.plus, v.minus_inv, v.plus_inv) == (2, -2, -2, 2, 2)
+
+
+@pytest.mark.parametrize("name,params", DEFAULT_SUITE, ids=[n for n, _ in DEFAULT_SUITE])
+def test_profile_walk_matches_powers_built_from_scratch(name, params):
+    # the profile builds phi^n from phi^(n-1); w_values composes phi^n anew
+    _, auto = make_builtin(name, dict(params))
+    p = coding_range_profile(auto, 3)
+    for n in (1, 2, 3):
+        assert p.at(n) == w_values(auto, n)
 
 
 def test_w_values_rejects_bad_n():

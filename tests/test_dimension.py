@@ -12,6 +12,7 @@ Claims covered:
     - the inequality verifiers return the designed statuses
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -135,6 +136,19 @@ def test_theta_refinement_invariance_golden():
         base = theta(Beam(level=0, rays=(ray,)), dim)
         for depth in (1, 2, 3, 4):
             assert theta(refine_ray(ray, depth), dim) == base
+
+
+def test_dimension_data_fields_survive_replace():
+    # A and A^k are declared fields, so a copy carries them
+    golden = build_edge_shift(GOLDEN)
+    dim = dimension_data(golden)
+    copy = dataclasses.replace(dim)
+    assert copy.matrix == golden.matrix
+    assert copy.eventual_power == ratmat.mat_pow(ratmat.frac_matrix(GOLDEN), 2)
+    beam = refine_ray(canonical_zero_ray(golden, 1), 2)
+    assert theta(beam, copy) == theta(beam, dim)
+    assert copy.in_dimension_group((1, 2))
+    assert not copy.in_dimension_group((Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_measure_refinement_invariance():
