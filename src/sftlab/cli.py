@@ -43,7 +43,7 @@ from .reports import (
     run_suite,
 )
 from .codes import resolve_budget
-from .shifts import DEFAULT_TOL, dimension_data, perron_data
+from .shifts import dimension_data, perron_data
 from .spectra import IntPolynomial, search_primitive_realization, verify_eb_failure
 from .systems import format_fraction, load_system_file
 
@@ -118,19 +118,15 @@ def _cmd_analyze(args):
             payload[name]["S_phi"] = [
                 [format_fraction(x) for x in row] for row in action.S_phi
             ]
-            verdict = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
-            rec.add(
-                f"{name}/main-bounds",
-                verdict["status"],
-                verdict["gap"],
-                None,
-                tol,
-                detail=f"{len(verdict['checks'])} component checks",
-            )
+            bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+            rec.adopt(bound, name=f"{name}/main-bounds")
             entropy = exact_entropy_of(auto)
             if entropy is not None:
-                eb = verify_entropy_bound(auto, entropy, action, tol=tol)
-                rec.wrap(f"{name}/entropy-bound", eb, detail=f"exact h_top={entropy:.6f}")
+                rec.adopt(
+                    verify_entropy_bound(entropy, action, tol=tol),
+                    name=f"{name}/entropy-bound",
+                    detail=f"exact h_top={entropy:.6f}",
+                )
         except SftlabError as exc:
             if isinstance(exc, (WindowBudgetExceeded, InternalInvariantViolation)):
                 raise

@@ -16,11 +16,7 @@ from fractions import Fraction
 
 from . import ratmat
 from .codes import resolve_budget
-from .coding_range import (
-    CodingRangeProfile,
-    lyapunov_bounds,
-    w_values,
-)
+from .coding_range import CodingRangeProfile, _scan_w, lyapunov_bounds
 from .errors import (
     InconsistentSystem,
     InternalInvariantViolation,
@@ -28,8 +24,8 @@ from .errors import (
     PreconditionFailed,
     ReducibleInput,
     ShiftMismatch,
-    WindowBudgetExceeded,
 )
+from .records import CheckRecord
 from .shifts import DEFAULT_TOL, dimension_data, distinct_roots, perron_data
 
 
@@ -226,9 +222,9 @@ def apply_automorphism_to_ray(auto, n, ray, budget=None):
     if n == 0:
         return Beam(level=0, rays=(ray,))
     budget = resolve_budget(budget)
-    code = auto.power(n)
+    code = auto.power(n, budget=budget)
     mem, ant = code.memory, code.anticipation
-    wv = w_values(auto, n, budget=budget)
+    wv = _scan_w(n, code, auto.power(-n, budget=budget))
     level_out = -wv.minus_inv
     w_fwd = wv.minus
     p = len(ray.cycle)
@@ -237,9 +233,7 @@ def apply_automorphism_to_ray(auto, n, ray, budget=None):
     # p-periodic; keep the cut strictly left of the variable region too
     cut = min(-ant - q, w_fwd - 1)
     ext_len = max(0, level_out + ant)
-    needed = shift.word_count(ext_len)
-    if needed > budget:
-        raise WindowBudgetExceeded(needed=needed, budget=budget)
+    shift.ensure_budget(ext_len, budget)
 
     def output_segment(ext):
         def edge_at(i):
@@ -407,18 +401,12 @@ def dimension_matrix(auto, dim=None, perron=None, tol=DEFAULT_TOL, budget=None):
     )
 
 
-def verify_entropy_bound(auto, entropy_estimate, action, tol=DEFAULT_TOL):
+def verify_entropy_bound(entropy_estimate, action, tol=DEFAULT_TOL):
     """|log lambda_phi| against a certified lower bound on the automorphism's
     entropy; a lower bound can confirm but never falsify."""
     lhs = abs(math.log(action.lambda_phi))
     status = "Confirmed" if lhs <= entropy_estimate + tol else "Inconclusive"
-    return {
-        "name": "entropy-bound",
-        "status": status,
-        "lhs": lhs,
-        "rhs": float(entropy_estimate),
-        "tol": tol,
-    }
+    return CheckRecord("entropy-bound", status, lhs, float(entropy_estimate), tol)
 
 
 def _abs_interval(interval):
@@ -430,12 +418,16 @@ def _abs_interval(interval):
     return Fraction(0), max(-lo, hi)
 
 
-def _inequality_status(lhs, rhs_lo, rhs_hi, tol):
+def _bound(name, lhs, rhs_lo, rhs_hi, tol):
+    """lhs <= rhs for every rhs in the certified enclosure [rhs_lo, rhs_hi]:
+    Confirmed at the low end, Consistent inside, Violated above."""
     if lhs <= rhs_lo + tol:
-        return "Confirmed"
-    if lhs <= rhs_hi + tol:
-        return "Consistent"
-    return "Violated"
+        status = "Confirmed"
+    elif lhs <= rhs_hi + tol:
+        status = "Consistent"
+    else:
+        status = "Violated"
+    return CheckRecord(name, status, lhs, (rhs_lo, rhs_hi), tol)
 
 
 def _swap_profile(profile):
@@ -460,6 +452,10 @@ def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
     The one-sided inequalities apply only when their sign hypothesis is
     certain from the enclosure; the unit-circle conclusion applies when all
     four slope enclosures collapse to zero.
+
+    Returns the overall record, whose lhs is the smallest margin rhs_lo - lhs
+    over the applicable inequalities, and the five component records; a
+    component that does not apply is Inconclusive with no lhs or rhs.
     """
     bounds_f = lyapunov_bounds(auto, profile.n_max, profile=profile)
     bounds_i = lyapunov_bounds(
@@ -473,122 +469,86 @@ def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
     log_rho_minus = math.log(dim.rho_minus)
     growth = h + log_rho_minus  # log(lambda / smallest modulus) >= 0
     lhs = math.log(action.rho)
-    checks = []
-
     abs_ami = _abs_interval(ami)
-    checks.append(
-        {
-            "name": "bound-minus",
-            "status": None,
-            "lhs": lhs,
-            "rhs_lo": float(abs_ami[0]) * growth - float(am[1]) * h,
-            "rhs_hi": float(abs_ami[1]) * growth - float(am[0]) * h,
-        }
-    )
     abs_ap = _abs_interval(ap)
-    checks.append(
-        {
-            "name": "bound-plus",
-            "status": None,
-            "lhs": lhs,
-            "rhs_lo": float(abs_ap[0]) * growth + float(api[0]) * h,
-            "rhs_hi": float(abs_ap[1]) * growth + float(api[1]) * h,
-        }
-    )
+    checks = [
+        _bound(
+            "bound-minus",
+            lhs,
+            float(abs_ami[0]) * growth - float(am[1]) * h,
+            float(abs_ami[1]) * growth - float(am[0]) * h,
+            tol,
+        ),
+        _bound(
+            "bound-plus",
+            lhs,
+            float(abs_ap[0]) * growth + float(api[0]) * h,
+            float(abs_ap[1]) * growth + float(api[1]) * h,
+            tol,
+        ),
+    ]
     if ami[0] > 0:
         checks.append(
-            {
-                "name": "one-sided-minus",
-                "status": None,
-                "lhs": lhs,
-                "rhs_lo": -float(am[1]) * h,
-                "rhs_hi": -float(am[0]) * h,
-            }
+            _bound("one-sided-minus", lhs, -float(am[1]) * h, -float(am[0]) * h, tol)
         )
     else:
         checks.append(
-            {
-                "name": "one-sided-minus",
-                "status": "Inconclusive",
-                "note": "left slope of the inverse not certainly positive",
-            }
+            CheckRecord(
+                "one-sided-minus",
+                "Inconclusive",
+                detail="left slope of the inverse not certainly positive",
+            )
         )
     if ap[1] < 0:
         checks.append(
-            {
-                "name": "one-sided-plus",
-                "status": None,
-                "lhs": lhs,
-                "rhs_lo": float(api[0]) * h,
-                "rhs_hi": float(api[1]) * h,
-            }
+            _bound("one-sided-plus", lhs, float(api[0]) * h, float(api[1]) * h, tol)
         )
     else:
         checks.append(
-            {
-                "name": "one-sided-plus",
-                "status": "Inconclusive",
-                "note": "right slope of the map not certainly negative",
-            }
-        )
-    for check in checks:
-        if check["status"] is None:
-            check["status"] = _inequality_status(
-                check["lhs"], check["rhs_lo"], check["rhs_hi"], tol
+            CheckRecord(
+                "one-sided-plus",
+                "Inconclusive",
+                detail="right slope of the map not certainly negative",
             )
-
+        )
     zero = (Fraction(0), Fraction(0))
     if (am, ap, ami, api) == (zero, zero, zero, zero):
-        deviation = max(abs(abs(z) - 1.0) for z in _spectrum(action.S_phi))
-        checks.append(
-            {
-                "name": "unit-circle",
-                "status": "Confirmed" if deviation <= tol else "Violated",
-                "lhs": deviation,
-                "rhs_lo": 0.0,
-                "rhs_hi": 0.0,
-            }
-        )
+        deviation = distortion_spectrum_check(action, tol=tol).lhs
+        checks.append(_bound("unit-circle", deviation, 0.0, 0.0, tol))
     else:
         checks.append(
-            {
-                "name": "unit-circle",
-                "status": "Inconclusive",
-                "note": "slope enclosures are not all exactly zero",
-            }
+            CheckRecord(
+                "unit-circle",
+                "Inconclusive",
+                detail="slope enclosures are not all exactly zero",
+            )
         )
 
-    applicable = [c for c in checks if "rhs_lo" in c]
-    gaps = [c["rhs_lo"] - c["lhs"] for c in applicable]
-    statuses = [c["status"] for c in applicable]
+    statuses = {c.status for c in checks}
     if "Violated" in statuses:
         overall = "Violated"
     elif "Consistent" in statuses:
         overall = "Consistent"
     else:
         overall = "Confirmed"
-    return {
-        "name": "main-bounds",
-        "status": overall,
-        "gap": min(gaps) if gaps else float("nan"),
-        "tol": tol,
-        "checks": checks,
-    }
+    gap = min(c.rhs[0] - c.lhs for c in checks if c.rhs is not None)
+    record = CheckRecord(
+        "main-bounds", overall, gap, None, tol, detail=f"{len(checks)} component checks"
+    )
+    return record, tuple(checks)
 
 
 def distortion_spectrum_check(action, tol=DEFAULT_TOL):
     """Whether the action's spectral radius is 1 and its whole spectrum sits
-    on the unit circle, as distortion would force."""
-    spectrum = _spectrum(action.S_phi)
-    deviation = max(abs(abs(z) - 1.0) for z in spectrum)
-    log_rho_zero = abs(math.log(action.rho)) <= tol
-    on_circle = deviation <= tol
-    return {
-        "name": "distortion-spectrum",
-        "status": "Confirmed" if (log_rho_zero and on_circle) else "Inconclusive",
-        "log_rho_zero": log_rho_zero,
-        "unit_circle": on_circle,
-        "deviation": deviation,
-        "eigenvalues": [(z.real, z.imag) for z in spectrum],
-        "tol": tol,
-    }
+    on the unit circle, as distortion would force.  The lhs is the largest
+    deviation | |z| - 1 | over the eigenvalues z of S_phi."""
+    deviation = max(abs(abs(z) - 1.0) for z in _spectrum(action.S_phi))
+    on_circle = deviation <= tol and abs(math.log(action.rho)) <= tol
+    return CheckRecord(
+        "distortion-spectrum",
+        "Confirmed" if on_circle else "Inconclusive",
+        deviation,
+        0.0,
+        tol,
+        detail="max | |eig| - 1 |",
+    )

@@ -20,7 +20,8 @@ from .codes import (
     shift_power_of,
     verify_automorphism,
 )
-from .errors import NotInvariant, WindowBudgetExceeded, ZeroMatrix
+from .errors import NotInvariant, ZeroMatrix
+from .records import CheckRecord
 from .shifts import build_edge_shift, count_words, perron_data
 
 
@@ -100,9 +101,7 @@ def _distinct_windows(auto, count, width, ordered, budget):
     mem = max(code.memory for code in powers)
     ant = max(code.anticipation for code in powers)
     length = width + mem + ant
-    needed = shift.word_count(length)
-    if needed > budget:
-        raise WindowBudgetExceeded(needed=needed, budget=budget)
+    shift.ensure_budget(length, budget)
     seen = set()
     for word in shift.words(length):
         windows = []
@@ -135,19 +134,17 @@ def c_phi_count_ordered(auto, n, budget=None):
 
 
 def c_phi_diagnostic(auto, n, action, budget=None):
-    """Finite-n growth rate of the iterate-window count next to the measure
-    multiplier; finite n can land on either side, so this only flags."""
+    """Finite-n growth rate of the iterate-window count (lhs) next to the
+    measure multiplier's log (rhs); finite n can land on either side, so
+    this only flags."""
     card = c_phi_count(auto, n, budget=budget)
-    rate = math.log(card) / n
-    target = math.log(action.lambda_phi)
-    return {
-        "name": "iterate-window-growth",
-        "status": "Inconclusive",
-        "card": card,
-        "rate": rate,
-        "log_lambda_phi": target,
-        "flag": rate < target,
-    }
+    return CheckRecord(
+        "iterate-window-growth",
+        "Inconclusive",
+        math.log(card) / n,
+        math.log(action.lambda_phi),
+        detail=f"card={card} at n={n}",
+    )
 
 
 def _prune_states(k, edges, allowed):

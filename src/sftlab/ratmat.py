@@ -43,10 +43,6 @@ def vec_mat(x, a):
     )
 
 
-def dot(x, y):
-    return sum(p * q for p, q in zip(x, y))
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
     m = [list(row) for row in rows]
@@ -104,13 +100,6 @@ def char_poly(a):
 
 
 # -- polynomial helpers (coefficients descending, index 0 = leading) --
-
-
-def poly_eval(coeffs, x):
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def poly_derivative(coeffs):

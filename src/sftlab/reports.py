@@ -18,7 +18,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import ratmat
@@ -51,7 +51,6 @@ from .coding_range import (
     coding_range_profile,
     lyapunov_bounds,
     reverse_automorphism,
-    w_values,
 )
 from .dimension import (
     Beam,
@@ -72,6 +71,7 @@ from .entropy import (
     restrict_code_to_subsystem,
 )
 from .errors import NotInvertibleWithin, SftlabError
+from .records import CheckRecord, _json_value
 from .shifts import DEFAULT_TOL, build_edge_shift, count_words, dimension_data, perron_data
 from .spectra import (
     IntPolynomial,
@@ -87,36 +87,6 @@ SUITE_NAMES = ("acceptance", "theorem-3", "theorem-4", "spectra", "profile")
 
 
 # -- records and reports ------------------------------------------------------
-
-
-@dataclass
-class CheckRecord:
-    name: str
-    status: str
-    lhs: object = None
-    rhs: object = None
-    tol: object = None
-    runtime_ms: float = 0.0
-    detail: str = ""
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "lhs": _json_value(self.lhs),
-            "rhs": _json_value(self.rhs),
-            "tol": self.tol,
-            "runtime_ms": round(self.runtime_ms, 3),
-            "detail": self.detail,
-        }
-
-
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, (tuple, list)):
-        return [_json_value(v) for v in value]
-    return value
 
 
 @dataclass
@@ -201,13 +171,16 @@ class Recorder:
         self.records = []
         self._mark = time.perf_counter()
 
-    def add(self, name, status, lhs=None, rhs=None, tol=None, detail=""):
+    def adopt(self, record, **changes):
+        """Keep a verifier's record, re-named or re-statused by ``changes``."""
         now = time.perf_counter()
-        elapsed = (now - self._mark) * 1000.0
+        record = replace(record, runtime_ms=(now - self._mark) * 1000.0, **changes)
         self._mark = now
-        record = CheckRecord(name, status, lhs, rhs, tol, elapsed, detail)
         self.records.append(record)
         return record
+
+    def add(self, name, status, lhs=None, rhs=None, tol=None, detail=""):
+        return self.adopt(CheckRecord(name, status, lhs, rhs, tol, detail=detail))
 
     def exact(self, name, ok, lhs=None, rhs=None, detail=""):
         return self.add(name, "Confirmed" if ok else "Violated", lhs, rhs, 0, detail)
@@ -216,17 +189,6 @@ class Recorder:
         ok = abs(lhs - rhs) <= tol
         return self.add(
             name, "Confirmed" if ok else "Violated", float(lhs), float(rhs), tol, detail
-        )
-
-    def wrap(self, name, verdict, detail=""):
-        """Adopt a verifier's dict-shaped result as a record."""
-        return self.add(
-            name,
-            verdict["status"],
-            verdict.get("lhs", verdict.get("gap")),
-            verdict.get("rhs"),
-            verdict.get("tol"),
-            detail,
         )
 
 
@@ -289,21 +251,22 @@ def _criterion_shift_sharpness(rec, tol):
     )
     rec.close("lambda-phi", action.lambda_phi, 2.0, 1e-9)
     rec.close("rho-S-phi", action.rho, 2.0, 1e-9)
-    verdict = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
-    sharp = verdict["status"] == "Confirmed" and abs(verdict["gap"]) <= 1e-9
-    rec.add(
-        "main-bounds-sharp",
-        "Confirmed" if sharp else "Violated",
-        verdict["gap"],
-        0.0,
-        1e-9,
-        detail=f"verify_main_bounds: {verdict['status']}",
+    bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+    sharp = bound.status == "Confirmed" and abs(bound.lhs) <= 1e-9
+    rec.adopt(
+        bound,
+        name="main-bounds-sharp",
+        status="Confirmed" if sharp else "Violated",
+        rhs=0.0,
+        tol=1e-9,
+        detail=f"verify_main_bounds: {bound.status}",
     )
 
 
 def _criterion_tau_example(rec, tol):
     shift, auto, dim, perron, action = builtin_bundle("tau_golden")
-    bounds = lyapunov_bounds(auto, 4)
+    profile = coding_range_profile(auto, 4)
+    bounds = lyapunov_bounds(auto, 4, profile=profile)
     bounds_inv = lyapunov_bounds(auto.inverse_automorphism(), 4)
     rec.exact(
         "alpha-minus-tau",
@@ -318,15 +281,11 @@ def _criterion_tau_example(rec, tol):
         rhs="[-1,-1]",
     )
     rec.close("log-rho-vs-entropy", math.log(action.rho), math.log(GOLDEN_RATIO), 1e-6)
-    profile = coding_range_profile(auto, 4)
-    verdict = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
-    rec.add(
-        "main-bounds",
-        "Confirmed" if verdict["status"] == "Confirmed" else "Violated",
-        verdict["gap"],
-        None,
-        tol,
-        detail=f"verify_main_bounds: {verdict['status']}",
+    bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+    rec.adopt(
+        bound,
+        status="Confirmed" if bound.status == "Confirmed" else "Violated",
+        detail=f"verify_main_bounds: {bound.status}",
     )
 
 
@@ -343,8 +302,10 @@ def _criterion_product_entropy(rec, tol):
         detail=f"count={census.count} method={census.method} certified={census.certified}",
     )
     entropy = exact_entropy_of(auto)
-    verdict = verify_entropy_bound(auto, entropy, action, tol=tol)
-    rec.wrap("entropy-bound", verdict, detail=f"exact h_top = {entropy:.6f}")
+    rec.adopt(
+        verify_entropy_bound(entropy, action, tol=tol),
+        detail=f"exact h_top = {entropy:.6f}",
+    )
 
 
 def _criterion_vertex_swap(rec, tol):
@@ -356,12 +317,11 @@ def _criterion_vertex_swap(rec, tol):
     rec.exact("not-inert", action.inert is False, lhs=str(action.inert), rhs="False")
     rec.close("lambda-phi", action.lambda_phi, 1.0, 1e-9)
     spectrum = distortion_spectrum_check(action, tol=tol)
-    rec.exact(
-        "unit-circle-spectrum",
-        spectrum["unit_circle"],
-        lhs=spectrum["deviation"],
-        rhs=0.0,
-        detail="max | |eig| - 1 |",
+    rec.adopt(
+        spectrum,
+        name="unit-circle-spectrum",
+        status="Confirmed" if spectrum.lhs <= tol else "Violated",
+        tol=0,
     )
 
 
@@ -370,9 +330,11 @@ def _criterion_sum_and_reverse(rec, tol):
     for name, params in DEFAULT_SUITE:
         shift, auto = builtin_pair(name, dict(params))
         _tshift, rev, _bij = reverse_automorphism(auto)
+        profile = coding_range_profile(auto, 3)
+        profile_rev = coding_range_profile(rev, 3)
         for n in (1, 2, 3):
-            wv = w_values(auto, n)
-            wr = w_values(rev, n)
+            wv = profile.at(n)
+            wr = profile_rev.at(n)
             total += 1
             if wv.minus + wv.minus_inv > 0 or wv.plus + wv.plus_inv < 0:
                 bad_sum.append((name, n))
@@ -555,11 +517,11 @@ def _criterion_unit_circle(rec, tol):
             rhs="[0,0] twice",
         )
         spectrum = distortion_spectrum_check(action, tol=1e-9)
-        rec.exact(
-            f"{name}/unit-circle",
-            spectrum["deviation"] <= 1e-9,
-            lhs=spectrum["deviation"],
-            rhs=0.0,
+        rec.adopt(
+            spectrum,
+            name=f"{name}/unit-circle",
+            status="Confirmed" if spectrum.lhs <= 1e-9 else "Violated",
+            tol=0,
             detail="max | |eig S_phi| - 1 |",
         )
 
@@ -650,9 +612,7 @@ def run_criterion(cid, tol=DEFAULT_TOL):
     table = {c: fn for c, _, fn in ACCEPTANCE_CRITERIA}
     rec = Recorder()
     table[cid](rec, tol)
-    for record in rec.records:
-        record.name = f"{cid}/{record.name}"
-    return rec.records
+    return [replace(r, name=f"{cid}/{r.name}") for r in rec.records]
 
 
 # -- suites -------------------------------------------------------------------
@@ -673,16 +633,17 @@ def _suite_theorem_3(options):
         shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
         entropy = exact_entropy_of(auto)
         if entropy is not None:
-            verdict = verify_entropy_bound(auto, entropy, action, tol=tol)
-            rec.wrap(f"entropy-bound/{name}", verdict, detail=f"exact h_top={entropy:.6f}")
+            rec.adopt(
+                verify_entropy_bound(entropy, action, tol=tol),
+                name=f"entropy-bound/{name}",
+                detail=f"exact h_top={entropy:.6f}",
+            )
         else:
             diag = c_phi_diagnostic(auto, 2, action)
-            rec.add(
-                f"iterate-windows/{name}",
-                diag["status"],
-                diag["rate"],
-                diag["log_lambda_phi"],
-                detail=f"card={diag['card']} at n=2 (no certified entropy)",
+            rec.adopt(
+                diag,
+                name=f"iterate-windows/{name}",
+                detail=f"{diag.detail} (no certified entropy)",
             )
     _criterion_five_symbol(rec, tol)
     _criterion_cubic(rec, tol)
@@ -696,14 +657,11 @@ def _suite_theorem_4(options):
     for name, params in DEFAULT_SUITE:
         shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
         profile = coding_range_profile(auto, n_max)
-        verdict = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
-        rec.add(
-            f"main-bounds/{name}",
-            verdict["status"],
-            verdict["gap"],
-            None,
-            tol,
-            detail=f"{len(verdict['checks'])} component checks, n_max={n_max}",
+        bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+        rec.adopt(
+            bound,
+            name=f"main-bounds/{name}",
+            detail=f"{bound.detail}, n_max={n_max}",
         )
     _criterion_sum_and_reverse(rec, tol)
     _criterion_unit_circle(rec, tol)

@@ -38,8 +38,9 @@ def test_cubic_witness_confirms_failure():
     assert failure.lhs > failure.rhs
 
 
-def test_full_acceptance_suite_is_green():
+def test_full_acceptance_suite_is_green(golden):
     report = run_suite("acceptance")
+    golden("acceptance.json", report.to_json(mask_runtime=True) + "\n")
     assert report.exit_code == 0
     counts = report.counts()
     assert counts.get("Violated", 0) == 0

@@ -54,7 +54,7 @@ def test_analyze_single_automorphism_with_entropy_bound(tau_file, capsys):
     assert "tau/main-bounds" in out
 
 
-def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch):
+def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
     # the README's tau.json example, input and output, verbatim
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     system = readme.split("$ cat tau.json\n", 1)[1].split("$ sftlab", 1)[0]
@@ -63,8 +63,12 @@ def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch):
     (tmp_path / "tau.json").write_text(system)
     monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
     monkeypatch.chdir(tmp_path)
-    assert main(["analyze", "tau.json", "--n-max", "4"]) == 0
+    assert main(["analyze", "tau.json", "--n-max", "4", "--json", "tau-report.json"]) == 0
     assert capsys.readouterr().out == table
+    doc = json.loads((tmp_path / "tau-report.json").read_text())
+    for record in doc["records"]:
+        record["runtime_ms"] = None
+    golden("analyze-tau.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def test_analyze_census_option(tau_file, tmp_path):
@@ -187,7 +191,7 @@ def test_spectra_check_bad_poly_inputs(capsys):
 # -- spectra search ---------------------------------------------------------
 
 
-def test_spectra_search_prints_matrix_and_verdict(tmp_path, capsys):
+def test_spectra_search_prints_matrix_and_verdict(tmp_path, capsys, golden):
     json_path = tmp_path / "search.json"
     code = main(
         ["spectra", "search", "--poly", "[1,-5,-6,1]", "--json", str(json_path)]
@@ -200,6 +204,7 @@ def test_spectra_search_prints_matrix_and_verdict(tmp_path, capsys):
     doc = json.loads(json_path.read_text())
     assert doc["matrix"] == [[5, 1, 0], [5, 0, 1], [4, 1, 0]]
     assert doc["eb_failure"]["status"] == "Confirmed"
+    golden("spectra-search.json", json_path.read_text())
 
 
 def test_spectra_search_padding_case(capsys):

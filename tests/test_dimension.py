@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from sftlab import ratmat
+from sftlab import codes, ratmat
 from sftlab.builtins import make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
 from sftlab.coding_range import coding_range_profile
@@ -39,8 +39,9 @@ from sftlab.errors import (
     InadmissibleWord,
     PreconditionFailed,
     ReducibleInput,
+    WindowBudgetExceeded,
 )
-from sftlab.shifts import build_edge_shift, dimension_data, perron_data
+from sftlab.shifts import build_edge_shift, dimension_data, distinct_roots, perron_data
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN = [[1, 1], [1, 0]]
@@ -194,6 +195,28 @@ def test_apply_automorphism_n_zero_and_level_guard():
         apply_automorphism_to_ray(auto, 1, deep)
 
 
+def test_apply_automorphism_builds_each_power_once_within_budget(monkeypatch):
+    real_compose = codes.compose
+    completed = []
+
+    def counting_compose(outer, inner, budget=None):
+        result = real_compose(outer, inner, budget=budget)
+        completed.append(result.window)
+        return result
+
+    monkeypatch.setattr(codes, "compose", counting_compose)
+    shift, auto = make_builtin("shift")
+    ray = canonical_zero_ray(shift, 0)
+    # phi^2 and phi^-2 are one compose each
+    apply_automorphism_to_ray(auto, 2, ray)
+    assert completed == [3, 3]
+    # phi^2 has 8 windows of width 3: the budget refuses it before any work
+    completed.clear()
+    with pytest.raises(WindowBudgetExceeded):
+        apply_automorphism_to_ray(auto, 2, ray, budget=4)
+    assert completed == []
+
+
 # -- the induced matrix -----------------------------------------------------
 
 
@@ -282,11 +305,11 @@ def test_action_rejects_bad_shifts():
 def test_entropy_bound_statuses():
     _, tau = make_builtin("tau_golden")
     act = dimension_matrix(tau)
-    tight = verify_entropy_bound(tau, math.log(PHI), act)
-    assert tight["status"] == "Confirmed"
-    assert tight["lhs"] == pytest.approx(math.log(PHI), abs=1e-9)
-    low = verify_entropy_bound(tau, 0.1, act)
-    assert low["status"] == "Inconclusive"
+    tight = verify_entropy_bound(math.log(PHI), act)
+    assert tight.status == "Confirmed"
+    assert tight.lhs == pytest.approx(math.log(PHI), abs=1e-9)
+    low = verify_entropy_bound(0.1, act)
+    assert low.status == "Inconclusive"
 
 
 def test_main_bounds_on_shift_are_tight():
@@ -295,15 +318,16 @@ def test_main_bounds_on_shift_are_tight():
     dim = dimension_data(shift)
     per = perron_data(shift)
     act = dimension_matrix(auto, dim=dim, perron=per)
-    verdict = verify_main_bounds(auto, profile, act, dim, per)
-    assert verdict["status"] == "Confirmed"
-    assert verdict["gap"] == pytest.approx(0.0, abs=1e-12)
-    by_name = {c["name"]: c for c in verdict["checks"]}
-    assert by_name["bound-minus"]["status"] == "Confirmed"
-    assert by_name["bound-plus"]["status"] == "Confirmed"
-    assert by_name["one-sided-minus"]["status"] == "Confirmed"
-    assert by_name["one-sided-plus"]["status"] == "Confirmed"
-    assert by_name["unit-circle"]["status"] == "Inconclusive"
+    bound, checks = verify_main_bounds(auto, profile, act, dim, per)
+    assert bound.status == "Confirmed"
+    assert bound.lhs == pytest.approx(0.0, abs=1e-12)
+    by_name = {c.name: c for c in checks}
+    assert len(by_name) == len(checks) == 5
+    assert by_name["bound-minus"].status == "Confirmed"
+    assert by_name["bound-plus"].status == "Confirmed"
+    assert by_name["one-sided-minus"].status == "Confirmed"
+    assert by_name["one-sided-plus"].status == "Confirmed"
+    assert by_name["unit-circle"].status == "Inconclusive"
 
 
 def test_main_bounds_zero_slopes_check_unit_circle():
@@ -312,21 +336,24 @@ def test_main_bounds_zero_slopes_check_unit_circle():
     dim = dimension_data(shift)
     per = perron_data(shift)
     act = dimension_matrix(auto, dim=dim, perron=per)
-    verdict = verify_main_bounds(auto, profile, act, dim, per)
-    by_name = {c["name"]: c for c in verdict["checks"]}
-    assert by_name["unit-circle"]["status"] == "Confirmed"
-    assert by_name["one-sided-minus"]["status"] == "Inconclusive"
-    assert verdict["status"] == "Confirmed"
+    bound, checks = verify_main_bounds(auto, profile, act, dim, per)
+    by_name = {c.name: c for c in checks}
+    assert by_name["unit-circle"].status == "Confirmed"
+    assert by_name["one-sided-minus"].status == "Inconclusive"
+    assert bound.status == "Confirmed"
 
 
 def test_distortion_spectrum_check():
     _, swap = make_builtin("vertex_swap_B")
-    out = distortion_spectrum_check(dimension_matrix(swap))
-    assert out["status"] == "Confirmed"
-    assert out["deviation"] == pytest.approx(0.0, abs=1e-12)
-    assert sorted(round(re, 6) for re, _ in out["eigenvalues"]) == [-1.0, 1.0]
+    action = dimension_matrix(swap)
+    out = distortion_spectrum_check(action)
+    assert out.status == "Confirmed"
+    assert out.lhs == pytest.approx(0.0, abs=1e-12)
+    eigenvalues = distinct_roots(ratmat.char_poly(action.S_phi))
+    assert sorted(round(complex(z).real, 6) for z in eigenvalues) == [-1.0, 1.0]
 
     _, sigma = make_builtin("shift")
-    out = distortion_spectrum_check(dimension_matrix(sigma))
-    assert out["status"] == "Inconclusive"
-    assert not out["log_rho_zero"]
+    action = dimension_matrix(sigma)
+    out = distortion_spectrum_check(action)
+    assert out.status == "Inconclusive"
+    assert abs(math.log(action.rho)) > out.tol

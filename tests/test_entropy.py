@@ -116,11 +116,12 @@ def test_iterate_window_diagnostic_shape():
     _, auto = make_builtin("shift")
     action = dimension_matrix(auto)
     out = c_phi_diagnostic(auto, 2, action)
-    assert out["status"] == "Inconclusive"
-    assert out["card"] == 59
-    assert out["rate"] == pytest.approx(math.log(59) / 2)
-    assert out["log_lambda_phi"] == pytest.approx(math.log(2))
-    assert out["flag"] is False
+    assert out.status == "Inconclusive"
+    assert c_phi_count(auto, 2) == 59
+    assert out.detail == "card=59 at n=2"
+    assert out.lhs == pytest.approx(math.log(59) / 2)
+    assert out.rhs == pytest.approx(math.log(2))
+    assert not out.lhs < out.rhs
 
 
 # -- restriction to invariant subsystems ------------------------------------

@@ -95,9 +95,8 @@ def test_char_poly_fraction_entries():
     assert ratmat.char_poly(a) == [F(1), F(-5, 6), F(1, 6)]
 
 
-def test_poly_eval_and_derivative():
+def test_poly_derivative():
     p = [1, -1, -1]  # t^2 - t - 1
-    assert ratmat.poly_eval(p, 2) == 1
     assert ratmat.poly_derivative(p) == [2, -1]
     assert ratmat.poly_derivative([7]) == [0]
 

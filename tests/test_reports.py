@@ -91,10 +91,13 @@ def test_recorder_helpers():
     rec.exact("neq", False)
     rec.close("near", 1.0, 1.0 + 1e-12, 1e-9)
     rec.close("far", 1.0, 2.0, 1e-9)
-    rec.wrap("wrapped", {"status": "NotStrict", "gap": 0.0, "tol": 1e-9})
+    verdict = CheckRecord("verdict", "NotStrict", 0.0, tol=1e-9)
+    rec.adopt(verdict, name="adopted")
     statuses = [r.status for r in rec.records]
     assert statuses == ["Confirmed", "Violated", "Confirmed", "Violated", "NotStrict"]
     assert rec.records[4].lhs == 0.0
+    assert rec.records[4].name == "adopted"
+    assert verdict.name == "verdict" and verdict.runtime_ms == 0.0
     assert all(r.runtime_ms >= 0 for r in rec.records)
 
 
@@ -141,10 +144,12 @@ def test_run_suite_rejects_unknown_name():
     assert set(SUITE_NAMES) == {"acceptance", "theorem-3", "theorem-4", "spectra", "profile"}
 
 
-def test_profile_suite_is_deterministic_modulo_runtime():
-    first = run_suite("profile", {"auto": "tau_golden"})
-    second = run_suite("profile", {"auto": "tau_golden"})
+def test_profile_suite_is_deterministic_modulo_runtime(golden):
+    # the default profile is tau_golden at n_max 4
+    first = run_suite("profile")
+    second = run_suite("profile")
     assert first.to_json(mask_runtime=True) == second.to_json(mask_runtime=True)
+    golden("profile.json", first.to_json(mask_runtime=True) + "\n")
     assert first.exit_code == 0
 
 
@@ -169,8 +174,9 @@ def test_profile_suite_marks_distortion_candidates_consistent():
     assert report.exit_code == 0
 
 
-def test_spectra_suite_default_polynomial():
+def test_spectra_suite_default_polynomial(golden):
     report = run_suite("spectra")
+    golden("spectra.json", report.to_json(mask_runtime=True) + "\n")
     names = [r.name for r in report.records]
     assert names == [
         "condition-dominant-root",
@@ -199,9 +205,10 @@ def test_spectra_suite_reports_indeterminate_band():
     assert report.exit_code == 0
 
 
-def test_theorem_suites_run_clean():
+def test_theorem_suites_run_clean(golden):
     for name in ("theorem-3", "theorem-4"):
         report = run_suite(name)
+        golden(f"{name}.json", report.to_json(mask_runtime=True) + "\n")
         assert report.records, name
         assert {r.status for r in report.records} <= STATUS_VOCABULARY
         assert report.exit_code == 0, name
