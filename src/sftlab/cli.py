@@ -83,6 +83,7 @@ def _cmd_analyze(args):
         names = sorted(parsed.automorphisms)
     rec = Recorder()
     payload = {}
+    dim = perron = None  # built on first use, shared by every automorphism
     for name in names:
         auto = parsed.automorphisms[name]
         profile = coding_range_profile(auto, args.n_max, budget=parsed.budget)
@@ -103,11 +104,10 @@ def _cmd_analyze(args):
         )
         payload[name] = {"profile": profile_payload(profile, bounds)}
         try:
-            dim = dimension_data(shift)
-            perron = perron_data(shift, tol=tol)
-            action = dimension_matrix(
-                auto, dim=dim, perron=perron, tol=tol, budget=parsed.budget
-            )
+            if perron is None:
+                dim = dimension_data(shift)
+                perron = perron_data(shift, tol=tol)
+            action = dimension_matrix(auto, dim=dim, tol=tol, budget=parsed.budget)
             rec.add(
                 f"{name}/dimension-action",
                 "Confirmed",

@@ -240,6 +240,18 @@ class CodingRangeProfile:
             plus_inv=self.w_plus_inv[i],
         )
 
+    def inverse(self):
+        """The profile of phi^-1: the roles of phi and phi^-1 swap."""
+        return CodingRangeProfile(
+            n_max=self.n_max,
+            w_minus=self.w_minus_inv,
+            w_plus=self.w_plus_inv,
+            w_minus_inv=self.w_minus,
+            w_plus_inv=self.w_plus,
+            a_minus=self.a_plus,
+            a_plus=self.a_minus,
+        )
+
 
 def coding_range_profile(auto, n_max, budget=None):
     """W values at n = 1..n_max, walking phi^n and phi^-n in lockstep so

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import ratmat
 from .codes import resolve_budget
-from .coding_range import CodingRangeProfile, _scan_w, lyapunov_bounds
+from .coding_range import _scan_w, lyapunov_bounds
 from .errors import (
     InconsistentSystem,
     InternalInvariantViolation,
@@ -26,7 +26,7 @@ from .errors import (
     ShiftMismatch,
 )
 from .records import CheckRecord
-from .shifts import DEFAULT_TOL, dimension_data, distinct_roots, perron_data
+from .shifts import DEFAULT_TOL, dimension_data, distinct_roots
 
 
 def _primitive_root(cycle):
@@ -192,8 +192,7 @@ def refine_ray(ray, to_level):
 def theta(beam, dim):
     """Exact rational image of the beam's class in the eventual range:
     the count vector at level m is pushed through A^k and delta^-(k+m)."""
-    v = tuple(Fraction(x) for x in beam.count_vector)
-    w = ratmat.vec_mat(v, dim.eventual_power)
+    w = ratmat.vec_mat(beam.count_vector, dim.eventual_power)
     return dim.apply_delta_power(w, -(dim.k + beam.level))
 
 
@@ -283,7 +282,7 @@ class DimensionAction:
     order_if_finite: object
 
 
-def _perron_left_coords(dim, tol):
+def _perron_left_coords(dim):
     """Numeric left Perron direction of A, in eventual-range coordinates."""
     a = dim.matrix
     k = dim.k
@@ -300,10 +299,10 @@ def _perron_left_coords(dim, tol):
     return [u[p] for p in dim.pivots]
 
 
-def lambda_phi_of(s_phi, dim, perron, tol=DEFAULT_TOL):
+def lambda_phi_of(s_phi, dim, tol=DEFAULT_TOL):
     """Rayleigh ratio of the action matrix ``s_phi`` on the numeric Perron
     direction of the restricted multiplication map; positive by the theory."""
-    c = _perron_left_coords(dim, tol)
+    c = _perron_left_coords(dim)
     d = len(c)
     s = [[float(x) for x in row] for row in s_phi]
     cs = [sum(c[i] * s[i][j] for i in range(d)) for j in range(d)]
@@ -326,7 +325,7 @@ def _spectrum(s_phi):
     return [complex(z) for z in distinct_roots(ratmat.char_poly(s_phi))]
 
 
-def dimension_matrix(auto, dim=None, perron=None, tol=DEFAULT_TOL, budget=None):
+def dimension_matrix(auto, dim=None, tol=DEFAULT_TOL, budget=None):
     """Solve for the exact matrix of the automorphism on the eventual range.
 
     For each state the canonical 0-ray's class and its image class give one
@@ -340,8 +339,6 @@ def dimension_matrix(auto, dim=None, perron=None, tol=DEFAULT_TOL, budget=None):
         raise PreconditionFailed("dimension action needs positive entropy")
     if dim is None:
         dim = dimension_data(shift)
-    if perron is None:
-        perron = perron_data(shift, tol=tol)
     k = shift.k
     d = dim.d
     c_rows = []
@@ -391,7 +388,7 @@ def dimension_matrix(auto, dim=None, perron=None, tol=DEFAULT_TOL, budget=None):
             break
         power = ratmat.mat_mul(power, s_phi)
     rho = max(abs(z) for z in _spectrum(s_phi))
-    lam = lambda_phi_of(s_phi, dim, perron, tol=tol)
+    lam = lambda_phi_of(s_phi, dim, tol=tol)
     return DimensionAction(
         S_phi=s_phi,
         lambda_phi=float(lam),
@@ -430,18 +427,6 @@ def _bound(name, lhs, rhs_lo, rhs_hi, tol):
     return CheckRecord(name, status, lhs, (rhs_lo, rhs_hi), tol)
 
 
-def _swap_profile(profile):
-    return CodingRangeProfile(
-        n_max=profile.n_max,
-        w_minus=profile.w_minus_inv,
-        w_plus=profile.w_plus_inv,
-        w_minus_inv=profile.w_minus,
-        w_plus_inv=profile.w_plus,
-        a_minus=profile.a_plus,
-        a_plus=profile.a_minus,
-    )
-
-
 def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
     """Spectral-radius inequalities with certified interval right-hand sides.
 
@@ -461,7 +446,7 @@ def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
     bounds_i = lyapunov_bounds(
         auto.inverse_automorphism(),
         profile.n_max,
-        profile=_swap_profile(profile),
+        profile=profile.inverse(),
     )
     am, ap = bounds_f.alpha_minus, bounds_f.alpha_plus
     ami, api = bounds_i.alpha_minus, bounds_i.alpha_plus

@@ -1,20 +1,20 @@
-"""Small exact linear-algebra kit over the rationals (fractions.Fraction).
+"""Small exact linear-algebra kit over the integers and the rationals.
 
-Matrices are tuples of tuples, row major. Vectors are tuples. Row-vector
-convention throughout: ``vec_mat(x, A)`` is x*A.
+Entries are Python ints or fractions.Fraction and are used as given: integer
+input stays integer, and a Fraction appears only where a division makes one
+(rref's pivot scaling, char_poly's division by i when it is not exact, the
+polynomial helpers). Matrices are tuples of tuples, row major. Vectors are
+tuples. Row-vector convention throughout: ``vec_mat(x, A)`` is x*A.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation, NonMonic
 
 
-def frac_matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b):
@@ -70,7 +70,7 @@ def rref(rows):
 
 def inverse(a):
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + list(unit) for row, unit in zip(a, identity(n))]
     reduced, pivots = rref(aug)
     if len(reduced) < n or pivots != tuple(range(n)):
         raise InternalInvariantViolation("matrix not invertible over Q")
@@ -80,22 +80,21 @@ def inverse(a):
 def char_poly(a):
     """Characteristic polynomial det(tI - A), coefficients descending.
 
-    Faddeev-LeVerrier; entries may be Fractions, result is exact. Integer
-    input gives integer coefficients (as Python ints).
+    Faddeev-LeVerrier; entries may be Fractions, result is exact. Each
+    coefficient is a Python int when it is integral, so integer input gives
+    integer coefficients (the division by i is exact there).
     """
     n = len(a)
-    af = frac_matrix(a)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     m = identity(n)
     for i in range(1, n + 1):
-        m = mat_mul(af, m)
-        c = -sum(m[j][j] for j in range(n)) / i
+        m = mat_mul(a, m)
+        c = Fraction(-sum(m[j][j] for j in range(n)), i)
+        c = c.numerator if c.denominator == 1 else c
         coeffs.append(c)
         m = tuple(
             tuple(m[r][s] + (c if r == s else 0) for s in range(n)) for r in range(n)
         )
-    if all(c.denominator == 1 for c in coeffs):
-        return [int(c) for c in coeffs]
     return coeffs
 
 
@@ -162,18 +161,10 @@ def squarefree_part(coeffs):
         if _poly_normalize(rem) != [Fraction(0)]:
             raise InternalInvariantViolation("square-free division left a remainder")
     # clear denominators, primitive integer output with positive leading coeff
-    from math import gcd, lcm
-
-    den = lcm(*[Fraction(c).denominator for c in reduced]) if len(reduced) > 1 else Fraction(reduced[0]).denominator
-    ints = [int(Fraction(c) * den) for c in reduced]
-    g_all = 0
-    for v in ints:
-        g_all = gcd(g_all, abs(v))
-    if g_all > 1:
-        ints = [v // g_all for v in ints]
-    if ints[0] < 0:
-        ints = [-v for v in ints]
-    return ints
+    den = math.lcm(*(c.denominator for c in reduced))
+    ints = [int(c * den) for c in reduced]
+    g_all = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+    return [v // g_all for v in ints]
 
 
 def strip_zero_roots(coeffs):

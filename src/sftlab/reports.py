@@ -216,7 +216,7 @@ def builtin_bundle(name, params=None):
         shift, auto = builtin_pair(name, params)
         dim = dimension_data(shift)
         perron = perron_data(shift)
-        action = dimension_matrix(auto, dim=dim, perron=perron)
+        action = dimension_matrix(auto, dim=dim)
         _BUNDLE_CACHE[key] = (shift, auto, dim, perron, action)
     return _BUNDLE_CACHE[key]
 
@@ -267,7 +267,9 @@ def _criterion_tau_example(rec, tol):
     shift, auto, dim, perron, action = builtin_bundle("tau_golden")
     profile = coding_range_profile(auto, 4)
     bounds = lyapunov_bounds(auto, 4, profile=profile)
-    bounds_inv = lyapunov_bounds(auto.inverse_automorphism(), 4)
+    bounds_inv = lyapunov_bounds(
+        auto.inverse_automorphism(), 4, profile=profile.inverse()
+    )
     rec.exact(
         "alpha-minus-tau",
         bounds.alpha_minus == (0, 0),
@@ -408,12 +410,10 @@ def _criterion_functoriality(rec, tol):
     for name, params in DEFAULT_SUITE:
         shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
         squared = automorphism_power(auto, 2)
-        s_sq = dimension_matrix(squared, dim=dim, perron=perron).S_phi
+        s_sq = dimension_matrix(squared, dim=dim).S_phi
         if s_sq != ratmat.mat_mul(action.S_phi, action.S_phi):
             bad_sq.append(name)
-        s_inv = dimension_matrix(
-            auto.inverse_automorphism(), dim=dim, perron=perron
-        ).S_phi
+        s_inv = dimension_matrix(auto.inverse_automorphism(), dim=dim).S_phi
         if s_inv != ratmat.inverse(action.S_phi):
             bad_inv.append(name)
         delta = dim.delta_restricted

@@ -265,8 +265,7 @@ def count_words(shift, n):
         raise ValueError("word length must be nonnegative")
     if n == 0:
         return 1
-    p = ratmat.mat_pow(ratmat.frac_matrix(shift.matrix), n)
-    return int(sum(sum(row) for row in p))
+    return sum(map(sum, ratmat.mat_pow(shift.matrix, n)))
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,8 @@ def perron_data(shift, tol=DEFAULT_TOL):
 class DimensionData:
     """Eventual-range data of A acting on row vectors (x -> xA).
 
-    ``matrix`` is A itself (integer rows) and ``eventual_power`` is A^k in
-    exact rationals, k the number of states.  ``basis`` rows are the
+    ``matrix`` is A itself and ``eventual_power`` is A^k, both with Python
+    int entries, k the number of states.  ``basis`` rows are the
     reduced row echelon form of A^k and span the eventual range
     R(A) = Q^k . A^k; ``delta_restricted`` is the matrix of
     x -> xA on that basis (coordinates multiply on the right), and
@@ -352,10 +351,7 @@ class DimensionData:
         return c
 
     def to_ambient(self, coords):
-        return tuple(
-            sum(Fraction(coords[i]) * self.basis[i][j] for i in range(self.d))
-            for j in range(self.k)
-        )
+        return ratmat.vec_mat(coords, self.basis)
 
     def in_eventual_range(self, vec):
         try:
@@ -379,12 +375,10 @@ class DimensionData:
     def apply_delta_power(self, vec, j):
         """(x -> xA)^j applied inside R(A); j may be negative."""
         c = self.coords(vec)
-        m = (
-            ratmat.mat_pow(self.delta_restricted, j)
-            if j >= 0
-            else ratmat.mat_pow(self.delta_inverse, -j)
-        )
-        return self.to_ambient(ratmat.vec_mat(c, m))
+        step = self.delta_restricted if j >= 0 else self.delta_inverse
+        for _ in range(abs(j)):
+            c = ratmat.vec_mat(c, step)
+        return self.to_ambient(c)
 
 
 def distinct_roots(coeffs):
@@ -399,24 +393,21 @@ def distinct_roots(coeffs):
 def dimension_data(shift):
     """Exact eventual-range data for the shift's matrix."""
     k = shift.k
-    afrac = ratmat.frac_matrix(shift.matrix)
-    ak = ratmat.mat_pow(afrac, k)
+    a = shift.matrix
+    ak = ratmat.mat_pow(a, k)
     if all(x == 0 for row in ak for x in row):
         raise NilpotentMatrix("A^k = 0; the eventual range is trivial")
     basis, pivots = ratmat.rref(ak)
     d = len(basis)
     delta_rows = []
     for row in basis:
-        image = ratmat.vec_mat(row, afrac)
+        image = ratmat.vec_mat(row, a)
         c = tuple(image[p] for p in pivots)
-        recon = tuple(
-            sum(c[i] * basis[i][j] for i in range(d)) for j in range(k)
-        )
-        if recon != image:
+        if ratmat.vec_mat(c, basis) != image:
             raise InternalInvariantViolation("eventual range is not A-invariant")
         delta_rows.append(c)
     delta = tuple(delta_rows)
-    cp = tuple(ratmat.char_poly(afrac))
+    cp = tuple(ratmat.char_poly(a))
     _, nonzero_part = ratmat.strip_zero_roots(list(cp))
     if len(nonzero_part) - 1 != d:
         raise InternalInvariantViolation(
@@ -431,7 +422,7 @@ def dimension_data(shift):
         delta_inverse=ratmat.inverse(delta),
         char_poly=cp,
         rho_minus=float(1.0 / min_mod),
-        matrix=shift.matrix,
+        matrix=a,
         eventual_power=ak,
     )
 

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from sftlab import cli
 from sftlab.builtins import make_builtin
 from sftlab.cli import main
+from sftlab.codes import identity_code, verify_automorphism
+from sftlab.shifts import build_edge_shift, dimension_data
 from sftlab.systems import save_system
 
 
@@ -69,6 +72,37 @@ def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
     for record in doc["records"]:
         record["runtime_ms"] = None
     golden("analyze-tau.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, capsys):
+    shift, swap = make_builtin("vertex_swap_B")
+    path = tmp_path / "two.json"
+    save_system(path, shift, {"a": swap, "b": swap.inverse_automorphism()})
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return dimension_data(arg)
+
+    monkeypatch.setattr(cli, "dimension_data", counted)
+    assert main(["analyze", str(path)]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "a/dimension-action" in out and "b/dimension-action" in out
+
+
+def test_analyze_dimension_failure_marks_every_automorphism(tmp_path, capsys):
+    shift = build_edge_shift([[1, 1], [0, 2]])  # reducible
+    ident = verify_automorphism(identity_code(shift), identity_code(shift))
+    path = tmp_path / "reducible.json"
+    save_system(path, shift, {"a": ident, "b": ident})
+    json_path = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--json", str(json_path)]) == 0
+    records = {r["name"]: r for r in json.loads(json_path.read_text())["records"]}
+    for name in ("a", "b"):
+        record = records[f"{name}/dimension-action"]
+        assert record["status"] == "Inconclusive"
+        assert record["detail"] == "perron_data needs an irreducible matrix"
 
 
 def test_analyze_census_option(tau_file, tmp_path):

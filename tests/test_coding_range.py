@@ -88,6 +88,7 @@ def test_profile_walk_matches_powers_built_from_scratch(name, params):
     p = coding_range_profile(auto, 3)
     for n in (1, 2, 3):
         assert p.at(n) == w_values(auto, n)
+    assert coding_range_profile(auto.inverse_automorphism(), 3) == p.inverse()
 
 
 def test_w_values_rejects_bad_n():

@@ -145,7 +145,7 @@ def test_dimension_data_fields_survive_replace():
     dim = dimension_data(golden)
     copy = dataclasses.replace(dim)
     assert copy.matrix == golden.matrix
-    assert copy.eventual_power == ratmat.mat_pow(ratmat.frac_matrix(GOLDEN), 2)
+    assert copy.eventual_power == ratmat.mat_pow(golden.matrix, 2)
     beam = refine_ray(canonical_zero_ray(golden, 1), 2)
     assert theta(beam, copy) == theta(beam, dim)
     assert copy.in_dimension_group((1, 2))
@@ -253,8 +253,7 @@ def test_action_invariants_on_examples():
 def test_tau_action_block_structure():
     _, tau = make_builtin("tau_golden")
     act = dimension_matrix(tau)
-    g = ratmat.frac_matrix(GOLDEN)
-    g_inv = ratmat.inverse(g)
+    g_inv = ratmat.inverse(GOLDEN)
     # identity on the first track, inverse multiplication on the second:
     # the 4x4 action is I_2 (x) G^-1 in the product basis
     expected = tuple(
@@ -317,7 +316,7 @@ def test_main_bounds_on_shift_are_tight():
     profile = coding_range_profile(auto, 3)
     dim = dimension_data(shift)
     per = perron_data(shift)
-    act = dimension_matrix(auto, dim=dim, perron=per)
+    act = dimension_matrix(auto, dim=dim)
     bound, checks = verify_main_bounds(auto, profile, act, dim, per)
     assert bound.status == "Confirmed"
     assert bound.lhs == pytest.approx(0.0, abs=1e-12)
@@ -335,7 +334,7 @@ def test_main_bounds_zero_slopes_check_unit_circle():
     profile = coding_range_profile(auto, 2)
     dim = dimension_data(shift)
     per = perron_data(shift)
-    act = dimension_matrix(auto, dim=dim, perron=per)
+    act = dimension_matrix(auto, dim=dim)
     bound, checks = verify_main_bounds(auto, profile, act, dim, per)
     by_name = {c.name: c for c in checks}
     assert by_name["unit-circle"].status == "Confirmed"

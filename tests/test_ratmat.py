@@ -1,14 +1,18 @@
-"""Exact rational linear algebra: the kit every other module leans on.
+"""Exact integer/rational linear algebra: the kit every other module leans on.
 
 Claims covered:
     - matrix product/power agree with naive definitions, exactly
     - rref produces a reduced echelon basis with the right rank
     - inverse() really inverts over Q and refuses singular input
     - char_poly matches hand-computed polynomials (companion, diagonal)
+    - char_poly, rref, inverse and mat_pow agree with sympy on seeded
+      integer matrices, singular and nilpotent ones included, and integer
+      input keeps Python ints where no division is made
     - polynomial division, gcd, square-free part, and zero-root stripping
       behave on exact integer/rational coefficients
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,13 +25,13 @@ F = Fraction
 
 
 def test_mat_mul_matches_naive():
-    a = ratmat.frac_matrix([[1, 2], [3, 4]])
-    b = ratmat.frac_matrix([[5, 6], [7, 8]])
-    assert ratmat.mat_mul(a, b) == ratmat.frac_matrix([[19, 22], [43, 50]])
+    a = ((1, 2), (3, 4))
+    b = ((5, 6), (7, 8))
+    assert ratmat.mat_mul(a, b) == ((19, 22), (43, 50))
 
 
 def test_mat_pow_by_squaring_matches_repeated_mul():
-    a = ratmat.frac_matrix([[1, 1], [1, 0]])
+    a = ((1, 1), (1, 0))
     by_mul = ratmat.identity(2)
     for n in range(8):
         assert ratmat.mat_pow(a, n) == by_mul
@@ -40,25 +44,25 @@ def test_mat_pow_rejects_negative():
 
 
 def test_vec_mat_is_row_vector_convention():
-    a = ratmat.frac_matrix([[0, 1], [2, 3]])
+    a = ((0, 1), (2, 3))
     assert ratmat.vec_mat((F(1), F(1)), a) == (F(2), F(4))
 
 
 def test_rref_full_rank():
-    basis, pivots = ratmat.rref(ratmat.frac_matrix([[2, 0], [1, 1]]))
+    basis, pivots = ratmat.rref(((2, 0), (1, 1)))
     assert basis == ratmat.identity(2)
     assert pivots == (0, 1)
 
 
 def test_rref_rank_deficient():
     # rank one: second row is twice the first
-    basis, pivots = ratmat.rref(ratmat.frac_matrix([[1, 2], [2, 4]]))
+    basis, pivots = ratmat.rref(((1, 2), (2, 4)))
     assert basis == ((F(1), F(2)),)
     assert pivots == (0,)
 
 
 def test_rref_pivot_columns_are_standard_basis():
-    m = ratmat.frac_matrix([[1, 2, 3], [0, 1, 4], [1, 3, 7]])
+    m = ((1, 2, 3), (0, 1, 4), (1, 3, 7))
     basis, pivots = ratmat.rref(m)
     for i, row in enumerate(basis):
         for j, p in enumerate(pivots):
@@ -66,16 +70,16 @@ def test_rref_pivot_columns_are_standard_basis():
 
 
 def test_inverse_roundtrip_exact():
-    a = ratmat.frac_matrix([[1, 1], [1, 0]])
+    a = ((1, 1), (1, 0))
     inv = ratmat.inverse(a)
     assert ratmat.mat_mul(a, inv) == ratmat.identity(2)
     assert ratmat.mat_mul(inv, a) == ratmat.identity(2)
-    assert inv == ratmat.frac_matrix([[0, 1], [1, -1]])
+    assert inv == ((0, 1), (1, -1))
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(InternalInvariantViolation):
-        ratmat.inverse(ratmat.frac_matrix([[1, 2], [2, 4]]))
+        ratmat.inverse(((1, 2), (2, 4)))
 
 
 def test_char_poly_companion():
@@ -91,8 +95,55 @@ def test_char_poly_small_cases():
 
 
 def test_char_poly_fraction_entries():
-    a = ratmat.frac_matrix([[F(1, 2), 0], [0, F(1, 3)]])
-    assert ratmat.char_poly(a) == [F(1), F(-5, 6), F(1, 6)]
+    a = ((F(1, 2), 0), (0, F(1, 3)))
+    assert ratmat.char_poly(a) == [1, F(-5, 6), F(1, 6)]
+
+
+def _seeded_matrices(n, seed):
+    """A general, a singular and a nilpotent integer n x n matrix."""
+    rng = random.Random(seed)
+
+    def draw():
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    general = [draw() for _ in range(n)]
+    singular = [draw() for _ in range(n - 1)]
+    singular.append([2 * x for x in singular[0]] if n > 1 else [0])
+    # strictly upper triangular, then conjugated by a permutation
+    perm = list(range(n))
+    rng.shuffle(perm)
+    upper = [[rng.randint(-3, 3) if i < j else 0 for j in range(n)] for i in range(n)]
+    nilpotent = [[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return [tuple(map(tuple, m)) for m in (general, singular, nilpotent)]
+
+
+def _from_sympy(matrix):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in matrix.tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_kernel_agrees_with_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    matrices = _seeded_matrices(n, seed=n)
+    assert ratmat.char_poly(matrices[2]) == [1] + [0] * n  # really nilpotent
+    for a in matrices:
+        m = sympy.Matrix(a)
+        coeffs = ratmat.char_poly(a)
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs == [int(c) for c in m.charpoly().all_coeffs()]
+        reduced, pivots = ratmat.rref(a)
+        expected, expected_pivots = m.rref()
+        assert pivots == expected_pivots
+        assert reduced == _from_sympy(expected)[: len(pivots)]
+        if m.det() == 0:
+            with pytest.raises(InternalInvariantViolation):
+                ratmat.inverse(a)
+        else:
+            assert ratmat.inverse(a) == _from_sympy(m.inv())
+        for k in range(5):
+            power = ratmat.mat_pow(a, k)
+            assert all(type(x) is int for row in power for x in row)
+            assert power == _from_sympy(m**k)
 
 
 def test_poly_derivative():

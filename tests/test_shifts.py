@@ -6,7 +6,8 @@ Claims covered:
     - irreducible / primitive / positive_entropy flags on standard examples
     - perron_data: eigenvalue, eigenvector residual, entropy in nats,
       including the periodic (irreducible, non-primitive) case
-    - dimension_data: exact restricted action, rank, inverse, rho_minus
+    - dimension_data: exact restricted action, rank, inverse, rho_minus;
+      integer input keeps Python ints where no division is made
     - kronecker products record a consistent edge/pair correspondence
     - transpose_shift's bijection really transposes edges
 """
@@ -136,8 +137,8 @@ def test_dimension_data_golden_is_full_rank():
     dim = dimension_data(build_edge_shift(GOLDEN))
     assert dim.d == 2
     assert dim.basis == ratmat.identity(2)
-    assert dim.delta_restricted == ratmat.frac_matrix(GOLDEN)
-    assert dim.delta_inverse == ratmat.frac_matrix([[0, 1], [1, -1]])
+    assert dim.delta_restricted == ((1, 1), (1, 0))
+    assert dim.delta_inverse == ((0, 1), (1, -1))
     # eigenvalues phi and -1/phi, so rho_minus = phi
     assert dim.rho_minus == pytest.approx(PHI, abs=1e-9)
     assert dim.char_poly == (1, -1, -1)
@@ -167,7 +168,19 @@ def test_apply_delta_power_negative():
     dim = dimension_data(build_edge_shift(GOLDEN))
     v = (Fraction(1), Fraction(0))
     fwd = dim.apply_delta_power(v, 3)
+    assert fwd == (3, 2)  # (1, 0) A^3
     assert dim.apply_delta_power(fwd, -3) == v
+
+
+@pytest.mark.parametrize("matrix", [GOLDEN, [[1, 1], [1, 1]], [[0, 2, 1], [1, 0, 0], [1, 1, 0]]])
+def test_integer_data_stays_int(matrix):
+    # no division is involved, so no Fraction may appear
+    shift = build_edge_shift(matrix)
+    dim = dimension_data(shift)
+    values = [count_words(shift, n) for n in range(6)]
+    values += list(dim.char_poly)
+    values += [x for row in dim.eventual_power for x in row]
+    assert all(type(x) is int for x in values)
 
 
 def test_in_dimension_group():
