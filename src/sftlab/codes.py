@@ -361,3 +361,22 @@ def factor_product_code(code):
         if prod.pair_to_edge[(left_rule[wa], right_rule[wb])] != out:
             return None
     return left, right
+
+
+def recognized_exponents(auto):
+    """The paper's exact cases, recognized from the forward rule.
+
+    Returns ("shift-power", ((shift, s),)) when the rule is exactly sigma^s,
+    ("product", ((left track, s1), (right track, s2))) when it is
+    sigma^s1 x sigma^s2 on a recorded product, and None otherwise.
+    """
+    s = shift_power_of(auto.forward)
+    if s is not None:
+        return ("shift-power", ((auto.shift, s),))
+    factors = factor_product_code(auto.forward)
+    if factors is None:
+        return None
+    tracks = tuple((f.source, shift_power_of(f)) for f in factors)
+    if any(s is None for _, s in tracks):
+        return None
+    return ("product", tracks)

@@ -20,10 +20,9 @@ from fractions import Fraction
 from .codes import (
     Automorphism,
     SlidingBlockCode,
-    factor_product_code,
     iterates,
+    recognized_exponents,
     resolve_budget,
-    shift_power_of,
 )
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .shifts import transpose_shift
@@ -328,21 +327,6 @@ def _argbest(values, best):
     raise AssertionError
 
 
-def recognized_exponents(auto):
-    """Shift-power exponents when the forward rule is exactly sigma^s or
-    sigma^s1 x sigma^s2 on a recorded product; None otherwise."""
-    s = shift_power_of(auto.forward)
-    if s is not None:
-        return ("shift-power", (s,))
-    factors = factor_product_code(auto.forward)
-    if factors is not None:
-        s1 = shift_power_of(factors[0])
-        s2 = shift_power_of(factors[1])
-        if s1 is not None and s2 is not None:
-            return ("product", (s1, s2))
-    return None
-
-
 def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     if profile is None:
         profile = coding_range_profile(auto, n_max, budget=budget)
@@ -362,7 +346,8 @@ def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     method = "interval"
     recognized = recognized_exponents(auto)
     if recognized is not None:
-        kind, exps = recognized
+        kind, tracks = recognized
+        exps = tuple(s for _, s in tracks)
         am = Fraction(min(-s for s in exps))
         ap = Fraction(max(-s for s in exps))
         for i in range(n_max):

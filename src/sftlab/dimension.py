@@ -287,7 +287,7 @@ def _perron_left_coords(dim):
     a = dim.matrix
     k = dim.k
     u = [1.0 / k] * k
-    for _ in range(5000):
+    for _ in range(200000):
         # power iteration on A + I keeps periodic matrices convergent
         nxt = [sum(u[i] * a[i][j] for i in range(k)) + u[j] for j in range(k)]
         norm = sum(abs(x) for x in nxt)
@@ -295,8 +295,8 @@ def _perron_left_coords(dim):
         delta = sum(abs(nxt[j] - u[j]) for j in range(k))
         u = nxt
         if delta <= 1e-15:
-            break
-    return [u[p] for p in dim.pivots]
+            return [u[p] for p in dim.pivots]
+    raise InternalInvariantViolation("power iteration did not converge")
 
 
 def lambda_phi_of(s_phi, dim, tol=DEFAULT_TOL):

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from .codes import (
     SlidingBlockCode,
-    factor_product_code,
     iterates,
+    recognized_exponents,
     resolve_budget,
-    shift_power_of,
     verify_automorphism,
 )
 from .errors import NotInvariant, ZeroMatrix
@@ -50,43 +49,22 @@ def column_census(auto, w, n, budget=None):
     if w < 0 or n < 1:
         raise ValueError("need w >= 0 and n >= 1")
     budget = resolve_budget(budget)
-    shift = auto.shift
-
-    s = shift_power_of(auto.forward)
-    if s is not None and abs(s) <= 2 * w + 1:
-        count = _track_window_count(shift, w, n, s)
-        return ColumnCensus(
-            w=w,
-            n=n,
-            count=count,
-            estimate=math.log(count) / n,
-            certified=True,
-            method="product-form",
+    recognized = recognized_exponents(auto)
+    if recognized is not None and all(abs(s) <= 2 * w + 1 for _, s in recognized[1]):
+        count = math.prod(
+            _track_window_count(track, w, n, s) for track, s in recognized[1]
         )
-    factors = factor_product_code(auto.forward)
-    if factors is not None and shift.product_of is not None:
-        exps = tuple(shift_power_of(f) for f in factors)
-        if all(e is not None and abs(e) <= 2 * w + 1 for e in exps):
-            count = 1
-            for track, e in zip(shift.product_of, exps):
-                count *= _track_window_count(track, w, n, e)
-            return ColumnCensus(
-                w=w,
-                n=n,
-                count=count,
-                estimate=math.log(count) / n,
-                certified=True,
-                method="product-form",
-            )
-
-    count = _distinct_windows(auto, n, 2 * w + 1, True, budget)
+        certified, method = True, "product-form"
+    else:
+        count = _distinct_windows(auto, n, 2 * w + 1, True, budget)
+        certified, method = False, "enumeration"
     return ColumnCensus(
         w=w,
         n=n,
         count=count,
         estimate=math.log(count) / n,
-        certified=False,
-        method="enumeration",
+        certified=certified,
+        method=method,
     )
 
 
@@ -215,47 +193,11 @@ def restrict_to_subsystem(auto, allowed_edges, budget=None):
     return sub, verify_automorphism(fwd, inv, budget=budget)
 
 
-@dataclass(frozen=True)
-class ProductForm:
-    """Coordinatewise factorization of an automorphism's forward rule on a
-    recorded product shift, with exact entropy when both factors are shift
-    powers (h = sum of |exponent| times the track entropy)."""
-
-    left: object
-    right: object
-    exponents: object
-    exact_entropy: object
-
-
-def recognize_product_form(auto):
-    """Track factorization of the forward rule, when the shift is a recorded
-    product and the rule acts coordinatewise; None otherwise."""
-    shift = auto.shift
-    if shift.product_of is None:
-        return None
-    factors = factor_product_code(auto.forward)
-    if factors is None:
-        return None
-    left, right = factors
-    exps = (shift_power_of(left), shift_power_of(right))
-    entropy = None
-    if all(e is not None for e in exps):
-        entropy = sum(
-            abs(e) * perron_data(track).entropy
-            for track, e in zip(shift.product_of, exps)
-        )
-    return ProductForm(
-        left=left, right=right, exponents=exps, exact_entropy=entropy
-    )
-
-
 def exact_entropy_of(auto):
     """Exact h_top of the automorphism when its rule is a recognized (product
-    of) shift power(s); None otherwise."""
-    s = shift_power_of(auto.forward)
-    if s is not None:
-        return abs(s) * perron_data(auto.shift).entropy
-    form = recognize_product_form(auto)
-    if form is not None:
-        return form.exact_entropy
-    return None
+    of) shift power(s): the sum of |exponent| times the track entropy; None
+    otherwise."""
+    recognized = recognized_exponents(auto)
+    if recognized is None:
+        return None
+    return sum(abs(s) * perron_data(track).entropy for track, s in recognized[1])

@@ -60,9 +60,10 @@ class EdgeShift:
             for i in range(self.k)
         )
         self._reach = {}
-        self.irreducible = self._compute_irreducible()
+        components = self._scc()
+        self.irreducible = self.n_edges > 0 and len(components) == 1
         self.primitive = self.irreducible and self._period() == 1
-        self.positive_entropy = self._compute_positive_entropy()
+        self.positive_entropy = self._compute_positive_entropy(components)
         # set by kronecker_product on product shifts
         self.product_of = None
         self.pair_to_edge = None
@@ -149,26 +150,6 @@ class EdgeShift:
 
     # -- structural flags --
 
-    def _compute_irreducible(self):
-        if self.n_edges == 0:
-            return False
-        # reachable-in-at-least-one-step closure via BFS along edges
-        for i in range(self.k):
-            seen = [False] * self.k
-            frontier = [t for (s, t, _) in self.edges if s == i]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.extend(
-                            t for t in range(self.k) if self.matrix[v][t] > 0
-                        )
-                frontier = nxt
-            if not all(seen):
-                return False
-        return True
-
     def _period(self):
         # gcd of cycle lengths in a strongly connected graph
         level = [None] * self.k
@@ -185,11 +166,10 @@ class EdgeShift:
             g = math.gcd(g, level[s] + 1 - level[t])
         return abs(g)
 
-    def _compute_positive_entropy(self):
+    def _compute_positive_entropy(self, components):
         # positive entropy iff some strongly connected component carries more
         # edges (with multiplicity) than vertices
-        comp = self._scc()
-        for nodes in comp:
+        for nodes in components:
             ns = set(nodes)
             e = sum(
                 self.matrix[i][j] for i in ns for j in ns

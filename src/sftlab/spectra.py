@@ -282,14 +282,6 @@ def _factor_pairs(product, cap):
             yield (a, product // a)
 
 
-def _search_size_1(target, cap, spend):
-    d1 = -target[1]
-    if 0 <= d1 <= cap and spend(1):
-        if _admit(((d1,),), target):
-            return [[d1]]
-    return None
-
-
 def _search_size_2(target, cap, spend):
     trace, c2 = -target[1], target[2]
     for d1, d2 in _compositions(trace, 2, cap):
@@ -351,9 +343,11 @@ def search_primitive_realization(p, max_size=6, max_entry=8, budget=10_000_000):
     """Smallest-size primitive nonnegative matrix with char poly t^m * p(t).
 
     Deterministic candidate order: for each size, exhaustive structured
-    enumeration (complete for the given entry cap) through size 3, companion
-    matrices above.  Returns None when the search space or the budget is
-    exhausted -- absence of a small realization is a legitimate outcome.
+    enumeration (complete for the given entry cap) at sizes 2 and 3,
+    companion matrices elsewhere; at size 1 the companion matrix is the only
+    candidate, so the search is complete through size 3.  Returns None when
+    the search space or the budget is exhausted -- absence of a small
+    realization is a legitimate outcome.
     """
     report = check_conditions(p)
     if not (report.perron_ok and report.net_trace_ok):
@@ -369,7 +363,7 @@ def search_primitive_realization(p, max_size=6, max_entry=8, budget=10_000_000):
         remaining[0] -= cost
         return remaining[0] >= 0
 
-    structured = {1: _search_size_1, 2: _search_size_2, 3: _search_size_3}
+    structured = {2: _search_size_2, 3: _search_size_3}
     for size in range(max(p.degree, 1), max_size + 1):
         target = list(p.coeffs) + [0] * (size - p.degree)
         searcher = structured.get(size, _companion)

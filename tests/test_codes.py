@@ -5,12 +5,14 @@ Claims covered:
     - apply_to_word, composition, powers, and padding show consistent behaviour
     - verify_automorphism certifies both orders, with a witness on failure
     - infer_inverse finds a radius-bounded inverse or reports its absence
-    - shift-power recognition and product-code factorization round-trip
+    - shift-power recognition and product-code factorization round-trip;
+      recognized_exponents names the paper's exact cases with their tracks
     - the window budget resolves from argument, environment, then default
 """
 
 import pytest
 
+from sftlab.builtins import make_builtin
 from sftlab.codes import (
     DEFAULT_BUDGET,
     SlidingBlockCode,
@@ -25,6 +27,7 @@ from sftlab.codes import (
     pad_code,
     power,
     product_code,
+    recognized_exponents,
     resolve_budget,
     shift_code,
     shift_power_of,
@@ -237,6 +240,21 @@ def test_factor_product_code_refuses_entangled(full2):
     }
     swap = SlidingBlockCode(prod, prod, 0, 0, rule, check=False)
     assert factor_product_code(swap) is None
+
+
+def test_recognized_exponents_shift_power(full2):
+    _, inv = make_builtin("inverse_shift")
+    assert recognized_exponents(inv) == ("shift-power", ((full2, -1),))
+
+
+def test_recognized_exponents_tau(golden):
+    _, tau = make_builtin("tau_golden")
+    assert recognized_exponents(tau) == ("product", ((golden, 0), (golden, -1)))
+
+
+def test_recognized_exponents_needs_product_shift():
+    _, swap = make_builtin("vertex_swap_B")
+    assert recognized_exponents(swap) is None
 
 
 def test_product_code_requires_recorded_product(full2):

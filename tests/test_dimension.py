@@ -10,12 +10,15 @@ Claims covered:
     - dimension_matrix reproduces hand-checked matrices on the examples and
       is functorial (squares, inverses, compositions)
     - the inequality verifiers return the designed statuses
+    - lambda_phi matches numpy's Perron root where the left Perron
+      iteration converges slowly
 """
 
 import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sftlab import codes, ratmat
@@ -29,6 +32,7 @@ from sftlab.dimension import (
     canonical_zero_ray,
     dimension_matrix,
     distortion_spectrum_check,
+    lambda_phi_of,
     refine_ray,
     theta,
     unstable_measure,
@@ -282,6 +286,18 @@ def test_action_functoriality():
     assert dimension_matrix(squared).S_phi == ratmat.mat_mul(s_swap, s_swap)
     inverse = swap.inverse_automorphism()
     assert dimension_matrix(inverse).S_phi == ratmat.inverse(s_swap)
+
+
+def test_lambda_phi_converges_on_a_long_cycle_with_a_chord():
+    # the left Perron iteration needs tens of thousands of steps here
+    k = 40
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        m[i][(i + 1) % k] = 1
+    m[0][2] += 1
+    dim = dimension_data(build_edge_shift(m))
+    lam = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
+    assert lambda_phi_of(dim.delta_restricted, dim) == pytest.approx(lam, abs=1e-12)
 
 
 def test_action_rejects_bad_shifts():

@@ -11,18 +11,24 @@ import math
 import pytest
 
 from sftlab.builtins import (
+    DEFAULT_SUITE,
     five_symbol_code,
     five_symbol_no_wall_edges,
     make_builtin,
 )
-from sftlab.codes import Automorphism, SlidingBlockCode, codes_equal
+from sftlab.codes import (
+    Automorphism,
+    SlidingBlockCode,
+    codes_equal,
+    recognized_exponents,
+)
+from sftlab.coding_range import lyapunov_bounds
 from sftlab.entropy import (
     c_phi_count,
     c_phi_count_ordered,
     c_phi_diagnostic,
     column_census,
     exact_entropy_of,
-    recognize_product_form,
     restrict_code_to_subsystem,
     restrict_to_subsystem,
 )
@@ -183,14 +189,12 @@ def test_exact_entropy_unrecognized_is_none():
         assert exact_entropy_of(auto) is None
 
 
-def test_recognize_product_form_tau():
-    _, tau = make_builtin("tau_golden")
-    form = recognize_product_form(tau)
-    assert form is not None
-    assert form.exponents == (0, -1)
-    assert form.exact_entropy == pytest.approx(math.log(PHI), abs=1e-12)
-
-
-def test_recognize_product_form_needs_product_shift():
-    _, swap = make_builtin("vertex_swap_B")
-    assert recognize_product_form(swap) is None
+@pytest.mark.parametrize("name,params", DEFAULT_SUITE, ids=[n for n, _ in DEFAULT_SUITE])
+def test_exact_cases_follow_the_recognizer(name, params):
+    _, auto = make_builtin(name, dict(params))
+    recognized = recognized_exponents(auto)
+    exact = recognized is not None
+    kind = recognized[0] if exact else None
+    assert (lyapunov_bounds(auto, 2).method == f"exact-{kind}") is exact
+    assert (exact_entropy_of(auto) is not None) is exact
+    assert (column_census(auto, 1, 2).method == "product-form") is exact

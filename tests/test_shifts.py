@@ -3,7 +3,9 @@
 Claims covered:
     - edge enumeration and admissibility follow the matrix
     - count_words is the entry sum of A^n (Fibonacci on the golden mean)
-    - irreducible / primitive / positive_entropy flags on standard examples
+    - irreducible / primitive / positive_entropy flags on standard examples;
+      irreducible and positive_entropy agree with a reachability oracle on
+      every 0/1 3x3 matrix
     - perron_data: eigenvalue, eigenvector residual, entropy in nats,
       including the periodic (irreducible, non-primitive) case
     - dimension_data: exact restricted action, rank, inverse, rho_minus;
@@ -95,6 +97,28 @@ def test_flags_standard_examples():
 
     single = build_edge_shift([[1]])
     assert single.irreducible and not single.positive_entropy
+
+
+def test_flags_match_reachability_on_all_3x3_zero_one_matrices():
+    for bits in range(1, 2**9):
+        m = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
+        # Warshall closure: reach[i][j] iff a path i -> j of one or more edges
+        reach = [row[:] for row in m]
+        for l in range(3):
+            for i in range(3):
+                for j in range(3):
+                    reach[i][j] = reach[i][j] or (reach[i][l] and reach[l][j])
+        # positive entropy iff some state has two out-edges that both lie on
+        # cycles through it
+        two_cycles = any(
+            m[s][t] and m[s][u] and reach[t][s] and reach[u][s]
+            for s in range(3)
+            for t in range(3)
+            for u in range(t + 1, 3)
+        )
+        shift = build_edge_shift(m)
+        assert shift.irreducible == all(map(all, reach)), m
+        assert shift.positive_entropy == two_cycles, m
 
 
 def test_shift_equality_is_by_matrix():
