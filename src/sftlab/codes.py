@@ -4,16 +4,25 @@ A code with memory m and anticipation a maps a point x to the point whose
 i-th edge is rule(x[i-m..i+a]).  Rules are total maps from admissible words
 of length m+a+1 (tuples of edge indices) to single edges of the target
 shift, constrained so consecutive outputs concatenate into admissible
-paths.  An :class:`Automorphism` is a pair of codes certified to compose to
-the identity in both orders.
+paths.  A code stores its rule as an output column: a numpy array holding
+one target edge per admissible window, indexed by the window's rank
+(:meth:`EdgeShift.rank`).  Operations on codes walk the windows in chunks
+of edge arrays (:meth:`EdgeShift.ranked_words`) and gather from columns.
+An :class:`Automorphism` is a pair of codes certified to compose to the
+identity in both orders.
 """
 
+from collections.abc import ItemsView, Mapping
 import itertools
+import math
 import os
+
+import numpy as np
 
 from .errors import (
     NotInverse,
     NotInvertibleWithin,
+    ParseError,
     ShiftMismatch,
     WordTooShort,
 )
@@ -22,53 +31,128 @@ from .shifts import DEFAULT_BUDGET
 
 def resolve_budget(budget=None):
     """Effective window budget: explicit argument, else SFTLAB_BUDGET from
-    the environment, else the package default."""
+    the environment (a positive integer, possibly written like 1e6), else
+    the package default."""
     if budget is not None:
         return int(budget)
     env = os.environ.get("SFTLAB_BUDGET")
-    if env:
-        return int(float(env))
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = float(env)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer() and value >= 1):
+        raise ParseError(f"must be a positive integer, got {env!r}", "SFTLAB_BUDGET")
+    return int(value)
+
+
+def _edge_dtype(shift):
+    """Smallest unsigned dtype that holds every edge index of ``shift``."""
+    return np.min_scalar_type(shift.n_edges - 1)
+
+
+def _word_at(cols, i):
+    """Row i of edge columns, as a tuple of Python ints."""
+    return tuple(int(c[i]) for c in cols)
 
 
 class SlidingBlockCode:
+    """A sliding block code; ``column`` holds its output on each admissible
+    window, in rank order, and ``rule`` views it as a mapping."""
+
     def __init__(self, source, target, memory, anticipation, rule, check=True, budget=None):
+        """Code from a rule table mapping every admissible window (a tuple
+        of edge indices) to a target edge.  With ``check`` the table is
+        validated in full: total, nothing extra, outputs in range and
+        composable."""
         if memory < 0 or anticipation < 0:
             raise ValueError("memory and anticipation must be nonnegative")
         self.source = source
         self.target = target
         self.memory = int(memory)
         self.anticipation = int(anticipation)
-        self.rule = dict(rule)
         if check:
-            self._validate(resolve_budget(budget))
+            source.ensure_budget(self.window + 1, resolve_budget(budget))
+            outputs = self._checked_outputs(rule)
+        else:
+            outputs = [rule[w] for w in source.words(self.window)]
+        self.column = np.array(outputs, dtype=_edge_dtype(target))
+        if check:
+            self._check_composable()
+
+    @classmethod
+    def from_column(cls, source, target, memory, anticipation, column, check=False, budget=None):
+        """Code from its output column; with ``check`` the outputs must be
+        composable."""
+        code = cls.__new__(cls)
+        code.source = source
+        code.target = target
+        code.memory = int(memory)
+        code.anticipation = int(anticipation)
+        code.column = column
+        if check:
+            source.ensure_budget(code.window + 1, resolve_budget(budget))
+            code._check_composable()
+        return code
+
+    @classmethod
+    def tabulated(cls, source, target, memory, anticipation, count, outputs):
+        """Code whose column is ``outputs(cols)`` over the chunks of its
+        ``count`` windows (see :meth:`EdgeShift.ranked_words`)."""
+        length = memory + anticipation + 1
+        column = np.empty(count, dtype=_edge_dtype(target))
+        for start, cols in source.ranked_words(length):
+            column[start : start + len(cols[0])] = outputs(cols)
+        return cls.from_column(source, target, memory, anticipation, column)
 
     @property
     def window(self):
         return self.memory + self.anticipation + 1
 
-    def _validate(self, budget):
+    @property
+    def rule(self):
+        return RuleView(self)
+
+    def _checked_outputs(self, rule):
         src, tgt = self.source, self.target
-        src.ensure_budget(self.window + 1, budget)
-        n_keys = 0
+        outputs = []
         for w in src.words(self.window):
-            n_keys += 1
-            if w not in self.rule:
+            if w not in rule:
                 raise ValueError(f"rule is not total: missing window {w!r}")
-            out = self.rule[w]
+            out = rule[w]
             if not 0 <= out < tgt.n_edges:
                 raise ValueError(f"rule output {out} is not a target edge")
-        if len(self.rule) != n_keys:
-            extra = set(self.rule) - set(src.words(self.window))
+            outputs.append(out)
+        if len(rule) != len(outputs):
+            extra = set(rule) - set(src.words(self.window))
             raise ValueError(f"rule has inadmissible windows, e.g. {sorted(extra)[:1]}")
+        return outputs
+
+    def _check_composable(self):
         # consecutive outputs must concatenate into admissible paths
-        for w in src.words(self.window + 1):
-            left = self.rule[w[:-1]]
-            right = self.rule[w[1:]]
-            if tgt.target(left) != tgt.source(right):
+        tgt = self.target
+        for _, cols in self.source.ranked_words(self.window + 1):
+            left = self.outputs(cols[:-1])
+            right = self.outputs(cols[1:])
+            bad = np.flatnonzero(tgt.edge_targets[left] != tgt.edge_sources[right])
+            if bad.size:
+                i = bad[0]
                 raise ValueError(
-                    f"rule is not composable at {w!r}: {left} then {right}"
+                    f"rule is not composable at {_word_at(cols, i)!r}: "
+                    f"{int(left[i])} then {int(right[i])}"
                 )
+
+    def outputs(self, cols):
+        """Outputs on the windows whose i-th edges are ``cols[i]``
+        (``window`` equal-length arrays of admissible words)."""
+        return self.column[self.source.rank(cols)]
+
+    def image(self, cols):
+        """Edge columns of the image words of the words ``cols``: one output
+        per window position, so ``memory + anticipation`` fewer columns."""
+        w = self.window
+        return tuple(self.outputs(cols[i : i + w]) for i in range(len(cols) - w + 1))
 
     def apply_to_word(self, word):
         """Image word; output index i is the image edge at input coordinate
@@ -79,7 +163,8 @@ class SlidingBlockCode:
             )
         self.source.check_admissible(word)
         w = self.window
-        return tuple(self.rule[word[i : i + w]] for i in range(len(word) - w + 1))
+        rule = self.rule
+        return tuple(rule[tuple(word[i : i + w])] for i in range(len(word) - w + 1))
 
     def __repr__(self):
         return (
@@ -88,21 +173,57 @@ class SlidingBlockCode:
         )
 
 
+class RuleView(Mapping):
+    """Read-only view of a code's column as a mapping from admissible
+    windows (tuples of edge indices) to target edges, in rank order."""
+
+    __slots__ = ("_code",)
+
+    def __init__(self, code):
+        self._code = code
+
+    def __getitem__(self, window):
+        code = self._code
+        rank = code.source.rank_of(window) if len(window) == code.window else None
+        if rank is None:
+            raise KeyError(window)
+        return int(code.column[rank])
+
+    def __iter__(self):
+        return self._code.source.words(self._code.window)
+
+    def __len__(self):
+        return len(self._code.column)
+
+    def items(self):
+        return _RuleItems(self)
+
+
+class _RuleItems(ItemsView):
+    """(window, output) pairs of a :class:`RuleView`, read off the column in
+    order instead of one lookup per window."""
+
+    def __iter__(self):
+        code = self._mapping._code
+        return zip(code.source.words(code.window), map(int, code.column))
+
+
 def identity_code(shift):
-    return SlidingBlockCode(
-        shift, shift, 0, 0, {(e,): e for e in range(shift.n_edges)}, check=False
-    )
+    column = np.arange(shift.n_edges, dtype=_edge_dtype(shift))
+    return SlidingBlockCode.from_column(shift, shift, 0, 0, column)
 
 
 def shift_code(shift):
     """The shift map itself: memory 0, anticipation 1."""
-    rule = {w: w[1] for w in shift.words(2)}
-    return SlidingBlockCode(shift, shift, 0, 1, rule, check=False)
+    return SlidingBlockCode.tabulated(
+        shift, shift, 0, 1, shift.word_count(2), lambda cols: cols[1]
+    )
 
 
 def inverse_shift_code(shift):
-    rule = {w: w[0] for w in shift.words(2)}
-    return SlidingBlockCode(shift, shift, 1, 0, rule, check=False)
+    return SlidingBlockCode.tabulated(
+        shift, shift, 1, 0, shift.word_count(2), lambda cols: cols[0]
+    )
 
 
 def compose(outer, inner, budget=None):
@@ -112,12 +233,11 @@ def compose(outer, inner, budget=None):
     m = inner.memory + outer.memory
     a = inner.anticipation + outer.anticipation
     budget = resolve_budget(budget)
-    inner.source.ensure_budget(m + a + 1, budget)
-    rule = {}
-    for w in inner.source.words(m + a + 1):
-        mid = inner.apply_to_word(w)
-        rule[w] = outer.rule[mid]
-    return SlidingBlockCode(inner.source, outer.target, m, a, rule, check=False)
+    count = inner.source.ensure_budget(m + a + 1, budget)
+    return SlidingBlockCode.tabulated(
+        inner.source, outer.target, m, a, count,
+        lambda cols: outer.outputs(inner.image(cols)),
+    )
 
 
 def iterates(code, budget=None):
@@ -146,11 +266,11 @@ def pad_code(code, extra_memory=0, extra_anticipation=0):
     """Same behaviour on a wider window (useful to align windows)."""
     m = code.memory + extra_memory
     a = code.anticipation + extra_anticipation
-    rule = {}
-    for w in code.source.words(m + a + 1):
-        inner = w[extra_memory : extra_memory + code.window]
-        rule[w] = code.rule[inner]
-    return SlidingBlockCode(code.source, code.target, m, a, rule, check=False)
+    inner = slice(extra_memory, extra_memory + code.window)
+    return SlidingBlockCode.tabulated(
+        code.source, code.target, m, a, code.source.word_count(m + a + 1),
+        lambda cols: code.outputs(cols[inner]),
+    )
 
 
 def codes_equal(c1, c2, edge_map=None, budget=None):
@@ -163,18 +283,28 @@ def codes_equal(c1, c2, edge_map=None, budget=None):
     if edge_map is None:
         if c1.source != c2.source or c1.target != c2.target:
             raise ShiftMismatch("codes live on different shifts; pass edge_map")
-        edge_map = tuple(range(c1.source.n_edges))
+        edge_map = range(c1.source.n_edges)
+    edge_map = np.asarray(edge_map, dtype=np.intp)
     m = max(c1.memory, c2.memory)
     a = max(c1.anticipation, c2.anticipation)
     budget = resolve_budget(budget)
     c1.source.ensure_budget(m + a + 1, budget)
-    for w in c1.source.words(m + a + 1):
-        out1 = c1.rule[w[m - c1.memory : m + c1.anticipation + 1]]
-        mapped = tuple(edge_map[e] for e in w)
-        out2 = c2.rule[mapped[m - c2.memory : m + c2.anticipation + 1]]
-        if edge_map[out1] != out2:
+    for _, cols in c1.source.ranked_words(m + a + 1):
+        out1 = c1.outputs(cols[m - c1.memory : m + c1.anticipation + 1])
+        mapped = tuple(edge_map[c] for c in cols[m - c2.memory : m + c2.anticipation + 1])
+        if np.any(edge_map[out1] != c2.outputs(mapped)):
             return False
     return True
+
+
+def _record(table, keys, values):
+    """Store ``values`` at ``keys`` in ``table``, where -1 marks an empty
+    slot; False when a key already holds, or is given, a different value."""
+    held = table[keys]
+    if np.any((held >= 0) & (held != values)):
+        return False
+    table[keys] = values
+    return bool(np.all(table[keys] == values))
 
 
 class Automorphism:
@@ -227,10 +357,10 @@ def verify_automorphism(forward, inverse, budget=None):
         m = inner.memory + outer.memory
         a = inner.anticipation + outer.anticipation
         count = shift.ensure_budget(m + a + 1, budget)
-        for w in shift.words(m + a + 1):
-            mid = inner.apply_to_word(w)
-            if outer.rule[mid] != w[m]:
-                raise NotInverse(w, f"{label} is not the identity")
+        for _, cols in shift.ranked_words(m + a + 1):
+            bad = np.flatnonzero(outer.outputs(inner.image(cols)) != cols[m])
+            if bad.size:
+                raise NotInverse(_word_at(cols, bad[0]), f"{label} is not the identity")
         checked.append({"order": label, "window": m + a + 1, "words": count})
     return Automorphism(forward, inverse, {"method": "verify", "checks": checked})
 
@@ -252,25 +382,21 @@ def infer_inverse(code, r_max=3, budget=None):
     for r in range(r_max + 1):
         length = 2 * r + 1 + m + a
         shift.ensure_budget(length, budget)
-        candidate = {}
-        consistent = True
-        for w in shift.words(length):
-            out = code.apply_to_word(w)
-            centre = w[r + m]
-            prev = candidate.get(out)
-            if prev is None:
-                candidate[out] = centre
-            elif prev != centre:
-                consistent = False
-                break
-        if not consistent:
-            continue
+        # candidate[rank of an image word] = centre edge of its preimages
+        candidate = np.full(shift.word_count(2 * r + 1), -1, dtype=np.int64)
+        consistent = all(
+            _record(candidate, shift.rank(code.image(cols)), cols[r + m])
+            for _, cols in shift.ranked_words(length)
+        )
         # the image must cover every admissible window, else not surjective
         # at this radius
-        if any(w not in candidate for w in shift.words(2 * r + 1)):
+        if not consistent or np.any(candidate < 0):
             continue
         try:
-            inv = SlidingBlockCode(shift, shift, r, r, candidate, budget=budget)
+            inv = SlidingBlockCode.from_column(
+                shift, shift, r, r, candidate.astype(_edge_dtype(shift)),
+                check=True, budget=budget,
+            )
             return verify_automorphism(code, inv, budget=budget)
         except (ValueError, NotInverse):
             continue
@@ -306,16 +432,28 @@ def product_code(left, right, prod_shift, budget=None):
     m = max(left.memory, right.memory)
     a = max(left.anticipation, right.anticipation)
     budget = resolve_budget(budget)
-    prod_shift.ensure_budget(m + a + 1, budget)
-    pairs = prod_shift.edge_to_pair
-    rule = {}
-    for w in prod_shift.words(m + a + 1):
-        wa = tuple(pairs[e][0] for e in w)
-        wb = tuple(pairs[e][1] for e in w)
-        oa = left.rule[wa[m - left.memory : m + left.anticipation + 1]]
-        ob = right.rule[wb[m - right.memory : m + right.anticipation + 1]]
-        rule[w] = prod_shift.pair_to_edge[(oa, ob)]
-    return SlidingBlockCode(prod_shift, prod_shift, m, a, rule, check=False)
+    count = prod_shift.ensure_budget(m + a + 1, budget)
+    track_a, track_b, pair_edge = _pair_arrays(prod_shift)
+
+    def outputs(cols):
+        wa = cols[m - left.memory : m + left.anticipation + 1]
+        wb = cols[m - right.memory : m + right.anticipation + 1]
+        oa = left.outputs(tuple(track_a[c] for c in wa))
+        ob = right.outputs(tuple(track_b[c] for c in wb))
+        return pair_edge[oa, ob]
+
+    return SlidingBlockCode.tabulated(prod_shift, prod_shift, m, a, count, outputs)
+
+
+def _pair_arrays(prod):
+    """Index arrays of a recorded product: each edge's two track edges, and
+    the product edge of each pair."""
+    a_shift, b_shift = prod.product_of
+    track_a = np.array([ea for ea, _ in prod.edge_to_pair], dtype=np.intp)
+    track_b = np.array([eb for _, eb in prod.edge_to_pair], dtype=np.intp)
+    pair_edge = np.empty((a_shift.n_edges, b_shift.n_edges), dtype=np.intp)
+    pair_edge[track_a, track_b] = np.arange(prod.n_edges)
+    return track_a, track_b, pair_edge
 
 
 def shift_power_of(code):
@@ -323,12 +461,12 @@ def shift_power_of(code):
     own window (rule(w) = w[m+s]); None otherwise."""
     if code.source != code.target:
         return None
-    matches = []
-    for s in range(-code.memory, code.anticipation + 1):
-        if all(out == w[code.memory + s] for w, out in code.rule.items()):
-            matches.append(s)
-    if not matches:
-        return None
+    matches = range(-code.memory, code.anticipation + 1)
+    for start, cols in code.source.ranked_words(code.window):
+        out = code.column[start : start + len(cols[0])]
+        matches = [s for s in matches if np.array_equal(out, cols[code.memory + s])]
+        if not matches:
+            return None
     return min(matches, key=lambda s: (abs(s), s < 0))
 
 
@@ -341,26 +479,22 @@ def factor_product_code(code):
     if prod.product_of is None or code.target != prod:
         return None
     a_shift, b_shift = prod.product_of
-    pairs = prod.edge_to_pair
-    left_rule, right_rule = {}, {}
-    for w, out in code.rule.items():
-        wa = tuple(pairs[e][0] for e in w)
-        wb = tuple(pairs[e][1] for e in w)
-        oa, ob = pairs[out]
-        if left_rule.setdefault(wa, oa) != oa:
+    track_a, track_b, _ = _pair_arrays(prod)
+    # each track's output must be a function of that track's window; the
+    # factors then reproduce the rule, as pairs determine product edges
+    factors = []
+    for shift, track in ((a_shift, track_a), (b_shift, track_b)):
+        column = np.full(shift.word_count(code.window), -1, dtype=np.int64)
+        for start, cols in prod.ranked_words(code.window):
+            out = code.column[start : start + len(cols[0])]
+            if not _record(column, shift.rank(tuple(track[c] for c in cols)), track[out]):
+                return None
+        if np.any(column < 0):
             return None
-        if right_rule.setdefault(wb, ob) != ob:
-            return None
-    m, a = code.memory, code.anticipation
-    left = SlidingBlockCode(a_shift, a_shift, m, a, left_rule, check=False)
-    right = SlidingBlockCode(b_shift, b_shift, m, a, right_rule, check=False)
-    # reconstruction check: the factors must reproduce the rule exactly
-    for w, out in code.rule.items():
-        wa = tuple(pairs[e][0] for e in w)
-        wb = tuple(pairs[e][1] for e in w)
-        if prod.pair_to_edge[(left_rule[wa], right_rule[wb])] != out:
-            return None
-    return left, right
+        factors.append(SlidingBlockCode.from_column(
+            shift, shift, code.memory, code.anticipation, column.astype(_edge_dtype(shift))
+        ))
+    return tuple(factors)
 
 
 def recognized_exponents(auto):

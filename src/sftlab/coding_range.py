@@ -17,6 +17,8 @@ an uncoded coordinate, the bracket endpoint is forced exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .codes import (
     Automorphism,
     SlidingBlockCode,
@@ -43,21 +45,20 @@ def coded_minus(code, j):
         return True  # the whole window sits in the agreed half-line
     shift = code.source
     if j - m <= 0:
-        shared = m - j + 1  # window positions covering coordinates <= 0
-        seen = {}
-        for w, out in code.rule.items():
-            key = w[:shared]
-            prev = seen.setdefault(key, out)
-            if prev != out:
+        # windows sharing their first m - j + 1 edges (the coordinates <= 0)
+        # have consecutive ranks; each such block must be constant
+        shared = m - j + 1
+        for start, cols in shift.ranked_words(code.window):
+            out = code.column[start : start + len(cols[0])]
+            first = np.arange(start, start + len(out)) - shift.offsets(cols[shared:])
+            if not np.array_equal(out, code.column[first]):
                 return False
         return True
     # window fully to the right of 0: the two points diverge at coordinate 1
     # from a common state, reaching the window starts by paths of equal length
     ell = j - m - 1
     reach = shift.reach_exact(ell)
-    by_start = {}
-    for w, out in code.rule.items():
-        by_start.setdefault(shift.source(w[0]), set()).add(out)
+    by_start = _outputs_by_state(code, lambda cols: shift.edge_sources[cols[0]])
     for s in range(shift.k):
         outputs = set()
         for t in range(shift.k):
@@ -76,19 +77,26 @@ def coded_plus(code, j):
         return True
     shift = code.source
     if j + a >= 0:
-        shared = j + a + 1  # window positions covering coordinates >= 0
-        seen = {}
-        for w, out in code.rule.items():
-            key = w[len(w) - shared :]
-            prev = seen.setdefault(key, out)
-            if prev != out:
+        # windows sharing their last j + a + 1 edges (the coordinates >= 0):
+        # the block of windows sharing the first `free` edges lists every
+        # suffix from its end state once, in rank order, so each window must
+        # match the window with its suffix in the first block that ends there
+        free = code.window - (j + a + 1)
+        block = np.full(shift.k, -1, dtype=np.int64)
+        for start, cols in shift.ranked_words(code.window):
+            out = code.column[start : start + len(cols[0])]
+            offsets = shift.offsets(cols[free:])
+            states = shift.edge_sources[cols[free]]
+            for s in np.flatnonzero(block < 0):
+                hits = np.flatnonzero(states == s)
+                if hits.size:
+                    block[s] = start + hits[0] - offsets[hits[0]]
+            if not np.array_equal(out, code.column[block[states] + offsets]):
                 return False
         return True
     ell = -(j + a) - 1
     reach = shift.reach_exact(ell)
-    by_end = {}
-    for w, out in code.rule.items():
-        by_end.setdefault(shift.target(w[-1]), set()).add(out)
+    by_end = _outputs_by_state(code, lambda cols: shift.edge_targets[cols[-1]])
     for s in range(shift.k):
         outputs = set()
         for t in range(shift.k):
@@ -97,6 +105,18 @@ def coded_plus(code, j):
                 if len(outputs) > 1:
                     return False
     return True
+
+
+def _outputs_by_state(code, state_of):
+    """For each state, the set of outputs on the windows that
+    ``state_of(cols)`` assigns to it."""
+    n = code.target.n_edges
+    by_state = {}
+    for start, cols in code.source.ranked_words(code.window):
+        out = code.column[start : start + len(cols[0])]
+        for pair in np.unique(state_of(cols) * n + out).tolist():
+            by_state.setdefault(pair // n, set()).add(pair % n)
+    return by_state
 
 
 # -- literal-definition oracles (small systems only; used to guard the
@@ -108,6 +128,7 @@ def coded_minus_naive(code, j):
     m, a = code.memory, code.anticipation
     if j + a <= 0:
         return True
+    rule = dict(code.rule.items())
     shift = code.source
     free = j + a
     if j - m <= 0:
@@ -117,7 +138,7 @@ def coded_minus_naive(code, j):
             tails = list(shift.words(free, start_state=state))
             for u in tails:
                 for v in tails:
-                    if code.rule[w + u] != code.rule[w + v]:
+                    if rule[w + u] != rule[w + v]:
                         return False
         return True
     ell = j - m - 1
@@ -127,7 +148,7 @@ def coded_minus_naive(code, j):
         group = [w for w in windows if reach[s][shift.source(w[0])]]
         for u in group:
             for v in group:
-                if code.rule[u] != code.rule[v]:
+                if rule[u] != rule[v]:
                     return False
     return True
 
@@ -137,6 +158,7 @@ def coded_plus_naive(code, j):
     m, a = code.memory, code.anticipation
     if j - m >= 0:
         return True
+    rule = dict(code.rule.items())
     shift = code.source
     free = m - j
     if j + a >= 0:
@@ -148,7 +170,7 @@ def coded_plus_naive(code, j):
             ]
             for u in heads:
                 for v in heads:
-                    if code.rule[u + w] != code.rule[v + w]:
+                    if rule[u + w] != rule[v + w]:
                         return False
         return True
     ell = -(j + a) - 1
@@ -158,7 +180,7 @@ def coded_plus_naive(code, j):
         group = [w for w in windows if reach[shift.target(w[-1])][s]]
         for u in group:
             for v in group:
-                if code.rule[u] != code.rule[v]:
+                if rule[u] != rule[v]:
                     return False
     return True
 
@@ -393,12 +415,15 @@ def reverse_code(code, tshift=None, bijection=None):
         raise PreconditionFailed("reverse_code needs an endomorphism-shaped code")
     if tshift is None:
         tshift, bijection = transpose_shift(code.source)
-    rule = {
-        tuple(bijection[e] for e in reversed(w)): bijection[out]
-        for w, out in code.rule.items()
-    }
-    return SlidingBlockCode(
-        tshift, tshift, code.anticipation, code.memory, rule, check=False
+    bijection = np.asarray(bijection, dtype=np.intp)
+    back = np.argsort(bijection)  # transpose edge -> original edge
+
+    def outputs(cols):
+        return bijection[code.outputs(tuple(back[c] for c in reversed(cols)))]
+
+    return SlidingBlockCode.tabulated(
+        tshift, tshift, code.anticipation, code.memory,
+        tshift.word_count(code.window), outputs,
     )
 
 

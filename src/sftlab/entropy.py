@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codes import (
     SlidingBlockCode,
     iterates,
@@ -80,35 +82,28 @@ def _distinct_windows(auto, count, width, ordered, budget):
     ant = max(code.anticipation for code in powers)
     length = width + mem + ant
     shift.ensure_budget(length, budget)
-    seen = set()
-    for word in shift.words(length):
-        windows = []
-        for code in powers:
-            out = tuple(
-                code.rule[word[j - code.memory : j + code.anticipation + 1]]
-                for j in range(mem, mem + width)
-            )
-            windows.append(out)
-        seen.add(tuple(windows) if ordered else frozenset(windows))
-    return len(seen)
-
-
-def _iterate_window_sets(auto, n, ordered, budget):
-    """Distinct collections of iterate windows phi^i(y)|[k, k+2r+1], i=0..n,
-    with r the coding range of the forward rule; k does not change the
-    count."""
-    r = max(auto.forward.memory, auto.forward.anticipation)
-    return _distinct_windows(auto, n + 1, 2 * r + 2, ordered, resolve_budget(budget))
+    # one row per word: the rank of each iterate's output window; a set of
+    # windows becomes its sorted distinct ranks, padded in front with -1
+    found = []
+    for _, cols in shift.ranked_words(length):
+        rows = np.stack([
+            shift.rank(code.image(cols[mem - code.memory : mem + width + code.anticipation]))
+            for code in powers
+        ], axis=1)
+        if not ordered:
+            rows.sort(axis=1)
+            rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+            rows.sort(axis=1)
+        found.append(np.unique(rows, axis=0))
+    return len(np.unique(np.concatenate(found), axis=0))
 
 
 def c_phi_count(auto, n, budget=None):
-    """Number of distinct iterate-window collections (set semantics)."""
-    return _iterate_window_sets(auto, n, ordered=False, budget=budget)
-
-
-def c_phi_count_ordered(auto, n, budget=None):
-    """Ordered-tuple variant of the iterate-window count, for diagnostics."""
-    return _iterate_window_sets(auto, n, ordered=True, budget=budget)
+    """Number of distinct collections (sets) of iterate windows
+    phi^i(y)|[k, k+2r+1], i = 0..n, with r the coding range of the forward
+    rule; k does not change the count."""
+    r = max(auto.forward.memory, auto.forward.anticipation)
+    return _distinct_windows(auto, n + 1, 2 * r + 2, False, resolve_budget(budget))
 
 
 def c_phi_diagnostic(auto, n, action, budget=None):

@@ -28,7 +28,18 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 #: Default cap on the number of windows any single enumeration may touch.
+#: A window costs one byte of a code's output column while the target has
+#: at most 256 edges (two bytes up to 65,536).  Enumerations walk the
+#: windows WORD_CHUNK at a time, in a working set of a few MB that does not
+#: grow with the window count, so at the default cap one column holds at
+#: most 50 MB on small alphabets.
 DEFAULT_BUDGET = 5 * 10**7
+
+#: Words per chunk when an enumeration runs over edge arrays (ranked_words).
+WORD_CHUNK = 1 << 14
+
+#: Ranks are int64; word counts at or above this do not fit.
+_RANK_LIMIT = 2**63
 
 
 class EdgeShift:
@@ -59,7 +70,12 @@ class EdgeShift:
             tuple(e for e, (_, t, _) in enumerate(edges) if t == i)
             for i in range(self.k)
         )
+        # source and target state of each edge, as index arrays
+        self.edge_sources = np.array([s for s, _, _ in edges], dtype=np.intp)
+        self.edge_targets = np.array([t for _, t, _ in edges], dtype=np.intp)
         self._reach = {}
+        self._ranking = []  # rank tables by tail length, see _rank_tables
+        self._paths = [1] * self.k  # paths from each state, next tail length
         components = self._scc()
         self.irreducible = self.n_edges > 0 and len(components) == 1
         self.primitive = self.irreducible and self._period() == 1
@@ -101,22 +117,102 @@ class EdgeShift:
 
     def words(self, length, start_state=None):
         """Yield all admissible words of ``length`` edges, lexicographically
-        by edge index.  ``start_state`` restricts the first edge's source."""
+        by edge index (rank order).  ``start_state`` restricts the first
+        edge's source."""
         if length == 0:
             yield ()
             return
+        for _, cols in self.ranked_words(length, start_state):
+            yield from zip(*(c.tolist() for c in cols))
+
+    # -- ranks: positions in the order words() yields --
+    #
+    # With N_r(s) the number of r-edge paths from state s, the words of
+    # length L starting with edge e number N_{L-1}(t(e)), so a word's rank is
+    # the number of words before its first state's block, plus, at each
+    # position i, the words that branch off to a smaller edge out of the same
+    # state: sum over e' < e_i from that state of N_{L-1-i}(t(e')).  Table r
+    # holds those sums per edge ("offset"), their running total over all
+    # edges ("prefix"), the block starts per state ("start") and the step
+    # that unranking takes past each edge ("drop").  On a full
+    # q-shift offset_r(e) = e q^r: the rank is the word read in base q.
+
+    def _rank_tables(self, length):
+        """Rank tables for tail lengths 0..length-1, built once per shift."""
+        tables = self._ranking
+        while len(tables) < length:
+            paths = self._paths
+            prefix = [0]
+            for _, t, _ in self.edges:
+                prefix.append(prefix[-1] + paths[t])
+            if prefix[-1] >= _RANK_LIMIT:
+                raise WindowBudgetExceeded(prefix[-1], _RANK_LIMIT - 1)
+            prefix = np.array(prefix, dtype=np.int64)
+            start = prefix[np.searchsorted(self.edge_sources, np.arange(self.k + 1))]
+            offset = prefix[:-1] - start[self.edge_sources]
+            # unranking steps from a rank among the words of length r + 1 to
+            # the rank of their tails after edge e by subtracting drop[e]
+            drop = prefix[:-1] - tables[-1][2][self.edge_targets] if tables else None
+            tables.append((prefix, offset, start, drop))
+            self._paths = [
+                sum(c * paths[t] for t, c in enumerate(row)) for row in self.matrix
+            ]
+        return tables
+
+    def offsets(self, cols):
+        """Ranks of the words whose i-th edges are ``cols[i]`` (equal-length
+        integer arrays) among the words of their length that leave the same
+        state; the words must be admissible."""
+        tables = self._rank_tables(len(cols))
+        last = len(cols) - 1
+        ranks = tables[last][1][cols[0]]
+        for i in range(1, len(cols)):
+            ranks += tables[last - i][1][cols[i]]
+        return ranks
+
+    def rank(self, cols):
+        """Ranks of the words ``cols`` in the order :meth:`words` yields."""
+        ranks = self.offsets(cols)
+        ranks += self._ranking[len(cols) - 1][2][self.edge_sources[cols[0]]]
+        return ranks
+
+    def unrank(self, length, start, stop):
+        """Edge columns (a tuple of ``length`` arrays) of the words ranked
+        start..stop-1."""
+        tables = self._rank_tables(length)
+        x = np.arange(start, stop, dtype=np.int64)
+        cols = []
+        for r in range(length - 1, -1, -1):
+            prefix = tables[r][0]
+            e = np.searchsorted(prefix, x, side="right") - 1
+            cols.append(e)
+            if r:
+                x -= tables[r][3][e]
+        return tuple(cols)
+
+    def ranked_words(self, length, start_state=None):
+        """Yield (rank of the first word, edge columns) over the admissible
+        words of ``length`` >= 1 edges, WORD_CHUNK words at a time, in rank
+        order; ``start_state`` restricts the first edge's source."""
+        start = self._rank_tables(length)[length - 1][2]
         if start_state is None:
-            first = range(self.n_edges)
+            lo, hi = 0, int(start[-1])
         else:
-            first = self.out_edges[start_state]
-        stack = [(e,) for e in reversed(first)]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                yield w
-                continue
-            for e in reversed(self.out_edges[self.edges[w[-1]][1]]):
-                stack.append(w + (e,))
+            lo, hi = int(start[start_state]), int(start[start_state + 1])
+        for first in range(lo, hi, WORD_CHUNK):
+            yield first, self.unrank(length, first, min(first + WORD_CHUNK, hi))
+
+    def rank_of(self, word):
+        """Rank of one nonempty word (a tuple of edge indices) among the
+        admissible words of its length; None when it is not admissible."""
+        if not all(0 <= e < self.n_edges for e in word) or not self.is_admissible(word):
+            return None
+        tables = self._rank_tables(len(word))
+        last = len(word) - 1
+        rank = tables[last][2][self.edges[word[0]][0]]
+        for i, e in enumerate(word):
+            rank += tables[last - i][1][e]
+        return int(rank)
 
     def word_count(self, length):
         """Exact number of admissible words with ``length`` edges."""
@@ -341,12 +437,26 @@ class DimensionData:
             return False
 
     def in_dimension_group(self, vec):
-        """Membership in the eventual-image group: vec lies in R(A) and some
-        vec . A^j is integral (j up to 2k suffices at this scale)."""
+        """Membership in the dimension group: vec lies in R(A) and some
+        vec . A^j is integral.
+
+        Trying j <= k t suffices, where t = max_p v_p(D) for the common
+        denominator D of vec.  Fix a prime p | D.  Over the p-adic integers
+        Z_p, Hensel's lemma splits the characteristic polynomial of A as
+        f g with f = x^m (mod p), m <= k, and g(0) a unit, so Z_p^k = U + N
+        with U = ker g(A), where A is invertible, and N = ker f(A), where
+        A^m = f(A) - p h(A) maps N into p N; hence A^{k t} maps N into
+        p^t N.  Write p^t vec = u + n with u in U, n in N.  If vec . A^J is
+        integral, then u A^J lies in p^t U, so u lies in p^t U (A^-J
+        preserves U) and u A^j / p^t is integral for every j; and
+        n A^j / p^t is integral for every j >= k t.  So vec . A^{k t} is
+        p-integral for every prime p, and integral.
+        """
         if not self.in_eventual_range(vec):
             return False
         x = tuple(Fraction(v) for v in vec)
-        for _ in range(2 * self.k + 1):
+        denominator = math.lcm(*(v.denominator for v in x))
+        for _ in range(self.k * _max_valuation(denominator) + 1):
             if all(v.denominator == 1 for v in x):
                 return True
             x = ratmat.vec_mat(x, self.matrix)
@@ -359,6 +469,19 @@ class DimensionData:
         for _ in range(abs(j)):
             c = ratmat.vec_mat(c, step)
         return self.to_ambient(c)
+
+
+def _max_valuation(n):
+    """max_p v_p(n) over the primes p dividing n >= 1 (0 for n = 1)."""
+    best, p = 0, 2
+    while p * p <= n:
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        best = max(best, v)
+        p += 1
+    return max(best, 1) if n > 1 else best
 
 
 def distinct_roots(coeffs):

@@ -155,8 +155,10 @@ def parse_rule(obj, shift, location):
         table[key] = out
     try:
         return SlidingBlockCode(shift, shift, memory, anticipation, table, check=True)
-    except (WindowBudgetExceeded, InternalInvariantViolation):
-        raise  # resource limits and library bugs are not the file's fault
+    except (ParseError, WindowBudgetExceeded, InternalInvariantViolation):
+        # a bad SFTLAB_BUDGET, resource limits and library bugs are not the
+        # file's fault
+        raise
     except (ValueError, SftlabError) as exc:
         raise ParseError(str(exc), f"{location}.rule") from None
 
@@ -258,8 +260,8 @@ def serialize_rule(code):
         "memory": code.memory,
         "anticipation": code.anticipation,
         "rule": [
-            {"window": list(window), "out": code.rule[window]}
-            for window in sorted(code.rule)
+            {"window": list(window), "out": out}
+            for window, out in code.rule.items()  # rank order is sorted order
         ],
     }
 

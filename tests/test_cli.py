@@ -144,6 +144,13 @@ def test_analyze_honors_budget_env(tau_file, monkeypatch, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+def test_analyze_rejects_a_malformed_budget_env(tau_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("SFTLAB_BUDGET", value)
+    assert main(["analyze", tau_file]) == 2
+    assert "input error: SFTLAB_BUDGET" in capsys.readouterr().err
+
+
 def test_analyze_wrong_inverse_is_an_input_error(tmp_path, capsys):
     _, shift_auto = make_builtin("shift")
     doc = {

@@ -36,6 +36,7 @@ from sftlab.codes import (
 from sftlab.errors import (
     NotInverse,
     NotInvertibleWithin,
+    ParseError,
     ShiftMismatch,
     WindowBudgetExceeded,
     WordTooShort,
@@ -272,6 +273,9 @@ def test_resolve_budget_priority(monkeypatch):
     monkeypatch.setenv("SFTLAB_BUDGET", "1e4")
     assert resolve_budget() == 10000
     assert resolve_budget(77) == 77
+    monkeypatch.setenv("SFTLAB_BUDGET", "abc")
+    with pytest.raises(ParseError, match="SFTLAB_BUDGET"):
+        resolve_budget()
 
 
 def test_budget_stops_compose(full2):

@@ -1,0 +1,245 @@
+"""Output columns against dict rule tables.
+
+Codes store their rules as output columns over ranked windows.  The dict
+implementations below (rule tables keyed by window tuples, walked one window
+at a time) are the reference: a property test draws random automorphism
+codes and checks every column operation against them.
+
+Claims covered:
+    - on automorphisms from the acceptance suite's generator and on random
+      codes that permute parallel edges, compose/power, pad_code, product_code, codes_equal, reverse_code and
+      infer_inverse build the same rule table as the dict implementation
+    - the grouped scans coded_minus/coded_plus agree with the dict scans
+    - the census counts the same distinct iterate windows, as tuples and
+      as sets
+    - save_system followed by load_system_file round-trips
+"""
+
+import itertools
+import os
+import random
+import tempfile
+
+from hypothesis import assume, given, settings, strategies as st
+
+from sftlab.codes import (
+    SlidingBlockCode,
+    codes_equal,
+    compose,
+    infer_inverse,
+    iterates,
+    pad_code,
+    power,
+    product_code,
+)
+from sftlab.coding_range import coded_minus, coded_plus, reverse_code
+from sftlab.entropy import _distinct_windows
+from sftlab.errors import NotInvertibleWithin
+from sftlab.reports import _random_code
+from sftlab.shifts import build_edge_shift, kronecker_product, transpose_shift
+from sftlab.systems import load_system_file, save_system
+
+POOL = (
+    build_edge_shift([[2]]),
+    build_edge_shift([[3]]),
+    build_edge_shift([[1, 1], [1, 0]]),
+    build_edge_shift([[2, 1], [1, 2]]),
+    build_edge_shift([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+)
+GOLDEN = POOL[2]
+
+
+# -- the dict reference -------------------------------------------------------
+
+
+def apply_rule(rule, window, word):
+    return tuple(rule[word[i : i + window]] for i in range(len(word) - window + 1))
+
+
+def ref_compose(outer, inner):
+    length = outer.window + inner.window - 1
+    o, i = dict(outer.rule), dict(inner.rule)
+    return {w: o[apply_rule(i, inner.window, w)] for w in inner.source.words(length)}
+
+
+def ref_pad(code, extra_memory, extra_anticipation):
+    rule = dict(code.rule)
+    length = code.window + extra_memory + extra_anticipation
+    return {
+        w: rule[w[extra_memory : extra_memory + code.window]]
+        for w in code.source.words(length)
+    }
+
+
+def ref_product(left, right, prod):
+    m = max(left.memory, right.memory)
+    a = max(left.anticipation, right.anticipation)
+    lr, rr = dict(left.rule), dict(right.rule)
+    table = {}
+    for w in prod.words(m + a + 1):
+        wa = tuple(prod.edge_to_pair[e][0] for e in w)
+        wb = tuple(prod.edge_to_pair[e][1] for e in w)
+        oa = lr[wa[m - left.memory : m + left.anticipation + 1]]
+        ob = rr[wb[m - right.memory : m + right.anticipation + 1]]
+        table[w] = prod.pair_to_edge[(oa, ob)]
+    return table
+
+
+def ref_equal(c1, c2):
+    m = max(c1.memory, c2.memory)
+    a = max(c1.anticipation, c2.anticipation)
+    r1, r2 = dict(c1.rule), dict(c2.rule)
+    return all(
+        r1[w[m - c1.memory : m + c1.anticipation + 1]]
+        == r2[w[m - c2.memory : m + c2.anticipation + 1]]
+        for w in c1.source.words(m + a + 1)
+    )
+
+
+def ref_reverse(code, bijection):
+    return {
+        tuple(bijection[e] for e in reversed(w)): bijection[out]
+        for w, out in code.rule.items()
+    }
+
+
+def ref_inverse(code, r_max):
+    """(radius, inverse table) of the first consistent, total radius."""
+    shift, rule = code.source, dict(code.rule)
+    m, a = code.memory, code.anticipation
+    for r in range(r_max + 1):
+        candidate = {}
+        for w in shift.words(2 * r + 1 + m + a):
+            out = apply_rule(rule, code.window, w)
+            if candidate.setdefault(out, w[r + m]) != w[r + m]:
+                break
+        else:
+            if all(w in candidate for w in shift.words(2 * r + 1)):
+                return r, candidate
+    return None
+
+
+def ref_grouped(code, j, side):
+    """Coded coordinate j by grouping windows on the agreed side."""
+    shift, m, a = code.source, code.memory, code.anticipation
+    if side == "minus":
+        if j + a <= 0:
+            return True
+        if j - m <= 0:
+            key = lambda w: w[: m - j + 1]  # noqa: E731
+        else:
+            reach = shift.reach_exact(j - m - 1)
+            return all(
+                len({out for w, out in code.rule.items() if reach[s][shift.source(w[0])]}) <= 1
+                for s in range(shift.k)
+            )
+    else:
+        if j - m >= 0:
+            return True
+        if j + a >= 0:
+            key = lambda w: w[len(w) - (j + a + 1) :]  # noqa: E731
+        else:
+            reach = shift.reach_exact(-(j + a) - 1)
+            return all(
+                len({out for w, out in code.rule.items() if reach[shift.target(w[-1])][s]}) <= 1
+                for s in range(shift.k)
+            )
+    seen = {}
+    return all(seen.setdefault(key(w), out) == out for w, out in code.rule.items())
+
+
+def ref_distinct_windows(auto, count, width, ordered):
+    powers = list(itertools.islice(iterates(auto.forward), count))
+    mem = max(c.memory for c in powers)
+    ant = max(c.anticipation for c in powers)
+    rules = [dict(c.rule) for c in powers]
+    seen = set()
+    for word in auto.shift.words(width + mem + ant):
+        windows = tuple(
+            tuple(
+                rule[word[j - c.memory : j + c.anticipation + 1]]
+                for j in range(mem, mem + width)
+            )
+            for c, rule in zip(powers, rules)
+        )
+        seen.add(windows if ordered else frozenset(windows))
+    return len(seen)
+
+
+# -- the property -------------------------------------------------------------
+
+
+def small_code(seed, shift):
+    code = _random_code(random.Random(seed), shift)
+    assume(code.window <= 5)
+    return code
+
+
+def noisy_code(seed, shift, memory, anticipation):
+    """A code, rarely invertible, that follows each window's centre edge
+    between the same states but picks a random parallel copy."""
+    rng = random.Random(seed)
+    rule = {}
+    for w in shift.words(memory + anticipation + 1):
+        s, t, _ = shift.edges[w[memory]]
+        rule[w] = shift.edge_index[(s, t, rng.randrange(shift.matrix[s][t]))]
+    return SlidingBlockCode(shift, shift, memory, anticipation, rule)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    shift=st.sampled_from(POOL),
+    seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    shape=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    j=st.integers(-6, 6),
+)
+def test_columns_match_dict_tables(shift, seeds, shape, pad, j):
+    code = small_code(seeds[0], shift)
+    other = noisy_code(seeds[1], shift, *shape)
+
+    if code.window + other.window <= 6:
+        assert dict(compose(code, other).rule) == ref_compose(code, other)
+        assert dict(compose(other, code).rule) == ref_compose(other, code)
+    assert dict(power(other, 2).rule) == ref_compose(other, other)
+    assert codes_equal(code, other) == ref_equal(code, other)
+
+    tshift, bijection = transpose_shift(shift)
+    track = small_code(seeds[1], GOLDEN)
+    for c in (code, other):
+        padded = pad_code(c, *pad)
+        assert dict(padded.rule) == ref_pad(c, *pad)
+        assert codes_equal(c, padded)
+        assert dict(reverse_code(c, tshift, bijection).rule) == ref_reverse(c, bijection)
+        for scan, side in ((coded_minus, "minus"), (coded_plus, "plus")):
+            assert scan(c, j) == ref_grouped(c, j, side)
+        if max(c.memory, track.memory) + max(c.anticipation, track.anticipation) < 4:
+            prod = kronecker_product(shift, GOLDEN)
+            assert dict(product_code(c, track, prod).rule) == ref_product(c, track, prod)
+
+    for c, r_max in ((other, 1), (code, 2)):
+        expected = ref_inverse(c, r_max)
+        try:
+            auto = infer_inverse(c, r_max=r_max)
+        except NotInvertibleWithin:
+            assert expected is None
+            continue
+        radius, table = expected
+        assert auto.inverse.memory == radius
+        assert dict(auto.inverse.rule) == table
+    if expected is None:
+        return  # a shift power beyond the searched radius
+
+    if code.window <= 3:
+        for ordered in (True, False):
+            assert _distinct_windows(auto, 2, 1, ordered, 10**6) == ref_distinct_windows(
+                auto, 2, 1, ordered
+            )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        save_system(path, shift, {"a": auto})
+        loaded = load_system_file(path).automorphisms["a"]
+    for before, after in ((auto.forward, loaded.forward), (auto.inverse, loaded.inverse)):
+        assert (after.memory, after.anticipation) == (before.memory, before.anticipation)
+        assert dict(after.rule) == dict(before.rule)

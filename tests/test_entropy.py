@@ -25,7 +25,6 @@ from sftlab.codes import (
 from sftlab.coding_range import lyapunov_bounds
 from sftlab.entropy import (
     c_phi_count,
-    c_phi_count_ordered,
     c_phi_diagnostic,
     column_census,
     exact_entropy_of,
@@ -114,8 +113,6 @@ def test_census_rejects_bad_arguments_and_budget():
 def test_iterate_window_counts_sigma():
     _, auto = make_builtin("shift")
     assert c_phi_count(auto, 2) == 59
-    assert c_phi_count_ordered(auto, 2) == 64
-    assert c_phi_count(auto, 1) <= c_phi_count_ordered(auto, 1)
 
 
 def test_iterate_window_diagnostic_shape():

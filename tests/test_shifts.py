@@ -1,7 +1,8 @@
 """Edge shifts, word counting, Perron data, and eventual-range data.
 
 Claims covered:
-    - edge enumeration and admissibility follow the matrix
+    - edge enumeration and admissibility follow the matrix; ranks number
+      the words in the order words() yields, base q on a full q-shift
     - count_words is the entry sum of A^n (Fibonacci on the golden mean)
     - irreducible / primitive / positive_entropy flags on standard examples;
       irreducible and positive_entropy agree with a reachability oracle on
@@ -62,6 +63,30 @@ def test_words_match_count():
         assert len(listed) == count_words(shift, n)
         assert len(set(listed)) == len(listed)
         assert all(shift.is_admissible(w) for w in listed)
+        assert listed == sorted(listed)
+
+
+@pytest.mark.parametrize("matrix", [[[3]], GOLDEN, [[2, 1], [1, 2]], [[1, 1], [0, 1]]])
+def test_ranks_number_the_words_in_order(matrix):
+    shift = build_edge_shift(matrix)
+    for n in range(1, 6):
+        listed = list(shift.words(n))
+        cols = shift.unrank(n, 0, len(listed))
+        assert list(zip(*(c.tolist() for c in cols))) == listed
+        assert shift.rank(cols).tolist() == list(range(len(listed)))
+        assert [shift.rank_of(w) for w in listed] == list(range(len(listed)))
+        for state in range(shift.k):
+            assert list(shift.words(n, start_state=state)) == [
+                w for w in listed if shift.source(w[0]) == state
+            ]
+    assert shift.rank_of((shift.n_edges,)) is None
+
+
+def test_full_shift_ranks_are_base_q():
+    shift = build_edge_shift([[3]])
+    assert shift.rank_of((2, 0, 1)) == 2 * 9 + 0 * 3 + 1
+    golden = build_edge_shift(GOLDEN)
+    assert golden.rank_of((1, 1)) is None  # edge 1 cannot follow itself
 
 
 def test_count_words_golden_is_fibonacci_like():
@@ -212,6 +237,12 @@ def test_in_dimension_group():
     # integral vectors are in; a vector with odd denominator never clears
     assert dim.in_dimension_group((1, 1))
     assert not dim.in_dimension_group((Fraction(1, 3), 0))
+    # on the full 2-shift the group is Z[1/2]: 1/8 clears after three steps,
+    # more than 2k of them
+    full2 = dimension_data(build_edge_shift([[2]]))
+    assert full2.in_dimension_group((Fraction(1, 4),))
+    assert full2.in_dimension_group((Fraction(1, 8),))
+    assert not full2.in_dimension_group((Fraction(1, 6),))
 
 
 # -- products and transposes ------------------------------------------------
