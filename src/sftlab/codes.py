@@ -262,13 +262,14 @@ def power(code, n, budget=None):
     return next(itertools.islice(iterates(code, budget=budget), n, None))
 
 
-def pad_code(code, extra_memory=0, extra_anticipation=0):
+def pad_code(code, extra_memory=0, extra_anticipation=0, budget=None):
     """Same behaviour on a wider window (useful to align windows)."""
     m = code.memory + extra_memory
     a = code.anticipation + extra_anticipation
     inner = slice(extra_memory, extra_memory + code.window)
+    count = code.source.ensure_budget(m + a + 1, resolve_budget(budget))
     return SlidingBlockCode.tabulated(
-        code.source, code.target, m, a, code.source.word_count(m + a + 1),
+        code.source, code.target, m, a, count,
         lambda cols: code.outputs(cols[inner]),
     )
 

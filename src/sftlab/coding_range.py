@@ -408,7 +408,7 @@ def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     )
 
 
-def reverse_code(code, tshift=None, bijection=None):
+def reverse_code(code, tshift=None, bijection=None, budget=None):
     """Conjugate by coordinate reversal: windows reverse, memory and
     anticipation swap, and edges pass through the transpose bijection."""
     if code.source != code.target:
@@ -421,9 +421,9 @@ def reverse_code(code, tshift=None, bijection=None):
     def outputs(cols):
         return bijection[code.outputs(tuple(back[c] for c in reversed(cols)))]
 
+    count = tshift.ensure_budget(code.window, resolve_budget(budget))
     return SlidingBlockCode.tabulated(
-        tshift, tshift, code.anticipation, code.memory,
-        tshift.word_count(code.window), outputs,
+        tshift, tshift, code.anticipation, code.memory, count, outputs
     )
 
 

@@ -6,13 +6,17 @@ finite transient, with the last transient edge sitting at the level).  Beams
 are finite unions of distinct rays at a common level.  The theta map sends a
 beam to an exact rational vector inside the eventual range, and pushing
 canonical zero-rays through a certified automorphism yields the automorphism's
-matrix on that space.  The verifiers at the bottom evaluate the entropy and
-spectral-radius inequalities with certified interval right-hand sides.
+matrix on that space, solved from integer representatives of the classes in
+the direct limit of Z^k under A.  The verifiers at the bottom evaluate the
+entropy and spectral-radius inequalities with certified interval right-hand
+sides.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import ratmat
 from .codes import resolve_budget
@@ -231,37 +235,34 @@ def apply_automorphism_to_ray(auto, n, ray, budget=None):
     # outputs at j <= -ant - q read inputs from the pure-cycle zone and are
     # p-periodic; keep the cut strictly left of the variable region too
     cut = min(-ant - q, w_fwd - 1)
-    ext_len = max(0, level_out + ant)
+    # input coordinates lo..hi: the tail up to 0, then the extension, whose
+    # edges come ranked_words chunk by chunk (one empty extension if none)
+    lo = cut - p + 1 - mem
+    hi = level_out + ant
+    ext_len = max(0, hi)
     shift.ensure_budget(ext_len, budget)
-
-    def output_segment(ext):
-        def edge_at(i):
-            return ray.tail_edge(i) if i <= 0 else ext[i - 1]
-
-        seg = []
-        for j in range(cut - p + 1, level_out + 1):
-            window = tuple(edge_at(i) for i in range(j - mem, j + ant + 1))
-            seg.append(code.rule[window])
-        return tuple(seg)
-
+    if ext_len:
+        chunks = (cols for _, cols in shift.ranked_words(ext_len, start_state=ray.end_state))
+    else:
+        chunks = [()]
     fixed_len = p + (w_fwd - 1 - cut)
     fixed_part = None
-    variable_words = []
-    seen = set()
-    for ext in shift.words(ext_len, start_state=ray.end_state):
-        seg = output_segment(ext)
+    variable_words = set()
+    for cols in chunks:
+        rows = len(cols[0]) if cols else 1
+        tail = tuple(
+            np.full(rows, ray.tail_edge(i), dtype=np.intp) for i in range(lo, min(hi, 0) + 1)
+        )
+        seg = np.stack(code.image(tail + cols), axis=1)
         if fixed_part is None:
-            fixed_part = seg[:fixed_len]
-        elif seg[:fixed_len] != fixed_part:
+            fixed_part = seg[0, :fixed_len]
+        if np.any(seg[:, :fixed_len] != fixed_part):
             raise InternalInvariantViolation(
                 "output coordinates left of W^- varied with the extension"
             )
-        word = seg[fixed_len:]
-        if word not in seen:
-            seen.add(word)
-            variable_words.append(word)
-    out_cycle = fixed_part[:p]
-    base = fixed_part[p:]
+        variable_words.update(map(tuple, seg[:, fixed_len:].tolist()))
+    out_cycle = tuple(fixed_part[:p].tolist())
+    base = tuple(fixed_part[p:].tolist())
     rays = [
         Ray(shift, level_out, out_cycle, base + word)
         for word in variable_words
@@ -319,18 +320,38 @@ def lambda_phi_of(s_phi, dim, tol=DEFAULT_TOL):
     return lam
 
 
-def _spectrum(s_phi):
-    """Distinct eigenvalues of the exact matrix, via its squarefree
-    characteristic polynomial."""
-    return [complex(z) for z in distinct_roots(ratmat.char_poly(s_phi))]
+def _finite_order(s_phi, cp):
+    """Order of ``s_phi`` (characteristic polynomial ``cp``) when it is
+    finite, else None.
+
+    A matrix of finite order is diagonalizable with roots of unity as
+    eigenvalues, so ``cp`` is a product of cyclotomic Phi_n; conversely, if
+    it is one and S^N = I for N = lcm(n), then S has finite order.  The
+    order is then N itself: S has a primitive n-th root of unity as an
+    eigenvalue for every factor Phi_n, so S^m = I forces n | m for each n.
+    """
+    indices = ratmat.cyclotomic_indices(cp)
+    if indices is None:
+        return None
+    n = math.lcm(*indices)
+    den, ints = ratmat.clear_denominators(s_phi)
+    scalar = tuple(tuple(den**n * x for x in row) for row in ratmat.identity(len(s_phi)))
+    return n if ratmat.mat_pow(ints, n) == scalar else None
 
 
 def dimension_matrix(auto, dim=None, tol=DEFAULT_TOL, budget=None):
-    """Solve for the exact matrix of the automorphism on the eventual range.
+    """Solve for the exact matrix S of the automorphism on the eventual range.
 
-    For each state the canonical 0-ray's class and its image class give one
-    linear condition; the stacked conditions determine the matrix, and the
-    redundant conditions double as a well-definedness check.
+    For each state the canonical 0-ray's class c and its image class y give
+    one linear condition c S = y; the stacked conditions determine S, and
+    the redundant conditions double as a well-definedness check.  The
+    classes live in the direct limit of Z^k under A: a beam with count
+    vector v at level m has class v A^k Delta^-(k+m).  S commutes with
+    Delta, so each condition is multiplied by Delta^(k+M), where M >= 0 is
+    at least every image level; it becomes the integer condition
+    coords(v A^(k+M)) S = coords(v' A^(k+M-m)), whose solution is S itself
+    once S commutes with Delta, and whose consistency is the consistency of
+    the original conditions.
     """
     shift = auto.shift
     if not shift.irreducible:
@@ -341,60 +362,54 @@ def dimension_matrix(auto, dim=None, tol=DEFAULT_TOL, budget=None):
         dim = dimension_data(shift)
     k = shift.k
     d = dim.d
-    c_rows = []
-    y_rows = []
+    beams = []
+    images = []
     for state in range(k):
         ray = canonical_zero_ray(shift, state)
-        c_rows.append(dim.coords(theta(Beam(level=0, rays=(ray,)), dim)))
-        image = apply_automorphism_to_ray(auto, 1, ray, budget=budget)
-        y_rows.append(dim.coords(theta(image, dim)))
-    # pick d independent condition rows, then check the rest for consistency
-    chosen = []
-    for i in range(k):
-        trial = chosen + [i]
-        reduced, _ = ratmat.rref([c_rows[j] for j in trial])
-        if len(reduced) == len(trial):
-            chosen = trial
-        if len(chosen) == d:
-            break
+        beams.append(Beam(level=0, rays=(ray,)))
+        images.append(apply_automorphism_to_ray(auto, 1, ray, budget=budget))
+    lift = max(0, *(image.level for image in images))
+
+    def lifted(beam):
+        # coords of v A^(k+lift-m), an integer vector of the eventual range
+        v = beam.count_vector
+        for _ in range(lift - beam.level):
+            v = ratmat.vec_mat(v, dim.matrix)
+        return dim.coords(ratmat.vec_mat(v, dim.eventual_power))
+
+    c_rows = [lifted(beam) for beam in beams]
+    y_rows = [lifted(image) for image in images]
+    # the pivot columns of the transposed rows are the first d independent
+    # condition rows; solve from those, then check the rest for consistency
+    _, chosen = ratmat.rref(tuple(zip(*c_rows)))
     if len(chosen) < d:
         raise InternalInvariantViolation(
             "zero-ray classes do not span the eventual range"
         )
-    c_sq = tuple(c_rows[i] for i in chosen)
-    y_sq = tuple(y_rows[i] for i in chosen)
-    s_phi = ratmat.mat_mul(ratmat.inverse(c_sq), y_sq)
+    reduced, _ = ratmat.rref([c_rows[i] + y_rows[i] for i in chosen])
+    s_phi = tuple(row[d:] for row in reduced)
+    den, s_ints = ratmat.clear_denominators(s_phi)
     for i in range(k):
-        if ratmat.vec_mat(c_rows[i], s_phi) != tuple(y_rows[i]):
+        if ratmat.vec_mat(c_rows[i], s_ints) != tuple(den * y for y in y_rows[i]):
             raise InconsistentSystem(
                 f"image of state {i}'s ray class contradicts the solved matrix"
             )
     delta = dim.delta_restricted
-    if ratmat.mat_mul(s_phi, delta) != ratmat.mat_mul(delta, s_phi):
+    if ratmat.mat_mul(s_ints, delta) != ratmat.mat_mul(delta, s_ints):
         raise InternalInvariantViolation(
             "action does not commute with the multiplication map"
         )
-    try:
-        ratmat.inverse(s_phi)
-    except InternalInvariantViolation:
+    cp = ratmat.char_poly(s_phi)
+    if cp[-1] == 0:
         raise InternalInvariantViolation("dimension action must be invertible")
-    ident = ratmat.identity(d)
-    inert = s_phi == ident
-    order = None
-    power = s_phi
-    for j in range(1, 65):
-        if power == ident:
-            order = j
-            break
-        power = ratmat.mat_mul(power, s_phi)
-    rho = max(abs(z) for z in _spectrum(s_phi))
+    rho = max(abs(complex(z)) for z in distinct_roots(cp))
     lam = lambda_phi_of(s_phi, dim, tol=tol)
     return DimensionAction(
         S_phi=s_phi,
         lambda_phi=float(lam),
         rho=float(rho),
-        inert=inert,
-        order_if_finite=order,
+        inert=s_phi == ratmat.identity(d),
+        order_if_finite=_finite_order(s_phi, cp),
     )
 
 
@@ -527,7 +542,8 @@ def distortion_spectrum_check(action, tol=DEFAULT_TOL):
     """Whether the action's spectral radius is 1 and its whole spectrum sits
     on the unit circle, as distortion would force.  The lhs is the largest
     deviation | |z| - 1 | over the eigenvalues z of S_phi."""
-    deviation = max(abs(abs(z) - 1.0) for z in _spectrum(action.S_phi))
+    roots = distinct_roots(ratmat.char_poly(action.S_phi))
+    deviation = max(abs(abs(complex(z)) - 1.0) for z in roots)
     on_circle = deviation <= tol and abs(math.log(action.rho)) <= tol
     return CheckRecord(
         "distortion-spectrum",

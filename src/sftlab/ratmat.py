@@ -2,9 +2,10 @@
 
 Entries are Python ints or fractions.Fraction and are used as given: integer
 input stays integer, and a Fraction appears only where a division makes one
-(rref's pivot scaling, char_poly's division by i when it is not exact, the
-polynomial helpers). Matrices are tuples of tuples, row major. Vectors are
-tuples. Row-vector convention throughout: ``vec_mat(x, A)`` is x*A.
+(rref's pivot scaling, char_poly's division by a power of the common
+denominator of rational input, the polynomial helpers). Matrices are tuples
+of tuples, row major. Vectors are tuples. Row-vector convention throughout:
+``vec_mat(x, A)`` is x*A.
 """
 
 import math
@@ -77,25 +78,36 @@ def inverse(a):
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def clear_denominators(a):
+    """(D, D*a): the least common denominator D of the matrix's entries and
+    the integer matrix D*a."""
+    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    return den, tuple(tuple(int(x * den) for x in row) for row in a)
+
+
 def char_poly(a):
     """Characteristic polynomial det(tI - A), coefficients descending.
 
-    Faddeev-LeVerrier; entries may be Fractions, result is exact. Each
-    coefficient is a Python int when it is integral, so integer input gives
-    integer coefficients (the division by i is exact there).
+    Faddeev-LeVerrier on the integer matrix B = D*A, D the common
+    denominator of A's entries: B's coefficients are integers (its divisions
+    by i are exact), and coefficient i of A is coefficient i of B over D^i.
+    Each coefficient is a Python int when it is integral, else a Fraction.
     """
     n = len(a)
+    den, b = clear_denominators(a)
     coeffs = [1]
     m = identity(n)
     for i in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = Fraction(-sum(m[j][j] for j in range(n)), i)
-        c = c.numerator if c.denominator == 1 else c
+        m = mat_mul(b, m)
+        c = -sum(m[j][j] for j in range(n)) // i
         coeffs.append(c)
         m = tuple(
             tuple(m[r][s] + (c if r == s else 0) for s in range(n)) for r in range(n)
         )
-    return coeffs
+    if den == 1:
+        return coeffs
+    scaled = [Fraction(c, den**i) for i, c in enumerate(coeffs)]
+    return [c.numerator if c.denominator == 1 else c for c in scaled]
 
 
 # -- polynomial helpers (coefficients descending, index 0 = leading) --
@@ -116,22 +128,25 @@ def _poly_normalize(coeffs):
 
 
 def poly_divmod(num, den):
-    num = [Fraction(c) for c in _poly_normalize(list(num))]
-    den = [Fraction(c) for c in _poly_normalize(list(den))]
-    if den == [Fraction(0)]:
+    """Long division: (quotient, remainder) with num = quotient*den +
+    remainder and deg remainder < deg den.  Integer coefficients stay ints
+    while each step divides exactly."""
+    num = _poly_normalize(list(num))
+    den = _poly_normalize(list(den))
+    if den == [0]:
         raise ZeroDivisionError("polynomial division by zero")
+    steps = len(num) - len(den) + 1
+    if steps <= 0:
+        return [0], num
+    rem = list(num)
     quot = []
-    while len(num) >= len(den) and num != [Fraction(0)]:
-        factor = num[0] / den[0]
+    for i in range(steps):
+        q, r = divmod(rem[i], den[0])
+        factor = q if r == 0 else Fraction(rem[i]) / den[0]
         quot.append(factor)
-        num = [a - factor * b for a, b in zip(num, den + [Fraction(0)] * len(num))][1:]
-        num = num if num else [Fraction(0)]
-        num = _poly_normalize(num)
-        if len(num) < len(den) and quot:
-            break
-    if not quot:
-        quot = [Fraction(0)]
-    return quot, num
+        for j in range(1, len(den)):
+            rem[i + j] -= factor * den[j]
+    return quot, _poly_normalize(rem[steps:]) or [0]
 
 
 def poly_gcd(p, q):
@@ -165,6 +180,56 @@ def squarefree_part(coeffs):
     ints = [int(c * den) for c in reduced]
     g_all = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
     return [v // g_all for v in ints]
+
+
+def _totient(n):
+    result, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    return result - result // n if n > 1 else result
+
+
+def cyclotomic_indices(coeffs):
+    """The n, with multiplicity and ascending, of the cyclotomic polynomials
+    Phi_n whose product is the monic polynomial ``coeffs``; None when it is
+    not such a product.
+
+    A product of Phi_n has integer coefficients, and it is palindromic up to
+    sign, because Phi_1 = t - 1 is antipalindromic and every other Phi_n is
+    palindromic.  Past those two tests Phi_n is divided out for each n with
+    phi(n) <= deg, which bounds n by 2 deg^2 since phi(n) >= sqrt(n/2); Phi_n
+    is built per call as t^n - 1 divided by Phi_m for the proper divisors m
+    of n, which all have phi(m) <= phi(n) and so come first.
+    """
+    if any(Fraction(c).denominator != 1 for c in coeffs):
+        return None
+    p = [int(c) for c in coeffs]
+    if p[::-1] != p and p[::-1] != [-c for c in p]:
+        return None
+    degree = len(p) - 1
+    found = []
+    phis = {}
+    for n in range(1, 2 * degree**2 + 1):
+        if len(p) == 1:
+            break
+        if _totient(n) > degree:
+            continue
+        phi_n = [1] + [0] * (n - 1) + [-1]
+        for m, phi_m in phis.items():
+            if n % m == 0:
+                phi_n, _ = poly_divmod(phi_n, phi_m)
+        phis[n] = phi_n
+        while len(p) >= len(phi_n):
+            quot, rem = poly_divmod(p, phi_n)
+            if rem != [0]:
+                break
+            p = quot
+            found.append(n)
+    return found if len(p) == 1 else None
 
 
 def strip_zero_roots(coeffs):

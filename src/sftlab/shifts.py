@@ -393,8 +393,9 @@ class DimensionData:
 
     ``matrix`` is A itself and ``eventual_power`` is A^k, both with Python
     int entries, k the number of states.  ``basis`` rows are the
-    reduced row echelon form of A^k and span the eventual range
-    R(A) = Q^k . A^k; ``delta_restricted`` is the matrix of
+    reduced row echelon form of A^k, integral entries as ints, and span the
+    eventual range R(A) = Q^k . A^k, so an integer vector of R(A) has integer
+    coordinates (its pivot entries); ``delta_restricted`` is the matrix of
     x -> xA on that basis (coordinates multiply on the right), and
     ``delta_inverse`` its exact inverse.  ``rho_minus`` is the reciprocal of
     the smallest modulus among nonzero eigenvalues of A, i.e. the spectral
@@ -417,7 +418,7 @@ class DimensionData:
 
     def coords(self, vec):
         """Coordinates of ``vec`` in the basis; exact membership check."""
-        vec = tuple(Fraction(x) for x in vec)
+        vec = tuple(x if isinstance(x, int) else Fraction(x) for x in vec)
         c = tuple(vec[p] for p in self.pivots)
         recon = self.to_ambient(c)
         if recon != vec:
@@ -500,7 +501,11 @@ def dimension_data(shift):
     ak = ratmat.mat_pow(a, k)
     if all(x == 0 for row in ak for x in row):
         raise NilpotentMatrix("A^k = 0; the eventual range is trivial")
-    basis, pivots = ratmat.rref(ak)
+    reduced, pivots = ratmat.rref(ak)
+    # integral entries as ints keep the invariance check below in ints
+    basis = tuple(
+        tuple(x.numerator if x.denominator == 1 else x for x in row) for row in reduced
+    )
     d = len(basis)
     delta_rows = []
     for row in basis:

@@ -7,7 +7,8 @@ Claims covered:
     - infer_inverse finds a radius-bounded inverse or reports its absence
     - shift-power recognition and product-code factorization round-trip;
       recognized_exponents names the paper's exact cases with their tracks
-    - the window budget resolves from argument, environment, then default
+    - the window budget resolves from argument, environment, then default,
+      and bounds compose, padding and reversal
 """
 
 import pytest
@@ -33,6 +34,7 @@ from sftlab.codes import (
     shift_power_of,
     verify_automorphism,
 )
+from sftlab.coding_range import reverse_code
 from sftlab.errors import (
     NotInverse,
     NotInvertibleWithin,
@@ -282,3 +284,16 @@ def test_budget_stops_compose(full2):
     sigma = shift_code(full2)
     with pytest.raises(WindowBudgetExceeded):
         compose(sigma, sigma, budget=3)
+
+
+def test_budget_stops_padding_and_reversal(full2, monkeypatch):
+    # a padded window of 12 edges has 4,096 words, over a budget of 100
+    monkeypatch.setenv("SFTLAB_BUDGET", "100")
+    sigma = shift_code(full2)
+    with pytest.raises(WindowBudgetExceeded):
+        pad_code(sigma, 10, 0)
+    wide = pad_code(sigma, 10, 0, budget=4096)
+    assert wide.window == 12
+    with pytest.raises(WindowBudgetExceeded):
+        reverse_code(wide)
+    assert reverse_code(wide, budget=4096).window == 12

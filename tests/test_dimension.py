@@ -8,27 +8,35 @@ Claims covered:
       the automorphism, and equals the pairing of theta with the Perron
       eigenvector
     - dimension_matrix reproduces hand-checked matrices on the examples and
-      is functorial (squares, inverses, compositions)
+      is functorial (squares, inverses, compositions), and its consistency
+      and commutation checks fire on a code that is no automorphism
     - the inequality verifiers return the designed statuses
     - lambda_phi matches numpy's Perron root where the left Perron
       iteration converges slowly
+    - the finite order is exact past 64 (Phi_7 Phi_12 gives 84) and needs
+      S^N = I besides a cyclotomic characteristic polynomial
+    - dimension_matrix equals the theta/Delta^-1 reference route, and ray
+      images equal per-window lookups, on every builtin with its inverse and
+      square and on seeded cycle-plus-chord graphs
 """
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sftlab import codes, ratmat
-from sftlab.builtins import make_builtin
+from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
-from sftlab.coding_range import coding_range_profile
+from sftlab.coding_range import _scan_w, coding_range_profile
 from sftlab.dimension import (
     Beam,
     Ray,
     apply_automorphism_to_ray,
+    _finite_order,
     canonical_zero_ray,
     dimension_matrix,
     distortion_spectrum_check,
@@ -41,6 +49,8 @@ from sftlab.dimension import (
 )
 from sftlab.errors import (
     InadmissibleWord,
+    InconsistentSystem,
+    InternalInvariantViolation,
     PreconditionFailed,
     ReducibleInput,
     WindowBudgetExceeded,
@@ -288,6 +298,83 @@ def test_action_functoriality():
     assert dimension_matrix(inverse).S_phi == ratmat.inverse(s_swap)
 
 
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return tuple(map(tuple, out))
+
+
+def _companion(coeffs):
+    """Companion matrix of a monic polynomial (coefficients descending)."""
+    n = len(coeffs) - 1
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([-c for c in reversed(coeffs[1:])])
+    return rows
+
+
+def _poly_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def test_finite_order_is_exact_beyond_64():
+    # Phi_7 Phi_12, conjugated by a unimodular matrix: order lcm(7, 12) = 84
+    phi7, phi12 = [1, 1, 1, 1, 1, 1, 1], [1, 0, -1, 0, 1]
+    block = _block_diagonal(_companion(phi7), _companion(phi12))
+    unimodular = tuple(
+        tuple(1 if i == j else (i + 2 * j) % 3 - 1 if i < j else 0 for j in range(10))
+        for i in range(10)
+    )
+    back = tuple(tuple(int(x) for x in row) for row in ratmat.inverse(unimodular))
+    s = ratmat.mat_mul(ratmat.mat_mul(unimodular, block), back)
+    cp = ratmat.char_poly(s)
+    assert cp == _poly_product(phi7, phi12)
+    assert _finite_order(s, cp) == 84
+    ident = ratmat.identity(10)
+    assert ratmat.mat_pow(s, 84) == ident
+    assert all(ratmat.mat_pow(s, 84 // p) != ident for p in (2, 3, 7))
+
+
+def test_finite_order_needs_more_than_the_char_poly():
+    # (t - 1)^2 is cyclotomic, but a Jordan block has infinite order
+    jordan = ((1, 1), (0, 1))
+    assert _finite_order(jordan, ratmat.char_poly(jordan)) is None
+    # a char poly with a non-integral coefficient is never cyclotomic
+    rational = ((Fraction(1, 2), 0), (0, 2))
+    assert ratmat.char_poly(rational) == [1, Fraction(-5, 2), 1]
+    assert _finite_order(rational, ratmat.char_poly(rational)) is None
+    # a rational matrix can still have finite order: the swap conjugated by
+    # diag(1, 2)
+    swap = ((0, Fraction(2)), (Fraction(1, 2), 0))
+    assert _finite_order(swap, ratmat.char_poly(swap)) == 2
+
+
+@pytest.mark.parametrize(
+    "name,order",
+    [
+        ("identity", 1),
+        ("shift", None),
+        ("inverse_shift", None),
+        ("full_shift_symbol_permutation", 1),
+        ("vertex_swap_B", 2),
+        ("tau_golden", None),
+        ("sigma_x_sigma_inv", 1),
+        ("five_symbol", 1),
+    ],
+)
+def test_builtin_orders(name, order):
+    _, auto = make_builtin(name, dict(dict(DEFAULT_SUITE)[name]))
+    assert dimension_matrix(auto).order_if_finite == order
+
+
 def test_lambda_phi_converges_on_a_long_cycle_with_a_chord():
     # the left Perron iteration needs tens of thousands of steps here
     k = 40
@@ -298,6 +385,24 @@ def test_lambda_phi_converges_on_a_long_cycle_with_a_chord():
     dim = dimension_data(build_edge_shift(m))
     lam = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
     assert lambda_phi_of(dim.delta_restricted, dim) == pytest.approx(lam, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "matrix,error,message",
+    [
+        (GOLDEN, InternalInvariantViolation, "does not commute"),
+        ([[1, 1, 0], [0, 0, 1], [1, 1, 1]], InconsistentSystem, "state 2's ray class"),
+    ],
+)
+def test_action_checks_fire_on_a_constant_code(matrix, error, message):
+    # the constant code onto the loop at state 0 is no automorphism: its
+    # conditions are inconsistent, or their solution does not commute with
+    # the multiplication map
+    shift = build_edge_shift(matrix)
+    const = codes.SlidingBlockCode(shift, shift, 0, 0, {(e,): 0 for e in range(shift.n_edges)})
+    bogus = codes.Automorphism(const, codes.identity_code(shift), {})
+    with pytest.raises(error, match=message):
+        dimension_matrix(bogus)
 
 
 def test_action_rejects_bad_shifts():
@@ -372,3 +477,115 @@ def test_distortion_spectrum_check():
     out = distortion_spectrum_check(action)
     assert out.status == "Inconclusive"
     assert abs(math.log(action.rho)) > out.tol
+
+
+# -- the reference route ----------------------------------------------------
+#
+# dimension_matrix solves S_phi from integer rows of the direct limit and
+# decides its order from the characteristic polynomial.  The route it
+# replaced stays here as the reference: ray images one window at a time
+# through the rule view, conditions as theta classes (Delta^-1 step by
+# step), independent rows picked one rref at a time, S = C^-1 Y, and the
+# order by up to 64 products.
+
+
+def ref_image_beam(auto, ray):
+    code = auto.power(1)
+    mem, ant = code.memory, code.anticipation
+    wv = _scan_w(1, code, auto.power(-1))
+    level_out, w_fwd = -wv.minus_inv, wv.minus
+    p, q = len(ray.cycle), len(ray.transient)
+    cut = min(-ant - q, w_fwd - 1)
+    fixed_len = p + (w_fwd - 1 - cut)
+    fixed_part, words = None, set()
+    for ext in ray.shift.words(max(0, level_out + ant), start_state=ray.end_state):
+        def edge_at(i):
+            return ray.tail_edge(i) if i <= 0 else ext[i - 1]
+
+        seg = tuple(
+            code.rule[tuple(edge_at(i) for i in range(j - mem, j + ant + 1))]
+            for j in range(cut - p + 1, level_out + 1)
+        )
+        if fixed_part is None:
+            fixed_part = seg[:fixed_len]
+        assert seg[:fixed_len] == fixed_part
+        words.add(seg[fixed_len:])
+    rays = sorted(
+        (Ray(ray.shift, level_out, fixed_part[:p], fixed_part[p:] + w) for w in words),
+        key=lambda r: r._key,
+    )
+    return Beam(level=level_out, rays=tuple(rays))
+
+
+def ref_action(auto, dim):
+    """(S_phi, order, inert, rho, lambda_phi) by the reference route."""
+    shift = auto.shift
+    c_rows, y_rows = [], []
+    for state in range(shift.k):
+        ray = canonical_zero_ray(shift, state)
+        image = ref_image_beam(auto, ray)
+        beam = apply_automorphism_to_ray(auto, 1, ray)
+        assert beam.level == image.level
+        assert [(r.cycle, r.transient) for r in beam.rays] == [
+            (r.cycle, r.transient) for r in image.rays
+        ]
+        c_rows.append(dim.coords(theta(Beam(level=0, rays=(ray,)), dim)))
+        y_rows.append(dim.coords(theta(image, dim)))
+    chosen = []
+    for i in range(shift.k):
+        reduced, _ = ratmat.rref([c_rows[j] for j in chosen + [i]])
+        if len(reduced) == len(chosen) + 1:
+            chosen.append(i)
+        if len(chosen) == dim.d:
+            break
+    c_sq = tuple(c_rows[i] for i in chosen)
+    s_phi = ratmat.mat_mul(ratmat.inverse(c_sq), tuple(y_rows[i] for i in chosen))
+    assert all(ratmat.vec_mat(c, s_phi) == tuple(y) for c, y in zip(c_rows, y_rows))
+    ident = ratmat.identity(dim.d)
+    order, power = None, s_phi
+    for j in range(1, 65):
+        if power == ident:
+            order = j
+            break
+        power = ratmat.mat_mul(power, s_phi)
+    rho = max(abs(complex(z)) for z in distinct_roots(ratmat.char_poly(s_phi)))
+    return s_phi, order, s_phi == ident, float(rho), float(lambda_phi_of(s_phi, dim))
+
+
+def _seeded_cycles_with_a_chord(seed, sizes):
+    """Shift and inverse shift on k-cycles plus one chord, primitive."""
+    rng = random.Random(seed)
+    for k in sizes:
+        while True:
+            matrix = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+            i, j = rng.randrange(k), rng.randrange(k)
+            matrix[i][j] += 1
+            shift = build_edge_shift(matrix)
+            if shift.primitive:
+                break
+        sigma = codes.verify_automorphism(
+            codes.shift_code(shift), codes.inverse_shift_code(shift)
+        )
+        yield f"cycle{k}_chord_{i}_{j}", shift, sigma
+
+
+def _reference_cases():
+    for name, params in DEFAULT_SUITE:
+        shift, auto = make_builtin(name, dict(params))
+        yield name, shift, auto
+        yield f"{name}^-1", shift, auto.inverse_automorphism()
+        yield f"{name}^2", shift, automorphism_power(auto, 2)
+    for name, shift, sigma in _seeded_cycles_with_a_chord(7, (4, 5, 7, 10)):
+        yield name, shift, sigma
+        yield f"{name}^-1", shift, sigma.inverse_automorphism()
+
+
+def test_dimension_matrix_matches_the_reference_route():
+    for name, shift, auto in _reference_cases():
+        dim = dimension_data(shift)
+        s_phi, order, inert, rho, lam = ref_action(auto, dim)
+        act = dimension_matrix(auto, dim=dim)
+        # byte-identical: the same values with the same types
+        assert repr(act.S_phi) == repr(s_phi), name
+        assert (act.order_if_finite, act.inert) == (order, inert), name
+        assert (act.rho, act.lambda_phi) == (rho, lam), name

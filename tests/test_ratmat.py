@@ -8,10 +8,16 @@ Claims covered:
     - char_poly, rref, inverse and mat_pow agree with sympy on seeded
       integer matrices, singular and nilpotent ones included, and integer
       input keeps Python ints where no division is made
+    - char_poly agrees with sympy on seeded rational matrices, with ints
+      exactly where the coefficient is integral
     - polynomial division, gcd, square-free part, and zero-root stripping
-      behave on exact integer/rational coefficients
+      behave on exact integer/rational coefficients; division and the
+      square-free part agree with sympy on polynomials with repeated factors
+    - cyclotomic_indices factors products of cyclotomic polynomials and
+      rejects everything else
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -162,6 +168,100 @@ def test_poly_divmod_with_remainder():
     quot, rem = ratmat.poly_divmod([1, 0, 0], [1, -1])  # t^2 = (t+1)(t-1) + 1
     assert quot == [F(1), F(1)]
     assert rem == [F(1)]
+
+
+def test_poly_divmod_keeps_zero_quotient_coefficients():
+    quot, rem = ratmat.poly_divmod([1, 0, 0, 0, -1], [1, 0, 1])  # (t^4-1)/(t^2+1)
+    assert quot == [1, 0, -1]
+    assert rem == [0]
+    # (t^2 - 4)^2 has the square-free part t^2 - 4, roots +-2
+    assert ratmat.squarefree_part([1, 0, -8, 0, 16]) == [1, 0, -4]
+
+
+def _product(*polys):
+    out = [1]
+    for p in polys:
+        nxt = [0] * (len(out) + len(p) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(p):
+                nxt[i + j] += x * y
+        out = nxt
+    return out
+
+
+def _seeded_polynomials(seed):
+    """Integer polynomials with repeated factors, and divisors of them and
+    of other degrees."""
+    rng = random.Random(seed)
+
+    def draw(degree):
+        return [rng.choice([1, -1, 2])] + [rng.randint(-3, 3) for _ in range(degree)]
+
+    cases = []
+    for _ in range(12):
+        f, g = draw(rng.randint(1, 3)), draw(rng.randint(1, 3))
+        num = _product(f, f, g, [1] + [0] * rng.randint(0, 2) + [rng.choice([1, -1])])
+        cases.append((num, f))
+        cases.append((num, draw(rng.randint(1, len(num) + 1))))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_helpers_agree_with_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for num, den in _seeded_polynomials(seed):
+        p, q = sympy.Poly(num, t, domain="QQ"), sympy.Poly(den, t, domain="QQ")
+        quot, rem = ratmat.poly_divmod(num, den)
+        want_quot, want_rem = sympy.div(p, q)
+        assert quot == [F(int(c.p), int(c.q)) for c in want_quot.all_coeffs()]
+        assert rem == [F(int(c.p), int(c.q)) for c in want_rem.all_coeffs()]
+        # primitive with a positive leading coefficient, like sympy's
+        sqf = sympy.Poly(num, t).sqf_part()
+        want = [int(c) for c in sqf.all_coeffs()]
+        content = math.gcd(*want) if want[0] > 0 else -math.gcd(*want)
+        assert ratmat.squarefree_part(num) == [c // content for c in want]
+
+
+def _cyclotomic(n):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    return [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()]
+
+
+def test_cyclotomic_indices():
+    phi = {n: _cyclotomic(n) for n in (1, 2, 3, 4, 7, 12, 30)}
+    assert ratmat.cyclotomic_indices([1]) == []
+    assert ratmat.cyclotomic_indices(phi[1]) == [1]
+    assert ratmat.cyclotomic_indices(_product(phi[7], phi[12])) == [7, 12]
+    assert ratmat.cyclotomic_indices(_product(phi[1], phi[1], phi[2], phi[30])) == [1, 1, 2, 30]
+    assert ratmat.cyclotomic_indices(_product(phi[4], phi[3], phi[4])) == [3, 4, 4]
+    # not integral; not palindromic; palindromic with real roots off the
+    # circle; Lehmer's polynomial, palindromic with a root outside
+    assert ratmat.cyclotomic_indices([1, F(-5, 2), 1]) is None
+    assert ratmat.cyclotomic_indices([1, -1, -1]) is None
+    assert ratmat.cyclotomic_indices([1, -3, 1]) is None
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    assert ratmat.cyclotomic_indices(lehmer) is None
+
+
+def _seeded_rational_matrices(n, seed):
+    rng = random.Random(seed)
+    return [
+        tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)) for _ in range(n))
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rational_char_poly_agrees_with_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    for a in _seeded_rational_matrices(n, seed=n):
+        coeffs = ratmat.char_poly(a)
+        want = [F(int(c.p), int(c.q)) for c in sympy.Matrix(a).charpoly().all_coeffs()]
+        assert coeffs == want
+        # ints where integral, Fractions elsewhere
+        assert [type(c) for c in coeffs] == [int if c.denominator == 1 else F for c in want]
 
 
 def test_poly_gcd_common_factor():

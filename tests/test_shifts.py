@@ -9,8 +9,9 @@ Claims covered:
       every 0/1 3x3 matrix
     - perron_data: eigenvalue, eigenvector residual, entropy in nats,
       including the periodic (irreducible, non-primitive) case
-    - dimension_data: exact restricted action, rank, inverse, rho_minus;
-      integer input keeps Python ints where no division is made
+    - dimension_data: exact restricted action, rank, inverse, rho_minus
+      (also with a repeated eigenvalue); integer input keeps Python ints
+      where no division is made, integral bases included
     - kronecker products record a consistent edge/pair correspondence
     - transpose_shift's bijection really transposes edges
 """
@@ -18,6 +19,7 @@ Claims covered:
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sftlab import ratmat
@@ -229,7 +231,20 @@ def test_integer_data_stays_int(matrix):
     values = [count_words(shift, n) for n in range(6)]
     values += list(dim.char_poly)
     values += [x for row in dim.eventual_power for x in row]
+    # these bases are integral, so the basis and the restricted action are too
+    values += [x for m in (dim.basis, dim.delta_restricted) for row in m for x in row]
     assert all(type(x) is int for x in values)
+
+
+def test_rho_minus_with_a_repeated_root():
+    # char poly (t - 1)^2 (t^3 - 2t^2 - 2t - 1): the squarefree part needs a
+    # quotient with a zero coefficient
+    matrix = [[1, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 1, 1, 1, 0], [0, 0, 1, 2, 0], [1, 0, 1, 2, 0]]
+    dim = dimension_data(build_edge_shift(matrix))
+    assert dim.char_poly == (1, -4, 3, 1, 0, -1)
+    smallest = min(abs(z) for z in np.linalg.eigvals(np.array(matrix, dtype=float)))
+    assert dim.rho_minus == pytest.approx(1 / smallest, rel=1e-12)
+    assert dim.rho_minus == pytest.approx(1.6826102362723, rel=1e-12)
 
 
 def test_in_dimension_group():
