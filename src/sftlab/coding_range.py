@@ -120,7 +120,11 @@ def _outputs_by_state(code, state_of):
 
 
 # -- literal-definition oracles (small systems only; used to guard the
-#    grouped implementations in tests) --
+#    grouped implementations in tests).  A group of windows -- the windows
+#    that two agreeing points can show around coordinate j -- is coded when
+#    every pair in it has the same output.  Equality is transitive, so that
+#    holds exactly when the group's outputs form a set of at most one
+#    element, which one pass over the group decides. --
 
 
 def coded_minus_naive(code, j):
@@ -130,27 +134,19 @@ def coded_minus_naive(code, j):
         return True
     rule = dict(code.rule.items())
     shift = code.source
-    free = j + a
     if j - m <= 0:
-        shared_len = m - j + 1
-        for w in shift.words(shared_len):
-            state = shift.target(w[-1])
-            tails = list(shift.words(free, start_state=state))
-            for u in tails:
-                for v in tails:
-                    if rule[w + u] != rule[w + v]:
-                        return False
-        return True
-    ell = j - m - 1
-    reach = shift.reach_exact(ell)
+        # the shared prefix covers the coordinates <= 0; tails by state
+        tails = [list(shift.words(j + a, start_state=s)) for s in range(shift.k)]
+        return all(
+            len({rule[w + u] for u in tails[shift.target(w[-1])]}) <= 1
+            for w in shift.words(m - j + 1)
+        )
+    reach = shift.reach_exact(j - m - 1)
     windows = list(shift.words(m + a + 1))
-    for s in range(shift.k):
-        group = [w for w in windows if reach[s][shift.source(w[0])]]
-        for u in group:
-            for v in group:
-                if rule[u] != rule[v]:
-                    return False
-    return True
+    return all(
+        len({rule[w] for w in windows if reach[s][shift.source(w[0])]}) <= 1
+        for s in range(shift.k)
+    )
 
 
 def coded_plus_naive(code, j):
@@ -160,29 +156,21 @@ def coded_plus_naive(code, j):
         return True
     rule = dict(code.rule.items())
     shift = code.source
-    free = m - j
     if j + a >= 0:
-        shared_len = j + a + 1
-        for w in shift.words(shared_len):
-            state = shift.source(w[0])
-            heads = [
-                u for u in shift.words(free) if shift.target(u[-1]) == state
-            ]
-            for u in heads:
-                for v in heads:
-                    if rule[u + w] != rule[v + w]:
-                        return False
-        return True
-    ell = -(j + a) - 1
-    reach = shift.reach_exact(ell)
+        # the shared suffix covers the coordinates >= 0; heads by end state
+        heads = [[] for _ in range(shift.k)]
+        for u in shift.words(m - j):
+            heads[shift.target(u[-1])].append(u)
+        return all(
+            len({rule[u + w] for u in heads[shift.source(w[0])]}) <= 1
+            for w in shift.words(j + a + 1)
+        )
+    reach = shift.reach_exact(-(j + a) - 1)
     windows = list(shift.words(m + a + 1))
-    for s in range(shift.k):
-        group = [w for w in windows if reach[shift.target(w[-1])][s]]
-        for u in group:
-            for v in group:
-                if rule[u] != rule[v]:
-                    return False
-    return True
+    return all(
+        len({rule[w] for w in windows if reach[shift.target(w[-1])][s]}) <= 1
+        for s in range(shift.k)
+    )
 
 
 def _scan_minus(code, start, ceiling):

@@ -145,7 +145,8 @@ def restrict_code_to_subsystem(code, allowed_edges):
     """Restrict a sliding block code to the edge shift on a subset of edges.
 
     Every admissible window of the restricted shift must output an allowed
-    edge; a failing window is returned as the NotInvariant witness.
+    edge; the first failing window in rank order is the NotInvariant
+    witness.
     """
     shift = code.source
     allowed = tuple(sorted(set(allowed_edges)))
@@ -164,19 +165,22 @@ def restrict_code_to_subsystem(code, allowed_edges):
         matrix[state_of[s]][state_of[t]] += 1
     sub = build_edge_shift(tuple(tuple(row) for row in matrix))
     to_sub = {e: sub.edge_index[triple] for e, triple in new_index.items()}
-    to_orig = {v: k for k, v in to_sub.items()}
-    rule = {}
-    width = code.memory + code.anticipation + 1
-    for sub_word in sub.words(width):
-        window = tuple(to_orig[e] for e in sub_word)
-        out = code.rule[window]
-        if out not in to_sub:
-            raise NotInvariant(witness=window, output=out)
-        rule[sub_word] = to_sub[out]
-    restricted = SlidingBlockCode(
-        sub, sub, code.memory, code.anticipation, rule
-    )
-    return sub, restricted, to_sub
+    to_orig = np.empty(sub.n_edges, dtype=np.intp)  # sub edge -> edge
+    to_orig[list(to_sub.values())] = list(to_sub)
+    into_sub = np.full(shift.n_edges, -1, dtype=np.intp)  # edge -> sub edge or -1
+    into_sub[to_orig] = np.arange(sub.n_edges)
+    column = np.empty(sub.word_count(code.window), dtype=code.column.dtype)
+    for start, cols in sub.ranked_words(code.window):
+        windows = tuple(to_orig[c] for c in cols)
+        out = code.outputs(windows)
+        mapped = into_sub[out]
+        bad = np.flatnonzero(mapped < 0)
+        if bad.size:
+            i = bad[0]
+            raise NotInvariant(tuple(int(c[i]) for c in windows), int(out[i]))
+        column[start : start + len(out)] = mapped
+    m, a = code.memory, code.anticipation
+    return sub, SlidingBlockCode.from_column(sub, sub, m, a, column, check=True), to_sub
 
 
 def restrict_to_subsystem(auto, allowed_edges, budget=None):

@@ -341,7 +341,11 @@ def count_words(shift, n):
         raise ValueError("word length must be nonnegative")
     if n == 0:
         return 1
-    return sum(map(sum, ratmat.mat_pow(shift.matrix, n)))
+    # the sum of A^n's entries: n steps of v <- A v from the all-ones vector
+    paths = [1] * shift.k
+    for _ in range(n):
+        paths = [sum(c * x for c, x in zip(row, paths)) for row in shift.matrix]
+    return sum(paths)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 """Half-line coding ranges, slope enclosures, and coordinate reversal.
 
 The grouped scans (coded_minus / coded_plus) are cross-checked against the
-literal two-point quantifier oracles on every system in a small pool; the
+literal two-point quantifier oracles on every system in a small pool, and
+the oracles' one-output-per-group form against the pairwise comparison it
+replaced, on that pool and on the acceptance suite's seeded stream; the
 profile values for the named examples are frozen from independent hand
 calculation (shift powers code exactly by their exponent; the product
 examples code track by track).
 """
 
 from fractions import Fraction
+import random
 
+import numpy as np
 import pytest
 
-from sftlab.builtins import DEFAULT_SUITE, make_builtin
+from sftlab.builtins import DEFAULT_SUITE, make_builtin, shift_builtin
 from sftlab.coding_range import (
     coded_minus,
     coded_minus_naive,
@@ -22,8 +26,9 @@ from sftlab.coding_range import (
     reverse_automorphism,
     w_values,
 )
-from sftlab.codes import codes_equal, power, shift_code
+from sftlab.codes import SlidingBlockCode, codes_equal, power, shift_code
 from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
+from sftlab.reports import _random_code
 from sftlab.shifts import build_edge_shift
 
 
@@ -185,6 +190,105 @@ ORACLE_POOL = [
 ]
 
 
+# The literal oracles in their pairwise form, which compares every two
+# windows of a group: the reference for the one-output-per-group form.
+
+
+def pairwise_minus(code, j):
+    m, a = code.memory, code.anticipation
+    if j + a <= 0:
+        return True
+    rule = dict(code.rule.items())
+    shift = code.source
+    if j - m <= 0:
+        for w in shift.words(m - j + 1):
+            tails = list(shift.words(j + a, start_state=shift.target(w[-1])))
+            if any(rule[w + u] != rule[w + v] for u in tails for v in tails):
+                return False
+        return True
+    reach = shift.reach_exact(j - m - 1)
+    windows = list(shift.words(m + a + 1))
+    for s in range(shift.k):
+        group = [w for w in windows if reach[s][shift.source(w[0])]]
+        if any(rule[u] != rule[v] for u in group for v in group):
+            return False
+    return True
+
+
+def pairwise_plus(code, j):
+    m, a = code.memory, code.anticipation
+    if j - m >= 0:
+        return True
+    rule = dict(code.rule.items())
+    shift = code.source
+    if j + a >= 0:
+        for w in shift.words(j + a + 1):
+            heads = [
+                u for u in shift.words(m - j) if shift.target(u[-1]) == shift.source(w[0])
+            ]
+            if any(rule[u + w] != rule[v + w] for u in heads for v in heads):
+                return False
+        return True
+    reach = shift.reach_exact(-(j + a) - 1)
+    windows = list(shift.words(m + a + 1))
+    for s in range(shift.k):
+        group = [w for w in windows if reach[shift.target(w[-1])][s]]
+        if any(rule[u] != rule[v] for u in group for v in group):
+            return False
+    return True
+
+
+def test_set_form_oracles_match_the_pairwise_reference_on_the_acceptance_stream():
+    # the first 100 cases of acceptance criterion 12's seeded stream
+    rng = random.Random(20260823)
+    pool = [
+        build_edge_shift([[2]]),
+        build_edge_shift([[3]]),
+        build_edge_shift([[4]]),
+        shift_builtin("golden_mean"),
+    ]
+    for case in range(100):
+        shift = pool[rng.randrange(len(pool))]
+        code = _random_code(rng, shift)
+        j = rng.randint(-5, 5)
+        assert coded_minus_naive(code, j) == pairwise_minus(code, j), case
+        assert coded_plus_naive(code, j) == pairwise_plus(code, j), case
+
+
+# Each branch of each oracle on a code that outputs edge 0 everywhere but on
+# one window: that window's group then has two outputs.  The 2-state full
+# shift has groups that the state splits (reach over 0 steps).
+FULL_2X2 = build_edge_shift([[1, 1], [1, 1]])
+
+
+def _one_window_differs(memory, anticipation, window):
+    column = np.zeros(FULL_2X2.word_count(memory + anticipation + 1), dtype=np.uint8)
+    code = SlidingBlockCode.from_column(FULL_2X2, FULL_2X2, memory, anticipation, column)
+    odd = column.copy()
+    odd[FULL_2X2.rank_of(window)] = 1
+    return code, SlidingBlockCode.from_column(FULL_2X2, FULL_2X2, memory, anticipation, odd)
+
+
+@pytest.mark.parametrize(
+    "side,memory,anticipation,j,window",
+    [
+        ("minus", 1, 1, 0, (1, 2, 1)),  # shared prefix: j - m <= 0 < j + a
+        ("minus", 0, 1, 1, (2, 1)),  # reach group: j - m > 0
+        ("plus", 1, 1, 0, (1, 2, 1)),  # shared suffix: j - m < 0 <= j + a
+        ("plus", 1, 0, -1, (0, 1)),  # reach group: j + a < 0
+    ],
+)
+def test_one_odd_window_makes_its_group_uncoded(side, memory, anticipation, j, window):
+    naive, grouped = {
+        "minus": (coded_minus_naive, coded_minus),
+        "plus": (coded_plus_naive, coded_plus),
+    }[side]
+    constant, odd = _one_window_differs(memory, anticipation, window)
+    assert naive(constant, j) and grouped(constant, j)
+    assert not naive(odd, j)
+    assert not grouped(odd, j)
+
+
 @pytest.mark.parametrize("name,params", ORACLE_POOL)
 def test_grouped_scan_matches_naive(name, params):
     _, auto = make_builtin(name, dict(params))
@@ -192,6 +296,8 @@ def test_grouped_scan_matches_naive(name, params):
         for j in range(-4, 5):
             assert coded_minus(code, j) == coded_minus_naive(code, j), (name, j)
             assert coded_plus(code, j) == coded_plus_naive(code, j), (name, j)
+            assert coded_minus_naive(code, j) == pairwise_minus(code, j), (name, j)
+            assert coded_plus_naive(code, j) == pairwise_plus(code, j), (name, j)
 
 
 def test_scan_rejects_zero_entropy():

@@ -20,6 +20,7 @@ from sftlab.codes import (
     Automorphism,
     SlidingBlockCode,
     codes_equal,
+    identity_code,
     recognized_exponents,
 )
 from sftlab.coding_range import lyapunov_bounds
@@ -153,6 +154,43 @@ def test_restriction_not_invariant():
     with pytest.raises(NotInvariant) as info:
         restrict_code_to_subsystem(swap.forward, (0,))
     assert info.value.witness == (0,)
+
+
+def _restrict_by_lookup(code, allowed_edges):
+    """The restriction, one window lookup at a time: the reference for the
+    gathered restriction.  The subsystem and its edge map come from
+    restricting the identity, which every edge subset leaves invariant."""
+    sub, _, to_sub = restrict_code_to_subsystem(identity_code(code.source), allowed_edges)
+    to_orig = {v: e for e, v in to_sub.items()}
+    rule = {}
+    for sub_word in sub.words(code.window):
+        window = tuple(to_orig[e] for e in sub_word)
+        out = code.rule[window]
+        if out not in to_sub:
+            raise NotInvariant(witness=window, output=out)
+        rule[sub_word] = to_sub[out]
+    return sub, SlidingBlockCode(sub, sub, code.memory, code.anticipation, rule)
+
+
+@pytest.mark.parametrize("completion", ["identity", "swap", "first", "second", "wall"])
+def test_restriction_matches_the_window_by_window_reference(completion):
+    _, code = five_symbol_code(completion)
+    sub, restricted, _ = restrict_code_to_subsystem(code, five_symbol_no_wall_edges())
+    ref_sub, reference = _restrict_by_lookup(code, five_symbol_no_wall_edges())
+    assert sub.matrix == ref_sub.matrix
+    assert codes_equal(restricted, reference)
+    assert restricted.column.tolist() == reference.column.tolist()
+
+
+def test_restriction_witness_is_the_first_bad_window_in_rank_order():
+    _, code = five_symbol_code("swap")
+    allowed = (0, 1, 2, 4)
+    with pytest.raises(NotInvariant) as got:
+        restrict_code_to_subsystem(code, allowed)
+    with pytest.raises(NotInvariant) as want:
+        _restrict_by_lookup(code, allowed)
+    assert (got.value.witness, got.value.output) == (want.value.witness, want.value.output)
+    assert (got.value.witness, got.value.output) == ((1, 0, 2), 3)
 
 
 def test_restriction_can_empty_out():

@@ -101,6 +101,26 @@ def test_count_words_full_shift():
     assert [count_words(shift, n) for n in range(6)] == [1, 2, 4, 8, 16, 32]
 
 
+def _cycle_with_chord(k):
+    matrix = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+    matrix[0][2] = 1
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[2]], GOLDEN, [[1, 1, 0], [0, 1, 1], [0, 0, 2]], _cycle_with_chord(24)],
+    ids=["full-2", "golden", "reducible-3", "cycle-24-chord"],
+)
+def test_count_words_is_the_entry_sum_of_matrix_powers(matrix):
+    shift = build_edge_shift(matrix)
+    assert count_words(shift, 0) == 1  # the empty word, by convention
+    for n in range(1, 13):
+        assert count_words(shift, n) == sum(map(sum, ratmat.mat_pow(matrix, n))), n
+    with pytest.raises(ValueError):
+        count_words(shift, -1)
+
+
 def test_ensure_budget_raises_past_cap():
     shift = build_edge_shift([[2]])
     assert shift.ensure_budget(3, 100) == 8
