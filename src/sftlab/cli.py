@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .coding_range import coding_range_profile, lyapunov_bounds
@@ -225,6 +226,24 @@ def _cmd_spectra_search(args):
     return 0
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+def _tolerance(text):
+    """argparse type: a finite positive float, as load_system_file asks of $.tol."""
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return float(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sftlab",
@@ -236,20 +255,22 @@ def _build_parser():
     analyze = sub.add_parser("analyze", help="analyze a system definition file")
     analyze.add_argument("file")
     analyze.add_argument("--auto", help="restrict to one named automorphism")
-    analyze.add_argument("--n-max", type=int, default=3, dest="n_max")
-    analyze.add_argument("--w", type=int, default=None, help="column census half-width")
-    analyze.add_argument("--steps", type=int, default=4, help="column census iterate count")
-    analyze.add_argument("--tol", type=float, default=None)
+    analyze.add_argument("--n-max", type=_at_least(1), default=3, dest="n_max")
+    analyze.add_argument("--w", type=_at_least(0), default=None, help="column census half-width")
+    analyze.add_argument(
+        "--steps", type=_at_least(1), default=4, help="column census iterate count"
+    )
+    analyze.add_argument("--tol", type=_tolerance, default=None)
     analyze.add_argument("--json", dest="json_path", default=None)
     analyze.set_defaults(func=_cmd_analyze)
 
     suite = sub.add_parser("suite", help="run a named verification suite")
     suite.add_argument("name", choices=SUITE_NAMES)
-    suite.add_argument("--tol", type=float, default=None)
+    suite.add_argument("--tol", type=_tolerance, default=None)
     suite.add_argument("--poly", default=None)
-    suite.add_argument("--N", type=int, default=None)
+    suite.add_argument("--N", type=_at_least(1), default=None)
     suite.add_argument("--auto", default=None)
-    suite.add_argument("--n-max", type=int, default=None, dest="n_max")
+    suite.add_argument("--n-max", type=_at_least(1), default=None, dest="n_max")
     suite.add_argument("--json", dest="json_path", default=None)
     suite.set_defaults(func=_cmd_suite)
 
@@ -258,8 +279,8 @@ def _build_parser():
 
     check = spectra_sub.add_parser("check", help="run the three conditions")
     check.add_argument("--poly", required=True)
-    check.add_argument("--N", type=int, default=None)
-    check.add_argument("--tol", type=float, default=None)
+    check.add_argument("--N", type=_at_least(1), default=None)
+    check.add_argument("--tol", type=_tolerance, default=None)
     check.add_argument("--json", dest="json_path", default=None)
     check.set_defaults(func=_cmd_spectra_check)
 

@@ -59,14 +59,10 @@ def coded_minus(code, j):
     ell = j - m - 1
     reach = shift.reach_exact(ell)
     by_start = _outputs_by_state(code, lambda cols: shift.edge_sources[cols[0]])
-    for s in range(shift.k):
-        outputs = set()
-        for t in range(shift.k):
-            if reach[s][t] and t in by_start:
-                outputs |= by_start[t]
-                if len(outputs) > 1:
-                    return False
-    return True
+    return all(
+        len(set().union(*(by_start[t] for t in by_start if reach[s][t]))) <= 1
+        for s in range(shift.k)
+    )
 
 
 def coded_plus(code, j):
@@ -97,14 +93,10 @@ def coded_plus(code, j):
     ell = -(j + a) - 1
     reach = shift.reach_exact(ell)
     by_end = _outputs_by_state(code, lambda cols: shift.edge_targets[cols[-1]])
-    for s in range(shift.k):
-        outputs = set()
-        for t in range(shift.k):
-            if reach[t][s] and t in by_end:
-                outputs |= by_end[t]
-                if len(outputs) > 1:
-                    return False
-    return True
+    return all(
+        len(set().union(*(by_end[t] for t in by_end if reach[t][s]))) <= 1
+        for s in range(shift.k)
+    )
 
 
 def _outputs_by_state(code, state_of):
@@ -142,9 +134,8 @@ def coded_minus_naive(code, j):
             for w in shift.words(m - j + 1)
         )
     reach = shift.reach_exact(j - m - 1)
-    windows = list(shift.words(m + a + 1))
     return all(
-        len({rule[w] for w in windows if reach[s][shift.source(w[0])]}) <= 1
+        len({out for w, out in rule.items() if reach[s][shift.source(w[0])]}) <= 1
         for s in range(shift.k)
     )
 
@@ -166,9 +157,8 @@ def coded_plus_naive(code, j):
             for w in shift.words(j + a + 1)
         )
     reach = shift.reach_exact(-(j + a) - 1)
-    windows = list(shift.words(m + a + 1))
     return all(
-        len({rule[w] for w in windows if reach[shift.target(w[-1])][s]}) <= 1
+        len({out for w, out in rule.items() if reach[shift.target(w[-1])][s]}) <= 1
         for s in range(shift.k)
     )
 

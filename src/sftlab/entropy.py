@@ -23,7 +23,7 @@ from .codes import (
 )
 from .errors import NotInvariant, ZeroMatrix
 from .records import CheckRecord
-from .shifts import build_edge_shift, count_words, perron_data
+from .shifts import _pattern_power, build_edge_shift, count_words, perron_data
 
 
 @dataclass(frozen=True)
@@ -121,24 +121,18 @@ def c_phi_diagnostic(auto, n, action, budget=None):
 
 
 def _prune_states(k, edges, allowed):
-    """Drop states that lose all outgoing or incoming allowed edges, until
-    stable; returns the surviving states in order."""
-    alive = set(range(k))
-    while True:
-        outs = {s for s in alive}
-        has_out = {s: False for s in alive}
-        has_in = {s: False for s in alive}
-        for e in allowed:
-            s, t, _ = edges[e]
-            if s in alive and t in alive:
-                has_out[s] = True
-                has_in[t] = True
-        nxt = {s for s in outs if has_out[s] and has_in[s]}
-        if nxt == alive:
-            return sorted(alive)
-        alive = nxt
-        if not alive:
-            raise ZeroMatrix("no states survive the restriction")
+    """States on a bi-infinite path of allowed edges, in ascending order:
+    those with a path of k allowed edges out and one in, since such a path
+    repeats a state and so reaches a cycle."""
+    m = np.zeros((k, k), dtype=bool)
+    for e in allowed:
+        s, t, _ = edges[e]
+        m[s, t] = True
+    pattern = _pattern_power(m, k)
+    alive = np.flatnonzero(pattern.any(axis=1) & pattern.any(axis=0)).tolist()
+    if not alive:
+        raise ZeroMatrix("no states survive the restriction")
+    return alive
 
 
 def restrict_code_to_subsystem(code, allowed_edges):
@@ -152,21 +146,15 @@ def restrict_code_to_subsystem(code, allowed_edges):
     allowed = tuple(sorted(set(allowed_edges)))
     states = _prune_states(shift.k, shift.edges, allowed)
     state_of = {s: i for i, s in enumerate(states)}
-    kept = [
-        e
-        for e in allowed
-        if shift.edges[e][0] in state_of and shift.edges[e][1] in state_of
-    ]
+    kept = [e for e in allowed if shift.source(e) in state_of and shift.target(e) in state_of]
     matrix = [[0] * len(states) for _ in states]
-    new_index = {}
     for e in kept:
-        s, t, _ = shift.edges[e]
-        new_index[e] = (state_of[s], state_of[t], matrix[state_of[s]][state_of[t]])
-        matrix[state_of[s]][state_of[t]] += 1
-    sub = build_edge_shift(tuple(tuple(row) for row in matrix))
-    to_sub = {e: sub.edge_index[triple] for e, triple in new_index.items()}
-    to_orig = np.empty(sub.n_edges, dtype=np.intp)  # sub edge -> edge
-    to_orig[list(to_sub.values())] = list(to_sub)
+        matrix[state_of[shift.source(e)]][state_of[shift.target(e)]] += 1
+    sub = build_edge_shift(matrix)
+    # renumbering keeps the order of the surviving states, so the kept edges
+    # in index order are the subsystem's edges in canonical order
+    to_sub = {e: i for i, e in enumerate(kept)}
+    to_orig = np.array(kept, dtype=np.intp)  # sub edge -> edge
     into_sub = np.full(shift.n_edges, -1, dtype=np.intp)  # edge -> sub edge or -1
     into_sub[to_orig] = np.arange(sub.n_edges)
     column = np.empty(sub.word_count(code.window), dtype=code.column.dtype)

@@ -47,6 +47,19 @@ class EdgeShift:
 
     Use :func:`build_edge_shift` rather than calling this directly; the
     constructor assumes an already validated matrix.
+
+    The structural facts are zero patterns of powers of A (Lind-Marcus,
+    *An Introduction to Symbolic Dynamics and Coding*, 4.5).  With R the
+    pattern of (A + I)^(k-1), state i reaches j iff R[i][j], and i and j
+    share a strongly connected component iff R[i][j] and R[j][i]:
+
+    - ``irreducible``: A has an edge and R is all true;
+    - ``positive_entropy``: some component carries more edges, with
+      multiplicity, than states (a component that is one cycle has entropy
+      zero);
+    - ``primitive``: A^((k-1)^2+1) > 0, Wielandt's bound on the primitivity
+      exponent of a k x k matrix (Wielandt 1950);
+    - ``reach_exact(n)``: the pattern of A^n.
     """
 
     def __init__(self, matrix):
@@ -62,24 +75,21 @@ class EdgeShift:
         self.edges = tuple(edges)
         self.edge_index = index
         self.n_edges = len(edges)
-        self.out_edges = tuple(
-            tuple(e for e, (s, _, _) in enumerate(edges) if s == i)
-            for i in range(self.k)
-        )
-        self.in_edges = tuple(
-            tuple(e for e, (_, t, _) in enumerate(edges) if t == i)
-            for i in range(self.k)
-        )
         # source and target state of each edge, as index arrays
         self.edge_sources = np.array([s for s, _, _ in edges], dtype=np.intp)
         self.edge_targets = np.array([t for _, t, _ in edges], dtype=np.intp)
         self._reach = {}
         self._ranking = []  # rank tables by tail length, see _rank_tables
         self._paths = [1] * self.k  # paths from each state, next tail length
-        components = self._scc()
-        self.irreducible = self.n_edges > 0 and len(components) == 1
-        self.primitive = self.irreducible and self._period() == 1
-        self.positive_entropy = self._compute_positive_entropy(components)
+        a = np.array(self.matrix, dtype=np.int64)
+        self._adjacency = a > 0
+        reach = _pattern_power(self._adjacency | np.eye(self.k, dtype=bool), self.k - 1)
+        same = reach & reach.T  # i and j share a strongly connected component
+        self.irreducible = self.n_edges > 0 and bool(same.all())
+        self.primitive = bool(_pattern_power(self._adjacency, (self.k - 1) ** 2 + 1).all())
+        # edges (with multiplicity) inside each state's component, per state
+        inside = ((same @ a) * same).sum(axis=1)
+        self.positive_entropy = bool((inside > same.sum(axis=1)).any())
         # set by kronecker_product on product shifts
         self.product_of = None
         self.pair_to_edge = None
@@ -227,99 +237,26 @@ class EdgeShift:
     def reach_exact(self, steps):
         """Boolean matrix: reach_exact(n)[i][j] iff a path i->j with exactly
         n edges exists."""
-        if steps in self._reach:
-            return self._reach[steps]
-        if steps == 0:
-            m = tuple(tuple(i == j for j in range(self.k)) for i in range(self.k))
-        else:
-            prev = self.reach_exact(steps - 1)
-            adj = self.matrix
-            m = tuple(
-                tuple(
-                    any(prev[i][l] and adj[l][j] for l in range(self.k))
-                    for j in range(self.k)
-                )
-                for i in range(self.k)
-            )
-        self._reach[steps] = m
-        return m
+        if steps < 0:
+            raise ValueError("path length must be nonnegative")
+        if steps not in self._reach:
+            pattern = _pattern_power(self._adjacency, steps)
+            self._reach[steps] = tuple(map(tuple, pattern.tolist()))
+        return self._reach[steps]
 
-    # -- structural flags --
 
-    def _period(self):
-        # gcd of cycle lengths in a strongly connected graph
-        level = [None] * self.k
-        level[0] = 0
-        order = [0]
-        while order:
-            u = order.pop()
-            for v in range(self.k):
-                if self.matrix[u][v] > 0 and level[v] is None:
-                    level[v] = level[u] + 1
-                    order.append(v)
-        g = 0
-        for (s, t, _) in self.edges:
-            g = math.gcd(g, level[s] + 1 - level[t])
-        return abs(g)
-
-    def _compute_positive_entropy(self, components):
-        # positive entropy iff some strongly connected component carries more
-        # edges (with multiplicity) than vertices
-        for nodes in components:
-            ns = set(nodes)
-            e = sum(
-                self.matrix[i][j] for i in ns for j in ns
-            )
-            has_edge = any(self.matrix[i][j] > 0 for i in ns for j in ns)
-            if has_edge and e > len(ns):
-                return True
-        return False
-
-    def _scc(self):
-        # iterative Tarjan
-        low = [0] * self.k
-        num = [None] * self.k
-        on = [False] * self.k
-        stack, result, counter = [], [], [0]
-        for root in range(self.k):
-            if num[root] is not None:
-                continue
-            work = [(root, 0)]
-            path = []
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    num[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    path.append(v)
-                    on[v] = True
-                advanced = False
-                succs = [w for w in range(self.k) if self.matrix[v][w] > 0]
-                for w in succs[pi:]:
-                    work[-1] = (v, pi + 1)
-                    pi += 1
-                    if num[w] is None:
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    elif on[w]:
-                        low[v] = min(low[v], num[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == num[v]:
-                    comp = []
-                    while True:
-                        w = path.pop()
-                        on[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    result.append(comp)
-                if work:
-                    u, _ = work[-1]
-                    low[u] = min(low[u], low[v])
-        return result
+def _pattern_power(m, n):
+    """Boolean pattern of M^n for a square boolean matrix M, by repeated
+    squaring.  The float products are exact: their entries are at most k."""
+    result = np.eye(len(m), dtype=bool)
+    m = m.astype(float)
+    while n:
+        if n & 1:
+            result = result @ m > 0
+        n >>= 1
+        if n:
+            m = (m @ m > 0).astype(float)
+    return result
 
 
 def build_edge_shift(matrix):

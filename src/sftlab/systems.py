@@ -12,6 +12,7 @@ structure (``kronecker``) rather than collapsing to a flat matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,8 +235,8 @@ def load_system_file(path):
             spec, shift, f"$.automorphisms.{name}", budget=budget
         )
     tol = doc.get("tol", DEFAULT_TOL)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
-        raise ParseError(f"tol must be a positive number, got {tol!r}", "$.tol")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ParseError(f"tol must be a finite positive number, got {tol!r}", "$.tol")
     return SystemFile(shift=shift, automorphisms=autos, tol=float(tol), budget=budget)
 
 

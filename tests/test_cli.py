@@ -192,6 +192,31 @@ def test_suite_profile(capsys):
     assert "lyapunov-enclosure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "FILE", "--n-max", "0"],
+        ["analyze", "FILE", "--n-max", "-1"],
+        ["analyze", "FILE", "--w", "-1"],
+        ["analyze", "FILE", "--w", "1", "--steps", "0"],
+        ["analyze", "FILE", "--tol", "-1"],
+        ["analyze", "FILE", "--tol", "0"],
+        ["analyze", "FILE", "--tol", "nan"],
+        ["analyze", "FILE", "--tol", "inf"],
+        ["suite", "profile", "--n-max", "0"],
+        ["suite", "theorem-4", "--n-max", "0"],
+        ["suite", "spectra", "--N", "-3"],
+        ["suite", "acceptance", "--tol", "-1"],
+        ["spectra", "check", "--poly", "[1,-5,-6,1]", "--N", "0"],
+    ],
+)
+def test_bad_numeric_options_are_usage_errors(tau_file, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([tau_file if a == "FILE" else a for a in argv])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_suite_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as info:
         main(["suite", "nope"])

@@ -199,6 +199,27 @@ def test_restriction_can_empty_out():
         restrict_code_to_subsystem(auto.forward, ())
 
 
+# the 4-cycle 0 -> 1 -> 2 -> 3 -> 0 with a loop at 0; edges 0 (the loop),
+# 1 (0 -> 1), 2 (1 -> 2), 3 (2 -> 3), 4 (3 -> 0)
+CYCLE_WITH_LOOP = [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
+
+
+def test_restriction_prunes_in_cascade():
+    # without 3 -> 0, state 3 has no way out, then state 2, then state 1
+    code = identity_code(build_edge_shift(CYCLE_WITH_LOOP))
+    sub, restricted, to_sub = restrict_code_to_subsystem(code, (0, 1, 2, 3))
+    assert sub.matrix == ((1,),)
+    assert to_sub == {0: 0}
+    assert restricted.column.tolist() == [0]
+
+
+def test_restriction_without_a_cycle_empties_out():
+    # the path 0 -> 1 -> 2 -> 3: states 0 and 3 fall first, then 1 and 2
+    code = identity_code(build_edge_shift(CYCLE_WITH_LOOP))
+    with pytest.raises(ZeroMatrix):
+        restrict_code_to_subsystem(code, (1, 2, 3))
+
+
 # -- exact entropies --------------------------------------------------------
 
 

@@ -6,7 +6,9 @@ Claims covered:
     - count_words is the entry sum of A^n (Fibonacci on the golden mean)
     - irreducible / primitive / positive_entropy flags on standard examples;
       irreducible and positive_entropy agree with a reachability oracle on
-      every 0/1 3x3 matrix
+      every 0/1 3x3 matrix, primitive with networkx there; on random
+      matrices with entries 0-2 all three flags agree with networkx, and
+      reach_exact(n) is the zero pattern of ratmat.mat_pow(A, n)
     - perron_data: eigenvalue, eigenvector residual, entropy in nats,
       including the periodic (irreducible, non-primitive) case
     - dimension_data: exact restricted action, rank, inverse, rho_minus
@@ -19,8 +21,10 @@ Claims covered:
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftlab import ratmat
 from sftlab.errors import NilpotentMatrix, ReducibleInput, WindowBudgetExceeded
@@ -166,6 +170,38 @@ def test_flags_match_reachability_on_all_3x3_zero_one_matrices():
         shift = build_edge_shift(m)
         assert shift.irreducible == all(map(all, reach)), m
         assert shift.positive_entropy == two_cycles, m
+        g = nx.from_numpy_array(np.array(m), create_using=nx.DiGraph)
+        assert shift.primitive == (nx.is_strongly_connected(g) and nx.is_aperiodic(g)), m
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+)
+def test_flags_and_reach_match_networkx_and_matrix_powers(m):
+    if not any(map(any, m)):
+        return  # the zero matrix presents no shift
+    shift = build_edge_shift(m)
+    g = nx.from_numpy_array(np.array(m), parallel_edges=True, create_using=nx.MultiDiGraph)
+    strong = nx.is_strongly_connected(g)
+    assert shift.irreducible == strong
+    assert shift.primitive == (strong and nx.is_aperiodic(g))
+    # positive entropy iff some component has more edges than states
+    assert shift.positive_entropy == any(
+        g.subgraph(c).number_of_edges() > len(c) for c in nx.strongly_connected_components(g)
+    )
+    for n in range(7):
+        power = ratmat.mat_pow(m, n)
+        assert shift.reach_exact(n) == tuple(tuple(x > 0 for x in row) for row in power)
+
+
+def test_reach_exact_rejects_negative_lengths():
+    with pytest.raises(ValueError):
+        build_edge_shift(GOLDEN).reach_exact(-1)
 
 
 def test_shift_equality_is_by_matrix():

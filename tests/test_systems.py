@@ -1,6 +1,7 @@
 """System files: parsing with located errors, and save/load round-trips."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -119,10 +120,12 @@ def test_load_rejects_unknown_top_level_keys(tmp_path):
 
 
 def test_load_validates_tol_and_budget(tmp_path):
-    path = write_doc(tmp_path, {"shift": {"full_shift": 2}, "tol": -1})
-    with pytest.raises(ParseError) as info:
-        load_system_file(path)
-    assert info.value.location == "$.tol"
+    # json writes NaN and Infinity, and reads them back as floats
+    for tol in (-1, math.nan, math.inf):
+        path = write_doc(tmp_path, {"shift": {"full_shift": 2}, "tol": tol})
+        with pytest.raises(ParseError) as info:
+            load_system_file(path)
+        assert info.value.location == "$.tol"
     path = write_doc(tmp_path, {"shift": {"full_shift": 2}, "budget": 0})
     with pytest.raises(ParseError) as info:
         load_system_file(path)
