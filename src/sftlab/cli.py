@@ -226,15 +226,15 @@ def _cmd_spectra_search(args):
     return 0
 
 
-def _at_least(low):
-    """argparse type: an integer no smaller than ``low``."""
+def _at_least(low, kind=int):
+    """argparse type: a finite number of ``kind`` no smaller than ``low``."""
 
-    def integer(text):
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+    def number(text):
+        if not low <= kind(text) < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
+        return kind(text)
 
-    return integer
+    return number
 
 
 def _tolerance(text):
@@ -286,9 +286,9 @@ def _build_parser():
 
     search = spectra_sub.add_parser("search", help="search for a primitive realization")
     search.add_argument("--poly", required=True)
-    search.add_argument("--max-size", type=int, default=6, dest="max_size")
-    search.add_argument("--max-entry", type=int, default=8, dest="max_entry")
-    search.add_argument("--budget", type=float, default=1e7)
+    search.add_argument("--max-size", type=_at_least(1), default=6, dest="max_size")
+    search.add_argument("--max-entry", type=_at_least(1), default=8, dest="max_entry")
+    search.add_argument("--budget", type=_at_least(0, float), default=1e7)
     search.add_argument("--json", dest="json_path", default=None)
     search.set_defaults(func=_cmd_spectra_search)
 

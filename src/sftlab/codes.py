@@ -13,6 +13,7 @@ identity in both orders.
 """
 
 from collections.abc import ItemsView, Mapping
+import functools
 import itertools
 import math
 import os
@@ -327,6 +328,19 @@ class Automorphism:
             return power(self.forward, n, budget=budget)
         return power(self.inverse, -n, budget=budget)
 
+    @functools.cached_property
+    def tracks(self):
+        """The automorphisms this one is the coordinatewise product of, read
+        once from the recorded factors of its shift and split further when
+        they are products themselves; ``(self,)`` when the codes do not
+        factor."""
+        fwd = factor_product_code(self.forward)
+        inv = None if fwd is None else factor_product_code(self.inverse)
+        if inv is None:
+            return (self,)
+        factors = (Automorphism(f, i, {"method": "track"}) for f, i in zip(fwd, inv))
+        return tuple(t for factor in factors for t in factor.tracks)
+
     def inverse_automorphism(self):
         cert = dict(self.certificate)
         cert["inverted"] = not cert.get("inverted", False)
@@ -499,19 +513,14 @@ def factor_product_code(code):
 
 
 def recognized_exponents(auto):
-    """The paper's exact cases, recognized from the forward rule.
+    """The paper's exact cases, recognized track by track.
 
-    Returns ("shift-power", ((shift, s),)) when the rule is exactly sigma^s,
-    ("product", ((left track, s1), (right track, s2))) when it is
-    sigma^s1 x sigma^s2 on a recorded product, and None otherwise.
+    Returns (kind, ((track shift, s), ...)) when every track's forward rule
+    is exactly a shift power sigma^s, and None otherwise.  The kind is
+    "shift-power" when all exponents agree, so the rule is sigma^s itself,
+    and "product" when they differ.
     """
-    s = shift_power_of(auto.forward)
-    if s is not None:
-        return ("shift-power", ((auto.shift, s),))
-    factors = factor_product_code(auto.forward)
-    if factors is None:
-        return None
-    tracks = tuple((f.source, shift_power_of(f)) for f in factors)
+    tracks = tuple((t.shift, shift_power_of(t.forward)) for t in auto.tracks)
     if any(s is None for _, s in tracks):
         return None
-    return ("product", tracks)
+    return ("shift-power" if len({s for _, s in tracks}) == 1 else "product", tracks)

@@ -14,7 +14,7 @@ inequalities W^-(n,phi) + W^-(n,phi^-1) <= 0, W^+(n,phi) + W^+(n,phi^-1)
 an uncoded coordinate, the bracket endpoint is forced exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +25,7 @@ from .codes import (
     iterates,
     recognized_exponents,
     resolve_budget,
+    shift_power_of,
 )
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .shifts import transpose_shift
@@ -56,13 +57,9 @@ def coded_minus(code, j):
         return True
     # window fully to the right of 0: the two points diverge at coordinate 1
     # from a common state, reaching the window starts by paths of equal length
-    ell = j - m - 1
-    reach = shift.reach_exact(ell)
-    by_start = _outputs_by_state(code, lambda cols: shift.edge_sources[cols[0]])
-    return all(
-        len(set().union(*(by_start[t] for t in by_start if reach[s][t]))) <= 1
-        for s in range(shift.k)
-    )
+    reach = np.array(shift.reach_exact(j - m - 1))
+    seen = reach @ _presence(code, lambda cols: shift.edge_sources[cols[0]])
+    return bool(np.all(seen.sum(axis=1) <= 1))  # one output per common state
 
 
 def coded_plus(code, j):
@@ -90,25 +87,18 @@ def coded_plus(code, j):
             if not np.array_equal(out, code.column[block[states] + offsets]):
                 return False
         return True
-    ell = -(j + a) - 1
-    reach = shift.reach_exact(ell)
-    by_end = _outputs_by_state(code, lambda cols: shift.edge_targets[cols[-1]])
-    return all(
-        len(set().union(*(by_end[t] for t in by_end if reach[t][s]))) <= 1
-        for s in range(shift.k)
-    )
+    reach = np.array(shift.reach_exact(-(j + a) - 1))
+    seen = reach.T @ _presence(code, lambda cols: shift.edge_targets[cols[-1]])
+    return bool(np.all(seen.sum(axis=1) <= 1))
 
 
-def _outputs_by_state(code, state_of):
-    """For each state, the set of outputs on the windows that
-    ``state_of(cols)`` assigns to it."""
-    n = code.target.n_edges
-    by_state = {}
+def _presence(code, state_of):
+    """k x n_edges booleans: which outputs occur on the windows that
+    ``state_of(cols)`` assigns to each state."""
+    presence = np.zeros((code.source.k, code.target.n_edges), dtype=bool)
     for start, cols in code.source.ranked_words(code.window):
-        out = code.column[start : start + len(cols[0])]
-        for pair in np.unique(state_of(cols) * n + out).tolist():
-            by_state.setdefault(pair // n, set()).add(pair % n)
-    return by_state
+        presence[state_of(cols), code.column[start : start + len(cols[0])]] = True
+    return presence
 
 
 # -- literal-definition oracles (small systems only; used to guard the
@@ -193,7 +183,29 @@ def w_values(auto, n, budget=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = resolve_budget(budget)
-    return _scan_w(n, auto.power(n, budget=budget), auto.power(-n, budget=budget))
+    return _combined([
+        _scan_w(n, track.power(n, budget=budget), track.power(-n, budget=budget))
+        for track in _scanned_tracks(auto)
+    ])
+
+
+def _scanned_tracks(auto):
+    """The tracks whose W values make up the automorphism's.  A half-line
+    codes coordinate j of a product iff it codes j on every track, and the
+    tracks vary independently, so W^- is the tracks' min and W^+ their max.
+    The tracks of an irreducible product are irreducible, so one of zero
+    entropy is a single cycle, on which a half-line codes every coordinate:
+    it bounds nothing."""
+    if len(auto.tracks) == 1:
+        return auto.tracks
+    _require_scannable(auto.shift)
+    return [track for track in auto.tracks if track.shift.positive_entropy]
+
+
+def _combined(per_track):
+    """W values of a product from the same n's values on its tracks."""
+    n, minus, plus, minus_inv, plus_inv = zip(*map(astuple, per_track))
+    return WValues(n[0], min(minus), max(plus), min(minus_inv), max(plus_inv))
 
 
 def _scan_w(n, fwd, inv):
@@ -231,13 +243,7 @@ class CodingRangeProfile:
 
     def at(self, n):
         i = n - 1
-        return WValues(
-            n=n,
-            minus=self.w_minus[i],
-            plus=self.w_plus[i],
-            minus_inv=self.w_minus_inv[i],
-            plus_inv=self.w_plus_inv[i],
-        )
+        return WValues(n, self.w_minus[i], self.w_plus[i], self.w_minus_inv[i], self.w_plus_inv[i])
 
     def inverse(self):
         """The profile of phi^-1: the roles of phi and phi^-1 swap."""
@@ -253,47 +259,35 @@ class CodingRangeProfile:
 
 
 def coding_range_profile(auto, n_max, budget=None):
-    """W values at n = 1..n_max, walking phi^n and phi^-n in lockstep so
-    each iterate is built once, from the one before."""
+    """W values at n = 1..n_max, from the tracks' (:func:`_scanned_tracks`).
+    Each track walks phi^n and phi^-n in lockstep, so each iterate is built
+    once, from the one before, on the track's own shift."""
     budget = resolve_budget(budget)
-    forward = iterates(auto.forward, budget)
-    inverse = iterates(auto.inverse, budget)
-    next(forward), next(inverse)  # phi^0
-    vals = list(map(_scan_w, range(1, n_max + 1), forward, inverse))
-    wm = tuple(v.minus for v in vals)
-    wp = tuple(v.plus for v in vals)
-    wmi = tuple(v.minus_inv for v in vals)
-    wpi = tuple(v.plus_inv for v in vals)
-    # proved shape constraints; failing any is a library bug
-    for seq, label, super_add in (
-        (wm, "W^-(phi)", True),
-        (wmi, "W^-(phi^-1)", True),
-        (wp, "W^+(phi)", False),
-        (wpi, "W^+(phi^-1)", False),
+    walks = []
+    for track in _scanned_tracks(auto):
+        forward = iterates(track.forward, budget)
+        inverse = iterates(track.inverse, budget)
+        next(forward), next(inverse)  # phi^0
+        walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
+    vals = [_combined(per_track) for per_track in zip(*walks)]
+    wm, wp, wmi, wpi = (
+        tuple(getattr(v, field) for v in vals)
+        for field in ("minus", "plus", "minus_inv", "plus_inv")
+    )
+    # proved shape constraints (W^- superadditive, W^+ subadditive); failing
+    # any is a library bug
+    for seq, label, sign in (
+        (wm, "W^-(phi)", 1), (wmi, "W^-(phi^-1)", 1),
+        (wp, "W^+(phi)", -1), (wpi, "W^+(phi^-1)", -1),
     ):
         for p in range(1, n_max + 1):
             for q in range(1, n_max + 1 - p):
-                lhs = seq[p + q - 1]
-                rhs = seq[p - 1] + seq[q - 1]
-                if super_add and lhs < rhs:
-                    raise InternalInvariantViolation(
-                        f"{label} not superadditive at {p}+{q}"
-                    )
-                if not super_add and lhs > rhs:
-                    raise InternalInvariantViolation(
-                        f"{label} not subadditive at {p}+{q}"
-                    )
+                if sign * (seq[p + q - 1] - seq[p - 1] - seq[q - 1]) < 0:
+                    kind = "superadditive" if sign > 0 else "subadditive"
+                    raise InternalInvariantViolation(f"{label} not {kind} at {p}+{q}")
     a_minus = tuple(abs(wmi[i]) - wm[i] for i in range(n_max))
     a_plus = tuple(abs(wm[i]) - wmi[i] for i in range(n_max))
-    return CodingRangeProfile(
-        n_max=n_max,
-        w_minus=wm,
-        w_plus=wp,
-        w_minus_inv=wmi,
-        w_plus_inv=wpi,
-        a_minus=a_minus,
-        a_plus=a_plus,
-    )
+    return CodingRangeProfile(n_max, wm, wp, wmi, wpi, a_minus, a_plus)
 
 
 @dataclass(frozen=True)
@@ -330,35 +324,20 @@ def _argbest(values, best):
 def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     if profile is None:
         profile = coding_range_profile(auto, n_max, budget=budget)
-    n_max = profile.n_max
-    lo_m_n, lo_m = _argbest(
-        [Fraction(profile.w_minus[i], i + 1) for i in range(n_max)], max
-    )
-    hi_m_n, hi_m = _argbest(
-        [Fraction(-profile.w_minus_inv[i], i + 1) for i in range(n_max)], min
-    )
-    lo_p_n, lo_p = _argbest(
-        [Fraction(-profile.w_plus_inv[i], i + 1) for i in range(n_max)], max
-    )
-    hi_p_n, hi_p = _argbest(
-        [Fraction(profile.w_plus[i], i + 1) for i in range(n_max)], min
-    )
+    lo_m_n, lo_m = _argbest([Fraction(w, n) for n, w in enumerate(profile.w_minus, 1)], max)
+    hi_m_n, hi_m = _argbest([Fraction(-w, n) for n, w in enumerate(profile.w_minus_inv, 1)], min)
+    lo_p_n, lo_p = _argbest([Fraction(-w, n) for n, w in enumerate(profile.w_plus_inv, 1)], max)
+    hi_p_n, hi_p = _argbest([Fraction(w, n) for n, w in enumerate(profile.w_plus, 1)], min)
     method = "interval"
     recognized = recognized_exponents(auto)
     if recognized is not None:
-        kind, tracks = recognized
-        exps = tuple(s for _, s in tracks)
-        am = Fraction(min(-s for s in exps))
-        ap = Fraction(max(-s for s in exps))
-        for i in range(n_max):
-            n = i + 1
-            ok = (
-                profile.w_minus[i] == n * am
-                and profile.w_plus[i] == n * ap
-                and profile.w_minus_inv[i] == n * min(s for s in exps)
-                and profile.w_plus_inv[i] == n * max(s for s in exps)
-            )
-            if not ok:
+        kind = recognized[0]
+        exps = tuple(shift_power_of(track.forward) for track in _scanned_tracks(auto))
+        am, ap = Fraction(-max(exps)), Fraction(-min(exps))
+        # the slopes of W^-, W^+ for phi, then for phi^-1
+        exact = (am, ap, min(exps), max(exps))
+        for n in range(1, profile.n_max + 1):
+            if astuple(profile.at(n))[1:] != tuple(n * e for e in exact):
                 raise InternalInvariantViolation(
                     f"recognized {kind} exponents {exps} contradict W data at n={n}"
                 )

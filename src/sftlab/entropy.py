@@ -19,6 +19,7 @@ from .codes import (
     iterates,
     recognized_exponents,
     resolve_budget,
+    shift_power_of,
     verify_automorphism,
 )
 from .errors import NotInvariant, ZeroMatrix
@@ -38,35 +39,30 @@ class ColumnCensus:
     method: str
 
 
-def _track_window_count(track_shift, w, n, s):
-    """Words revealed by n sliding windows of a shift power on one track."""
-    span = 2 * w + 1 + abs(s) * (n - 1)
-    return count_words(track_shift, span)
-
-
 def column_census(auto, w, n, budget=None):
-    """Census of spacetime columns, by closed form when the rule is a
-    recognized shift power (windows must overlap track by track), else by
-    exact enumeration over the dependence window."""
+    """Census of spacetime columns.  The columns of a coordinatewise product
+    are the pairs of its tracks' columns, so the count is the product of
+    the tracks' counts.  A track whose rule is a shift power is counted by
+    closed form (its windows, overlapping, reveal a word of the track's
+    shift), any other by exact enumeration over the dependence window."""
     if w < 0 or n < 1:
         raise ValueError("need w >= 0 and n >= 1")
     budget = resolve_budget(budget)
-    recognized = recognized_exponents(auto)
-    if recognized is not None and all(abs(s) <= 2 * w + 1 for _, s in recognized[1]):
-        count = math.prod(
-            _track_window_count(track, w, n, s) for track, s in recognized[1]
-        )
-        certified, method = True, "product-form"
-    else:
-        count = _distinct_windows(auto, n, 2 * w + 1, True, budget)
-        certified, method = False, "enumeration"
+    count, certified = 1, True
+    for track in auto.tracks:
+        s = shift_power_of(track.forward)
+        if s is not None and abs(s) <= 2 * w + 1:
+            count *= count_words(track.shift, 2 * w + 1 + abs(s) * (n - 1))
+        else:
+            count *= _distinct_windows(track, n, 2 * w + 1, True, budget)
+            certified = False
     return ColumnCensus(
         w=w,
         n=n,
         count=count,
         estimate=math.log(count) / n,
         certified=certified,
-        method=method,
+        method="product-form" if certified else "enumeration",
     )
 
 
@@ -94,8 +90,17 @@ def _distinct_windows(auto, count, width, ordered, budget):
             rows.sort(axis=1)
             rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
             rows.sort(axis=1)
-        found.append(np.unique(rows, axis=0))
-    return len(np.unique(np.concatenate(found), axis=0))
+        found.append(_distinct_rows(rows))
+    return len(_distinct_rows(np.concatenate(found)))
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-d integer array, by a lexicographic sort
+    and a comparison of neighbours."""
+    rows = rows[np.lexsort(rows.T)]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
 
 
 def c_phi_count(auto, n, budget=None):
@@ -181,8 +186,8 @@ def restrict_to_subsystem(auto, allowed_edges, budget=None):
 
 
 def exact_entropy_of(auto):
-    """Exact h_top of the automorphism when its rule is a recognized (product
-    of) shift power(s): the sum of |exponent| times the track entropy; None
+    """Exact h_top of the automorphism when every track's rule is a shift
+    power: entropies of tracks add, and h(sigma^s) = |s| h(sigma); None
     otherwise."""
     recognized = recognized_exponents(auto)
     if recognized is None:

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: output, JSON artifacts, exit codes."""
 
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
 from sftlab import cli
-from sftlab.builtins import make_builtin
+from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.cli import main
 from sftlab.codes import identity_code, verify_automorphism
 from sftlab.shifts import build_edge_shift, dimension_data
@@ -103,6 +106,35 @@ def test_analyze_dimension_failure_marks_every_automorphism(tmp_path, capsys):
         record = records[f"{name}/dimension-action"]
         assert record["status"] == "Inconclusive"
         assert record["detail"] == "perron_data needs an irreducible matrix"
+
+
+def test_analyze_golden_times_cycle_identity(tmp_path, capsys):
+    # a product with a zero-entropy track; its exponent must not enter the
+    # exact slopes
+    _, sigma = make_builtin("shift", {"shift": build_edge_shift([[1, 1], [1, 0]])})
+    _, ident = make_builtin("identity", {"shift": build_edge_shift([[0, 1], [1, 0]])})
+    shift, auto = product_automorphism(sigma, ident)
+    path = tmp_path / "golden_x_cycle.json"
+    save_system(path, shift, {"g": auto})
+    json_path = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--w", "1", "--json", str(json_path)]) == 0
+    records = {r["name"]: r for r in json.loads(json_path.read_text())["records"]}
+    assert records["g/lyapunov"]["detail"].startswith("method=exact-product")
+    assert all(r["status"] == "Confirmed" for r in records.values())
+
+
+def test_acceptance_leaves_numpy_ma_unimported():
+    # numpy loads numpy.ma lazily, e.g. from np.unique; sftlab has no use for it
+    script = (
+        "import sys; from sftlab.cli import main; main(['suite', 'acceptance']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_analyze_census_option(tau_file, tmp_path):
@@ -208,6 +240,10 @@ def test_suite_profile(capsys):
         ["suite", "spectra", "--N", "-3"],
         ["suite", "acceptance", "--tol", "-1"],
         ["spectra", "check", "--poly", "[1,-5,-6,1]", "--N", "0"],
+        ["spectra", "search", "--poly", "[1,-5,-6,1]", "--budget", "nan"],
+        ["spectra", "search", "--poly", "[1,-5,-6,1]", "--budget", "-5"],
+        ["spectra", "search", "--poly", "[1,-5,-6,1]", "--max-size", "-1"],
+        ["spectra", "search", "--poly", "[1,-5,-6,1]", "--max-entry", "-1"],
     ],
 )
 def test_bad_numeric_options_are_usage_errors(tau_file, capsys, argv):

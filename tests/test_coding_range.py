@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from sftlab.builtins import DEFAULT_SUITE, make_builtin, shift_builtin
+from sftlab.builtins import DEFAULT_SUITE, make_builtin, product_automorphism, shift_builtin
 from sftlab.coding_range import (
     coded_minus,
     coded_minus_naive,
@@ -126,6 +126,19 @@ def test_tau_slopes_exact_product():
     b = lyapunov_bounds(auto, 4)
     assert b.alpha_minus == (Fraction(0), Fraction(0))
     assert b.alpha_plus == (Fraction(1), Fraction(1))
+    assert b.method == "exact-product"
+
+
+def test_golden_times_cycle_slopes_are_exact():
+    # the identity on a 2-cycle is a zero-entropy track, which codes every
+    # coordinate: only the golden track's exponent enters the slopes
+    _, sigma = make_builtin("shift", {"shift": shift_builtin("golden_mean")})
+    _, ident = make_builtin("identity", {"shift": build_edge_shift([[0, 1], [1, 0]])})
+    prod, auto = product_automorphism(sigma, ident)
+    assert prod.irreducible and prod.positive_entropy
+    assert coding_range_profile(auto, 3).w_minus == (-1, -2, -3)
+    b = lyapunov_bounds(auto, 3)
+    assert b.alpha_minus == b.alpha_plus == (Fraction(-1), Fraction(-1))
     assert b.method == "exact-product"
 
 
