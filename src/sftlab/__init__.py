@@ -7,6 +7,8 @@ on the eventual-range group, and run the spectral checks and verification
 suites from the command line via ``sftlab``.
 """
 
+import types
+
 from .shifts import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
@@ -100,83 +102,9 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACCEPTANCE_CRITERIA",
-    "Automorphism",
-    "Beam",
-    "CheckRecord",
-    "CodingRangeProfile",
-    "ColumnCensus",
-    "DEFAULT_BUDGET",
-    "DEFAULT_SUITE",
-    "DEFAULT_TOL",
-    "DimensionAction",
-    "DimensionData",
-    "EdgeShift",
-    "InconsistentSystem",
-    "IntPolynomial",
-    "InternalInvariantViolation",
-    "LyapunovBounds",
-    "NonMonic",
-    "NotInverse",
-    "NotInvertibleWithin",
-    "NotPrimitive",
-    "ParseError",
-    "PerronData",
-    "PreconditionFailed",
-    "Ray",
-    "Report",
-    "SUITE_NAMES",
-    "SftlabError",
-    "SlidingBlockCode",
-    "SpectralConditionsReport",
-    "SystemFile",
-    "UnknownBuiltin",
-    "WindowBudgetExceeded",
-    "ZeroConstantTerm",
-    "automorphism_power",
-    "build_edge_shift",
-    "c_phi_count",
-    "canonical_zero_ray",
-    "check_conditions",
-    "codes_equal",
-    "coding_range_profile",
-    "column_census",
-    "compose",
-    "compose_automorphisms",
-    "count_words",
-    "dimension_data",
-    "dimension_matrix",
-    "distortion_spectrum_check",
-    "exact_entropy_of",
-    "identity_code",
-    "infer_inverse",
-    "inverse_shift_code",
-    "kronecker_product",
-    "load_system",
-    "load_system_file",
-    "lyapunov_bounds",
-    "make_builtin",
-    "net_trace",
-    "pad_code",
-    "perron_data",
-    "power",
-    "power_traces",
-    "product_code",
-    "resolve_budget",
-    "restrict_to_subsystem",
-    "reverse_automorphism",
-    "run_criterion",
-    "run_suite",
-    "save_system",
-    "search_primitive_realization",
-    "shift_code",
-    "theta",
-    "transpose_shift",
-    "unstable_measure",
-    "verify_automorphism",
-    "verify_eb_failure",
-    "verify_entropy_bound",
-    "verify_main_bounds",
-    "w_values",
-]
+# every name imported above, so the list cannot drift from the imports
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

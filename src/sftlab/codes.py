@@ -344,7 +344,12 @@ class Automorphism:
     def inverse_automorphism(self):
         cert = dict(self.certificate)
         cert["inverted"] = not cert.get("inverted", False)
-        return Automorphism(self.inverse, self.forward, cert)
+        inv = Automorphism(self.inverse, self.forward, cert)
+        if "tracks" in self.__dict__:  # already split: invert the split
+            inv.__dict__["tracks"] = (inv,) if self.tracks == (self,) else tuple(
+                t.inverse_automorphism() for t in self.tracks
+            )
+        return inv
 
     def __repr__(self):
         return (

@@ -25,7 +25,6 @@ from .codes import (
     iterates,
     recognized_exponents,
     resolve_budget,
-    shift_power_of,
 )
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .shifts import transpose_shift
@@ -178,15 +177,20 @@ class WValues:
     plus_inv: int
 
 
-def w_values(auto, n, budget=None):
-    """Exact W^-(n, phi), W^+(n, phi) and the same for phi^-1."""
+def w_values(auto, n, budget=None, forward=None):
+    """Exact W^-(n, phi), W^+(n, phi) and the same for phi^-1.  ``forward``
+    is the code of phi^n when the caller has built it already; it is used
+    when the automorphism is its own single track."""
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = resolve_budget(budget)
-    return _combined([
-        _scan_w(n, track.power(n, budget=budget), track.power(-n, budget=budget))
-        for track in _scanned_tracks(auto)
-    ])
+    per_track = []
+    for track in _scanned_tracks(auto):
+        fwd = forward if track is auto else None
+        if fwd is None:
+            fwd = track.power(n, budget=budget)
+        per_track.append(_scan_w(n, fwd, track.power(-n, budget=budget)))
+    return _combined(per_track)
 
 
 def _scanned_tracks(auto):
@@ -243,7 +247,13 @@ class CodingRangeProfile:
 
     def at(self, n):
         i = n - 1
-        return WValues(n, self.w_minus[i], self.w_plus[i], self.w_minus_inv[i], self.w_plus_inv[i])
+        return WValues(
+            n=n,
+            minus=self.w_minus[i],
+            plus=self.w_plus[i],
+            minus_inv=self.w_minus_inv[i],
+            plus_inv=self.w_plus_inv[i],
+        )
 
     def inverse(self):
         """The profile of phi^-1: the roles of phi and phi^-1 swap."""
@@ -270,24 +280,40 @@ def coding_range_profile(auto, n_max, budget=None):
         next(forward), next(inverse)  # phi^0
         walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
     vals = [_combined(per_track) for per_track in zip(*walks)]
-    wm, wp, wmi, wpi = (
-        tuple(getattr(v, field) for v in vals)
-        for field in ("minus", "plus", "minus_inv", "plus_inv")
-    )
-    # proved shape constraints (W^- superadditive, W^+ subadditive); failing
-    # any is a library bug
-    for seq, label, sign in (
-        (wm, "W^-(phi)", 1), (wmi, "W^-(phi^-1)", 1),
-        (wp, "W^+(phi)", -1), (wpi, "W^+(phi^-1)", -1),
+    wm = tuple(v.minus for v in vals)
+    wp = tuple(v.plus for v in vals)
+    wmi = tuple(v.minus_inv for v in vals)
+    wpi = tuple(v.plus_inv for v in vals)
+    # proved shape constraints; failing any is a library bug
+    for seq, label, super_add in (
+        (wm, "W^-(phi)", True),
+        (wmi, "W^-(phi^-1)", True),
+        (wp, "W^+(phi)", False),
+        (wpi, "W^+(phi^-1)", False),
     ):
         for p in range(1, n_max + 1):
             for q in range(1, n_max + 1 - p):
-                if sign * (seq[p + q - 1] - seq[p - 1] - seq[q - 1]) < 0:
-                    kind = "superadditive" if sign > 0 else "subadditive"
-                    raise InternalInvariantViolation(f"{label} not {kind} at {p}+{q}")
+                lhs = seq[p + q - 1]
+                rhs = seq[p - 1] + seq[q - 1]
+                if super_add and lhs < rhs:
+                    raise InternalInvariantViolation(
+                        f"{label} not superadditive at {p}+{q}"
+                    )
+                if not super_add and lhs > rhs:
+                    raise InternalInvariantViolation(
+                        f"{label} not subadditive at {p}+{q}"
+                    )
     a_minus = tuple(abs(wmi[i]) - wm[i] for i in range(n_max))
     a_plus = tuple(abs(wm[i]) - wmi[i] for i in range(n_max))
-    return CodingRangeProfile(n_max, wm, wp, wmi, wpi, a_minus, a_plus)
+    return CodingRangeProfile(
+        n_max=n_max,
+        w_minus=wm,
+        w_plus=wp,
+        w_minus_inv=wmi,
+        w_plus_inv=wpi,
+        a_minus=a_minus,
+        a_plus=a_plus,
+    )
 
 
 @dataclass(frozen=True)
@@ -324,20 +350,36 @@ def _argbest(values, best):
 def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     if profile is None:
         profile = coding_range_profile(auto, n_max, budget=budget)
-    lo_m_n, lo_m = _argbest([Fraction(w, n) for n, w in enumerate(profile.w_minus, 1)], max)
-    hi_m_n, hi_m = _argbest([Fraction(-w, n) for n, w in enumerate(profile.w_minus_inv, 1)], min)
-    lo_p_n, lo_p = _argbest([Fraction(-w, n) for n, w in enumerate(profile.w_plus_inv, 1)], max)
-    hi_p_n, hi_p = _argbest([Fraction(w, n) for n, w in enumerate(profile.w_plus, 1)], min)
+    n_max = profile.n_max
+    lo_m_n, lo_m = _argbest(
+        [Fraction(profile.w_minus[i], i + 1) for i in range(n_max)], max
+    )
+    hi_m_n, hi_m = _argbest(
+        [Fraction(-profile.w_minus_inv[i], i + 1) for i in range(n_max)], min
+    )
+    lo_p_n, lo_p = _argbest(
+        [Fraction(-profile.w_plus_inv[i], i + 1) for i in range(n_max)], max
+    )
+    hi_p_n, hi_p = _argbest(
+        [Fraction(profile.w_plus[i], i + 1) for i in range(n_max)], min
+    )
     method = "interval"
     recognized = recognized_exponents(auto)
     if recognized is not None:
-        kind = recognized[0]
-        exps = tuple(shift_power_of(track.forward) for track in _scanned_tracks(auto))
-        am, ap = Fraction(-max(exps)), Fraction(-min(exps))
-        # the slopes of W^-, W^+ for phi, then for phi^-1
-        exact = (am, ap, min(exps), max(exps))
-        for n in range(1, profile.n_max + 1):
-            if astuple(profile.at(n))[1:] != tuple(n * e for e in exact):
+        kind, tracks = recognized
+        # zero-entropy tracks are left out of W (see _scanned_tracks)
+        exps = tuple(s for shift, s in tracks if shift.positive_entropy)
+        am = Fraction(min(-s for s in exps))
+        ap = Fraction(max(-s for s in exps))
+        for i in range(n_max):
+            n = i + 1
+            ok = (
+                profile.w_minus[i] == n * am
+                and profile.w_plus[i] == n * ap
+                and profile.w_minus_inv[i] == n * min(s for s in exps)
+                and profile.w_plus_inv[i] == n * max(s for s in exps)
+            )
+            if not ok:
                 raise InternalInvariantViolation(
                     f"recognized {kind} exponents {exps} contradict W data at n={n}"
                 )

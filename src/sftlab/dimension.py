@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ratmat
 from .codes import resolve_budget
-from .coding_range import _scan_w, lyapunov_bounds
+from .coding_range import lyapunov_bounds, w_values
 from .errors import (
     InconsistentSystem,
     InternalInvariantViolation,
@@ -227,7 +227,7 @@ def apply_automorphism_to_ray(auto, n, ray, budget=None):
     budget = resolve_budget(budget)
     code = auto.power(n, budget=budget)
     mem, ant = code.memory, code.anticipation
-    wv = _scan_w(n, code, auto.power(-n, budget=budget))
+    wv = w_values(auto, n, budget=budget, forward=code)
     level_out = -wv.minus_inv
     w_fwd = wv.minus
     p = len(ray.cycle)

@@ -35,4 +35,6 @@ def _json_value(value):
         return format_fraction(value)
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     return value

@@ -124,7 +124,7 @@ class Report:
             "exit_code": self.exit_code,
         }
         if self.payload:
-            doc["payload"] = _json_value_deep(self.payload)
+            doc["payload"] = _json_value(self.payload)
         return doc
 
     def to_json(self, mask_runtime=False):
@@ -143,14 +143,6 @@ class Report:
         lines.append(f"summary: {len(self.records)} checks -- {summary}")
         lines.append(f"exit code: {self.exit_code}")
         return "\n".join(lines)
-
-
-def _json_value_deep(obj):
-    if isinstance(obj, dict):
-        return {k: _json_value_deep(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_value_deep(v) for v in obj]
-    return _json_value(obj)
 
 
 def _cell(value):

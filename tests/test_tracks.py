@@ -14,7 +14,10 @@ Claims covered:
       permutations and identities, the track path and the flat path give
       equal W profiles for n <= 3 and equal census counts for w <= 1, n <= 2
     - exact_entropy_of is the sum over the tracks of |s| log(rho)
-    - each direction of an automorphism is factored once
+    - each direction of an automorphism is factored once, also when the
+      automorphism is inverted
+    - the ray image on a product reads W from the tracks and builds phi^n
+      once on the product shift, and phi^-n not at all
 """
 
 import math
@@ -27,6 +30,7 @@ from sftlab import codes
 from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.codes import Automorphism, SlidingBlockCode, automorphism_power
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
+from sftlab.dimension import apply_automorphism_to_ray, canonical_zero_ray
 from sftlab.entropy import column_census, exact_entropy_of
 from sftlab.shifts import build_edge_shift
 
@@ -129,5 +133,24 @@ def test_each_direction_is_factored_once(monkeypatch):
     lyapunov_bounds(auto, 3, profile=profile)
     column_census(auto, 1, 2)
     exact_entropy_of(auto)
+    inv = auto.inverse_automorphism()
+    lyapunov_bounds(inv, 3)
+    lyapunov_bounds(inv.inverse_automorphism(), 3)
+    assert [t.forward for t in inv.tracks] == [t.inverse for t in auto.tracks]
     assert auto.forward in factored and auto.inverse in factored
     assert len({id(code) for code in factored}) == len(factored)
+
+
+def test_ray_image_on_a_product_reads_w_from_the_tracks(monkeypatch):
+    built = []
+    real = Automorphism.power
+
+    def recorded(self, n, budget=None):
+        built.append((self.shift, n))
+        return real(self, n, budget=budget)
+
+    monkeypatch.setattr(Automorphism, "power", recorded)
+    _, auto = make_builtin("sigma_x_sigma_inv")
+    apply_automorphism_to_ray(auto, 2, canonical_zero_ray(auto.shift, 0))
+    on_product = [n for shift, n in built if shift == auto.shift]
+    assert on_product == [2]
