@@ -163,9 +163,14 @@ class SlidingBlockCode:
                 f"need at least {self.window} edges, got {len(word)}"
             )
         self.source.check_admissible(word)
+        if not all(0 <= e < self.source.n_edges for e in word):
+            raise KeyError(tuple(word))
+        # the windows stacked as rows: column i holds edge i of every window,
+        # so one gather reads all the outputs
         w = self.window
-        rule = self.rule
-        return tuple(rule[tuple(word[i : i + w])] for i in range(len(word) - w + 1))
+        rows = len(word) - w + 1
+        edges = np.array(word, dtype=np.intp)
+        return tuple(self.outputs(tuple(edges[i : i + rows] for i in range(w))).tolist())
 
     def __repr__(self):
         return (

@@ -36,6 +36,10 @@ DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 5 * 10**7
 
 #: Words per chunk when an enumeration runs over edge arrays (ranked_words).
+#: A length whose words fit in one chunk is enumerated once per shift and
+#: kept (EdgeShift's one-chunk memo): at most WORD_CHUNK x length int64
+#: cells per length, plus the word tuples once words() has asked for them.
+#: Longer lengths stream chunk by chunk and keep nothing.
 WORD_CHUNK = 1 << 14
 
 #: Ranks are int64; word counts at or above this do not fit.
@@ -60,6 +64,13 @@ class EdgeShift:
     - ``primitive``: A^((k-1)^2+1) > 0, Wielandt's bound on the primitivity
       exponent of a k x k matrix (Wielandt 1950);
     - ``reach_exact(n)``: the pattern of A^n.
+
+    Next to the rank tables and the reach patterns, a shift keeps each word
+    length it has enumerated whose words fit in one chunk (at most
+    WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only,
+    and the word tuples built from them the first time :meth:`words` asks.
+    A length costs at most WORD_CHUNK x length int64 cells plus its tuples;
+    longer lengths are streamed anew on every walk.
     """
 
     def __init__(self, matrix):
@@ -80,6 +91,7 @@ class EdgeShift:
         self.edge_targets = np.array([t for _, t, _ in edges], dtype=np.intp)
         self._reach = {}
         self._ranking = []  # rank tables by tail length, see _rank_tables
+        self._one_chunk = {}  # length -> [edge columns, word tuples or None]
         self._paths = [1] * self.k  # paths from each state, next tail length
         a = np.array(self.matrix, dtype=np.int64)
         self._adjacency = a > 0
@@ -129,11 +141,20 @@ class EdgeShift:
         """Yield all admissible words of ``length`` edges, lexicographically
         by edge index (rank order).  ``start_state`` restricts the first
         edge's source."""
+        if length < 0:
+            raise ValueError("word length must be nonnegative")
         if length == 0:
             yield ()
             return
-        for _, cols in self.ranked_words(length, start_state):
-            yield from zip(*(c.tolist() for c in cols))
+        kept = self._kept(length)
+        if kept is None:
+            for _, cols in self.ranked_words(length, start_state):
+                yield from zip(*(c.tolist() for c in cols))
+            return
+        if kept[1] is None:
+            kept[1] = list(zip(*(c.tolist() for c in kept[0])))
+        lo, hi = self._block(length, start_state)
+        yield from kept[1][lo:hi]
 
     # -- ranks: positions in the order words() yields --
     #
@@ -149,6 +170,8 @@ class EdgeShift:
 
     def _rank_tables(self, length):
         """Rank tables for tail lengths 0..length-1, built once per shift."""
+        if length < 1:
+            raise ValueError("word length must be at least 1")
         tables = self._ranking
         while len(tables) < length:
             paths = self._paths
@@ -203,14 +226,39 @@ class EdgeShift:
     def ranked_words(self, length, start_state=None):
         """Yield (rank of the first word, edge columns) over the admissible
         words of ``length`` >= 1 edges, WORD_CHUNK words at a time, in rank
-        order; ``start_state`` restricts the first edge's source."""
-        start = self._rank_tables(length)[length - 1][2]
-        if start_state is None:
-            lo, hi = 0, int(start[-1])
-        else:
-            lo, hi = int(start[start_state]), int(start[start_state + 1])
+        order; ``start_state`` restricts the first edge's source.  The
+        columns of a length that fits in one chunk are the shift's kept,
+        read-only arrays."""
+        lo, hi = self._block(length, start_state)
+        kept = self._kept(length)
+        if kept is not None:
+            if lo < hi:
+                yield lo, tuple(c[lo:hi] for c in kept[0])
+            return
         for first in range(lo, hi, WORD_CHUNK):
             yield first, self.unrank(length, first, min(first + WORD_CHUNK, hi))
+
+    def _block(self, length, start_state):
+        """Rank range of the words of ``length`` edges leaving
+        ``start_state`` (all words for None)."""
+        start = self._rank_tables(length)[length - 1][2]
+        if start_state is None:
+            return 0, int(start[-1])
+        return int(start[start_state]), int(start[start_state + 1])
+
+    def _kept(self, length):
+        """The one-chunk memo entry of ``length``, made on first use; None
+        when its words do not fit in one chunk."""
+        kept = self._one_chunk.get(length)
+        if kept is None:
+            count = self._block(length, None)[1]
+            if count > WORD_CHUNK:
+                return None
+            cols = self.unrank(length, 0, count)
+            for c in cols:
+                c.flags.writeable = False
+            kept = self._one_chunk[length] = [cols, None]
+        return kept
 
     def rank_of(self, word):
         """Rank of one nonempty word (a tuple of edge indices) among the
@@ -371,39 +419,6 @@ class DimensionData:
     def to_ambient(self, coords):
         return ratmat.vec_mat(coords, self.basis)
 
-    def in_eventual_range(self, vec):
-        try:
-            self.coords(vec)
-            return True
-        except InternalInvariantViolation:
-            return False
-
-    def in_dimension_group(self, vec):
-        """Membership in the dimension group: vec lies in R(A) and some
-        vec . A^j is integral.
-
-        Trying j <= k t suffices, where t = max_p v_p(D) for the common
-        denominator D of vec.  Fix a prime p | D.  Over the p-adic integers
-        Z_p, Hensel's lemma splits the characteristic polynomial of A as
-        f g with f = x^m (mod p), m <= k, and g(0) a unit, so Z_p^k = U + N
-        with U = ker g(A), where A is invertible, and N = ker f(A), where
-        A^m = f(A) - p h(A) maps N into p N; hence A^{k t} maps N into
-        p^t N.  Write p^t vec = u + n with u in U, n in N.  If vec . A^J is
-        integral, then u A^J lies in p^t U, so u lies in p^t U (A^-J
-        preserves U) and u A^j / p^t is integral for every j; and
-        n A^j / p^t is integral for every j >= k t.  So vec . A^{k t} is
-        p-integral for every prime p, and integral.
-        """
-        if not self.in_eventual_range(vec):
-            return False
-        x = tuple(Fraction(v) for v in vec)
-        denominator = math.lcm(*(v.denominator for v in x))
-        for _ in range(self.k * _max_valuation(denominator) + 1):
-            if all(v.denominator == 1 for v in x):
-                return True
-            x = ratmat.vec_mat(x, self.matrix)
-        return False
-
     def apply_delta_power(self, vec, j):
         """(x -> xA)^j applied inside R(A); j may be negative."""
         c = self.coords(vec)
@@ -411,19 +426,6 @@ class DimensionData:
         for _ in range(abs(j)):
             c = ratmat.vec_mat(c, step)
         return self.to_ambient(c)
-
-
-def _max_valuation(n):
-    """max_p v_p(n) over the primes p dividing n >= 1 (0 for n = 1)."""
-    best, p = 0, 2
-    while p * p <= n:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        best = max(best, v)
-        p += 1
-    return max(best, 1) if n > 1 else best
 
 
 def distinct_roots(coeffs):

@@ -2,7 +2,8 @@
 
 Claims covered:
     - construction rejects incomplete / inadmissible / non-composable rules
-    - apply_to_word, composition, powers, and padding show consistent behaviour
+    - apply_to_word, composition, powers, and padding show consistent
+      behaviour; apply_to_word equals per-window rule lookups
     - verify_automorphism certifies both orders, with a witness on failure
     - infer_inverse finds a radius-bounded inverse or reports its absence
     - shift-power recognition and product-code factorization round-trip;
@@ -109,6 +110,22 @@ def test_apply_to_word_alignment(full2):
     assert sigma.apply_to_word((0, 1, 0, 1)) == (1, 0, 1)
     with pytest.raises(WordTooShort):
         sigma.apply_to_word((0,))
+    for word in ((2,), (-1,)):  # not edges of the full 2-shift
+        with pytest.raises(KeyError):
+            identity_code(full2).apply_to_word(word)
+
+
+def test_apply_to_word_matches_rule_lookups(full2, golden):
+    prod = kronecker_product(golden, full2)
+    for code in (
+        power(shift_code(golden), 3),
+        pad_code(inverse_shift_code(golden), extra_memory=1, extra_anticipation=2),
+        product_code(shift_code(golden), inverse_shift_code(full2), prod),
+    ):
+        w = code.window
+        for word in code.source.words(w + 3):
+            looked_up = tuple(code.rule[word[i : i + w]] for i in range(4))
+            assert code.apply_to_word(word) == looked_up
 
 
 def test_compose_adds_window_shape(full2):

@@ -162,8 +162,6 @@ def test_dimension_data_fields_survive_replace():
     assert copy.eventual_power == ratmat.mat_pow(golden.matrix, 2)
     beam = refine_ray(canonical_zero_ray(golden, 1), 2)
     assert theta(beam, copy) == theta(beam, dim)
-    assert copy.in_dimension_group((1, 2))
-    assert not copy.in_dimension_group((Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_measure_refinement_invariance():

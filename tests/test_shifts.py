@@ -3,6 +3,9 @@
 Claims covered:
     - edge enumeration and admissibility follow the matrix; ranks number
       the words in the order words() yields, base q on a full q-shift
+    - a length whose words fit in one chunk is unranked once per shift and
+      kept read-only; longer lengths stream anew; lengths below 1 (below 0
+      for words) raise ValueError
     - count_words is the entry sum of A^n (Fibonacci on the golden mean)
     - irreducible / primitive / positive_entropy flags on standard examples;
       irreducible and positive_entropy agree with a reachability oracle on
@@ -27,8 +30,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftlab import ratmat
-from sftlab.errors import NilpotentMatrix, ReducibleInput, WindowBudgetExceeded
+from sftlab.errors import (
+    InternalInvariantViolation,
+    NilpotentMatrix,
+    ReducibleInput,
+    WindowBudgetExceeded,
+)
 from sftlab.shifts import (
+    WORD_CHUNK,
     build_edge_shift,
     count_words,
     dimension_data,
@@ -93,6 +102,88 @@ def test_full_shift_ranks_are_base_q():
     assert shift.rank_of((2, 0, 1)) == 2 * 9 + 0 * 3 + 1
     golden = build_edge_shift(GOLDEN)
     assert golden.rank_of((1, 1)) is None  # edge 1 cannot follow itself
+
+
+# -- the one-chunk memo: each short length is enumerated once per shift -----
+
+
+def _walk(shift, length, start_state):
+    """words() and ranked_words() over one length, as plain values."""
+    ranked = [
+        (first, tuple(c.tolist() for c in cols))
+        for first, cols in shift.ranked_words(length, start_state)
+    ]
+    return list(shift.words(length, start_state)), ranked
+
+
+def _counting_unrank(mp, shift):
+    calls = []
+    unrank = shift.unrank
+
+    def counted(*args):
+        calls.append(args)
+        return unrank(*args)
+
+    mp.setattr(shift, "unrank", counted)
+    return calls
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    ).filter(lambda m: any(map(any, m))),
+    st.integers(1, 6),
+)
+def test_second_walk_is_kept_and_matches_a_fresh_shift(m, length):
+    shift = build_edge_shift(m)
+    kept = shift.word_count(length) <= WORD_CHUNK
+    for start_state in (None, *range(shift.k)):
+        first = _walk(shift, length, start_state)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_unrank(mp, shift)
+            second = _walk(shift, length, start_state)
+        assert second == first == _walk(build_edge_shift(m), length, start_state)
+        # a kept length is never unranked again; a longer one is streamed anew
+        assert len(calls) == (0 if kept else len(second[1]))
+        for begin, cols in shift.ranked_words(length, start_state):
+            end = begin + len(cols[0])
+            unranked = shift.unrank(length, begin, end)
+            assert [c.tolist() for c in unranked] == [c.tolist() for c in cols]
+            assert shift.rank(unranked).tolist() == list(range(begin, end))
+            if kept:
+                with pytest.raises(ValueError):
+                    cols[0][0] = 0
+
+
+def test_a_length_past_one_chunk_is_streamed_and_not_kept():
+    shift = build_edge_shift([[2]])
+    assert shift.word_count(15) == 32768 == 2 * WORD_CHUNK
+    for _ in range(2):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_unrank(mp, shift)
+            chunks = list(shift.ranked_words(15))
+        assert [first for first, _ in chunks] == [0, WORD_CHUNK]
+        assert calls == [(15, 0, WORD_CHUNK), (15, WORD_CHUNK, 2 * WORD_CHUNK)]
+        chunks[0][1][0][0] = 1  # a streamed chunk is the caller's own array
+    assert list(shift.words(15))[:2] == [(0,) * 15, (0,) * 14 + (1,)]
+
+
+def test_lengths_below_one_are_refused():
+    fresh = build_edge_shift([[2]])
+    used = build_edge_shift([[2]])
+    list(used.words(3))  # rank tables for lengths up to 3 now exist
+    for shift in (fresh, used):
+        for length in (0, -1):
+            with pytest.raises(ValueError):
+                list(shift.ranked_words(length))
+            with pytest.raises(ValueError):
+                shift.unrank(length, 0, 1)
+        with pytest.raises(ValueError):
+            list(shift.words(-1))
+        assert list(shift.words(0)) == [()]
 
 
 def test_count_words_golden_is_fibonacci_like():
@@ -267,8 +358,8 @@ def test_dimension_data_nilpotent_raises():
 def test_dimension_coords_and_membership():
     dim = dimension_data(build_edge_shift([[1, 1], [1, 1]]))
     assert dim.coords((2, 2)) == (Fraction(2),)
-    assert dim.in_eventual_range((3, 3))
-    assert not dim.in_eventual_range((1, 0))
+    with pytest.raises(InternalInvariantViolation):
+        dim.coords((1, 0))  # not in the eventual range
 
 
 def test_apply_delta_power_negative():
@@ -301,19 +392,6 @@ def test_rho_minus_with_a_repeated_root():
     smallest = min(abs(z) for z in np.linalg.eigvals(np.array(matrix, dtype=float)))
     assert dim.rho_minus == pytest.approx(1 / smallest, rel=1e-12)
     assert dim.rho_minus == pytest.approx(1.6826102362723, rel=1e-12)
-
-
-def test_in_dimension_group():
-    dim = dimension_data(build_edge_shift(GOLDEN))
-    # integral vectors are in; a vector with odd denominator never clears
-    assert dim.in_dimension_group((1, 1))
-    assert not dim.in_dimension_group((Fraction(1, 3), 0))
-    # on the full 2-shift the group is Z[1/2]: 1/8 clears after three steps,
-    # more than 2k of them
-    full2 = dimension_data(build_edge_shift([[2]]))
-    assert full2.in_dimension_group((Fraction(1, 4),))
-    assert full2.in_dimension_group((Fraction(1, 8),))
-    assert not full2.in_dimension_group((Fraction(1, 6),))
 
 
 # -- products and transposes ------------------------------------------------
