@@ -162,9 +162,9 @@ class SlidingBlockCode:
             raise WordTooShort(
                 f"need at least {self.window} edges, got {len(word)}"
             )
-        self.source.check_admissible(word)
         if not all(0 <= e < self.source.n_edges for e in word):
             raise KeyError(tuple(word))
+        self.source.check_admissible(word)
         # the windows stacked as rows: column i holds edge i of every window,
         # so one gather reads all the outputs
         w = self.window

@@ -287,10 +287,13 @@ def _perron_left_coords(dim):
     """Numeric left Perron direction of A, in eventual-range coordinates."""
     a = dim.matrix
     k = dim.k
+    # each column's nonzero entries in row order: the zeros left out would
+    # add exact 0.0s, so every float is the one the dense sum gives
+    columns = [[(i, a[i][j]) for i in range(k) if a[i][j]] for j in range(k)]
     u = [1.0 / k] * k
     for _ in range(200000):
         # power iteration on A + I keeps periodic matrices convergent
-        nxt = [sum(u[i] * a[i][j] for i in range(k)) + u[j] for j in range(k)]
+        nxt = [sum(u[i] * x for i, x in col) + u[j] for j, col in enumerate(columns)]
         norm = sum(abs(x) for x in nxt)
         nxt = [x / norm for x in nxt]
         delta = sum(abs(nxt[j] - u[j]) for j in range(k))

@@ -2,10 +2,13 @@
 
 Entries are Python ints or fractions.Fraction and are used as given: integer
 input stays integer, and a Fraction appears only where a division makes one
-(rref's pivot scaling, char_poly's division by a power of the common
-denominator of rational input, the polynomial helpers). Matrices are tuples
-of tuples, row major. Vectors are tuples. Row-vector convention throughout:
-``vec_mat(x, A)`` is x*A.
+(rref's one final division by its pivot minor, char_poly's division by a
+power of the common denominator of rational input, the polynomial helpers).
+Matrices are tuples of tuples, row major. Vectors are tuples. Row-vector
+convention throughout: ``vec_mat(x, A)`` is x*A, the combination of A's rows
+weighted by x's nonzero entries, and ``mat_mul(A, B)`` is that combination
+of B's rows for each row of A, so a product costs one row operation per
+nonzero entry of its left factor.
 """
 
 import math
@@ -19,10 +22,7 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(vec_mat(row, b) for row in a)
 
 
 def mat_pow(a, n):
@@ -39,34 +39,50 @@ def mat_pow(a, n):
 
 
 def vec_mat(x, a):
-    return tuple(
-        sum(x[i] * a[i][j] for i in range(len(x))) for j in range(len(a[0]))
-    )
+    out = [0] * (len(a[0]) if a else 0)
+    for c, row in zip(x, a):
+        if c:
+            out = [s + c * v for s, v in zip(out, row)]
+    return tuple(out)
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    m = [list(row) for row in rows]
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns), all
+    entries Fractions.
+
+    Fraction-free Gauss-Jordan on the integer matrix D*rows, D the common
+    denominator (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968): each
+    pivot step replaces every other row by (p*row - f*pivot row) / det, p the
+    new pivot, f the row's entry in its column and det the previous pivot.
+    By Sylvester's identity the entries are minors of D*rows, so each
+    division is exact, and after a step every pivot entry equals p.  The
+    rows are divided by the last pivot once at the end.
+    """
+    _, m = clear_denominators(rows)
+    m = [list(row) for row in m]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and (f or p != det):
+                m[i] = [(p * v - f * w) // det for v, w in zip(row, top)]
+        det = p
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+    return tuple(tuple(Fraction(v, det) for v in row) for row in m[:r]), tuple(pivots)
 
 
 def inverse(a):

@@ -70,7 +70,9 @@ class EdgeShift:
     WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only,
     and the word tuples built from them the first time :meth:`words` asks.
     A length costs at most WORD_CHUNK x length int64 cells plus its tuples;
-    longer lengths are streamed anew on every walk.
+    longer lengths are streamed anew on every walk.  It also keeps the
+    :func:`perron_data` of each tolerance it was asked for, so the power
+    iteration runs once per (shift, tol).
     """
 
     def __init__(self, matrix):
@@ -90,6 +92,7 @@ class EdgeShift:
         self.edge_sources = np.array([s for s, _, _ in edges], dtype=np.intp)
         self.edge_targets = np.array([t for _, t, _ in edges], dtype=np.intp)
         self._reach = {}
+        self._perron = {}  # tol -> PerronData, see perron_data
         self._ranking = []  # rank tables by tail length, see _rank_tables
         self._one_chunk = {}  # length -> [edge columns, word tuples or None]
         self._paths = [1] * self.k  # paths from each state, next tail length
@@ -126,16 +129,24 @@ class EdgeShift:
 
     # -- admissibility and enumeration --
 
+    def _first_break(self, word):
+        """First position i where ``word`` stops being a path: word[i] is
+        not an edge index in 0..n_edges-1, or word[i + 1] does not leave
+        its target; None for an admissible word."""
+        for i, e in enumerate(word):
+            if not 0 <= e < self.n_edges:
+                return i
+            if i and self.edges[word[i - 1]][1] != self.edges[e][0]:
+                return i - 1
+        return None
+
     def is_admissible(self, word):
-        return all(
-            self.edges[word[i]][1] == self.edges[word[i + 1]][0]
-            for i in range(len(word) - 1)
-        )
+        return self._first_break(word) is None
 
     def check_admissible(self, word):
-        for i in range(len(word) - 1):
-            if self.edges[word[i]][1] != self.edges[word[i + 1]][0]:
-                raise InadmissibleWord(word, i)
+        i = self._first_break(word)
+        if i is not None:
+            raise InadmissibleWord(word, i)
 
     def words(self, length, start_state=None):
         """Yield all admissible words of ``length`` edges, lexicographically
@@ -263,7 +274,7 @@ class EdgeShift:
     def rank_of(self, word):
         """Rank of one nonempty word (a tuple of edge indices) among the
         admissible words of its length; None when it is not admissible."""
-        if not all(0 <= e < self.n_edges for e in word) or not self.is_admissible(word):
+        if not self.is_admissible(word):
             return None
         tables = self._rank_tables(len(word))
         last = len(word) - 1
@@ -347,10 +358,18 @@ def perron_data(shift, tol=DEFAULT_TOL):
 
     Irreducible input required.  Non-primitive irreducible matrices are
     handled by iterating A + I (primitive whenever A is irreducible) and
-    shifting the eigenvalue back.
+    shifting the eigenvalue back.  The iteration runs once per (shift, tol);
+    the shift keeps the result.
     """
     if not shift.irreducible:
         raise ReducibleInput("perron_data needs an irreducible matrix")
+    data = shift._perron.get(tol)
+    if data is None:
+        data = shift._perron[tol] = _perron_iteration(shift, tol)
+    return data
+
+
+def _perron_iteration(shift, tol):
     k = shift.k
     a = np.array(shift.matrix, dtype=float)
     b = a + np.eye(k)
@@ -360,7 +379,7 @@ def perron_data(shift, tol=DEFAULT_TOL):
         w = b @ v
         s = w.sum()
         w /= s
-        if np.max(np.abs(w - v)) < tol * 1e-4:
+        if np.abs(w - v).max() < tol * 1e-4:  # the method skips np.max's dispatch
             v = w
             lam = s - 1.0
             break

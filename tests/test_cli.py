@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sftlab import cli
+from sftlab import cli, shifts
 from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.cli import main
 from sftlab.codes import identity_code, verify_automorphism
@@ -92,6 +92,26 @@ def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, caps
     assert len(calls) == 1
     out = capsys.readouterr().out
     assert "a/dimension-action" in out and "b/dimension-action" in out
+
+
+def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
+    # main-bounds and the exact entropy of a shift power both read the
+    # Perron data of the one shift
+    shift, sigma = make_builtin("shift")
+    path = tmp_path / "shift.json"
+    save_system(path, shift, {"s": sigma, "s_inv": sigma.inverse_automorphism()})
+    calls = []
+    iterate = shifts._perron_iteration
+
+    def counted(arg, tol):
+        calls.append(arg)
+        return iterate(arg, tol)
+
+    monkeypatch.setattr(shifts, "_perron_iteration", counted)
+    assert main(["analyze", str(path)]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "s/entropy-bound" in out and "s_inv/entropy-bound" in out
 
 
 def test_analyze_dimension_failure_marks_every_automorphism(tmp_path, capsys):

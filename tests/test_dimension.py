@@ -18,6 +18,10 @@ Claims covered:
     - dimension_matrix equals the theta/Delta^-1 reference route, and ray
       images equal per-window lookups, on every builtin with its inverse and
       square and on seeded cycle-plus-chord graphs
+    - the left Perron iteration over nonzero entries gives the dense loop's
+      floats bit for bit, on seeded cycle-plus-chord graphs up to k = 24 and
+      on random irreducible matrices
+    - a ray whose tail holds a non-edge is refused
 """
 
 import dataclasses
@@ -37,6 +41,7 @@ from sftlab.dimension import (
     Ray,
     apply_automorphism_to_ray,
     _finite_order,
+    _perron_left_coords,
     canonical_zero_ray,
     dimension_matrix,
     distortion_spectrum_check,
@@ -91,6 +96,10 @@ def test_ray_rejects_inadmissible():
         Ray(golden, 0, (1,), ())  # edge 1 cannot follow itself around a loop
     with pytest.raises(PreconditionFailed):
         Ray(golden, 0, (), (0,))
+    # the golden mean has edges 0..2: -1 is not edge 2 read from the end
+    for cycle, transient in (((1, -1), ()), ((0,), (3,))):
+        with pytest.raises(InadmissibleWord):
+            Ray(golden, 0, cycle, transient)
 
 
 def test_beam_validation():
@@ -587,3 +596,44 @@ def test_dimension_matrix_matches_the_reference_route():
         assert repr(act.S_phi) == repr(s_phi), name
         assert (act.order_if_finite, act.inert) == (order, inert), name
         assert (act.rho, act.lambda_phi) == (rho, lam), name
+
+
+# The left Perron iteration with a full dot product per column: the
+# reference for the loop over each column's nonzero entries.
+
+
+def dense_perron_left_coords(dim):
+    a = dim.matrix
+    k = dim.k
+    u = [1.0 / k] * k
+    for _ in range(200000):
+        nxt = [sum(u[i] * a[i][j] for i in range(k)) + u[j] for j in range(k)]
+        norm = sum(abs(x) for x in nxt)
+        nxt = [x / norm for x in nxt]
+        delta = sum(abs(nxt[j] - u[j]) for j in range(k))
+        u = nxt
+        if delta <= 1e-15:
+            return [u[p] for p in dim.pivots]
+    raise AssertionError("power iteration did not converge")
+
+
+def _random_irreducible_matrices(seed, sizes):
+    """Sparse entries 0-2 over a random Hamiltonian cycle, so irreducible."""
+    rng = random.Random(seed)
+    for k in sizes:
+        matrix = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(k)] for _ in range(k)]
+        order = list(range(k))
+        rng.shuffle(order)
+        for s, t in zip(order, order[1:] + order[:1]):
+            matrix[s][t] = max(matrix[s][t], 1)
+        yield matrix
+
+
+def test_perron_left_coords_keep_the_dense_bits():
+    cases = [shift for _, shift, _ in _seeded_cycles_with_a_chord(11, (3, 9, 16, 24))]
+    cases += [build_edge_shift(m) for m in _random_irreducible_matrices(5, (1, 2, 4, 7, 12))]
+    for shift in cases:
+        assert shift.irreducible
+        dim = dimension_data(shift)
+        # float equality, not approx: the same bits
+        assert _perron_left_coords(dim) == dense_perron_left_coords(dim), shift

@@ -5,11 +5,18 @@ Claims covered:
     - rref produces a reduced echelon basis with the right rank
     - inverse() really inverts over Q and refuses singular input
     - char_poly matches hand-computed polynomials (companion, diagonal)
-    - char_poly, rref, inverse and mat_pow agree with sympy on seeded
-      integer matrices, singular and nilpotent ones included, and integer
-      input keeps Python ints where no division is made
+    - char_poly, rref, inverse, mat_mul, vec_mat and mat_pow agree with
+      sympy on seeded integer matrices, singular and nilpotent ones
+      included, and integer input keeps Python ints where no division is
+      made
     - char_poly agrees with sympy on seeded rational matrices, with ints
-      exactly where the coefficient is integral
+      exactly where the coefficient is integral; so do rref, inverse,
+      mat_mul and vec_mat
+    - the row-combination mat_mul/vec_mat and the fraction-free rref give
+      the values of the column-dot products and the Fraction elimination
+      kept here as references, on seeded integer and rational matrices and
+      on zero rows and columns, rank-deficient, 1 x n, n x 1, empty and
+      all-zero input; rref and inverse give Fraction entries
     - polynomial division, gcd, square-free part, and zero-root stripping
       behave on exact integer/rational coefficients; division and the
       square-free part agree with sympy on polynomials with repeated factors
@@ -132,7 +139,7 @@ def test_integer_kernel_agrees_with_sympy(n):
     sympy = pytest.importorskip("sympy")
     matrices = _seeded_matrices(n, seed=n)
     assert ratmat.char_poly(matrices[2]) == [1] + [0] * n  # really nilpotent
-    for a in matrices:
+    for a, other in zip(matrices, matrices[1:] + matrices[:1]):
         m = sympy.Matrix(a)
         coeffs = ratmat.char_poly(a)
         assert all(type(c) is int for c in coeffs)
@@ -146,6 +153,8 @@ def test_integer_kernel_agrees_with_sympy(n):
                 ratmat.inverse(a)
         else:
             assert ratmat.inverse(a) == _from_sympy(m.inv())
+        assert ratmat.mat_mul(a, other) == _from_sympy(m * sympy.Matrix(other))
+        assert ratmat.vec_mat(other[0], a) == _from_sympy(sympy.Matrix([other[0]]) * m)[0]
         for k in range(5):
             power = ratmat.mat_pow(a, k)
             assert all(type(x) is int for row in power for x in row)
@@ -262,6 +271,117 @@ def test_rational_char_poly_agrees_with_sympy(n):
         assert coeffs == want
         # ints where integral, Fractions elsewhere
         assert [type(c) for c in coeffs] == [int if c.denominator == 1 else F for c in want]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rational_rref_inverse_and_products_agree_with_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    a, b, c = _seeded_rational_matrices(n, seed=n)
+    for x in (a, b, c):
+        m = sympy.Matrix(x)
+        reduced, pivots = ratmat.rref(x)
+        expected, expected_pivots = m.rref()
+        assert pivots == expected_pivots
+        assert reduced == _from_sympy(expected)[: len(pivots)]
+        if m.det() != 0:
+            assert ratmat.inverse(x) == _from_sympy(m.inv())
+        else:
+            with pytest.raises(InternalInvariantViolation):
+                ratmat.inverse(x)
+    assert ratmat.mat_mul(a, b) == _from_sympy(sympy.Matrix(a) * sympy.Matrix(b))
+    assert ratmat.vec_mat(c[0], a) == _from_sympy(sympy.Matrix([c[0]]) * sympy.Matrix(a))[0]
+
+
+# -- the kernels against the plain definitions --------------------------------
+#
+# The column-dot product and the Fraction Gauss-Jordan elimination that the
+# row-combination products and the fraction-free rref replaced, kept as the
+# reference: every entry a full dot product, every pivot row scaled by a
+# Fraction.
+
+
+def dot_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def dot_vec_mat(x, a):
+    return tuple(sum(x[i] * a[i][j] for i in range(len(x))) for j in range(len(a[0])))
+
+
+def fraction_rref(rows):
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def _shaped_matrices(rng, rational):
+    """Seeded matrices of every shape from 1 x 1 to 6 x 6, with zero rows,
+    zero columns, repeated (rank-deficient) rows and all-zero ones among
+    them."""
+
+    def entry():
+        if rational:
+            return F(rng.randint(-4, 4), rng.randint(1, 5))
+        return rng.randint(-3, 3)
+
+    out = []
+    for nrows in range(1, 7):
+        for ncols in range(1, 7):
+            m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            shape = rng.randrange(4)
+            if shape == 1:
+                m[rng.randrange(nrows)] = [0] * ncols
+            elif shape == 2:
+                j = rng.randrange(ncols)
+                for row in m:
+                    row[j] = 0
+            elif shape == 3 and nrows > 1:
+                m[-1] = [2 * x - y for x, y in zip(m[0], m[1 % (nrows - 1)])]
+            out.append(tuple(map(tuple, m)))
+            out.append(tuple((0,) * ncols for _ in range(nrows)))
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_kernels_match_the_reference(rational):
+    rng = random.Random(int(rational))
+    matrices = _shaped_matrices(rng, rational)
+    for a in matrices:
+        reduced, pivots = ratmat.rref(a)
+        assert (reduced, pivots) == fraction_rref(a), a
+        assert all(type(x) is F for row in reduced for x in row)
+        b = rng.choice([m for m in matrices if len(m) == len(a[0])])
+        assert ratmat.mat_mul(a, b) == dot_mat_mul(a, b), (a, b)
+        for row in a:
+            assert ratmat.vec_mat(row, b) == dot_vec_mat(row, b)
+        if len(a) == len(a[0]) and len(reduced) == len(a):
+            inv = ratmat.inverse(a)
+            assert all(type(x) is F for row in inv for x in row)
+            assert dot_mat_mul(a, inv) == ratmat.identity(len(a))
+    # the empty matrix and products through an empty inner dimension
+    assert ratmat.rref(()) == fraction_rref(()) == ((), ())
+    assert ratmat.rref(((), ())) == fraction_rref(((), ())) == ((), ())
+    assert ratmat.mat_mul((), ()) == dot_mat_mul((), ()) == ()
+    assert ratmat.mat_mul(((), ()), ()) == dot_mat_mul(((), ()), ()) == ((), ())
 
 
 def test_poly_gcd_common_factor():

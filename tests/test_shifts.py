@@ -13,7 +13,10 @@ Claims covered:
       matrices with entries 0-2 all three flags agree with networkx, and
       reach_exact(n) is the zero pattern of ratmat.mat_pow(A, n)
     - perron_data: eigenvalue, eigenvector residual, entropy in nats,
-      including the periodic (irreducible, non-primitive) case
+      including the periodic (irreducible, non-primitive) case; the power
+      iteration runs once per (shift, tol), and a reducible shift is
+      refused on every call
+    - entries outside the edge indices are inadmissible, at their position
     - dimension_data: exact restricted action, rank, inverse, rho_minus
       (also with a repeated eigenvalue); integer input keeps Python ints
       where no division is made, integral bases included
@@ -29,14 +32,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sftlab import ratmat
+from sftlab import ratmat, shifts
 from sftlab.errors import (
+    InadmissibleWord,
     InternalInvariantViolation,
     NilpotentMatrix,
     ReducibleInput,
     WindowBudgetExceeded,
 )
 from sftlab.shifts import (
+    DEFAULT_TOL,
     WORD_CHUNK,
     build_edge_shift,
     count_words,
@@ -69,6 +74,17 @@ def test_admissibility():
     shift = build_edge_shift(GOLDEN)
     assert shift.is_admissible((0, 0, 1, 2))
     assert not shift.is_admissible((1, 1))  # edge 1 ends at state 1
+
+
+@pytest.mark.parametrize("word,position", [((-1, 0), 0), ((0, -1), 1), ((3, 0), 0), ((1, 2, 5), 2)])
+def test_entries_outside_the_edges_are_inadmissible(word, position):
+    # the golden mean has edges 0..2; -1 must not wrap around to edge 2
+    shift = build_edge_shift(GOLDEN)
+    assert not shift.is_admissible(word)
+    assert shift.rank_of(word) is None
+    with pytest.raises(InadmissibleWord) as info:
+        shift.check_admissible(word)
+    assert info.value.position == position
 
 
 def test_words_match_count():
@@ -324,8 +340,29 @@ def test_perron_periodic_irreducible():
 
 
 def test_perron_rejects_reducible():
-    with pytest.raises(ReducibleInput):
-        perron_data(build_edge_shift([[1, 1], [0, 1]]))
+    shift = build_edge_shift([[1, 1], [0, 1]])
+    for _ in range(2):  # a refusal is not kept as a result
+        with pytest.raises(ReducibleInput):
+            perron_data(shift)
+
+
+def test_perron_iteration_runs_once_per_shift_and_tolerance(monkeypatch):
+    calls = []
+
+    def counted(shift, tol):
+        calls.append(tol)
+        return iterate(shift, tol)
+
+    iterate = shifts._perron_iteration
+    monkeypatch.setattr(shifts, "_perron_iteration", counted)
+    shift = build_edge_shift(GOLDEN)
+    data = perron_data(shift)
+    assert perron_data(shift) is data
+    assert perron_data(shift, tol=1e-6) is perron_data(shift, tol=1e-6)
+    assert perron_data(shift, tol=1e-6) is not data
+    assert calls == [DEFAULT_TOL, 1e-6]
+    # the kept result is the one a fresh shift computes
+    assert perron_data(build_edge_shift(GOLDEN)) == data
 
 
 # -- eventual-range data ----------------------------------------------------
