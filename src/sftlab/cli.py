@@ -44,7 +44,6 @@ from .reports import (
     run_suite,
 )
 from .codes import resolve_budget
-from .shifts import dimension_data, perron_data
 from .spectra import IntPolynomial, search_primitive_realization, verify_eb_failure
 from .systems import format_fraction, load_system_file
 
@@ -70,7 +69,6 @@ def _emit(report, json_path):
 
 def _cmd_analyze(args):
     parsed = load_system_file(args.file)
-    shift = parsed.shift
     tol = args.tol if args.tol is not None else parsed.tol
     if args.auto is not None:
         if args.auto not in parsed.automorphisms:
@@ -84,7 +82,6 @@ def _cmd_analyze(args):
         names = sorted(parsed.automorphisms)
     rec = Recorder()
     payload = {}
-    dim = perron = None  # built on first use, shared by every automorphism
     for name in names:
         auto = parsed.automorphisms[name]
         profile = coding_range_profile(auto, args.n_max, budget=parsed.budget)
@@ -105,10 +102,7 @@ def _cmd_analyze(args):
         )
         payload[name] = {"profile": profile_payload(profile, bounds)}
         try:
-            if perron is None:
-                dim = dimension_data(shift)
-                perron = perron_data(shift, tol=tol)
-            action = dimension_matrix(auto, dim=dim, tol=tol, budget=parsed.budget)
+            action = dimension_matrix(auto, budget=parsed.budget)
             rec.add(
                 f"{name}/dimension-action",
                 "Confirmed",
@@ -119,7 +113,7 @@ def _cmd_analyze(args):
             payload[name]["S_phi"] = [
                 [format_fraction(x) for x in row] for row in action.S_phi
             ]
-            bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+            bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
             rec.adopt(bound, name=f"{name}/main-bounds")
             entropy = exact_entropy_of(auto)
             if entropy is not None:

@@ -30,7 +30,7 @@ from .errors import (
     ShiftMismatch,
 )
 from .records import CheckRecord
-from .shifts import DEFAULT_TOL, dimension_data, distinct_roots
+from .shifts import DEFAULT_TOL, dimension_data, distinct_roots, perron_data
 
 
 def _primitive_root(cycle):
@@ -193,16 +193,18 @@ def refine_ray(ray, to_level):
     return Beam(level=to_level, rays=rays)
 
 
-def theta(beam, dim):
+def theta(beam):
     """Exact rational image of the beam's class in the eventual range:
     the count vector at level m is pushed through A^k and delta^-(k+m)."""
+    dim = dimension_data(beam.shift)
     w = ratmat.vec_mat(beam.count_vector, dim.eventual_power)
     return dim.apply_delta_power(w, -(dim.k + beam.level))
 
 
-def unstable_measure(beam, perron):
+def unstable_measure(beam):
     """Measure of the beam: sum over rays of lambda^-level weighted by the
     right Perron eigenvector at the end state."""
+    perron = perron_data(beam.shift)
     lam = perron.lambda_
     v = beam.count_vector
     total = sum(v[i] * perron.v_right[i] for i in range(len(v)))
@@ -303,9 +305,10 @@ def _perron_left_coords(dim):
     raise InternalInvariantViolation("power iteration did not converge")
 
 
-def lambda_phi_of(s_phi, dim, tol=DEFAULT_TOL):
+def lambda_phi_of(s_phi, dim):
     """Rayleigh ratio of the action matrix ``s_phi`` on the numeric Perron
-    direction of the restricted multiplication map; positive by the theory."""
+    direction of the restricted multiplication map; positive by the theory.
+    The direction must be an eigenvector to within 1e-8 of its scale."""
     c = _perron_left_coords(dim)
     d = len(c)
     s = [[float(x) for x in row] for row in s_phi]
@@ -314,7 +317,7 @@ def lambda_phi_of(s_phi, dim, tol=DEFAULT_TOL):
     lam = sum(cs[j] * c[j] for j in range(d)) / denom
     resid = sum(abs(cs[j] - lam * c[j]) for j in range(d))
     scale = max(1.0, abs(lam)) * sum(abs(x) for x in c)
-    if resid > max(tol, 1e-8) * scale:
+    if resid > 1e-8 * scale:
         raise InternalInvariantViolation(
             "Perron direction is not an eigenvector of the action"
         )
@@ -342,7 +345,7 @@ def _finite_order(s_phi, cp):
     return n if ratmat.mat_pow(ints, n) == scalar else None
 
 
-def dimension_matrix(auto, dim=None, tol=DEFAULT_TOL, budget=None):
+def dimension_matrix(auto, budget=None):
     """Solve for the exact matrix S of the automorphism on the eventual range.
 
     For each state the canonical 0-ray's class c and its image class y give
@@ -361,8 +364,7 @@ def dimension_matrix(auto, dim=None, tol=DEFAULT_TOL, budget=None):
         raise ReducibleInput("dimension action needs an irreducible shift")
     if not shift.positive_entropy:
         raise PreconditionFailed("dimension action needs positive entropy")
-    if dim is None:
-        dim = dimension_data(shift)
+    dim = dimension_data(shift)
     k = shift.k
     d = dim.d
     beams = []
@@ -406,7 +408,7 @@ def dimension_matrix(auto, dim=None, tol=DEFAULT_TOL, budget=None):
     if cp[-1] == 0:
         raise InternalInvariantViolation("dimension action must be invertible")
     rho = max(abs(complex(z)) for z in distinct_roots(cp))
-    lam = lambda_phi_of(s_phi, dim, tol=tol)
+    lam = lambda_phi_of(s_phi, dim)
     return DimensionAction(
         S_phi=s_phi,
         lambda_phi=float(lam),
@@ -445,7 +447,7 @@ def _bound(name, lhs, rhs_lo, rhs_hi, tol):
     return CheckRecord(name, status, lhs, (rhs_lo, rhs_hi), tol)
 
 
-def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
+def verify_main_bounds(auto, profile, action, tol=DEFAULT_TOL):
     """Spectral-radius inequalities with certified interval right-hand sides.
 
     The growth-direction inequality uses the left slopes of the automorphism
@@ -456,9 +458,11 @@ def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
     certain from the enclosure; the unit-circle conclusion applies when all
     four slope enclosures collapse to zero.
 
-    Returns the overall record, whose lhs is the smallest margin rhs_lo - lhs
-    over the applicable inequalities, and the five component records; a
-    component that does not apply is Inconclusive with no lhs or rhs.
+    h(sigma_A) and rho_minus are read from the shift's own Perron and
+    dimension records.  Returns the overall record, whose lhs is the
+    smallest margin rhs_lo - lhs over the applicable inequalities, and the
+    five component records; a component that does not apply is Inconclusive
+    with no lhs or rhs.
     """
     bounds_f = lyapunov_bounds(auto, profile.n_max, profile=profile)
     bounds_i = lyapunov_bounds(
@@ -468,8 +472,8 @@ def verify_main_bounds(auto, profile, action, dim, perron, tol=DEFAULT_TOL):
     )
     am, ap = bounds_f.alpha_minus, bounds_f.alpha_plus
     ami, api = bounds_i.alpha_minus, bounds_i.alpha_plus
-    h = perron.entropy
-    log_rho_minus = math.log(dim.rho_minus)
+    h = perron_data(auto.shift).entropy
+    log_rho_minus = math.log(dimension_data(auto.shift).rho_minus)
     growth = h + log_rho_minus  # log(lambda / smallest modulus) >= 0
     lhs = math.log(action.rho)
     abs_ami = _abs_interval(ami)

@@ -95,10 +95,10 @@ def inverse(a):
 
 
 def clear_denominators(a):
-    """(D, D*a): the least common denominator D of the matrix's entries and
-    the integer matrix D*a."""
-    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
-    return den, tuple(tuple(int(x * den) for x in row) for row in a)
+    """(D, D*a): the least common denominator D of the matrix's entries
+    (ints or Fractions) and the integer matrix D*a."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a)
 
 
 def char_poly(a):

@@ -184,39 +184,26 @@ class Recorder:
         )
 
 
-# -- shared builtin construction (cached per process) -------------------------
-
-_BUILTIN_CACHE = {}
-_BUNDLE_CACHE = {}
+# -- the builtins of one run --------------------------------------------------
 
 
-def _suite_key(name, params):
-    return name, tuple(sorted(params.items()))
-
-
-def builtin_pair(name, params=None):
-    key = _suite_key(name, params or {})
-    if key not in _BUILTIN_CACHE:
-        _BUILTIN_CACHE[key] = make_builtin(name, dict(params or {}))
-    return _BUILTIN_CACHE[key]
-
-
-def builtin_bundle(name, params=None):
-    """(shift, auto, dim, perron, action) with everything computed once."""
-    key = _suite_key(name, params or {})
-    if key not in _BUNDLE_CACHE:
-        shift, auto = builtin_pair(name, params)
-        dim = dimension_data(shift)
-        perron = perron_data(shift)
-        action = dimension_matrix(auto, dim=dim)
-        _BUNDLE_CACHE[key] = (shift, auto, dim, perron, action)
-    return _BUNDLE_CACHE[key]
+def _run_builtins():
+    """The DEFAULT_SUITE builtins by name, as (shift, auto, action).  A run
+    builds them once and hands the same objects to each of its criteria."""
+    built = {}
+    for name, params in DEFAULT_SUITE:
+        shift, auto = make_builtin(name, dict(params))
+        built[name] = (shift, auto, dimension_matrix(auto))
+    return built
 
 
 # -- acceptance criteria ------------------------------------------------------
+#
+# Each criterion takes a Recorder, the verdict tolerance and the run's
+# builtins (see _run_builtins).
 
 
-def _criterion_golden_entropy(rec, tol):
+def _criterion_golden_entropy(rec, tol, built):
     shift = shift_builtin("golden_mean")
     perron = perron_data(shift)
     rec.close("entropy", perron.entropy, math.log(GOLDEN_RATIO), 1e-9)
@@ -224,8 +211,8 @@ def _criterion_golden_entropy(rec, tol):
     rec.exact("word-counts", p0 == 1 and p2 == 5, lhs=f"P(0)={p0}, P(2)={p2}", rhs="1, 5")
 
 
-def _criterion_shift_sharpness(rec, tol):
-    shift, auto, dim, perron, action = builtin_bundle("shift")
+def _criterion_shift_sharpness(rec, tol, built):
+    shift, auto, action = built["shift"]
     profile = coding_range_profile(auto, 4)
     expect = (-1, -2, -3, -4)
     rec.exact(
@@ -243,7 +230,7 @@ def _criterion_shift_sharpness(rec, tol):
     )
     rec.close("lambda-phi", action.lambda_phi, 2.0, 1e-9)
     rec.close("rho-S-phi", action.rho, 2.0, 1e-9)
-    bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+    bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
     sharp = bound.status == "Confirmed" and abs(bound.lhs) <= 1e-9
     rec.adopt(
         bound,
@@ -255,8 +242,8 @@ def _criterion_shift_sharpness(rec, tol):
     )
 
 
-def _criterion_tau_example(rec, tol):
-    shift, auto, dim, perron, action = builtin_bundle("tau_golden")
+def _criterion_tau_example(rec, tol, built):
+    shift, auto, action = built["tau_golden"]
     profile = coding_range_profile(auto, 4)
     bounds = lyapunov_bounds(auto, 4, profile=profile)
     bounds_inv = lyapunov_bounds(
@@ -275,7 +262,7 @@ def _criterion_tau_example(rec, tol):
         rhs="[-1,-1]",
     )
     rec.close("log-rho-vs-entropy", math.log(action.rho), math.log(GOLDEN_RATIO), 1e-6)
-    bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+    bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
     rec.adopt(
         bound,
         status="Confirmed" if bound.status == "Confirmed" else "Violated",
@@ -283,8 +270,8 @@ def _criterion_tau_example(rec, tol):
     )
 
 
-def _criterion_product_entropy(rec, tol):
-    shift, auto, dim, perron, action = builtin_bundle("sigma_x_sigma_inv")
+def _criterion_product_entropy(rec, tol, built):
+    shift, auto, action = built["sigma_x_sigma_inv"]
     rec.close("lambda-phi", action.lambda_phi, 1.0, 1e-9)
     census = column_census(auto, 2, 6)
     rec.add(
@@ -302,8 +289,8 @@ def _criterion_product_entropy(rec, tol):
     )
 
 
-def _criterion_vertex_swap(rec, tol):
-    shift, auto, dim, perron, action = builtin_bundle("vertex_swap_B")
+def _criterion_vertex_swap(rec, tol, built):
+    shift, auto, action = built["vertex_swap_B"]
     swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
     rec.exact("S-phi", action.S_phi == swap, lhs=_matrix_text(action.S_phi), rhs="[[0,1],[1,0]]")
     square = ratmat.mat_mul(action.S_phi, action.S_phi)
@@ -319,10 +306,9 @@ def _criterion_vertex_swap(rec, tol):
     )
 
 
-def _criterion_sum_and_reverse(rec, tol):
+def _criterion_sum_and_reverse(rec, tol, built):
     bad_sum, bad_rev, total = [], [], 0
-    for name, params in DEFAULT_SUITE:
-        shift, auto = builtin_pair(name, dict(params))
+    for name, (shift, auto, _) in built.items():
         _tshift, rev, _bij = reverse_automorphism(auto)
         profile = coding_range_profile(auto, 3)
         profile_rev = coding_range_profile(rev, 3)
@@ -350,7 +336,7 @@ def _criterion_sum_and_reverse(rec, tol):
     )
 
 
-def _criterion_cubic(rec, tol, supplied_matrix=None):
+def _criterion_cubic(rec, tol, built):
     poly = IntPolynomial([1, -5, -6, 1])
     traces = check_conditions(poly).traces
     rec.exact(
@@ -369,15 +355,9 @@ def _criterion_cubic(rec, tol, supplied_matrix=None):
         lhs=f"lambda_d={report.lambda_dominant:.6f}, 1/min={1 / report.min_modulus:.6f}",
         rhs="dominant in (5.9, 6.0); reciprocal above it",
     )
-    matrix = supplied_matrix
+    matrix = search_primitive_realization(poly)
     if matrix is None:
-        matrix = search_primitive_realization(poly)
-    if matrix is None:
-        rec.add(
-            "realization",
-            "Inconclusive",
-            detail="search exhausted; supply a matrix to finish the criterion",
-        )
+        rec.add("realization", "Inconclusive", detail="search exhausted")
         return
     rec.exact(
         "realization",
@@ -397,24 +377,23 @@ def _criterion_cubic(rec, tol, supplied_matrix=None):
     )
 
 
-def _criterion_functoriality(rec, tol):
+def _criterion_functoriality(rec, tol, built):
     bad_sq, bad_inv, bad_comm, bad_theta = [], [], [], []
-    for name, params in DEFAULT_SUITE:
-        shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
+    for name, (shift, auto, action) in built.items():
         squared = automorphism_power(auto, 2)
-        s_sq = dimension_matrix(squared, dim=dim).S_phi
+        s_sq = dimension_matrix(squared).S_phi
         if s_sq != ratmat.mat_mul(action.S_phi, action.S_phi):
             bad_sq.append(name)
-        s_inv = dimension_matrix(auto.inverse_automorphism(), dim=dim).S_phi
+        s_inv = dimension_matrix(auto.inverse_automorphism()).S_phi
         if s_inv != ratmat.inverse(action.S_phi):
             bad_inv.append(name)
-        delta = dim.delta_restricted
+        delta = dimension_data(shift).delta_restricted
         if ratmat.mat_mul(action.S_phi, delta) != ratmat.mat_mul(delta, action.S_phi):
             bad_comm.append(name)
         ray = canonical_zero_ray(shift, 0)
-        base = theta(Beam(level=0, rays=(ray,)), dim)
+        base = theta(Beam(level=0, rays=(ray,)))
         for depth in range(1, 5):
-            if theta(refine_ray(ray, depth), dim) != base:
+            if theta(refine_ray(ray, depth)) != base:
                 bad_theta.append((name, depth))
     rec.exact("S-of-square", not bad_sq, lhs=f"{len(bad_sq)} mismatches", rhs="0")
     rec.exact("S-of-inverse", not bad_inv, lhs=f"{len(bad_inv)} mismatches", rhs="0")
@@ -428,25 +407,23 @@ def _criterion_functoriality(rec, tol):
     )
 
 
-def _criterion_measure_coherence(rec, tol):
+def _criterion_measure_coherence(rec, tol, built):
     bad_scale, bad_pair, total = [], [], 0
-    for name, params in DEFAULT_SUITE:
-        shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
+    for name, (shift, auto, action) in built.items():
+        v_right = perron_data(shift).v_right
         for state in range(shift.k):
             ray = canonical_zero_ray(shift, state)
             beam = Beam(level=0, rays=(ray,))
-            base = unstable_measure(beam, perron)
+            base = unstable_measure(beam)
             image = apply_automorphism_to_ray(auto, 1, ray)
-            scaled = unstable_measure(image, perron)
+            scaled = unstable_measure(image)
             total += 1
             if abs(scaled / base - action.lambda_phi) > 1e-6:
                 bad_scale.append((name, state))
             for b in (beam, image):
-                row = theta(b, dim)
-                paired = sum(
-                    float(row[i]) * perron.v_right[i] for i in range(shift.k)
-                )
-                if abs(paired - unstable_measure(b, perron)) > 1e-9:
+                row = theta(b)
+                paired = sum(float(row[i]) * v_right[i] for i in range(shift.k))
+                if abs(paired - unstable_measure(b)) > 1e-9:
                     bad_pair.append((name, state))
     rec.exact(
         "measure-scaling",
@@ -464,8 +441,8 @@ def _criterion_measure_coherence(rec, tol):
     )
 
 
-def _criterion_five_symbol(rec, tol):
-    _, sigma_pair = builtin_pair("sigma_x_sigma_inv")
+def _criterion_five_symbol(rec, tol, built):
+    _, sigma_pair, _ = built["sigma_x_sigma_inv"]
     reference = sigma_pair.forward
     no_wall = five_symbol_no_wall_edges()
     bad = []
@@ -497,9 +474,9 @@ def _criterion_five_symbol(rec, tol):
     )
 
 
-def _criterion_unit_circle(rec, tol):
+def _criterion_unit_circle(rec, tol, built):
     for name in ("identity", "vertex_swap_B"):
-        shift, auto, dim, perron, action = builtin_bundle(name)
+        shift, auto, action = built[name]
         bounds = lyapunov_bounds(auto, 3)
         zero = (0, 0)
         rec.exact(
@@ -554,7 +531,7 @@ def _random_code(rng, shift):
     return code
 
 
-def _criterion_oracle_equivalence(rec, tol):
+def _criterion_oracle_equivalence(rec, tol, built):
     rng = random.Random(20260823)
     pool = [
         build_edge_shift([[2]]),
@@ -602,8 +579,12 @@ ACCEPTANCE_CRITERIA = (
 def run_criterion(cid, tol=DEFAULT_TOL):
     """Records for one acceptance criterion, names prefixed with its id."""
     table = {c: fn for c, _, fn in ACCEPTANCE_CRITERIA}
+    return _criterion_records(cid, table[cid], tol, _run_builtins())
+
+
+def _criterion_records(cid, fn, tol, built):
     rec = Recorder()
-    table[cid](rec, tol)
+    fn(rec, tol, built)
     return [replace(r, name=f"{cid}/{r.name}") for r in rec.records]
 
 
@@ -612,17 +593,18 @@ def run_criterion(cid, tol=DEFAULT_TOL):
 
 def _suite_acceptance(options):
     tol = options.get("tol", DEFAULT_TOL)
+    built = _run_builtins()
     records = []
-    for cid, _, _fn in ACCEPTANCE_CRITERIA:
-        records.extend(run_criterion(cid, tol=tol))
+    for cid, _, fn in ACCEPTANCE_CRITERIA:
+        records.extend(_criterion_records(cid, fn, tol, built))
     return records, {}
 
 
 def _suite_theorem_3(options):
     tol = options.get("tol", DEFAULT_TOL)
+    built = _run_builtins()
     rec = Recorder()
-    for name, params in DEFAULT_SUITE:
-        shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
+    for name, (shift, auto, action) in built.items():
         entropy = exact_entropy_of(auto)
         if entropy is not None:
             rec.adopt(
@@ -637,26 +619,26 @@ def _suite_theorem_3(options):
                 name=f"iterate-windows/{name}",
                 detail=f"{diag.detail} (no certified entropy)",
             )
-    _criterion_five_symbol(rec, tol)
-    _criterion_cubic(rec, tol)
+    _criterion_five_symbol(rec, tol, built)
+    _criterion_cubic(rec, tol, built)
     return rec.records, {}
 
 
 def _suite_theorem_4(options):
     tol = options.get("tol", DEFAULT_TOL)
     n_max = options.get("n_max", 3)
+    built = _run_builtins()
     rec = Recorder()
-    for name, params in DEFAULT_SUITE:
-        shift, auto, dim, perron, action = builtin_bundle(name, dict(params))
+    for name, (shift, auto, action) in built.items():
         profile = coding_range_profile(auto, n_max)
-        bound, _ = verify_main_bounds(auto, profile, action, dim, perron, tol=tol)
+        bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
         rec.adopt(
             bound,
             name=f"main-bounds/{name}",
             detail=f"{bound.detail}, n_max={n_max}",
         )
-    _criterion_sum_and_reverse(rec, tol)
-    _criterion_unit_circle(rec, tol)
+    _criterion_sum_and_reverse(rec, tol, built)
+    _criterion_unit_circle(rec, tol, built)
     return rec.records, {}
 
 
@@ -698,12 +680,7 @@ def _suite_spectra(options):
     )
     payload = {"conditions": _conditions_payload(report)}
     if options.get("search", True) and report.perron_ok and report.net_trace_ok:
-        matrix = search_primitive_realization(
-            poly,
-            max_size=options.get("max_size", 6),
-            max_entry=options.get("max_entry", 8),
-            budget=options.get("search_budget", 10_000_000),
-        )
+        matrix = search_primitive_realization(poly)
         if matrix is None:
             rec.add("realization", "Inconclusive", detail="no matrix within bounds")
         else:
@@ -770,7 +747,7 @@ def _suite_profile(options):
     params = options.get("params")
     if params is None:
         params = dict(DEFAULT_SUITE).get(name, {})
-    shift, auto = builtin_pair(name, dict(params))
+    shift, auto = make_builtin(name, dict(params))
     profile = coding_range_profile(auto, n_max)
     bounds = lyapunov_bounds(auto, n_max, profile=profile)
     rec = Recorder()

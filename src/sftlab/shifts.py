@@ -23,8 +23,10 @@ from .errors import (
     ZeroMatrix,
 )
 
-#: Default tolerance for floating-point verdicts across the package (natural
-#: logs everywhere).
+#: Default tolerance band for floating-point verdicts across the package
+#: (natural logs everywhere).  A verdict's tol decides its status and nothing
+#: else: the eigen-solves run at one fixed precision (perron_data's stopping
+#: rule is this default), so no computed value depends on the band.
 DEFAULT_TOL = 1e-9
 
 #: Default cap on the number of windows any single enumeration may touch.
@@ -70,9 +72,9 @@ class EdgeShift:
     WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only,
     and the word tuples built from them the first time :meth:`words` asks.
     A length costs at most WORD_CHUNK x length int64 cells plus its tuples;
-    longer lengths are streamed anew on every walk.  It also keeps the
-    :func:`perron_data` of each tolerance it was asked for, so the power
-    iteration runs once per (shift, tol).
+    longer lengths are streamed anew on every walk.  It also keeps one
+    :func:`perron_data` record and one :func:`dimension_data` record, each
+    computed the first time it is asked for.
     """
 
     def __init__(self, matrix):
@@ -92,7 +94,8 @@ class EdgeShift:
         self.edge_sources = np.array([s for s, _, _ in edges], dtype=np.intp)
         self.edge_targets = np.array([t for _, t, _ in edges], dtype=np.intp)
         self._reach = {}
-        self._perron = {}  # tol -> PerronData, see perron_data
+        self._perron = None  # see perron_data
+        self._dimension = None  # see dimension_data
         self._ranking = []  # rank tables by tail length, see _rank_tables
         self._one_chunk = {}  # length -> [edge columns, word tuples or None]
         self._paths = [1] * self.k  # paths from each state, next tail length
@@ -353,23 +356,24 @@ class PerronData:
     entropy: float
 
 
-def perron_data(shift, tol=DEFAULT_TOL):
+def perron_data(shift):
     """Perron eigenvalue and right eigenvector by power iteration.
 
     Irreducible input required.  Non-primitive irreducible matrices are
     handled by iterating A + I (primitive whenever A is irreducible) and
-    shifting the eigenvalue back.  The iteration runs once per (shift, tol);
-    the shift keeps the result.
+    shifting the eigenvalue back.  The iteration runs once per shift, at
+    DEFAULT_TOL, and the shift keeps its one Perron record; a refusal is
+    not kept.
     """
     if not shift.irreducible:
         raise ReducibleInput("perron_data needs an irreducible matrix")
-    data = shift._perron.get(tol)
-    if data is None:
-        data = shift._perron[tol] = _perron_iteration(shift, tol)
-    return data
+    if shift._perron is None:
+        shift._perron = _perron_iteration(shift)
+    return shift._perron
 
 
-def _perron_iteration(shift, tol):
+def _perron_iteration(shift):
+    tol = DEFAULT_TOL
     k = shift.k
     a = np.array(shift.matrix, dtype=float)
     b = a + np.eye(k)
@@ -457,7 +461,15 @@ def distinct_roots(coeffs):
 
 
 def dimension_data(shift):
-    """Exact eventual-range data for the shift's matrix."""
+    """Exact eventual-range data for the shift's matrix, computed once per
+    shift; the shift keeps its one dimension record.  A nilpotent matrix
+    raises on every call."""
+    if shift._dimension is None:
+        shift._dimension = _eventual_range(shift)
+    return shift._dimension
+
+
+def _eventual_range(shift):
     k = shift.k
     a = shift.matrix
     ak = ratmat.mat_pow(a, k)

@@ -386,7 +386,7 @@ def verify_eb_failure(matrix, tol=DEFAULT_TOL):
     shift = build_edge_shift(matrix)
     if not shift.primitive:
         raise NotPrimitive("the witness construction needs a primitive matrix")
-    perron = perron_data(shift, tol=tol)
+    perron = perron_data(shift)
     dim = dimension_data(shift)
     lhs = math.log(dim.rho_minus)
     rhs = perron.entropy

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from sftlab import cli, shifts
+from sftlab import shifts
 from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.cli import main
 from sftlab.codes import identity_code, verify_automorphism
-from sftlab.shifts import build_edge_shift, dimension_data
+from sftlab.shifts import build_edge_shift
 from sftlab.systems import save_system
 
 
@@ -60,12 +60,17 @@ def test_analyze_single_automorphism_with_entropy_bound(tau_file, capsys):
     assert "tau/main-bounds" in out
 
 
-def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
-    # the README's tau.json example, input and output, verbatim
+def _readme_tau():
+    """The README's tau.json example: (system file text, printed table)."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     system = readme.split("$ cat tau.json\n", 1)[1].split("$ sftlab", 1)[0]
     table = readme.split("$ sftlab analyze tau.json --n-max 4\n", 1)[1]
-    table = table.split("```", 1)[0]
+    return system, table.split("```", 1)[0]
+
+
+def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
+    # the README's tau.json example, input and output, verbatim
+    system, table = _readme_tau()
     (tmp_path / "tau.json").write_text(system)
     monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
     monkeypatch.chdir(tmp_path)
@@ -77,17 +82,33 @@ def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
     golden("analyze-tau.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def test_analyze_values_do_not_depend_on_tol(tmp_path, capsys):
+    # the verdict band decides statuses; the numbers come from one
+    # eigen-solve per shift at a fixed precision
+    system, _ = _readme_tau()
+    (tmp_path / "tau.json").write_text(system)
+    json_path = tmp_path / "report.json"
+    lhs = []
+    for tol_args in ([], ["--tol", "0.5"]):
+        args = ["analyze", str(tmp_path / "tau.json"), "--json", str(json_path), *tol_args]
+        assert main(args) == 0
+        lhs.append({r["name"]: r["lhs"] for r in json.loads(json_path.read_text())["records"]})
+    assert lhs[1] == lhs[0]
+    assert lhs[1]["tau/main-bounds"] == 1.4436354751788052
+
+
 def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, capsys):
     shift, swap = make_builtin("vertex_swap_B")
     path = tmp_path / "two.json"
     save_system(path, shift, {"a": swap, "b": swap.inverse_automorphism()})
     calls = []
+    compute = shifts._eventual_range
 
     def counted(arg):
         calls.append(arg)
-        return dimension_data(arg)
+        return compute(arg)
 
-    monkeypatch.setattr(cli, "dimension_data", counted)
+    monkeypatch.setattr(shifts, "_eventual_range", counted)
     assert main(["analyze", str(path)]) == 0
     assert len(calls) == 1
     out = capsys.readouterr().out
@@ -103,9 +124,9 @@ def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
     calls = []
     iterate = shifts._perron_iteration
 
-    def counted(arg, tol):
+    def counted(arg):
         calls.append(arg)
-        return iterate(arg, tol)
+        return iterate(arg)
 
     monkeypatch.setattr(shifts, "_perron_iteration", counted)
     assert main(["analyze", str(path)]) == 0
@@ -125,7 +146,7 @@ def test_analyze_dimension_failure_marks_every_automorphism(tmp_path, capsys):
     for name in ("a", "b"):
         record = records[f"{name}/dimension-action"]
         assert record["status"] == "Inconclusive"
-        assert record["detail"] == "perron_data needs an irreducible matrix"
+        assert record["detail"] == "dimension action needs an irreducible shift"
 
 
 def test_analyze_golden_times_cycle_identity(tmp_path, capsys):

@@ -138,28 +138,25 @@ def test_refine_ray_counts_extensions():
 
 def test_theta_exact_values_full_shift():
     full2 = build_edge_shift([[2]])
-    dim = dimension_data(full2)
     beam = Beam(level=0, rays=(canonical_zero_ray(full2, 0),))
-    assert theta(beam, dim) == (Fraction(1),)
-    assert theta(refine_ray(canonical_zero_ray(full2, 0), 3), dim) == (Fraction(1),)
+    assert theta(beam) == (Fraction(1),)
+    assert theta(refine_ray(canonical_zero_ray(full2, 0), 3)) == (Fraction(1),)
 
 
 def test_theta_level_weighting():
     # a single ray pushed to level 1 carries weight delta^-1
     full2 = build_edge_shift([[2]])
-    dim = dimension_data(full2)
     deep = Beam(level=1, rays=(Ray(full2, 1, (0,), ()),))
-    assert theta(deep, dim) == (Fraction(1, 2),)
+    assert theta(deep) == (Fraction(1, 2),)
 
 
 def test_theta_refinement_invariance_golden():
     golden = build_edge_shift(GOLDEN)
-    dim = dimension_data(golden)
     for state in range(2):
         ray = canonical_zero_ray(golden, state)
-        base = theta(Beam(level=0, rays=(ray,)), dim)
+        base = theta(Beam(level=0, rays=(ray,)))
         for depth in (1, 2, 3, 4):
-            assert theta(refine_ray(ray, depth), dim) == base
+            assert theta(refine_ray(ray, depth)) == base
 
 
 def test_dimension_data_fields_survive_replace():
@@ -169,29 +166,27 @@ def test_dimension_data_fields_survive_replace():
     copy = dataclasses.replace(dim)
     assert copy.matrix == golden.matrix
     assert copy.eventual_power == ratmat.mat_pow(golden.matrix, 2)
-    beam = refine_ray(canonical_zero_ray(golden, 1), 2)
-    assert theta(beam, copy) == theta(beam, dim)
+    vec = (3, 2)
+    assert copy.apply_delta_power(vec, -4) == dim.apply_delta_power(vec, -4)
 
 
 def test_measure_refinement_invariance():
     golden = build_edge_shift(GOLDEN)
-    per = perron_data(golden)
     ray = canonical_zero_ray(golden, 0)
-    base = unstable_measure(Beam(level=0, rays=(ray,)), per)
+    base = unstable_measure(Beam(level=0, rays=(ray,)))
     for depth in (1, 2, 3):
-        assert unstable_measure(refine_ray(ray, depth), per) == pytest.approx(base)
+        assert unstable_measure(refine_ray(ray, depth)) == pytest.approx(base)
 
 
 def test_measure_equals_theta_pairing():
     shift, _ = make_builtin("tau_golden")
-    dim = dimension_data(shift)
     per = perron_data(shift)
     for state in range(shift.k):
         beam = Beam(level=0, rays=(canonical_zero_ray(shift, state),))
         pairing = sum(
-            float(x) * v for x, v in zip(theta(beam, dim), per.v_right)
+            float(x) * v for x, v in zip(theta(beam), per.v_right)
         )
-        assert unstable_measure(beam, per) == pytest.approx(pairing, abs=1e-9)
+        assert unstable_measure(beam) == pytest.approx(pairing, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -200,11 +195,10 @@ def test_measure_equals_theta_pairing():
 )
 def test_measure_scales_by_lambda(name, ratio):
     shift, auto = make_builtin(name)
-    per = perron_data(shift)
     ray = canonical_zero_ray(shift, 0)
-    base = unstable_measure(Beam(level=0, rays=(ray,)), per)
+    base = unstable_measure(Beam(level=0, rays=(ray,)))
     image = apply_automorphism_to_ray(auto, 1, ray)
-    assert unstable_measure(image, per) / base == pytest.approx(ratio, abs=1e-9)
+    assert unstable_measure(image) / base == pytest.approx(ratio, abs=1e-9)
 
 
 def test_apply_automorphism_n_zero_and_level_guard():
@@ -442,10 +436,8 @@ def test_entropy_bound_statuses():
 def test_main_bounds_on_shift_are_tight():
     shift, auto = make_builtin("shift")
     profile = coding_range_profile(auto, 3)
-    dim = dimension_data(shift)
-    per = perron_data(shift)
-    act = dimension_matrix(auto, dim=dim)
-    bound, checks = verify_main_bounds(auto, profile, act, dim, per)
+    act = dimension_matrix(auto)
+    bound, checks = verify_main_bounds(auto, profile, act)
     assert bound.status == "Confirmed"
     assert bound.lhs == pytest.approx(0.0, abs=1e-12)
     by_name = {c.name: c for c in checks}
@@ -460,10 +452,8 @@ def test_main_bounds_on_shift_are_tight():
 def test_main_bounds_zero_slopes_check_unit_circle():
     shift, auto = make_builtin("vertex_swap_B")
     profile = coding_range_profile(auto, 2)
-    dim = dimension_data(shift)
-    per = perron_data(shift)
-    act = dimension_matrix(auto, dim=dim)
-    bound, checks = verify_main_bounds(auto, profile, act, dim, per)
+    act = dimension_matrix(auto)
+    bound, checks = verify_main_bounds(auto, profile, act)
     by_name = {c.name: c for c in checks}
     assert by_name["unit-circle"].status == "Confirmed"
     assert by_name["one-sided-minus"].status == "Inconclusive"
@@ -536,8 +526,8 @@ def ref_action(auto, dim):
         assert [(r.cycle, r.transient) for r in beam.rays] == [
             (r.cycle, r.transient) for r in image.rays
         ]
-        c_rows.append(dim.coords(theta(Beam(level=0, rays=(ray,)), dim)))
-        y_rows.append(dim.coords(theta(image, dim)))
+        c_rows.append(dim.coords(theta(Beam(level=0, rays=(ray,)))))
+        y_rows.append(dim.coords(theta(image)))
     chosen = []
     for i in range(shift.k):
         reduced, _ = ratmat.rref([c_rows[j] for j in chosen + [i]])
@@ -591,7 +581,7 @@ def test_dimension_matrix_matches_the_reference_route():
     for name, shift, auto in _reference_cases():
         dim = dimension_data(shift)
         s_phi, order, inert, rho, lam = ref_action(auto, dim)
-        act = dimension_matrix(auto, dim=dim)
+        act = dimension_matrix(auto)
         # byte-identical: the same values with the same types
         assert repr(act.S_phi) == repr(s_phi), name
         assert (act.order_if_finite, act.inert) == (order, inert), name

@@ -3,6 +3,8 @@
 Claims covered:
     - matrix product/power agree with naive definitions, exactly
     - rref produces a reduced echelon basis with the right rank
+    - clear_denominators scales int and Fraction entries to ints and
+      refuses floats
     - inverse() really inverts over Q and refuses singular input
     - char_poly matches hand-computed polynomials (companion, diagonal)
     - char_poly, rref, inverse, mat_mul, vec_mat and mat_pow agree with
@@ -80,6 +82,16 @@ def test_rref_pivot_columns_are_standard_basis():
     for i, row in enumerate(basis):
         for j, p in enumerate(pivots):
             assert row[p] == (1 if i == j else 0)
+
+
+def test_clear_denominators_takes_ints_and_fractions():
+    den, ints = ratmat.clear_denominators(((1, F(1, 2)), (F(2, 3), -4)))
+    assert den == 6
+    assert ints == ((6, 3), (4, -24))
+    assert all(type(x) is int for row in ints for x in row)
+    assert ratmat.clear_denominators(((2, 3),)) == (1, ((2, 3),))
+    with pytest.raises(AttributeError):  # floats are not exact entries
+        ratmat.clear_denominators(((0.5,),))
 
 
 def test_inverse_roundtrip_exact():

@@ -11,12 +11,12 @@ from sftlab.reports import (
     Recorder,
     Report,
     SUITE_NAMES,
-    builtin_bundle,
-    builtin_pair,
     profile_payload,
     run_criterion,
     run_suite,
 )
+from sftlab import reports
+from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 
 STATUS_VOCABULARY = {
@@ -101,14 +101,35 @@ def test_recorder_helpers():
     assert all(r.runtime_ms >= 0 for r in rec.records)
 
 
-# -- builtin caches ---------------------------------------------------------
+# -- the builtins of one run ------------------------------------------------
 
 
-def test_builtin_pair_is_cached():
-    assert builtin_pair("shift") is builtin_pair("shift")
-    bundle = builtin_bundle("shift")
-    assert len(bundle) == 5
-    assert bundle is builtin_bundle("shift")
+def _counted_builtins(monkeypatch):
+    """Every (name, automorphism) the suites build, in call order."""
+    built = []
+
+    def counted(name, params=None):
+        shift, auto = make_builtin(name, params)
+        built.append((name, auto))
+        return shift, auto
+
+    monkeypatch.setattr(reports, "make_builtin", counted)
+    return built
+
+
+def test_acceptance_run_builds_each_builtin_once(monkeypatch):
+    built = _counted_builtins(monkeypatch)
+    assert run_suite("acceptance").exit_code == 0
+    assert [name for name, _ in built] == [name for name, _ in DEFAULT_SUITE]
+
+
+def test_two_runs_share_no_automorphism(monkeypatch):
+    built = _counted_builtins(monkeypatch)
+    run_suite("theorem-4")
+    run_suite("theorem-4")
+    # every object is still held by ``built``, so equal ids mean one object
+    assert len(built) == 2 * len(DEFAULT_SUITE)
+    assert len({id(auto) for _, auto in built}) == len(built)
 
 
 # -- criteria ---------------------------------------------------------------
@@ -161,7 +182,7 @@ def test_profile_suite_payload_fields():
     assert payload["alpha_plus"] == {"lo": "1", "hi": "1"}
     assert payload["method"] == "exact-product"
     # the rendered payload matches a direct computation
-    shift, auto = builtin_pair("tau_golden")
+    shift, auto = make_builtin("tau_golden")
     profile = coding_range_profile(auto, 4)
     bounds = lyapunov_bounds(auto, 4, profile=profile)
     assert payload == profile_payload(profile, bounds)

@@ -14,12 +14,13 @@ Claims covered:
       reach_exact(n) is the zero pattern of ratmat.mat_pow(A, n)
     - perron_data: eigenvalue, eigenvector residual, entropy in nats,
       including the periodic (irreducible, non-primitive) case; the power
-      iteration runs once per (shift, tol), and a reducible shift is
-      refused on every call
+      iteration runs once per shift, and a reducible shift is refused on
+      every call
     - entries outside the edge indices are inadmissible, at their position
     - dimension_data: exact restricted action, rank, inverse, rho_minus
       (also with a repeated eigenvalue); integer input keeps Python ints
-      where no division is made, integral bases included
+      where no division is made, integral bases included; computed once
+      per shift, and a nilpotent matrix is refused on every call
     - kronecker products record a consistent edge/pair correspondence
     - transpose_shift's bijection really transposes edges
 """
@@ -41,7 +42,6 @@ from sftlab.errors import (
     WindowBudgetExceeded,
 )
 from sftlab.shifts import (
-    DEFAULT_TOL,
     WORD_CHUNK,
     build_edge_shift,
     count_words,
@@ -346,21 +346,19 @@ def test_perron_rejects_reducible():
             perron_data(shift)
 
 
-def test_perron_iteration_runs_once_per_shift_and_tolerance(monkeypatch):
+def test_perron_iteration_runs_once_per_shift(monkeypatch):
     calls = []
 
-    def counted(shift, tol):
-        calls.append(tol)
-        return iterate(shift, tol)
+    def counted(shift):
+        calls.append(shift)
+        return iterate(shift)
 
     iterate = shifts._perron_iteration
     monkeypatch.setattr(shifts, "_perron_iteration", counted)
     shift = build_edge_shift(GOLDEN)
     data = perron_data(shift)
     assert perron_data(shift) is data
-    assert perron_data(shift, tol=1e-6) is perron_data(shift, tol=1e-6)
-    assert perron_data(shift, tol=1e-6) is not data
-    assert calls == [DEFAULT_TOL, 1e-6]
+    assert calls == [shift]
     # the kept result is the one a fresh shift computes
     assert perron_data(build_edge_shift(GOLDEN)) == data
 
@@ -388,8 +386,26 @@ def test_dimension_data_rank_deficient():
 
 
 def test_dimension_data_nilpotent_raises():
-    with pytest.raises(NilpotentMatrix):
-        dimension_data(build_edge_shift([[0, 1], [0, 0]]))
+    shift = build_edge_shift([[0, 1], [0, 0]])
+    for _ in range(2):  # a refusal is not kept as a result
+        with pytest.raises(NilpotentMatrix):
+            dimension_data(shift)
+
+
+def test_dimension_data_is_computed_once_per_shift(monkeypatch):
+    calls = []
+
+    def counted(shift):
+        calls.append(shift)
+        return compute(shift)
+
+    compute = shifts._eventual_range
+    monkeypatch.setattr(shifts, "_eventual_range", counted)
+    shift = build_edge_shift(GOLDEN)
+    dim = dimension_data(shift)
+    assert dimension_data(shift) is dim
+    assert calls == [shift]
+    assert dimension_data(build_edge_shift(GOLDEN)) == dim
 
 
 def test_dimension_coords_and_membership():

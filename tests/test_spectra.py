@@ -227,6 +227,14 @@ def test_eb_failure_confirmed_for_cubic_realization():
     assert out["gap"] == pytest.approx(0.11759107712013273)
 
 
+def test_eb_failure_values_do_not_depend_on_tol():
+    # tol is the verdict band; the entropy comes from one eigen-solve at a
+    # fixed precision
+    matrix = search_primitive_realization(CUBIC)
+    loose, tight = verify_eb_failure(matrix, tol=0.5), verify_eb_failure(matrix, tol=1e-9)
+    assert loose["rhs"] == tight["rhs"] == pytest.approx(1.7877535743089603)
+
+
 def test_eb_failure_inconclusive_for_full_shift():
     out = verify_eb_failure([[2]])
     assert out["status"] == "Inconclusive"
