@@ -211,7 +211,7 @@ class _RuleItems(ItemsView):
 
     def __iter__(self):
         code = self._mapping._code
-        return zip(code.source.words(code.window), map(int, code.column))
+        return zip(code.source.words(code.window), code.column.tolist())
 
 
 def identity_code(shift):

@@ -104,8 +104,11 @@ def _presence(code, state_of):
 #    grouped implementations in tests).  A group of windows -- the windows
 #    that two agreeing points can show around coordinate j -- is coded when
 #    every pair in it has the same output.  Equality is transitive, so that
-#    holds exactly when the group's outputs form a set of at most one
-#    element, which one pass over the group decides. --
+#    holds exactly when every window has its group's first output, which
+#    one pass over the rule table decides.  Near 0 a group is a slice on
+#    the agreed side; far from 0 it is the windows whose end on that side
+#    is reached from one common state, so the pass collects outputs per end
+#    state and reach_exact joins them. --
 
 
 def coded_minus_naive(code, j):
@@ -113,20 +116,11 @@ def coded_minus_naive(code, j):
     m, a = code.memory, code.anticipation
     if j + a <= 0:
         return True
-    rule = dict(code.rule.items())
     shift = code.source
-    if j - m <= 0:
-        # the shared prefix covers the coordinates <= 0; tails by state
-        tails = [list(shift.words(j + a, start_state=s)) for s in range(shift.k)]
-        return all(
-            len({rule[w + u] for u in tails[shift.target(w[-1])]}) <= 1
-            for w in shift.words(m - j + 1)
-        )
+    if j - m <= 0:  # the window's edges at coordinates <= 0
+        return _one_output_per_group(code, slice(None, m - j + 1))
     reach = shift.reach_exact(j - m - 1)
-    return all(
-        len({out for w, out in rule.items() if reach[s][shift.source(w[0])]}) <= 1
-        for s in range(shift.k)
-    )
+    return _one_output_per_reach(code, reach, 0, shift.edge_sources.tolist())
 
 
 def coded_plus_naive(code, j):
@@ -134,21 +128,32 @@ def coded_plus_naive(code, j):
     m, a = code.memory, code.anticipation
     if j - m >= 0:
         return True
-    rule = dict(code.rule.items())
     shift = code.source
-    if j + a >= 0:
-        # the shared suffix covers the coordinates >= 0; heads by end state
-        heads = [[] for _ in range(shift.k)]
-        for u in shift.words(m - j):
-            heads[shift.target(u[-1])].append(u)
-        return all(
-            len({rule[u + w] for u in heads[shift.source(w[0])]}) <= 1
-            for w in shift.words(j + a + 1)
-        )
-    reach = shift.reach_exact(-(j + a) - 1)
+    if j + a >= 0:  # the window's edges at coordinates >= 0
+        return _one_output_per_group(code, slice(m - j, None))
+    reach = tuple(zip(*shift.reach_exact(-(j + a) - 1)))  # row s: states reaching s
+    return _one_output_per_reach(code, reach, -1, shift.edge_targets.tolist())
+
+
+def _one_output_per_group(code, agreed):
+    """Does every window have the output of the first window with the same
+    slice ``agreed``?  Stops at the first one that does not."""
+    first = {}
+    for w, out in code.rule.items():
+        if first.setdefault(w[agreed], out) != out:
+            return False
+    return True
+
+
+def _one_output_per_reach(code, reach, end, edge_states):
+    """Per row of ``reach``: do the windows whose edge ``end`` is at a state
+    (``edge_states``) in the row have at most one output between them?"""
+    outputs = [set() for _ in range(code.source.k)]
+    for w, out in code.rule.items():
+        outputs[edge_states[w[end]]].add(out)
     return all(
-        len({out for w, out in rule.items() if reach[shift.target(w[-1])][s]}) <= 1
-        for s in range(shift.k)
+        len(set().union(*(outs for outs, hit in zip(outputs, row) if hit))) <= 1
+        for row in reach
     )
 
 

@@ -35,12 +35,11 @@ from .codes import (
     codes_equal,
     compose,
     infer_inverse,
+    iterates,
     pad_code,
-    power,
     resolve_budget,
     shift_code,
     inverse_shift_code,
-    identity_code,
     SlidingBlockCode,
 )
 from .coding_range import (
@@ -495,15 +494,28 @@ def _criterion_unit_circle(rec, tol, built):
         )
 
 
-def _random_code(rng, shift):
-    """A random certified-valid sliding block code with window <= 7."""
+def _shift_powers(shift):
+    """{r: sigma^r} for r = -3..3 on ``shift``, each power composed once
+    from the one before: the codes :func:`_random_code` draws from."""
+    powers = {}
+    for sign, code in ((1, shift_code(shift)), (-1, inverse_shift_code(shift))):
+        walk = iterates(code)
+        for r in range(4):
+            powers[sign * r] = next(walk)
+    return powers
+
+
+def _random_code(rng, powers):
+    """A random certified-valid sliding block code with window <= 7 on the
+    shift of ``powers`` (:func:`_shift_powers`)."""
+    shift = powers[0].source
     kind = rng.randrange(4)
     if kind == 0:
-        code = identity_code(shift)
+        code = powers[0]
     elif kind == 1:
-        code = power(shift_code(shift), rng.randint(1, 3))
+        code = powers[rng.randint(1, 3)]
     elif kind == 2:
-        code = power(inverse_shift_code(shift), rng.randint(1, 3))
+        code = powers[-rng.randint(1, 3)]
     else:
         n = shift.n_edges
         if shift.k == 1:
@@ -513,12 +525,10 @@ def _random_code(rng, shift):
                 shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False
             )
         else:
-            code = identity_code(shift)
+            code = powers[0]
     if rng.random() < 0.5 and shift.k == 1:
-        other = power(
-            (shift_code if rng.random() < 0.5 else inverse_shift_code)(shift),
-            rng.randint(1, 2),
-        )
+        sign = 1 if rng.random() < 0.5 else -1
+        other = powers[sign * rng.randint(1, 2)]
         if code.window + other.window - 1 <= 7:
             code = compose(code, other)
     room = 7 - code.window
@@ -533,23 +543,15 @@ def _random_code(rng, shift):
 
 def _criterion_oracle_equivalence(rec, tol, built):
     rng = random.Random(20260823)
-    pool = [
-        build_edge_shift([[2]]),
-        build_edge_shift([[3]]),
-        build_edge_shift([[4]]),
-        shift_builtin("golden_mean"),
-    ]
+    shifts = [build_edge_shift([[q]]) for q in (2, 3, 4)] + [shift_builtin("golden_mean")]
+    pool = [_shift_powers(shift) for shift in shifts]
     mismatches = 0
-    cases = 0
-    for _ in range(500):
-        shift = pool[rng.randrange(len(pool))]
-        code = _random_code(rng, shift)
+    cases = 500
+    for _ in range(cases):
+        code = _random_code(rng, pool[rng.randrange(len(pool))])
         j = rng.randint(-5, 5)
-        cases += 1
-        if coded_minus(code, j) != coded_minus_naive(code, j):
-            mismatches += 1
-        if coded_plus(code, j) != coded_plus_naive(code, j):
-            mismatches += 1
+        mismatches += coded_minus(code, j) != coded_minus_naive(code, j)
+        mismatches += coded_plus(code, j) != coded_plus_naive(code, j)
     rec.exact(
         "coded-vs-naive",
         mismatches == 0,

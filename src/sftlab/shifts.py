@@ -154,10 +154,11 @@ class EdgeShift:
     def words(self, length, start_state=None):
         """Yield all admissible words of ``length`` edges, lexicographically
         by edge index (rank order).  ``start_state`` restricts the first
-        edge's source."""
+        edge's source; a state outside 0..k-1 raises ValueError."""
         if length < 0:
             raise ValueError("word length must be nonnegative")
         if length == 0:
+            self._block(1, start_state)  # refuses a state outside 0..k-1
             yield ()
             return
         kept = self._kept(length)
@@ -258,6 +259,8 @@ class EdgeShift:
         start = self._rank_tables(length)[length - 1][2]
         if start_state is None:
             return 0, int(start[-1])
+        if not 0 <= start_state < self.k:
+            raise ValueError(f"start_state {start_state} is not in 0..{self.k - 1}")
         return int(start[start_state]), int(start[start_state + 1])
 
     def _kept(self, length):

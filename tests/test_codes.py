@@ -12,6 +12,7 @@ Claims covered:
       and bounds compose, padding and reversal
 """
 
+import numpy as np
 import pytest
 
 from sftlab.builtins import make_builtin
@@ -126,6 +127,20 @@ def test_apply_to_word_matches_rule_lookups(full2, golden):
         for word in code.source.words(w + 3):
             looked_up = tuple(code.rule[word[i : i + w]] for i in range(4))
             assert code.apply_to_word(word) == looked_up
+
+
+def test_rule_items_are_python_ints_equal_to_lookups(full2, golden):
+    prod = kronecker_product(golden, full2)
+    for code in (
+        pad_code(inverse_shift_code(golden), extra_memory=1, extra_anticipation=2),
+        product_code(shift_code(golden), inverse_shift_code(full2), prod),
+        shift_code(full2),
+    ):
+        items = list(code.rule.items())
+        assert [w for w, _ in items] == list(code.source.words(code.window))
+        for w, out in items:
+            assert type(out) is int and out == code.rule[w]
+    assert shift_code(full2).column.dtype == np.uint8
 
 
 def test_compose_adds_window_shape(full2):

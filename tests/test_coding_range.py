@@ -10,6 +10,7 @@ examples code track by track).
 """
 
 from fractions import Fraction
+import itertools
 import random
 
 import numpy as np
@@ -28,7 +29,7 @@ from sftlab.coding_range import (
 )
 from sftlab.codes import SlidingBlockCode, codes_equal, power, shift_code
 from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
-from sftlab.reports import _random_code
+from sftlab.reports import _random_code, _shift_powers
 from sftlab.shifts import build_edge_shift
 
 
@@ -255,30 +256,32 @@ def test_set_form_oracles_match_the_pairwise_reference_on_the_acceptance_stream(
     # the first 100 cases of acceptance criterion 12's seeded stream
     rng = random.Random(20260823)
     pool = [
-        build_edge_shift([[2]]),
-        build_edge_shift([[3]]),
-        build_edge_shift([[4]]),
-        shift_builtin("golden_mean"),
+        _shift_powers(build_edge_shift([[2]])),
+        _shift_powers(build_edge_shift([[3]])),
+        _shift_powers(build_edge_shift([[4]])),
+        _shift_powers(shift_builtin("golden_mean")),
     ]
     for case in range(100):
-        shift = pool[rng.randrange(len(pool))]
-        code = _random_code(rng, shift)
+        code = _random_code(rng, pool[rng.randrange(len(pool))])
         j = rng.randint(-5, 5)
         assert coded_minus_naive(code, j) == pairwise_minus(code, j), case
         assert coded_plus_naive(code, j) == pairwise_plus(code, j), case
 
 
 # Each branch of each oracle on a code that outputs edge 0 everywhere but on
-# one window: that window's group then has two outputs.  The 2-state full
-# shift has groups that the state splits (reach over 0 steps).
+# one window: that window's group then has two outputs.  The odd window is a
+# given one, then the first and the last in rank order, so the one-pass
+# oracles must catch it whether it opens its group or comes after all of
+# it.  The 2-state full shift has groups that the state splits (reach over
+# 0 steps).
 FULL_2X2 = build_edge_shift([[1, 1], [1, 1]])
 
 
-def _one_window_differs(memory, anticipation, window):
+def _one_window_differs(memory, anticipation, rank):
     column = np.zeros(FULL_2X2.word_count(memory + anticipation + 1), dtype=np.uint8)
     code = SlidingBlockCode.from_column(FULL_2X2, FULL_2X2, memory, anticipation, column)
     odd = column.copy()
-    odd[FULL_2X2.rank_of(window)] = 1
+    odd[rank] = 1
     return code, SlidingBlockCode.from_column(FULL_2X2, FULL_2X2, memory, anticipation, odd)
 
 
@@ -296,10 +299,38 @@ def test_one_odd_window_makes_its_group_uncoded(side, memory, anticipation, j, w
         "minus": (coded_minus_naive, coded_minus),
         "plus": (coded_plus_naive, coded_plus),
     }[side]
-    constant, odd = _one_window_differs(memory, anticipation, window)
-    assert naive(constant, j) and grouped(constant, j)
-    assert not naive(odd, j)
-    assert not grouped(odd, j)
+    for rank in (FULL_2X2.rank_of(window), 0, -1):
+        constant, odd = _one_window_differs(memory, anticipation, rank)
+        assert naive(constant, j) is True and grouped(constant, j)
+        assert naive(odd, j) is False, rank
+        assert not grouped(odd, j), rank
+
+
+# An irreducible shift whose reach is not symmetric (the cycle 0 -> 1 -> 2 -> 0
+# plus a loop at 0), so the far groups differ when read along the paths and
+# against them.  Each code outputs edge 0 or 1 by the state at the window's
+# end on the far side.
+CYCLE_WITH_LOOP = build_edge_shift([[1, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_far_groups_follow_the_paths(side):
+    shift = CYCLE_WITH_LOOP
+    naive, grouped, pairwise, state_at_end = {
+        "minus": (coded_minus_naive, coded_minus, pairwise_minus, lambda w: shift.source(w[0])),
+        "plus": (coded_plus_naive, coded_plus, pairwise_plus, lambda w: shift.target(w[-1])),
+    }[side]
+    seen = set()
+    for g in itertools.product((0, 1), repeat=shift.k):
+        for m, a in ((0, 0), (1, 0), (0, 1)):
+            words = shift.words(m + a + 1)
+            column = np.array([g[state_at_end(w)] for w in words], dtype=np.uint8)
+            code = SlidingBlockCode.from_column(shift, shift, m, a, column)
+            for j in range(-4, 5):
+                expected = pairwise(code, j)
+                assert naive(code, j) == expected == grouped(code, j), (g, m, a, j)
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("name,params", ORACLE_POOL)

@@ -15,7 +15,7 @@ from sftlab.reports import (
     run_criterion,
     run_suite,
 )
-from sftlab import reports
+from sftlab import codes, reports
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 
@@ -148,6 +148,24 @@ def test_run_criterion_prefixes_names():
     assert records
     assert all(r.name.startswith("01-golden-entropy/") for r in records)
     assert all(r.status == "Confirmed" for r in records)
+
+
+def test_oracle_criterion_builds_each_pool_power_once(monkeypatch):
+    calls = []
+
+    def counted(outer, inner, budget=None):
+        calls.append(outer)
+        return compose(outer, inner, budget=budget)
+
+    compose = codes.compose
+    monkeypatch.setattr(codes, "compose", counted)  # the powers' iterates
+    monkeypatch.setattr(reports, "compose", counted)  # per-case products
+    (record,) = run_criterion("12-oracle-equivalence")
+    # 4 pool shifts x 2 signs x (sigma^2, sigma^3), then the drawn products
+    assert len(calls) == 203
+    assert record.status == "Confirmed"
+    assert record.lhs == "0 discrepancies"
+    assert record.detail == "500 randomized (code, j) cases, seeded"
 
 
 def test_run_criterion_unknown_id():

@@ -113,6 +113,22 @@ def test_ranks_number_the_words_in_order(matrix):
     assert shift.rank_of((shift.n_edges,)) is None
 
 
+def test_start_states_outside_the_shift_are_refused():
+    golden = build_edge_shift(GOLDEN)
+    for state in (-1, 2):
+        for length in (0, 2):
+            with pytest.raises(ValueError):
+                list(golden.words(length, start_state=state))
+        with pytest.raises(ValueError):
+            list(golden.ranked_words(2, start_state=state))
+    assert list(golden.words(2, start_state=1)) == [(2, 0), (2, 1)]
+    chunks = golden.ranked_words(2, start_state=1)
+    assert [(first, [c.tolist() for c in cols]) for first, cols in chunks] == [
+        (3, [[2, 2], [0, 1]])
+    ]
+    assert list(golden.words(0, start_state=1)) == [()]
+
+
 def test_full_shift_ranks_are_base_q():
     shift = build_edge_shift([[3]])
     assert shift.rank_of((2, 0, 1)) == 2 * 9 + 0 * 3 + 1
