@@ -8,6 +8,9 @@ paths.  A code stores its rule as an output column: a numpy array holding
 one target edge per admissible window, indexed by the window's rank
 (:meth:`EdgeShift.rank`).  Operations on codes walk the windows in chunks
 of edge arrays (:meth:`EdgeShift.ranked_words`) and gather from columns.
+compose, pad_code and the entropy census read one kernel instead,
+:func:`image_ranks`: the ranks of the images of the windows, with the rank
+terms that lie in the windows' kept tail summed once per walk.
 An :class:`Automorphism` is a pair of codes certified to compose to the
 identity in both orders.
 """
@@ -232,18 +235,74 @@ def inverse_shift_code(shift):
     )
 
 
+def image_ranks(placed, length, width):
+    """Yield (rank of the first word, ranks) over the words of ``length``
+    edges, chunk by chunk (:meth:`EdgeShift.split_words`).  ``placed``
+    holds (code, start) pairs on one source shift, and column i of the
+    2-d array ``ranks`` belongs to pair i: the ranks, among its code's
+    target words of ``width`` edges, of the image of each word's edges
+    start .. start + width + window - 2.
+
+    A rank is a sum of one term per image position (:meth:`EdgeShift.rank`).
+    The terms of the positions whose window lies in the words' kept tail
+    are summed once over the kept tail words and gathered per chunk; only
+    the positions that straddle the top edges are ranked per chunk."""
+    source = placed[0][0].source
+    s, tail = source.tail(length)
+    p = length - s
+    # per pair: the image positions below cut straddle the top edges
+    cuts = [min(width, max(0, p - start)) for _, start in placed]
+    sums = [
+        _rank_terms(code, tail, start - p, range(cut, width), width)
+        for (code, start), cut in zip(placed, cuts)
+    ]
+    # the tail edges that straddling windows read
+    reach = max(
+        (start + cut + code.window - 1 - p for (code, start), cut in zip(placed, cuts) if cut),
+        default=0,
+    )
+    for first, top, x in source.split_words(length):
+        cols = top + tuple(c[x] for c in tail[:reach])
+        ranks = np.empty((len(x), len(placed)), dtype=np.int64)
+        for i, ((code, start), cut, total) in enumerate(zip(placed, cuts, sums)):
+            ranks[:, i] = _rank_terms(
+                code, cols, start, range(cut), width, None if total is None else total[x]
+            )
+        yield first, ranks
+
+
+def _rank_terms(code, cols, start, positions, width, ranks=None):
+    """``ranks`` plus the rank terms, among ``code``'s target words of
+    ``width`` edges, of the image edges at ``positions``: image edge j is
+    the output on cols[start + j : start + j + window], and its term is
+    offset_(width-1-j)[edge], or prefix for j = 0 (the block start of the
+    edge's state included).  None when there are neither ranks nor
+    positions; ``ranks`` is added to in place."""
+    tables = code.target._rank_tables(width)
+    for j in positions:
+        edge = code.outputs(cols[start + j : start + j + code.window])
+        term = tables[width - 1 - j][0 if j == 0 else 1][edge]
+        if ranks is None:
+            ranks = term
+        else:
+            ranks += term
+    return ranks
+
+
 def compose(outer, inner, budget=None):
-    """outer(inner(x)) as a single code; memories and anticipations add."""
+    """outer(inner(x)) as a single code; memories and anticipations add.
+    The outer rule is read at the ranks of the inner images
+    (:func:`image_ranks`)."""
     if inner.target != outer.source:
         raise ShiftMismatch("inner target and outer source differ")
     m = inner.memory + outer.memory
     a = inner.anticipation + outer.anticipation
     budget = resolve_budget(budget)
     count = inner.source.ensure_budget(m + a + 1, budget)
-    return SlidingBlockCode.tabulated(
-        inner.source, outer.target, m, a, count,
-        lambda cols: outer.outputs(inner.image(cols)),
-    )
+    column = np.empty(count, dtype=_edge_dtype(outer.target))
+    for first, ranks in image_ranks([(inner, 0)], m + a + 1, outer.window):
+        column[first : first + len(ranks)] = outer.column[ranks[:, 0]]
+    return SlidingBlockCode.from_column(inner.source, outer.target, m, a, column)
 
 
 def iterates(code, budget=None):
@@ -272,12 +331,12 @@ def pad_code(code, extra_memory=0, extra_anticipation=0, budget=None):
     """Same behaviour on a wider window (useful to align windows)."""
     m = code.memory + extra_memory
     a = code.anticipation + extra_anticipation
-    inner = slice(extra_memory, extra_memory + code.window)
     count = code.source.ensure_budget(m + a + 1, resolve_budget(budget))
-    return SlidingBlockCode.tabulated(
-        code.source, code.target, m, a, count,
-        lambda cols: code.outputs(cols[inner]),
-    )
+    column = np.empty(count, dtype=_edge_dtype(code.target))
+    # the rank of a one-edge image word is its edge
+    for first, edges in image_ranks([(code, extra_memory)], m + a + 1, 1):
+        column[first : first + len(edges)] = edges[:, 0]
+    return SlidingBlockCode.from_column(code.source, code.target, m, a, column)
 
 
 def codes_equal(c1, c2, edge_map=None, budget=None):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .codes import (
     SlidingBlockCode,
+    image_ranks,
     iterates,
     recognized_exponents,
     resolve_budget,
@@ -81,11 +82,8 @@ def _distinct_windows(auto, count, width, ordered, budget):
     # one row per word: the rank of each iterate's output window; a set of
     # windows becomes its sorted distinct ranks, padded in front with -1
     found = []
-    for _, cols in shift.ranked_words(length):
-        rows = np.stack([
-            shift.rank(code.image(cols[mem - code.memory : mem + width + code.anticipation]))
-            for code in powers
-        ], axis=1)
+    placed = [(code, mem - code.memory) for code in powers]
+    for _, rows in image_ranks(placed, length, width):
         if not ordered:
             rows.sort(axis=1)
             rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1

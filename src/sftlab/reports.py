@@ -496,7 +496,9 @@ def _criterion_unit_circle(rec, tol, built):
 
 def _shift_powers(shift):
     """{r: sigma^r} for r = -3..3 on ``shift``, each power composed once
-    from the one before: the codes :func:`_random_code` draws from."""
+    from the one before: the codes :func:`_random_code` draws from.  It
+    also keeps, under (r1, r2), each product sigma^r1 o sigma^r2 that
+    :func:`_random_code` has built."""
     powers = {}
     for sign, code in ((1, shift_code(shift)), (-1, inverse_shift_code(shift))):
         walk = iterates(code)
@@ -510,27 +512,32 @@ def _random_code(rng, powers):
     shift of ``powers`` (:func:`_shift_powers`)."""
     shift = powers[0].source
     kind = rng.randrange(4)
-    if kind == 0:
-        code = powers[0]
-    elif kind == 1:
-        code = powers[rng.randint(1, 3)]
+    r = 0  # the exponent when the code is a pool power, else None
+    if kind == 1:
+        r = rng.randint(1, 3)
     elif kind == 2:
-        code = powers[-rng.randint(1, 3)]
-    else:
+        r = -rng.randint(1, 3)
+    elif kind == 3 and shift.k == 1:
+        r = None
         n = shift.n_edges
-        if shift.k == 1:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            code = SlidingBlockCode(
-                shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False
-            )
-        else:
-            code = powers[0]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        code = SlidingBlockCode(
+            shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False
+        )
+    if r is not None:
+        code = powers[r]
     if rng.random() < 0.5 and shift.k == 1:
         sign = 1 if rng.random() < 0.5 else -1
-        other = powers[sign * rng.randint(1, 2)]
+        r2 = sign * rng.randint(1, 2)
+        other = powers[r2]
         if code.window + other.window - 1 <= 7:
-            code = compose(code, other)
+            if r is None:
+                code = compose(code, other)
+            elif (r, r2) in powers:
+                code = powers[r, r2]
+            else:
+                code = powers[r, r2] = compose(code, other)
     room = 7 - code.window
     if room > 0 and rng.random() < 0.6:
         code = pad_code(

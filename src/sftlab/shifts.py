@@ -41,7 +41,9 @@ DEFAULT_BUDGET = 5 * 10**7
 #: A length whose words fit in one chunk is enumerated once per shift and
 #: kept (EdgeShift's one-chunk memo): at most WORD_CHUNK x length int64
 #: cells per length, plus the word tuples once words() has asked for them.
-#: Longer lengths stream chunk by chunk and keep nothing.
+#: Longer lengths stream chunk by chunk as p top edges over a tail of s
+#: edges, s the longest length that is kept (EdgeShift.tail): they keep
+#: nothing of their own, only that tail, at most WORD_CHUNK x s cells.
 WORD_CHUNK = 1 << 14
 
 #: Ranks are int64; word counts at or above this do not fit.
@@ -71,8 +73,12 @@ class EdgeShift:
     length it has enumerated whose words fit in one chunk (at most
     WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only,
     and the word tuples built from them the first time :meth:`words` asks.
-    A length costs at most WORD_CHUNK x length int64 cells plus its tuples;
-    longer lengths are streamed anew on every walk.  It also keeps one
+    A length costs at most WORD_CHUNK x length int64 cells plus its tuples.
+    Longer lengths are streamed anew on every walk, each word as p top
+    edges over a tail of s edges (:meth:`tail`): :meth:`unrank` descends
+    the rank tables over the top edges only and gathers the tail from the
+    kept words of length s, which is all the memory a long length adds
+    (at most WORD_CHUNK x s int64 cells).  It also keeps one
     :func:`perron_data` record and one :func:`dimension_data` record, each
     computed the first time it is asked for.
     """
@@ -226,17 +232,61 @@ class EdgeShift:
 
     def unrank(self, length, start, stop):
         """Edge columns (a tuple of ``length`` arrays) of the words ranked
-        start..stop-1."""
+        start..stop-1; ValueError unless 0 <= start <= stop <=
+        word_count(length).  Past one chunk only the top edges are read off
+        the rank tables: the tail is gathered from its kept words."""
+        count = self._block(length, None)[1]
+        if not 0 <= start <= stop <= count:
+            raise ValueError(f"ranks {start}..{stop} are not within 0..{count}")
+        s = self._tail_length(length)
+        if s == length:  # a length that fits is read whole: this is how it is kept
+            s = 0
+        top, x = self._descend(length, start, stop, s)
+        return top + tuple(c[x] for c in self._kept(s)[0]) if s else top
+
+    def _descend(self, length, start, stop, s):
+        """Top ``length - s`` edge columns of the words ranked start..stop-1,
+        and the ranks of their last s edges among the words of s edges
+        (meaningless for s = 0)."""
         tables = self._rank_tables(length)
         x = np.arange(start, stop, dtype=np.int64)
-        cols = []
-        for r in range(length - 1, -1, -1):
-            prefix = tables[r][0]
-            e = np.searchsorted(prefix, x, side="right") - 1
-            cols.append(e)
+        top = []
+        for r in range(length - 1, s - 1, -1):
+            e = np.searchsorted(tables[r][0], x, side="right") - 1
+            top.append(e)
             if r:
                 x -= tables[r][3][e]
-        return tuple(cols)
+        return tuple(top), x
+
+    def tail(self, length):
+        """The top/tail split of the words of ``length`` >= 1 edges: (s, the
+        kept, read-only edge columns of the words of s edges).  s is the
+        longest length up to ``length`` whose words fit in one chunk, 0 (and
+        no columns) when not even the one-edge words do; a word is its
+        p = length - s top edges followed by a word of s edges."""
+        s = self._tail_length(length)
+        return s, (self._kept(s)[0] if s else ())
+
+    def _tail_length(self, length):
+        s = length
+        while s and self._block(s, None)[1] > WORD_CHUNK:
+            s -= 1
+        return s
+
+    def split_words(self, length):
+        """Yield (rank of the first word, top edge columns, tail ranks) over
+        the words of ``length`` >= 1 edges, WORD_CHUNK words at a time, in
+        rank order: each word is its top edges followed by the kept word of
+        s edges at its tail rank (see :meth:`tail`).  A length that fits in
+        one chunk is all tail: one chunk with no top columns."""
+        count = self._block(length, None)[1]
+        s = self._tail_length(length)
+        if s == length:
+            if count:
+                yield 0, (), np.arange(count, dtype=np.int64)
+            return
+        for first in range(0, count, WORD_CHUNK):
+            yield first, *self._descend(length, first, min(first + WORD_CHUNK, count), s)
 
     def ranked_words(self, length, start_state=None):
         """Yield (rank of the first word, edge columns) over the admissible

@@ -161,8 +161,10 @@ def test_oracle_criterion_builds_each_pool_power_once(monkeypatch):
     monkeypatch.setattr(codes, "compose", counted)  # the powers' iterates
     monkeypatch.setattr(reports, "compose", counted)  # per-case products
     (record,) = run_criterion("12-oracle-equivalence")
-    # 4 pool shifts x 2 signs x (sigma^2, sigma^3), then the drawn products
-    assert len(calls) == 203
+    # 4 pool shifts x 2 signs x (sigma^2, sigma^3), then the drawn products:
+    # 63 distinct products of two pool powers, each built once, and 59
+    # products of a symbol permutation with a pool power
+    assert len(calls) == 16 + 63 + 59
     assert record.status == "Confirmed"
     assert record.lhs == "0 discrepancies"
     assert record.detail == "500 randomized (code, j) cases, seeded"

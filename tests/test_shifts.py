@@ -193,13 +193,17 @@ def test_second_walk_is_kept_and_matches_a_fresh_shift(m, length):
 def test_a_length_past_one_chunk_is_streamed_and_not_kept():
     shift = build_edge_shift([[2]])
     assert shift.word_count(15) == 32768 == 2 * WORD_CHUNK
-    for _ in range(2):
+    streamed = [(15, 0, WORD_CHUNK), (15, WORD_CHUNK, 2 * WORD_CHUNK)]
+    # the first walk also unranks its tail length 14 once; the second builds
+    # no tail
+    for tail in ([(14, 0, WORD_CHUNK)], []):
         with pytest.MonkeyPatch.context() as mp:
             calls = _counting_unrank(mp, shift)
             chunks = list(shift.ranked_words(15))
         assert [first for first, _ in chunks] == [0, WORD_CHUNK]
-        assert calls == [(15, 0, WORD_CHUNK), (15, WORD_CHUNK, 2 * WORD_CHUNK)]
-        chunks[0][1][0][0] = 1  # a streamed chunk is the caller's own array
+        assert calls == streamed[:1] + tail + streamed[1:]
+        assert 15 not in shift._one_chunk
+        chunks[0][1][0][0] = chunks[0][1][-1][0] = 1  # the caller's own arrays
     assert list(shift.words(15))[:2] == [(0,) * 15, (0,) * 14 + (1,)]
 
 
