@@ -27,10 +27,11 @@ from .errors import (
     NotInverse,
     NotInvertibleWithin,
     ParseError,
+    PreconditionFailed,
     ShiftMismatch,
     WordTooShort,
 )
-from .shifts import DEFAULT_BUDGET
+from .shifts import DEFAULT_BUDGET, transpose_shift
 
 
 def resolve_budget(budget=None):
@@ -117,6 +118,22 @@ class SlidingBlockCode:
     @property
     def rule(self):
         return RuleView(self)
+
+    @functools.cached_property
+    def prefix_lcp(self):
+        """D^-: the longest common prefix of rank-adjacent windows with
+        different outputs (:func:`_changes_lcp`).  Windows sharing their
+        first L edges have consecutive ranks, so the output is a function
+        of those L edges iff L > D^-."""
+        words = self.source.ranked_words(self.window)
+        return _changes_lcp(self.source, ((c, self.column[i : i + len(c[0])]) for i, c in words))
+
+    @functools.cached_property
+    def suffix_lcp(self):
+        """D^+: :attr:`prefix_lcp` of the windows read backwards, so the
+        output is a function of the window's last L edges iff L > D^+."""
+        tshift = transpose_shift(self.source)[0]
+        return _changes_lcp(tshift, ((c, out) for _, c, out in _reversed_windows(self)))
 
     def _checked_outputs(self, rule):
         src, tgt = self.source, self.target
@@ -215,6 +232,54 @@ class _RuleItems(ItemsView):
     def __iter__(self):
         code = self._mapping._code
         return zip(code.source.words(code.window), code.column.tolist())
+
+
+def _changes_lcp(shift, chunks):
+    """Max over rank-adjacent words with different outputs of their longest
+    common prefix, -1 when no outputs differ; ``chunks`` yields (edge
+    columns, outputs) in rank order.  When every state has an edge out (as
+    on an irreducible shift), the word after w keeps w's edges up to the
+    last position where its edge is not the first out of its state, so that
+    position is the pair's common prefix (0 if there is none).  The walk
+    stops once the maximum reaches its bound, the length minus one."""
+    later = np.zeros(shift.n_edges, dtype=bool)  # not the first edge out of its state
+    later[1:] = shift.edge_sources[1:] == shift.edge_sources[:-1]
+    d, before = -1, None
+    for cols, out in chunks:
+        top = len(cols) - 1
+        previous = out[:1] if before is None else before  # the output before each word
+        changes = np.flatnonzero(out != np.concatenate((previous, out[:-1])))
+        before = out[-1:]
+        if changes.size:
+            d = max(d, 0)
+            d = next((p for p in range(top, d, -1) if later[cols[p][changes]].any()), d)
+            if d == top:
+                break
+    return d
+
+
+def _reversed_windows(code):
+    """Yield (rank of the first word, edge columns, outputs) over the
+    transpose shift's words of the code's window length, chunk by chunk:
+    each is a window read backwards, with the code's output on it."""
+    tshift, bijection = transpose_shift(code.source)
+    back = np.argsort(bijection)  # transpose edge -> original edge
+    for start, cols in tshift.ranked_words(code.window):
+        yield start, cols, code.outputs(tuple(back[c] for c in reversed(cols)))
+
+
+def reverse_code(code, budget=None):
+    """Conjugate by coordinate reversal: windows reverse, memory and
+    anticipation swap, and edges pass through the transpose bijection
+    (:func:`transpose_shift`)."""
+    if code.source != code.target:
+        raise PreconditionFailed("reverse_code needs an endomorphism-shaped code")
+    tshift, bijection = transpose_shift(code.source)
+    count = tshift.ensure_budget(code.window, resolve_budget(budget))
+    column = np.empty(count, dtype=_edge_dtype(tshift))
+    for start, _, out in _reversed_windows(code):
+        column[start : start + len(out)] = np.take(bijection, out)
+    return SlidingBlockCode.from_column(tshift, tshift, code.anticipation, code.memory, column)
 
 
 def identity_code(shift):

@@ -1,17 +1,19 @@
 """How far coding windows propagate under iteration of an automorphism.
 
-For a code psi with memory M and anticipation A', say the half-line
+For a code psi with memory m and anticipation a, say the half-line
 (-inf, 0] *codes* coordinate j when any two points agreeing on (-inf, 0]
-have psi-images agreeing at j.  W^- is the largest m such that (-inf, 0]
-codes all of (-inf, m]; W^+ is the dual for right half-lines.  Per
-coordinate this is decidable from the rule table: group windows by their
-content on the agreed side and ask whether any group admits two outputs.
+have psi-images agreeing at j.  W^- is the largest j' such that (-inf, 0]
+codes all of (-inf, j']; W^+ is the dual for right half-lines.
 
-Scans are bracketed by proved inequalities: W^-(n,phi) >= -A'(n) and
-W^+(n,phi) <= M(n) come for free from window shapes, and the sum
-inequalities W^-(n,phi) + W^-(n,phi^-1) <= 0, W^+(n,phi) + W^+(n,phi^-1)
->= 0 cap the other side.  When a scan exhausts its bracket without finding
-an uncoded coordinate, the bracket endpoint is forced exactly.
+Both are read off the code's minimal window.  Two paths that share an edge
+can be spliced there (Lind-Marcus 2.2), so an output that is a function of
+two overlapping parts of the window is a function of their overlap: the
+coordinates it reads form one interval [-m*, a*].  Near 0 (-a < j <= m)
+(-inf, 0] fixes the first m - j + 1 edges of the window at j, so it codes
+j iff m - j + 1 > D^- (:attr:`SlidingBlockCode.prefix_lcp`): W^- = m - D^-
+= -a* when D^- >= 1, and dually W^+ = D^+ - a = m*.  When D <= 0 the
+output reads only the window's far edge, and a reach test on its states
+decides beyond the window, out to the cap of the sum inequalities.
 """
 
 from dataclasses import astuple, dataclass
@@ -21,10 +23,10 @@ import numpy as np
 
 from .codes import (
     Automorphism,
-    SlidingBlockCode,
     iterates,
     recognized_exponents,
     resolve_budget,
+    reverse_code,
 )
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .shifts import transpose_shift
@@ -43,22 +45,12 @@ def coded_minus(code, j):
     m, a = code.memory, code.anticipation
     if j + a <= 0:
         return True  # the whole window sits in the agreed half-line
-    shift = code.source
-    if j - m <= 0:
-        # windows sharing their first m - j + 1 edges (the coordinates <= 0)
-        # have consecutive ranks; each such block must be constant
-        shared = m - j + 1
-        for start, cols in shift.ranked_words(code.window):
-            out = code.column[start : start + len(cols[0])]
-            first = np.arange(start, start + len(out)) - shift.offsets(cols[shared:])
-            if not np.array_equal(out, code.column[first]):
-                return False
-        return True
+    d = code.prefix_lcp
+    if j <= m or d > 0:  # past the window only a one-edge output can be coded
+        return j <= m - d
     # window fully to the right of 0: the two points diverge at coordinate 1
     # from a common state, reaching the window starts by paths of equal length
-    reach = np.array(shift.reach_exact(j - m - 1))
-    seen = reach @ _presence(code, lambda cols: shift.edge_sources[cols[0]])
-    return bool(np.all(seen.sum(axis=1) <= 1))  # one output per common state
+    return _far_coded(code, np.array(code.source.reach_exact(j - m - 1)), 0)
 
 
 def coded_plus(code, j):
@@ -67,41 +59,32 @@ def coded_plus(code, j):
     m, a = code.memory, code.anticipation
     if j - m >= 0:
         return True
+    d = code.suffix_lcp
+    if j >= -a or d > 0:
+        return j >= d - a
+    reach = np.array(code.source.reach_exact(-(j + a) - 1)).T  # row s: states reaching s
+    return _far_coded(code, reach, -1)
+
+
+def _far_coded(code, reach, end):
+    """Beyond the window, where the output reads only the window's edge at
+    ``end`` (0 or -1; D <= 0): do the edges at the states of each row of
+    ``reach`` (where they start, for end = -1 where they end) have at most
+    one output between them?  The output is read on one window per edge."""
     shift = code.source
-    if j + a >= 0:
-        # windows sharing their last j + a + 1 edges (the coordinates >= 0):
-        # the block of windows sharing the first `free` edges lists every
-        # suffix from its end state once, in rank order, so each window must
-        # match the window with its suffix in the first block that ends there
-        free = code.window - (j + a + 1)
-        block = np.full(shift.k, -1, dtype=np.int64)
-        for start, cols in shift.ranked_words(code.window):
-            out = code.column[start : start + len(cols[0])]
-            offsets = shift.offsets(cols[free:])
-            states = shift.edge_sources[cols[free]]
-            for s in np.flatnonzero(block < 0):
-                hits = np.flatnonzero(states == s)
-                if hits.size:
-                    block[s] = start + hits[0] - offsets[hits[0]]
-            if not np.array_equal(out, code.column[block[states] + offsets]):
-                return False
-        return True
-    reach = np.array(shift.reach_exact(-(j + a) - 1))
-    seen = reach.T @ _presence(code, lambda cols: shift.edge_targets[cols[-1]])
-    return bool(np.all(seen.sum(axis=1) <= 1))
+    ahead, behind = (shift.edge_targets, shift.edge_sources)[:: 1 if end == 0 else -1]
+    step = np.empty(shift.k, dtype=np.intp)
+    step[behind] = np.arange(shift.n_edges)  # an edge leaving (entering) each state
+    cols = [np.arange(shift.n_edges)]
+    while len(cols) < code.window:
+        cols.append(step[ahead[cols[-1]]])
+    presence = np.zeros((shift.k, code.target.n_edges), dtype=bool)
+    presence[behind, code.outputs(tuple(cols[:: 1 if end == 0 else -1]))] = True
+    return bool(np.all((reach @ presence).sum(axis=1) <= 1))
 
 
-def _presence(code, state_of):
-    """k x n_edges booleans: which outputs occur on the windows that
-    ``state_of(cols)`` assigns to each state."""
-    presence = np.zeros((code.source.k, code.target.n_edges), dtype=bool)
-    for start, cols in code.source.ranked_words(code.window):
-        presence[state_of(cols), code.column[start : start + len(cols[0])]] = True
-    return presence
-
-
-# -- literal-definition oracles (small systems only; used to guard the
-#    grouped implementations in tests).  A group of windows -- the windows
+# -- literal-definition oracles (small systems only; used to guard
+#    coded_minus and coded_plus in tests).  A group of windows -- the windows
 #    that two agreeing points can show around coordinate j -- is coded when
 #    every pair in it has the same output.  Equality is transitive, so that
 #    holds exactly when every window has its group's first output, which
@@ -157,20 +140,6 @@ def _one_output_per_reach(code, reach, end, edge_states):
     )
 
 
-def _scan_minus(code, start, ceiling):
-    for j in range(start, ceiling + 1):
-        if not coded_minus(code, j):
-            return j - 1
-    return ceiling
-
-
-def _scan_plus(code, start, floor):
-    for j in range(start, floor - 1, -1):
-        if not coded_plus(code, j):
-            return j + 1
-    return floor
-
-
 @dataclass(frozen=True)
 class WValues:
     """W^-, W^+ at one power n, for the automorphism and its inverse."""
@@ -218,23 +187,31 @@ def _combined(per_track):
 
 
 def _scan_w(n, fwd, inv):
-    """W values from the codes of phi^n and phi^-n.
-
-    The inverse side is scanned first inside window-derived brackets, then
-    the forward side inside the tighter brackets the sum inequalities give.
-    """
-    m_f, a_f = fwd.memory, fwd.anticipation
-    m_i, a_i = inv.memory, inv.anticipation
-    wm_i = _scan_minus(inv, -a_i + 1, a_f)
-    wp_i = _scan_plus(inv, m_i - 1, -m_f)
-    wm_f = _scan_minus(fwd, -a_f + 1, -wm_i)
-    wp_f = _scan_plus(fwd, m_f - 1, -wp_i)
+    """W values from the codes of phi^n and phi^-n, each read off its own
+    code.  A far branch steps out to the cap that the other code's window
+    gives: W^-(phi) <= -W^-(phi^-1) <= a(phi^-1), W^+(phi) >= -m(phi^-1)."""
+    wm_f, wm_i = (_w_minus(c, other.anticipation) for c, other in ((fwd, inv), (inv, fwd)))
+    wp_f, wp_i = (_w_plus(c, -other.memory) for c, other in ((fwd, inv), (inv, fwd)))
     if wm_f + wm_i > 0 or wp_f + wp_i < 0:
         raise InternalInvariantViolation(
             f"sum inequalities failed at n={n}: "
             f"W-=({wm_f},{wm_i}) W+=({wp_f},{wp_i})"
         )
     return WValues(n=n, minus=wm_f, plus=wp_f, minus_inv=wm_i, plus_inv=wp_i)
+
+
+def _w_minus(code, cap):
+    j = code.memory - max(code.prefix_lcp, 0)
+    while j < cap and coded_minus(code, j + 1):
+        j += 1
+    return j
+
+
+def _w_plus(code, floor):
+    j = max(code.suffix_lcp, 0) - code.anticipation
+    while j > floor and coded_plus(code, j - 1):
+        j -= 1
+    return j
 
 
 @dataclass(frozen=True)
@@ -284,30 +261,18 @@ def coding_range_profile(auto, n_max, budget=None):
         inverse = iterates(track.inverse, budget)
         next(forward), next(inverse)  # phi^0
         walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
-    vals = [_combined(per_track) for per_track in zip(*walks)]
-    wm = tuple(v.minus for v in vals)
-    wp = tuple(v.plus for v in vals)
-    wmi = tuple(v.minus_inv for v in vals)
-    wpi = tuple(v.plus_inv for v in vals)
+    _, wm, wp, wmi, wpi = zip(*(astuple(_combined(t)) for t in zip(*walks)))
     # proved shape constraints; failing any is a library bug
-    for seq, label, super_add in (
-        (wm, "W^-(phi)", True),
-        (wmi, "W^-(phi^-1)", True),
-        (wp, "W^+(phi)", False),
-        (wpi, "W^+(phi^-1)", False),
+    for seq, label, sign, kind in (
+        (wm, "W^-(phi)", 1, "superadditive"),
+        (wmi, "W^-(phi^-1)", 1, "superadditive"),
+        (wp, "W^+(phi)", -1, "subadditive"),
+        (wpi, "W^+(phi^-1)", -1, "subadditive"),
     ):
         for p in range(1, n_max + 1):
             for q in range(1, n_max + 1 - p):
-                lhs = seq[p + q - 1]
-                rhs = seq[p - 1] + seq[q - 1]
-                if super_add and lhs < rhs:
-                    raise InternalInvariantViolation(
-                        f"{label} not superadditive at {p}+{q}"
-                    )
-                if not super_add and lhs > rhs:
-                    raise InternalInvariantViolation(
-                        f"{label} not subadditive at {p}+{q}"
-                    )
+                if sign * (seq[p + q - 1] - seq[p - 1] - seq[q - 1]) < 0:
+                    raise InternalInvariantViolation(f"{label} not {kind} at {p}+{q}")
     a_minus = tuple(abs(wmi[i]) - wm[i] for i in range(n_max))
     a_plus = tuple(abs(wm[i]) - wmi[i] for i in range(n_max))
     return CodingRangeProfile(
@@ -344,30 +309,21 @@ class LyapunovBounds:
         return self.verdict == "consistent-with-distortion"
 
 
-def _argbest(values, best):
-    target = best(values)
-    for i, v in enumerate(values):
-        if v == target:
-            return i + 1, target
-    raise AssertionError
+def _argbest(seq, sign, best):
+    """(n, slope) of the ``best`` slope sign * seq[n - 1] / n, first n on ties."""
+    slopes = [Fraction(sign * w, n) for n, w in enumerate(seq, 1)]
+    value = best(slopes)
+    return slopes.index(value) + 1, value
 
 
 def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     if profile is None:
         profile = coding_range_profile(auto, n_max, budget=budget)
     n_max = profile.n_max
-    lo_m_n, lo_m = _argbest(
-        [Fraction(profile.w_minus[i], i + 1) for i in range(n_max)], max
-    )
-    hi_m_n, hi_m = _argbest(
-        [Fraction(-profile.w_minus_inv[i], i + 1) for i in range(n_max)], min
-    )
-    lo_p_n, lo_p = _argbest(
-        [Fraction(-profile.w_plus_inv[i], i + 1) for i in range(n_max)], max
-    )
-    hi_p_n, hi_p = _argbest(
-        [Fraction(profile.w_plus[i], i + 1) for i in range(n_max)], min
-    )
+    lo_m_n, lo_m = _argbest(profile.w_minus, 1, max)
+    hi_m_n, hi_m = _argbest(profile.w_minus_inv, -1, min)
+    lo_p_n, lo_p = _argbest(profile.w_plus_inv, -1, max)
+    hi_p_n, hi_p = _argbest(profile.w_plus, 1, min)
     method = "interval"
     recognized = recognized_exponents(auto)
     if recognized is not None:
@@ -376,15 +332,8 @@ def lyapunov_bounds(auto, n_max, profile=None, budget=None):
         exps = tuple(s for shift, s in tracks if shift.positive_entropy)
         am = Fraction(min(-s for s in exps))
         ap = Fraction(max(-s for s in exps))
-        for i in range(n_max):
-            n = i + 1
-            ok = (
-                profile.w_minus[i] == n * am
-                and profile.w_plus[i] == n * ap
-                and profile.w_minus_inv[i] == n * min(s for s in exps)
-                and profile.w_plus_inv[i] == n * max(s for s in exps)
-            )
-            if not ok:
+        for n in range(1, n_max + 1):
+            if profile.at(n) != WValues(n, n * am, n * ap, n * min(exps), n * max(exps)):
                 raise InternalInvariantViolation(
                     f"recognized {kind} exponents {exps} contradict W data at n={n}"
                 )
@@ -412,30 +361,11 @@ def lyapunov_bounds(auto, n_max, profile=None, budget=None):
     )
 
 
-def reverse_code(code, tshift=None, bijection=None, budget=None):
-    """Conjugate by coordinate reversal: windows reverse, memory and
-    anticipation swap, and edges pass through the transpose bijection."""
-    if code.source != code.target:
-        raise PreconditionFailed("reverse_code needs an endomorphism-shaped code")
-    if tshift is None:
-        tshift, bijection = transpose_shift(code.source)
-    bijection = np.asarray(bijection, dtype=np.intp)
-    back = np.argsort(bijection)  # transpose edge -> original edge
-
-    def outputs(cols):
-        return bijection[code.outputs(tuple(back[c] for c in reversed(cols)))]
-
-    count = tshift.ensure_budget(code.window, resolve_budget(budget))
-    return SlidingBlockCode.tabulated(
-        tshift, tshift, code.anticipation, code.memory, count, outputs
-    )
-
-
 def reverse_automorphism(auto):
     """The automorphism seen through x_i -> x_{-i}; returns
     (transpose shift, reversed automorphism, edge bijection)."""
     tshift, bijection = transpose_shift(auto.shift)
-    fwd = reverse_code(auto.forward, tshift, bijection)
-    inv = reverse_code(auto.inverse, tshift, bijection)
+    fwd = reverse_code(auto.forward)
+    inv = reverse_code(auto.inverse)
     cert = {"method": "reverse", "base": auto.certificate.get("method")}
     return tshift, Automorphism(fwd, inv, cert), bijection

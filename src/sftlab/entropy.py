@@ -23,7 +23,7 @@ from .codes import (
     shift_power_of,
     verify_automorphism,
 )
-from .errors import NotInvariant, ZeroMatrix
+from .errors import NilpotentMatrix, NotInvariant, ZeroMatrix
 from .records import CheckRecord
 from .shifts import _pattern_power, build_edge_shift, count_words, perron_data
 
@@ -48,6 +48,7 @@ def column_census(auto, w, n, budget=None):
     shift), any other by exact enumeration over the dependence window."""
     if w < 0 or n < 1:
         raise ValueError("need w >= 0 and n >= 1")
+    _require_points(auto.shift)
     budget = resolve_budget(budget)
     count, certified = 1, True
     for track in auto.tracks:
@@ -65,6 +66,13 @@ def column_census(auto, w, n, budget=None):
         certified=certified,
         method="product-form" if certified else "enumeration",
     )
+
+
+def _require_points(shift):
+    """Refuse a shift whose words die out: with A^k = 0 there are no
+    points, so no columns or windows to count."""
+    if count_words(shift, shift.k) == 0:
+        raise NilpotentMatrix("A^k = 0; the shift has no points")
 
 
 def _distinct_windows(auto, count, width, ordered, budget):
@@ -105,6 +113,7 @@ def c_phi_count(auto, n, budget=None):
     """Number of distinct collections (sets) of iterate windows
     phi^i(y)|[k, k+2r+1], i = 0..n, with r the coding range of the forward
     rule; k does not change the count."""
+    _require_points(auto.shift)
     r = max(auto.forward.memory, auto.forward.anticipation)
     return _distinct_windows(auto, n + 1, 2 * r + 2, False, resolve_budget(budget))
 

@@ -79,8 +79,9 @@ class EdgeShift:
     the rank tables over the top edges only and gathers the tail from the
     kept words of length s, which is all the memory a long length adds
     (at most WORD_CHUNK x s int64 cells).  It also keeps one
-    :func:`perron_data` record and one :func:`dimension_data` record, each
-    computed the first time it is asked for.
+    :func:`perron_data` record, one :func:`dimension_data` record and one
+    :func:`transpose_shift` record, each computed the first time it is
+    asked for.
     """
 
     def __init__(self, matrix):
@@ -102,6 +103,7 @@ class EdgeShift:
         self._reach = {}
         self._perron = None  # see perron_data
         self._dimension = None  # see dimension_data
+        self._transpose = None  # see transpose_shift
         self._ranking = []  # rank tables by tail length, see _rank_tables
         self._one_chunk = {}  # length -> [edge columns, word tuples or None]
         self._paths = [1] * self.k  # paths from each state, next tail length
@@ -213,21 +215,15 @@ class EdgeShift:
             ]
         return tables
 
-    def offsets(self, cols):
+    def rank(self, cols):
         """Ranks of the words whose i-th edges are ``cols[i]`` (equal-length
-        integer arrays) among the words of their length that leave the same
-        state; the words must be admissible."""
+        integer arrays) in the order :meth:`words` yields; the words must be
+        admissible."""
         tables = self._rank_tables(len(cols))
         last = len(cols) - 1
-        ranks = tables[last][1][cols[0]]
+        ranks = tables[last][0][cols[0]]  # prefix: the block start of the state included
         for i in range(1, len(cols)):
             ranks += tables[last - i][1][cols[i]]
-        return ranks
-
-    def rank(self, cols):
-        """Ranks of the words ``cols`` in the order :meth:`words` yields."""
-        ranks = self.offsets(cols)
-        ranks += self._ranking[len(cols) - 1][2][self.edge_sources[cols[0]]]
         return ranks
 
     def unrank(self, length, start, stop):
@@ -332,12 +328,7 @@ class EdgeShift:
         admissible words of its length; None when it is not admissible."""
         if not self.is_admissible(word):
             return None
-        tables = self._rank_tables(len(word))
-        last = len(word) - 1
-        rank = tables[last][2][self.edges[word[0]][0]]
-        for i, e in enumerate(word):
-            rank += tables[last - i][1][e]
-        return int(rank)
+        return int(self.rank([np.array([e]) for e in word])[0])
 
     def word_count(self, length):
         """Exact number of admissible words with ``length`` edges."""
@@ -602,12 +593,14 @@ def transpose_shift(shift):
     """Transpose shift plus the edge bijection e=(s,t,c) -> (t,s,c).
 
     Returns (shift of A^T, tuple mapping each edge index of A to the
-    corresponding edge index of A^T).
+    corresponding edge index of A^T).  The shift keeps this record, and
+    the transpose shift the record back; when A^T = A the transpose shift
+    is the shift itself.
     """
-    k = shift.k
-    tmatrix = [[shift.matrix[j][i] for j in range(k)] for i in range(k)]
-    tshift = build_edge_shift(tmatrix)
-    bijection = tuple(
-        tshift.edge_index[(t, s, c)] for (s, t, c) in shift.edges
-    )
-    return tshift, bijection
+    if shift._transpose is None:
+        tmatrix = tuple(zip(*shift.matrix))
+        tshift = shift if tmatrix == shift.matrix else build_edge_shift(tmatrix)
+        bijection = tuple(tshift.edge_index[(t, s, c)] for (s, t, c) in shift.edges)
+        shift._transpose = (tshift, bijection)
+        tshift._transpose = (shift, tuple(np.argsort(bijection).tolist()))
+    return shift._transpose

@@ -27,10 +27,19 @@ from sftlab.coding_range import (
     reverse_automorphism,
     w_values,
 )
-from sftlab.codes import SlidingBlockCode, codes_equal, power, shift_code
+from sftlab.codes import (
+    SlidingBlockCode,
+    codes_equal,
+    compose,
+    identity_code,
+    inverse_shift_code,
+    power,
+    shift_code,
+    verify_automorphism,
+)
 from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
 from sftlab.reports import _random_code, _shift_powers
-from sftlab.shifts import build_edge_shift
+from sftlab.shifts import WORD_CHUNK, build_edge_shift, transpose_shift
 
 
 # -- frozen profiles for the named examples ---------------------------------
@@ -342,6 +351,111 @@ def test_grouped_scan_matches_naive(name, params):
             assert coded_plus(code, j) == coded_plus_naive(code, j), (name, j)
             assert coded_minus_naive(code, j) == pairwise_minus(code, j), (name, j)
             assert coded_plus_naive(code, j) == pairwise_plus(code, j), (name, j)
+
+
+# -- the window statistics at their edge cases --------------------------------
+
+
+def _assert_matches_naive(code, js):
+    for j in js:
+        assert coded_minus(code, j) == coded_minus_naive(code, j), j
+        assert coded_plus(code, j) == coded_plus_naive(code, j), j
+
+
+def test_constant_code_has_no_changes():
+    shift = build_edge_shift([[2]])
+    column = np.zeros(shift.word_count(3), dtype=np.uint8)
+    code = SlidingBlockCode.from_column(shift, shift, 1, 1, column)
+    assert (code.prefix_lcp, code.suffix_lcp) == (-1, -1)
+    _assert_matches_naive(code, range(-4, 5))
+
+
+@pytest.mark.parametrize(
+    "build,lcps",
+    [(identity_code, (0, 0)), (shift_code, (1, 0)), (inverse_shift_code, (0, 1))],
+)
+def test_far_branch_decides_when_one_edge_does(build, lcps):
+    # D = 0 on a side: the output is a function of the window's edge at the
+    # far end of that side, and the reach test decides beyond the window
+    for shift in (build_edge_shift([[2]]), FULL_2X2, CYCLE_WITH_LOOP):
+        code = build(shift)
+        assert (code.prefix_lcp, code.suffix_lcp) == lcps
+        _assert_matches_naive(code, range(-4, 5))
+
+
+def test_window_statistic_reads_across_chunks():
+    # the 2^16 windows of the full 2-shift walk in four chunks, and the one
+    # change of output is at the first boundary: ranks 16383 and 16384 are
+    # 0011...1 and 0100...0, which share one edge
+    column = (np.arange(2**16) >= WORD_CHUNK).astype(np.uint8)
+    code = SlidingBlockCode.from_column(FULL_2, FULL_2, 15, 0, column)
+    assert code.prefix_lcp == 1
+    _assert_matches_naive(code, range(13, 17))
+
+
+def test_transpose_record_is_kept():
+    symmetric = build_edge_shift([[1, 2], [2, 0]])
+    record = transpose_shift(symmetric)
+    assert record[0] is symmetric
+    assert transpose_shift(symmetric) is record
+    assert record[1] == (0, 3, 4, 1, 2)  # (s, t, c) -> (t, s, c)
+    tshift, bijection = transpose_shift(CYCLE_WITH_LOOP)
+    assert tshift is not CYCLE_WITH_LOOP and transpose_shift(CYCLE_WITH_LOOP)[0] is tshift
+    back = transpose_shift(tshift)
+    assert back[0] is CYCLE_WITH_LOOP
+    assert [back[1][bijection[e]] for e in range(CYCLE_WITH_LOOP.n_edges)] == list(
+        range(CYCLE_WITH_LOOP.n_edges)
+    )
+
+
+# -- generated automorphisms: marker involutions on the full 2-shift ---------
+#
+# m flips x_0 iff (x_-2, x_-1, x_1, x_2) = 0010, and m' does so for 0100.
+# The contexts cannot overlap a flipped coordinate, so each is an
+# involution.  Their products read wide windows, which no builtin does.
+
+FULL_2 = build_edge_shift([[2]])
+
+
+def _marker(context):
+    rule = {w: w[2] ^ (w[:2] + w[3:] == context) for w in FULL_2.words(5)}
+    return verify_automorphism(*[SlidingBlockCode(FULL_2, FULL_2, 2, 2, rule)] * 2)
+
+
+MARKER = _marker((0, 0, 1, 0))
+MARKER_PRIME = _marker((0, 1, 0, 0))
+
+
+def _composed(outer, inner):
+    """outer o inner, certified."""
+    return verify_automorphism(
+        compose(outer.forward, inner.forward), compose(inner.inverse, outer.inverse)
+    )
+
+
+def test_marker_product_profile():
+    p = coding_range_profile(_composed(MARKER, MARKER_PRIME), 2)
+    assert p.w_minus == p.w_minus_inv == (-4, -8)
+    assert p.w_plus == p.w_plus_inv == (4, 8)
+
+
+def test_shifted_marker_profile():
+    _, sigma = make_builtin("shift", {"shift": FULL_2})
+    p = coding_range_profile(_composed(sigma, MARKER), 3)
+    assert p.w_minus == (-3, -2, -5)
+    assert p.w_plus == (1, -2, -1)
+    assert p.w_minus_inv == (-1, 2, 1)
+    assert p.w_plus_inv == (3, 2, 5)
+    assert p.at(2) == coding_range_profile(sigma, 2).at(2)  # (sigma o m)^2 = sigma^2
+
+
+@pytest.mark.parametrize("which", ["product", "shifted"])
+def test_marker_codes_match_naive(which):
+    _, sigma = make_builtin("shift", {"shift": FULL_2})
+    outer, inner = (MARKER, MARKER_PRIME) if which == "product" else (sigma, MARKER)
+    auto = _composed(outer, inner)
+    for code in (auto.forward, auto.inverse):
+        _assert_matches_naive(code, range(-code.window, code.window + 1))
 
 
 def test_scan_rejects_zero_entropy():

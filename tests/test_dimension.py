@@ -35,7 +35,7 @@ import pytest
 from sftlab import codes, ratmat
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
-from sftlab.coding_range import _scan_w, coding_range_profile
+from sftlab.coding_range import coding_range_profile, w_values
 from sftlab.dimension import (
     Beam,
     Ray,
@@ -489,7 +489,7 @@ def test_distortion_spectrum_check():
 def ref_image_beam(auto, ray):
     code = auto.power(1)
     mem, ant = code.memory, code.anticipation
-    wv = _scan_w(1, code, auto.power(-1))
+    wv = w_values(auto, 1)
     level_out, w_fwd = -wv.minus_inv, wv.minus
     p, q = len(ray.cycle), len(ray.transient)
     cut = min(-ant - q, w_fwd - 1)

@@ -22,6 +22,7 @@ from sftlab.codes import (
     codes_equal,
     identity_code,
     recognized_exponents,
+    verify_automorphism,
 )
 from sftlab.coding_range import lyapunov_bounds
 from sftlab.entropy import (
@@ -33,7 +34,7 @@ from sftlab.entropy import (
     restrict_to_subsystem,
 )
 from sftlab.dimension import dimension_matrix
-from sftlab.errors import NotInvariant, WindowBudgetExceeded, ZeroMatrix
+from sftlab.errors import NilpotentMatrix, NotInvariant, WindowBudgetExceeded, ZeroMatrix
 from sftlab.shifts import build_edge_shift, count_words
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -180,6 +181,16 @@ def test_restriction_matches_the_window_by_window_reference(completion):
     assert sub.matrix == ref_sub.matrix
     assert codes_equal(restricted, reference)
     assert restricted.column.tolist() == reference.column.tolist()
+
+
+def test_census_refuses_a_shift_whose_words_die_out():
+    # [[0, 1], [0, 0]] has one edge and no two-edge word, so no points
+    shift = build_edge_shift([[0, 1], [0, 0]])
+    ident = verify_automorphism(identity_code(shift), identity_code(shift))
+    with pytest.raises(NilpotentMatrix):
+        column_census(ident, 1, 2)
+    with pytest.raises(NilpotentMatrix):
+        c_phi_count(ident, 2)
 
 
 def test_restriction_witness_is_the_first_bad_window_in_rank_order():
