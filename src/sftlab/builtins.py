@@ -1,13 +1,18 @@
 """Named example systems: shifts and certified automorphisms.
 
-``make_builtin(name, params)`` returns an (EdgeShift, Automorphism) pair.
-The five-symbol reflection rule takes a ``completion`` parameter naming the
-output on the one window its table leaves open (a lone pair symbol between
-two walls); see FIVE_SYMBOL_COMPLETIONS.
+``make_builtin(name, params, shift)`` returns an (EdgeShift, Automorphism)
+pair.  A builtin lives on its own shift or on the one its ``shift``
+parameter gives (a shift builtin's name or an EdgeShift; full_2 by
+default).  It is built on ``shift``, which must have that matrix, or else
+on a new copy; a product builtin builds each track on the factor its
+product shift records.  The five-symbol rule's ``completion`` parameter
+names the output on the one window its table leaves open (a lone pair
+symbol between two walls); see FIVE_SYMBOL_COMPLETIONS.
 """
 
+import itertools
+
 from .codes import (
-    Automorphism,
     SlidingBlockCode,
     identity_code,
     infer_inverse,
@@ -16,39 +21,43 @@ from .codes import (
     shift_code,
     verify_automorphism,
 )
-from .errors import UnknownBuiltin
-from .shifts import build_edge_shift, kronecker_product
+from .errors import ShiftMismatch, UnknownBuiltin
+from .shifts import EdgeShift, build_edge_shift, kronecker_product
 
 GOLDEN_MEAN = ((1, 1), (1, 0))
 SWAP_B = ((2, 1), (1, 2))
+FULL_5 = ((5,),)
 
-_SHIFT_BUILTINS = {
-    "golden_mean": lambda: build_edge_shift(GOLDEN_MEAN),
-    "full_2": lambda: build_edge_shift([[2]]),
-    "full_3": lambda: build_edge_shift([[3]]),
-    "full_5": lambda: build_edge_shift([[5]]),
-    "vertex_swap_B": lambda: build_edge_shift(SWAP_B),
-    "golden_mean_product": lambda: kronecker_product(
-        build_edge_shift(GOLDEN_MEAN), build_edge_shift(GOLDEN_MEAN)
-    ),
-    "full_2_product": lambda: kronecker_product(
-        build_edge_shift([[2]]), build_edge_shift([[2]])
-    ),
+_SHIFT_MATRICES = {
+    "golden_mean": GOLDEN_MEAN,
+    "full_2": ((2,),),
+    "full_3": ((3,),),
+    "full_5": FULL_5,
+    "vertex_swap_B": SWAP_B,
 }
+
+#: Named products of a shift builtin with itself, by the factor's name.
+_SQUARES = {"golden_mean_product": "golden_mean", "full_2_product": "full_2"}
 
 
 def shift_builtin(name):
+    """A new copy of a named shift; a product's two factors are one object."""
+    if name in _SQUARES:
+        factor = shift_builtin(_SQUARES[name])
+        return kronecker_product(factor, factor)
     try:
-        return _SHIFT_BUILTINS[name]()
+        return build_edge_shift(_SHIFT_MATRICES[name])
     except KeyError:
         raise UnknownBuiltin(f"no shift builtin named {name!r}") from None
 
 
-def _resolve_shift(params, default="full_2"):
-    spec = params.get("shift", default)
-    if isinstance(spec, str):
-        return shift_builtin(spec)
-    return spec  # an EdgeShift
+def _named_shift(params):
+    """The shift a builtin's "shift" parameter gives, as its matrix when it
+    names a plain shift builtin, so that checking a shift builds nothing."""
+    spec = params.get("shift", "full_2")
+    if isinstance(spec, EdgeShift):
+        return spec
+    return _SHIFT_MATRICES[spec] if spec in _SHIFT_MATRICES else shift_builtin(spec)
 
 
 # -- five-symbol reflection rule ------------------------------------------
@@ -78,8 +87,9 @@ def _pair(e):
     return (e >> 1, e & 1)
 
 
-def five_symbol_code(completion="swap"):
-    """Forward rule of the five-symbol example on the full 5-shift.
+def five_symbol_code(completion="swap", shift=None):
+    """Forward rule of the five-symbol example on the full 5-shift
+    ``shift`` (a new copy when none is given); returns (shift, code).
 
     Always constructible, for every completion; invertibility is a separate
     question settled by ``infer_inverse``.
@@ -91,29 +101,19 @@ def five_symbol_code(completion="swap"):
             f"unknown completion {completion!r}; choose from "
             f"{sorted(FIVE_SYMBOL_COMPLETIONS)}"
         ) from None
-    shift = shift_builtin("full_5")
+    shift = shift or build_edge_shift(FULL_5)
     wall = FIVE_SYMBOL_WALL
     rule = {}
-    for left in range(5):
-        for centre in range(5):
-            for right in range(5):
-                if centre == wall:
-                    out = wall
-                elif left == wall and right == wall:
-                    out = complete(*_pair(centre))
-                elif left == wall:
-                    a, _ = _pair(centre)
-                    ap, _ = _pair(right)
-                    out = _pair_edge(ap, a)
-                elif right == wall:
-                    _, b = _pair(left)
-                    _, bp = _pair(centre)
-                    out = _pair_edge(bp, b)
-                else:
-                    _, b = _pair(left)
-                    app, _ = _pair(right)
-                    out = _pair_edge(app, b)
-                rule[(left, centre, right)] = out
+    for left, centre, right in itertools.product(range(5), repeat=3):
+        if centre == wall:
+            out = wall
+        elif left == wall and right == wall:
+            out = complete(*_pair(centre))
+        else:
+            first = _pair(centre)[1] if right == wall else _pair(right)[0]
+            second = _pair(centre)[0] if left == wall else _pair(left)[1]
+            out = _pair_edge(first, second)
+        rule[(left, centre, right)] = out
     return shift, SlidingBlockCode(shift, shift, 1, 1, rule, check=False)
 
 
@@ -122,104 +122,112 @@ def five_symbol_no_wall_edges():
     return tuple(e for e in range(5) if e != FIVE_SYMBOL_WALL)
 
 
-def _identity(params):
-    shift = _resolve_shift(params)
+def _identity(params, shift):
     code = identity_code(shift)
-    return shift, verify_automorphism(code, code)
+    return verify_automorphism(code, code)
 
 
-def _shift(params):
-    shift = _resolve_shift(params)
-    return shift, verify_automorphism(shift_code(shift), inverse_shift_code(shift))
+def _shift(params, shift):
+    return verify_automorphism(shift_code(shift), inverse_shift_code(shift))
 
 
-def _inverse_shift(params):
-    shift = _resolve_shift(params)
-    return shift, verify_automorphism(inverse_shift_code(shift), shift_code(shift))
+def _inverse_shift(params, shift):
+    return verify_automorphism(inverse_shift_code(shift), shift_code(shift))
 
 
-def _full_shift_symbol_permutation(params):
-    n = int(params.get("n", 2))
+def _full_shift_symbol_permutation(params, shift):
+    n = shift.n_edges
     perm = tuple(params.get("permutation", tuple(reversed(range(n)))))
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
-    shift = build_edge_shift([[n]])
     fwd = SlidingBlockCode(shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False)
     inv_perm = [0] * n
     for i, p in enumerate(perm):
         inv_perm[p] = i
     inv = SlidingBlockCode(shift, shift, 0, 0, {(e,): inv_perm[e] for e in range(n)}, check=False)
-    return shift, verify_automorphism(fwd, inv)
+    return verify_automorphism(fwd, inv)
 
 
-def _vertex_swap_B(params):
-    shift = shift_builtin("vertex_swap_B")
+def _vertex_swap_B(params, shift):
     mapping = {
         e: shift.edge_index[(1 - s, 1 - t, c)] for e, (s, t, c) in enumerate(shift.edges)
     }
     code = SlidingBlockCode(
         shift, shift, 0, 0, {(e,): mapping[e] for e in range(shift.n_edges)}, check=False
     )
-    return shift, verify_automorphism(code, code)
+    return verify_automorphism(code, code)
 
 
-def product_automorphism(left, right, budget=None):
-    """Coordinatewise product of two certified automorphisms."""
-    prod = kronecker_product(left.shift, right.shift)
+def _five_symbol(params, shift):
+    _, code = five_symbol_code(params.get("completion", "swap"), shift)
+    return infer_inverse(code, r_max=int(params.get("R_max", 3)))
+
+
+def product_automorphism(left, right, prod, budget=None):
+    """Coordinatewise product of two certified automorphisms on ``prod``,
+    a product shift (kronecker_product) of their shifts."""
     fwd = product_code(left.forward, right.forward, prod, budget=budget)
     inv = product_code(left.inverse, right.inverse, prod, budget=budget)
-    return prod, verify_automorphism(fwd, inv, budget=budget)
+    return verify_automorphism(fwd, inv, budget=budget)
 
 
-def _product(params):
-    left_name, left_params = params["left"]
-    right_name, right_params = params["right"]
-    _, left = make_builtin(left_name, left_params)
-    _, right = make_builtin(right_name, right_params)
-    return product_automorphism(left, right)
-
-
-def _tau_golden(params):
-    golden = shift_builtin("golden_mean")
-    _, ident = _identity({"shift": golden})
-    _, inv_shift = _inverse_shift({"shift": golden})
-    return product_automorphism(ident, inv_shift)
-
-
-def _sigma_x_sigma_inv(params):
-    base = _resolve_shift(params)
-    _, fwd = _shift({"shift": base})
-    _, inv = _inverse_shift({"shift": base})
-    return product_automorphism(fwd, inv)
-
-
-def _five_symbol(params):
-    completion = params.get("completion", "swap")
-    r_max = int(params.get("R_max", 3))
-    shift, code = five_symbol_code(completion)
-    return shift, infer_inverse(code, r_max=r_max)
-
-
+#: Builtins on one shift: name -> (its shift or matrix from the params, builder).
 _AUTOMORPHISM_BUILTINS = {
-    "identity": _identity,
-    "shift": _shift,
-    "inverse_shift": _inverse_shift,
-    "full_shift_symbol_permutation": _full_shift_symbol_permutation,
-    "vertex_swap_B": _vertex_swap_B,
-    "product": _product,
-    "five_symbol": _five_symbol,
-    "tau_golden": _tau_golden,
-    "sigma_x_sigma_inv": _sigma_x_sigma_inv,
+    "identity": (_named_shift, _identity),
+    "shift": (_named_shift, _shift),
+    "inverse_shift": (_named_shift, _inverse_shift),
+    "full_shift_symbol_permutation": (
+        lambda params: ((int(params.get("n", 2)),),),
+        _full_shift_symbol_permutation,
+    ),
+    "vertex_swap_B": (lambda params: SWAP_B, _vertex_swap_B),
+    "five_symbol": (lambda params: FULL_5, _five_symbol),
+}
+
+#: Product builtins: name -> the (name, params) of their two tracks.
+_PRODUCT_BUILTINS = {
+    "product": lambda params: (params["left"], params["right"]),
+    "tau_golden": lambda params: (
+        ("identity", {"shift": "golden_mean"}),
+        ("inverse_shift", {"shift": "golden_mean"}),
+    ),
+    "sigma_x_sigma_inv": lambda params: (
+        ("shift", {"shift": params.get("shift", "full_2")}),
+        ("inverse_shift", {"shift": params.get("shift", "full_2")}),
+    ),
 }
 
 
-def make_builtin(name, params=None):
-    """Build a named automorphism; returns (shift, automorphism)."""
+def make_builtin(name, params=None, shift=None):
+    """Build a named automorphism on ``shift`` (see the module docstring);
+    returns (shift, automorphism)."""
+    params = params or {}
+    if name in _PRODUCT_BUILTINS:
+        return _product(name, _PRODUCT_BUILTINS[name](params), shift)
     try:
-        builder = _AUTOMORPHISM_BUILTINS[name]
+        home, build = _AUTOMORPHISM_BUILTINS[name]
     except KeyError:
         raise UnknownBuiltin(f"no automorphism builtin named {name!r}") from None
-    return builder(params or {})
+    own = home(params)
+    matrix = getattr(own, "matrix", own)
+    if shift is None:
+        shift = own if isinstance(own, EdgeShift) else build_edge_shift(matrix)
+    elif shift.matrix != matrix:
+        own = f"EdgeShift({list(map(list, matrix))})"
+        raise ShiftMismatch(f"builtin {name!r} lives on {own}, not on {shift!r}")
+    return shift, build(params, shift)
+
+
+def _product(name, tracks, shift):
+    """A product builtin, each track built on the factor ``shift`` records.
+    A shift with no factors recorded must equal the product of the tracks'
+    own shifts, which the automorphism then lives on, keeping its tracks."""
+    factors = getattr(shift, "product_of", None) or (None, None)
+    (_, left), (_, right) = (make_builtin(*track, factor) for track, factor in zip(tracks, factors))
+    prod = shift if factors[0] else kronecker_product(left.shift, right.shift)
+    if shift is not None and shift != prod:
+        raise ShiftMismatch(f"builtin {name!r} lives on {prod!r}, not on {shift!r}")
+    return prod, product_automorphism(left, right, prod)
 
 
 #: Default instantiations used by the verification suites.

@@ -15,6 +15,7 @@ broke), 2 bad input, 3 budget exceeded.  Human tables go to standard output;
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 import json
 import math
 import sys
@@ -84,23 +85,29 @@ def _cmd_analyze(args):
     payload = {}
     for name in names:
         auto = parsed.automorphisms[name]
-        profile = coding_range_profile(auto, args.n_max, budget=parsed.budget)
-        bounds = lyapunov_bounds(auto, args.n_max, profile=profile, budget=parsed.budget)
-        rec.add(
-            f"{name}/coding-range",
-            "Confirmed",
-            lhs=f"W^- {profile.w_minus}",
-            rhs=f"W^+ {profile.w_plus}",
-            detail=f"n_max={args.n_max}",
-        )
-        rec.add(
-            f"{name}/lyapunov",
-            "Consistent" if bounds.distorted_candidate() else "Confirmed",
-            lhs=f"[{format_fraction(bounds.alpha_minus[0])},{format_fraction(bounds.alpha_minus[1])}]",
-            rhs=f"[{format_fraction(bounds.alpha_plus[0])},{format_fraction(bounds.alpha_plus[1])}]",
-            detail=f"method={bounds.method} verdict={bounds.verdict}",
-        )
-        payload[name] = {"profile": profile_payload(profile, bounds)}
+        payload[name] = {}
+        try:
+            profile = coding_range_profile(auto, args.n_max, budget=parsed.budget)
+        except PreconditionFailed as exc:  # no half-line scan on this shift
+            profile = None
+            rec.add(f"{name}/coding-range", "Inconclusive", detail=str(exc))
+        else:
+            bounds = lyapunov_bounds(auto, args.n_max, profile=profile, budget=parsed.budget)
+            rec.add(
+                f"{name}/coding-range",
+                "Confirmed",
+                lhs=f"W^- {profile.w_minus}",
+                rhs=f"W^+ {profile.w_plus}",
+                detail=f"n_max={args.n_max}",
+            )
+            rec.add(
+                f"{name}/lyapunov",
+                "Consistent" if bounds.distorted_candidate() else "Confirmed",
+                lhs=f"[{format_fraction(bounds.alpha_minus[0])},{format_fraction(bounds.alpha_minus[1])}]",
+                rhs=f"[{format_fraction(bounds.alpha_plus[0])},{format_fraction(bounds.alpha_plus[1])}]",
+                detail=f"method={bounds.method} verdict={bounds.verdict}",
+            )
+            payload[name]["profile"] = profile_payload(profile, bounds)
         try:
             action = dimension_matrix(auto, budget=parsed.budget)
             rec.add(
@@ -110,11 +117,10 @@ def _cmd_analyze(args):
                 rhs=f"rho={action.rho:.9g}",
                 detail=f"inert={action.inert} order={action.order_if_finite}",
             )
-            payload[name]["S_phi"] = [
-                [format_fraction(x) for x in row] for row in action.S_phi
-            ]
-            bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
-            rec.adopt(bound, name=f"{name}/main-bounds")
+            payload[name]["S_phi"] = [[format_fraction(x) for x in row] for row in action.S_phi]
+            if profile is not None:
+                bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
+                rec.adopt(bound, name=f"{name}/main-bounds")
             entropy = exact_entropy_of(auto)
             if entropy is not None:
                 rec.adopt(
@@ -135,14 +141,7 @@ def _cmd_analyze(args):
                 None,
                 detail=f"count={census.count} method={census.method}",
             )
-            payload[name]["census"] = {
-                "w": census.w,
-                "n": census.n,
-                "count": census.count,
-                "estimate": census.estimate,
-                "certified": census.certified,
-                "method": census.method,
-            }
+            payload[name]["census"] = asdict(census)
     report = Report(
         suite="analyze",
         records=rec.records,
@@ -293,10 +292,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (
+        ParseError,
         UnknownBuiltin,
         NotInverse,
         NotInvertibleWithin,

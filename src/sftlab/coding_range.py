@@ -173,9 +173,8 @@ def _scanned_tracks(auto):
     tracks vary independently, so W^- is the tracks' min and W^+ their max.
     The tracks of an irreducible product are irreducible, so one of zero
     entropy is a single cycle, on which a half-line codes every coordinate:
-    it bounds nothing."""
-    if len(auto.tracks) == 1:
-        return auto.tracks
+    it bounds nothing.  The shift must pass :func:`_require_scannable`, so
+    a single track, the automorphism itself, is kept."""
     _require_scannable(auto.shift)
     return [track for track in auto.tracks if track.shift.positive_entropy]
 

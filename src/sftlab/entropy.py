@@ -154,7 +154,13 @@ def restrict_code_to_subsystem(code, allowed_edges):
     edge; the first failing window in rank order is the NotInvariant
     witness.
     """
-    shift = code.source
+    sub, (restricted,), to_sub = _restrict(allowed_edges, code)
+    return sub, restricted, to_sub
+
+
+def _restrict(allowed_edges, *codes):
+    """Codes on one shift, restricted onto one subsystem shift."""
+    shift = codes[0].source
     allowed = tuple(sorted(set(allowed_edges)))
     states = _prune_states(shift.k, shift.edges, allowed)
     state_of = {s: i for i, s in enumerate(states)}
@@ -169,26 +175,27 @@ def restrict_code_to_subsystem(code, allowed_edges):
     to_orig = np.array(kept, dtype=np.intp)  # sub edge -> edge
     into_sub = np.full(shift.n_edges, -1, dtype=np.intp)  # edge -> sub edge or -1
     into_sub[to_orig] = np.arange(sub.n_edges)
-    column = np.empty(sub.word_count(code.window), dtype=code.column.dtype)
-    for start, cols in sub.ranked_words(code.window):
-        windows = tuple(to_orig[c] for c in cols)
-        out = code.outputs(windows)
-        mapped = into_sub[out]
-        bad = np.flatnonzero(mapped < 0)
-        if bad.size:
-            i = bad[0]
-            raise NotInvariant(tuple(int(c[i]) for c in windows), int(out[i]))
-        column[start : start + len(out)] = mapped
-    m, a = code.memory, code.anticipation
-    return sub, SlidingBlockCode.from_column(sub, sub, m, a, column, check=True), to_sub
+    restricted = []
+    for code in codes:
+        column = np.empty(sub.word_count(code.window), dtype=code.column.dtype)
+        for start, cols in sub.ranked_words(code.window):
+            windows = tuple(to_orig[c] for c in cols)
+            out = code.outputs(windows)
+            mapped = into_sub[out]
+            bad = np.flatnonzero(mapped < 0)
+            if bad.size:
+                i = bad[0]
+                raise NotInvariant(tuple(int(c[i]) for c in windows), int(out[i]))
+            column[start : start + len(out)] = mapped
+        m, a = code.memory, code.anticipation
+        restricted.append(SlidingBlockCode.from_column(sub, sub, m, a, column, check=True))
+    return sub, restricted, to_sub
 
 
 def restrict_to_subsystem(auto, allowed_edges, budget=None):
     """Restriction of a certified automorphism to an invariant edge subset;
     both directions must keep the subset invariant."""
-    sub, fwd, _ = restrict_code_to_subsystem(auto.forward, allowed_edges)
-    sub2, inv, _ = restrict_code_to_subsystem(auto.inverse, allowed_edges)
-    assert sub.matrix == sub2.matrix
+    sub, (fwd, inv), _ = _restrict(allowed_edges, auto.forward, auto.inverse)
     return sub, verify_automorphism(fwd, inv, budget=budget)
 
 

@@ -18,7 +18,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from . import ratmat
@@ -72,6 +73,7 @@ from .entropy import (
 from .errors import NotInvertibleWithin, SftlabError
 from .records import CheckRecord, _json_value
 from .shifts import DEFAULT_TOL, build_edge_shift, count_words, dimension_data, perron_data
+from .shifts import kronecker_product
 from .spectra import (
     IntPolynomial,
     check_conditions,
@@ -102,10 +104,7 @@ class Report:
         return 1 if any(r.status == "Violated" for r in self.records) else 0
 
     def counts(self):
-        out = {}
-        for r in self.records:
-            out[r.status] = out.get(r.status, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(r.status for r in self.records).items()))
 
     def to_dict(self, mask_runtime=False):
         records = [r.to_dict() for r in self.records]
@@ -186,31 +185,49 @@ class Recorder:
 # -- the builtins of one run --------------------------------------------------
 
 
+#: The run shift that a DEFAULT_SUITE builtin lives on, where not full_2.
+_SUITE_SHIFTS = {
+    "vertex_swap_B": "vertex_swap_B",
+    "tau_golden": "golden_mean_product",
+    "sigma_x_sigma_inv": "full_2_product",
+    "five_symbol": "full_5",
+}
+
+
 def _run_builtins():
-    """The DEFAULT_SUITE builtins by name, as (shift, auto, action).  A run
-    builds them once and hands the same objects to each of its criteria."""
+    """The shifts of one run by name, the products on the run's own factors,
+    and the DEFAULT_SUITE builtins on them by name, as (shift, auto, action):
+    each built once, the same objects handed to each of the run's criteria."""
+    shifts = {
+        name: shift_builtin(name)
+        for name in ("golden_mean", "full_2", "full_3", "full_5", "vertex_swap_B")
+    }
+    shifts["full_4"] = build_edge_shift([[4]])
+    for name in ("golden_mean", "full_2"):
+        shifts[f"{name}_product"] = kronecker_product(shifts[name], shifts[name])
     built = {}
     for name, params in DEFAULT_SUITE:
-        shift, auto = make_builtin(name, dict(params))
+        shift = shifts[_SUITE_SHIFTS.get(name, "full_2")]
+        _, auto = make_builtin(name, dict(params), shift)
         built[name] = (shift, auto, dimension_matrix(auto))
-    return built
+    return shifts, built
 
 
 # -- acceptance criteria ------------------------------------------------------
 #
 # Each criterion takes a Recorder, the verdict tolerance and the run's
-# builtins (see _run_builtins).
+# shifts and builtins (see _run_builtins).
 
 
-def _criterion_golden_entropy(rec, tol, built):
-    shift = shift_builtin("golden_mean")
+def _criterion_golden_entropy(rec, tol, shifts, built):
+    shift = shifts["golden_mean"]
     perron = perron_data(shift)
     rec.close("entropy", perron.entropy, math.log(GOLDEN_RATIO), 1e-9)
     p0, p2 = count_words(shift, 0), count_words(shift, 2)
     rec.exact("word-counts", p0 == 1 and p2 == 5, lhs=f"P(0)={p0}, P(2)={p2}", rhs="1, 5")
 
 
-def _criterion_shift_sharpness(rec, tol, built):
+def _criterion_shift_sharpness(rec, tol, shifts, built):
     shift, auto, action = built["shift"]
     profile = coding_range_profile(auto, 4)
     expect = (-1, -2, -3, -4)
@@ -241,7 +258,7 @@ def _criterion_shift_sharpness(rec, tol, built):
     )
 
 
-def _criterion_tau_example(rec, tol, built):
+def _criterion_tau_example(rec, tol, shifts, built):
     shift, auto, action = built["tau_golden"]
     profile = coding_range_profile(auto, 4)
     bounds = lyapunov_bounds(auto, 4, profile=profile)
@@ -269,7 +286,7 @@ def _criterion_tau_example(rec, tol, built):
     )
 
 
-def _criterion_product_entropy(rec, tol, built):
+def _criterion_product_entropy(rec, tol, shifts, built):
     shift, auto, action = built["sigma_x_sigma_inv"]
     rec.close("lambda-phi", action.lambda_phi, 1.0, 1e-9)
     census = column_census(auto, 2, 6)
@@ -288,7 +305,7 @@ def _criterion_product_entropy(rec, tol, built):
     )
 
 
-def _criterion_vertex_swap(rec, tol, built):
+def _criterion_vertex_swap(rec, tol, shifts, built):
     shift, auto, action = built["vertex_swap_B"]
     swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
     rec.exact("S-phi", action.S_phi == swap, lhs=_matrix_text(action.S_phi), rhs="[[0,1],[1,0]]")
@@ -305,7 +322,7 @@ def _criterion_vertex_swap(rec, tol, built):
     )
 
 
-def _criterion_sum_and_reverse(rec, tol, built):
+def _criterion_sum_and_reverse(rec, tol, shifts, built):
     bad_sum, bad_rev, total = [], [], 0
     for name, (shift, auto, _) in built.items():
         _tshift, rev, _bij = reverse_automorphism(auto)
@@ -335,7 +352,7 @@ def _criterion_sum_and_reverse(rec, tol, built):
     )
 
 
-def _criterion_cubic(rec, tol, built):
+def _criterion_cubic(rec, tol, shifts, built):
     poly = IntPolynomial([1, -5, -6, 1])
     traces = check_conditions(poly).traces
     rec.exact(
@@ -376,7 +393,7 @@ def _criterion_cubic(rec, tol, built):
     )
 
 
-def _criterion_functoriality(rec, tol, built):
+def _criterion_functoriality(rec, tol, shifts, built):
     bad_sq, bad_inv, bad_comm, bad_theta = [], [], [], []
     for name, (shift, auto, action) in built.items():
         squared = automorphism_power(auto, 2)
@@ -406,7 +423,7 @@ def _criterion_functoriality(rec, tol, built):
     )
 
 
-def _criterion_measure_coherence(rec, tol, built):
+def _criterion_measure_coherence(rec, tol, shifts, built):
     bad_scale, bad_pair, total = [], [], 0
     for name, (shift, auto, action) in built.items():
         v_right = perron_data(shift).v_right
@@ -440,14 +457,14 @@ def _criterion_measure_coherence(rec, tol, built):
     )
 
 
-def _criterion_five_symbol(rec, tol, built):
+def _criterion_five_symbol(rec, tol, shifts, built):
     _, sigma_pair, _ = built["sigma_x_sigma_inv"]
     reference = sigma_pair.forward
     no_wall = five_symbol_no_wall_edges()
     bad = []
     certified = []
     for completion in sorted(FIVE_SYMBOL_COMPLETIONS):
-        shift, code = five_symbol_code(completion)
+        _, code = five_symbol_code(completion, shifts["full_5"])
         sub, restricted, _ = restrict_code_to_subsystem(code, no_wall)
         if sub.matrix != ((4,),) or not codes_equal(restricted, reference):
             bad.append(completion)
@@ -473,7 +490,7 @@ def _criterion_five_symbol(rec, tol, built):
     )
 
 
-def _criterion_unit_circle(rec, tol, built):
+def _criterion_unit_circle(rec, tol, shifts, built):
     for name in ("identity", "vertex_swap_B"):
         shift, auto, action = built[name]
         bounds = lyapunov_bounds(auto, 3)
@@ -548,10 +565,9 @@ def _random_code(rng, powers):
     return code
 
 
-def _criterion_oracle_equivalence(rec, tol, built):
+def _criterion_oracle_equivalence(rec, tol, shifts, built):
     rng = random.Random(20260823)
-    shifts = [build_edge_shift([[q]]) for q in (2, 3, 4)] + [shift_builtin("golden_mean")]
-    pool = [_shift_powers(shift) for shift in shifts]
+    pool = [_shift_powers(shifts[name]) for name in ("full_2", "full_3", "full_4", "golden_mean")]
     mismatches = 0
     cases = 500
     for _ in range(cases):
@@ -591,9 +607,9 @@ def run_criterion(cid, tol=DEFAULT_TOL):
     return _criterion_records(cid, table[cid], tol, _run_builtins())
 
 
-def _criterion_records(cid, fn, tol, built):
+def _criterion_records(cid, fn, tol, run):
     rec = Recorder()
-    fn(rec, tol, built)
+    fn(rec, tol, *run)
     return [replace(r, name=f"{cid}/{r.name}") for r in rec.records]
 
 
@@ -602,16 +618,16 @@ def _criterion_records(cid, fn, tol, built):
 
 def _suite_acceptance(options):
     tol = options.get("tol", DEFAULT_TOL)
-    built = _run_builtins()
+    run = _run_builtins()
     records = []
     for cid, _, fn in ACCEPTANCE_CRITERIA:
-        records.extend(_criterion_records(cid, fn, tol, built))
+        records.extend(_criterion_records(cid, fn, tol, run))
     return records, {}
 
 
 def _suite_theorem_3(options):
     tol = options.get("tol", DEFAULT_TOL)
-    built = _run_builtins()
+    shifts, built = _run_builtins()
     rec = Recorder()
     for name, (shift, auto, action) in built.items():
         entropy = exact_entropy_of(auto)
@@ -628,15 +644,15 @@ def _suite_theorem_3(options):
                 name=f"iterate-windows/{name}",
                 detail=f"{diag.detail} (no certified entropy)",
             )
-    _criterion_five_symbol(rec, tol, built)
-    _criterion_cubic(rec, tol, built)
+    _criterion_five_symbol(rec, tol, shifts, built)
+    _criterion_cubic(rec, tol, shifts, built)
     return rec.records, {}
 
 
 def _suite_theorem_4(options):
     tol = options.get("tol", DEFAULT_TOL)
     n_max = options.get("n_max", 3)
-    built = _run_builtins()
+    shifts, built = _run_builtins()
     rec = Recorder()
     for name, (shift, auto, action) in built.items():
         profile = coding_range_profile(auto, n_max)
@@ -646,8 +662,8 @@ def _suite_theorem_4(options):
             name=f"main-bounds/{name}",
             detail=f"{bound.detail}, n_max={n_max}",
         )
-    _criterion_sum_and_reverse(rec, tol, built)
-    _criterion_unit_circle(rec, tol, built)
+    _criterion_sum_and_reverse(rec, tol, shifts, built)
+    _criterion_unit_circle(rec, tol, shifts, built)
     return rec.records, {}
 
 
@@ -713,18 +729,8 @@ def _suite_spectra(options):
 
 
 def _conditions_payload(report):
-    return {
-        "polynomial": list(report.polynomial),
-        "n_checked": report.n_checked,
-        "perron_ok": report.perron_ok,
-        "lambda_dominant": report.lambda_dominant,
-        "net_trace_ok": report.net_trace_ok,
-        "net_traces": list(report.net_traces),
-        "traces": list(report.traces),
-        "reciprocal_ok": report.reciprocal_ok,
-        "min_modulus": report.min_modulus,
-        "indeterminate": list(report.indeterminate),
-    }
+    omitted = ("tol", "dominance_margin", "reciprocal_margin")
+    return _json_value({k: v for k, v in asdict(report).items() if k not in omitted})
 
 
 def profile_payload(profile, bounds):
@@ -737,14 +743,8 @@ def profile_payload(profile, bounds):
         "W_plus_inv": list(profile.w_plus_inv),
         "A_minus": list(profile.a_minus),
         "A_plus": list(profile.a_plus),
-        "alpha_minus": {
-            "lo": format_fraction(bounds.alpha_minus[0]),
-            "hi": format_fraction(bounds.alpha_minus[1]),
-        },
-        "alpha_plus": {
-            "lo": format_fraction(bounds.alpha_plus[0]),
-            "hi": format_fraction(bounds.alpha_plus[1]),
-        },
+        "alpha_minus": dict(zip(("lo", "hi"), map(format_fraction, bounds.alpha_minus))),
+        "alpha_plus": dict(zip(("lo", "hi"), map(format_fraction, bounds.alpha_plus))),
         "method": bounds.method,
         "verdict": bounds.verdict,
     }

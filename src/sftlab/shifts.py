@@ -557,34 +557,21 @@ def kronecker_product(a_shift, b_shift):
     """Product shift with the row-major pair/edge correspondence recorded.
 
     Product edge copies are ordered row-major over (copy in A, copy in B), so
-    the pairing with the canonical edge indexing is reproducible.
+    the pairing with the canonical edge indexing is reproducible.  The record
+    is on this object only: it equals the plain shift of its matrix.
     """
-    ka, kb = a_shift.k, b_shift.k
-    a, b = a_shift.matrix, b_shift.matrix
-    matrix = [
-        [
-            a[ia][ja] * b[ib][jb]
-            for ja in range(ka)
-            for jb in range(kb)
-        ]
-        for ia in range(ka)
-        for ib in range(kb)
-    ]
-    prod = build_edge_shift(matrix)
-    pair_to_edge = {}
+    kb, b = b_shift.k, b_shift.matrix
+    # state (ia, ib) is ia * kb + ib, as in numpy's kron
+    prod = build_edge_shift(np.kron(a_shift.matrix, b).tolist())
     edge_to_pair = [None] * prod.n_edges
     for ea, (sa, ta, ca) in enumerate(a_shift.edges):
         for eb, (sb, tb, cb) in enumerate(b_shift.edges):
-            src = sa * kb + sb
-            tgt = ta * kb + tb
-            copy = ca * b[sb][tb] + cb
-            e = prod.edge_index[(src, tgt, copy)]
-            pair_to_edge[(ea, eb)] = e
+            e = prod.edge_index[(sa * kb + sb, ta * kb + tb, ca * b[sb][tb] + cb)]
             edge_to_pair[e] = (ea, eb)
     if any(p is None for p in edge_to_pair):
         raise InternalInvariantViolation("pair correspondence is not onto")
     prod.product_of = (a_shift, b_shift)
-    prod.pair_to_edge = pair_to_edge
+    prod.pair_to_edge = {pair: e for e, pair in enumerate(edge_to_pair)}
     prod.edge_to_pair = tuple(edge_to_pair)
     return prod
 

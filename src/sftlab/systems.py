@@ -22,6 +22,7 @@ from .errors import (
     InternalInvariantViolation,
     ParseError,
     SftlabError,
+    ShiftMismatch,
     WindowBudgetExceeded,
 )
 from .shifts import DEFAULT_TOL, build_edge_shift, kronecker_product
@@ -116,8 +117,9 @@ def parse_shift_spec(spec, location="$.shift"):
                 "kronecker takes exactly two factor specs", f"{location}.kronecker"
             )
         left = parse_shift_spec(value[0], f"{location}.kronecker[0]")
-        right = parse_shift_spec(value[1], f"{location}.kronecker[1]")
-        return kronecker_product(left, right)
+        if value[1] == value[0]:  # one object for the one factor
+            return kronecker_product(left, left)
+        return kronecker_product(left, parse_shift_spec(value[1], f"{location}.kronecker[1]"))
     raise ParseError(f"unknown shift kind {kind!r}", location)
 
 
@@ -170,7 +172,7 @@ def parse_automorphism(obj, shift, location, budget=None):
 
     Explicit inverses are verified (NotInverse propagates with its witness);
     "infer" searches coding radii up to R_max.  A builtin must live on the
-    file's shift.
+    file's shift and is built on it.
     """
     if isinstance(obj, dict) and "builtin" in obj:
         _require_keys(obj, ("builtin",), ("params",), location)
@@ -180,14 +182,10 @@ def parse_automorphism(obj, shift, location, budget=None):
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise ParseError("params must be an object", f"{location}.params")
-        built_shift, auto = make_builtin(name, params)
-        if built_shift != shift:
-            raise ParseError(
-                f"builtin {name!r} lives on {built_shift!r}, "
-                f"but this file's shift is {shift!r}",
-                location,
-            )
-        return auto
+        try:
+            return make_builtin(name, params, shift)[1]
+        except ShiftMismatch as exc:
+            raise ParseError(str(exc), location) from None
     _require_keys(obj, ("forward",), ("inverse", "R_max"), location)
     forward = parse_rule(obj["forward"], shift, f"{location}.forward")
     inverse_spec = obj.get("inverse", "infer")

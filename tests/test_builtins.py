@@ -20,7 +20,8 @@ from sftlab.codes import (
     pad_code,
     shift_power_of,
 )
-from sftlab.errors import NotInvertibleWithin, UnknownBuiltin
+from sftlab.errors import NotInvertibleWithin, ShiftMismatch, UnknownBuiltin
+from sftlab.shifts import build_edge_shift, kronecker_product
 
 
 def test_default_suite_all_construct():
@@ -28,6 +29,25 @@ def test_default_suite_all_construct():
         shift, auto = make_builtin(name, dict(params))
         assert auto.shift == shift
         assert auto.certificate  # every builtin arrives certified
+
+
+@pytest.mark.parametrize("name, params", DEFAULT_SUITE)
+def test_builtin_lands_on_the_given_shift(name, params):
+    shift, _ = make_builtin(name, dict(params))
+    again, auto = make_builtin(name, dict(params), shift=shift)
+    assert again is shift and auto.shift is shift
+    # every track lives on a factor the shift records
+    factors = [shift] if shift.product_of is None else list(shift.product_of)
+    assert all(any(t.shift is f for f in factors) for t in auto.tracks)
+    with pytest.raises(ShiftMismatch, match="lives on"):
+        make_builtin(name, dict(params), shift=build_edge_shift([[3]]))
+
+
+def test_product_builtin_refuses_wrong_factors():
+    # the matrix is sigma_x_sigma_inv's [[4]], the factors are not [[2]]
+    shift = kronecker_product(build_edge_shift([[4]]), build_edge_shift([[1]]))
+    with pytest.raises(ShiftMismatch, match="lives on"):
+        make_builtin("sigma_x_sigma_inv", shift=shift)
 
 
 def test_unknown_names_raise():
@@ -90,8 +110,9 @@ def test_product_builtin_params():
 def test_product_automorphism_direct():
     _, a = make_builtin("shift")
     _, b = make_builtin("inverse_shift")
-    prod, auto = product_automorphism(a, b)
-    assert prod.n_edges == 4
+    prod = kronecker_product(a.shift, b.shift)
+    auto = product_automorphism(a, b, prod)
+    assert auto.shift is prod and prod.n_edges == 4
     assert codes_equal(
         auto.power(1), pad_code(auto.forward, 0, 0)
     )  # sanity: power(1) is the forward rule

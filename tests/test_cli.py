@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output, JSON artifacts, exit codes."""
 
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 from sftlab import shifts
 from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.cli import main
-from sftlab.codes import identity_code, verify_automorphism
-from sftlab.shifts import build_edge_shift
+from sftlab.codes import identity_code, inverse_shift_code, shift_code, verify_automorphism
+from sftlab.shifts import build_edge_shift, kronecker_product
 from sftlab.systems import save_system
 
 
@@ -113,6 +114,16 @@ def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, caps
     assert len(calls) == 1
     out = capsys.readouterr().out
     assert "a/dimension-action" in out and "b/dimension-action" in out
+    # two builtins are built on the file's one shift: the README's tau.json
+    # with a second tau_golden entry
+    golden = {"builtin": "golden_mean"}
+    tau = {"builtin": "tau_golden"}
+    doc = {"shift": {"kronecker": [golden, golden]}, "automorphisms": {"tau": tau, "tau2": tau}}
+    path.write_text(json.dumps(doc))
+    calls.clear()
+    assert main(["analyze", str(path)]) == 0
+    assert len(calls) == 1
+    assert "tau2/dimension-action" in capsys.readouterr().out
 
 
 def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
@@ -138,15 +149,22 @@ def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
 def test_analyze_dimension_failure_marks_every_automorphism(tmp_path, capsys):
     shift = build_edge_shift([[1, 1], [0, 2]])  # reducible
     ident = verify_automorphism(identity_code(shift), identity_code(shift))
+    sigma = verify_automorphism(shift_code(shift), inverse_shift_code(shift))
     path = tmp_path / "reducible.json"
-    save_system(path, shift, {"a": ident, "b": ident})
+    save_system(path, shift, {"a": ident, "b": ident, "s": sigma})
     json_path = tmp_path / "report.json"
     assert main(["analyze", str(path), "--json", str(json_path)]) == 0
     records = {r["name"]: r for r in json.loads(json_path.read_text())["records"]}
-    for name in ("a", "b"):
+    for name in ("a", "b", "s"):
         record = records[f"{name}/dimension-action"]
         assert record["status"] == "Inconclusive"
         assert record["detail"] == "dimension action needs an irreducible shift"
+        # the identity's window-1 codes need no half-line scan, but the
+        # coding range is refused on this shift all the same
+        record = records[f"{name}/coding-range"]
+        assert record["status"] == "Inconclusive"
+        assert record["detail"] == "coding-range analysis needs an irreducible shift"
+        assert f"{name}/lyapunov" not in records and f"{name}/main-bounds" not in records
 
 
 def test_analyze_golden_times_cycle_identity(tmp_path, capsys):
@@ -154,7 +172,8 @@ def test_analyze_golden_times_cycle_identity(tmp_path, capsys):
     # exact slopes
     _, sigma = make_builtin("shift", {"shift": build_edge_shift([[1, 1], [1, 0]])})
     _, ident = make_builtin("identity", {"shift": build_edge_shift([[0, 1], [1, 0]])})
-    shift, auto = product_automorphism(sigma, ident)
+    shift = kronecker_product(sigma.shift, ident.shift)
+    auto = product_automorphism(sigma, ident, shift)
     path = tmp_path / "golden_x_cycle.json"
     save_system(path, shift, {"g": auto})
     json_path = tmp_path / "report.json"
@@ -162,6 +181,28 @@ def test_analyze_golden_times_cycle_identity(tmp_path, capsys):
     records = {r["name"]: r for r in json.loads(json_path.read_text())["records"]}
     assert records["g/lyapunov"]["detail"].startswith("method=exact-product")
     assert all(r["status"] == "Confirmed" for r in records.values())
+
+
+@pytest.mark.parametrize(
+    "spec", [{"full_shift": 4}, {"matrix": [[4]]}, {"builtin": "full_2_product"}]
+)
+def test_analyze_sigma_x_sigma_inv_on_every_4_shift_spec(tmp_path, capsys, spec):
+    # a [[4]] without product factors gets the builtin's own product shift,
+    # so the automorphism keeps its two tracks and the same records
+    path = tmp_path / "sxs.json"
+    path.write_text(json.dumps({"shift": spec, "automorphisms": {"s": {"builtin": "sigma_x_sigma_inv"}}}))
+    json_path = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--w", "1", "--json", str(json_path)]) == 0
+    doc = json.loads(json_path.read_text())
+    records = [(r["name"], r["status"], r["lhs"], r["rhs"], r["detail"]) for r in doc["records"]]
+    assert records == [
+        ("s/coding-range", "Confirmed", "W^- (-1, -2, -3)", "W^+ (1, 2, 3)", "n_max=3"),
+        ("s/lyapunov", "Confirmed", "[-1,-1]", "[1,1]", "method=exact-product verdict=certified-not-distorted"),
+        ("s/dimension-action", "Confirmed", "lambda=1", "rho=1", "inert=True order=1"),
+        ("s/main-bounds", "Confirmed", math.log(4), None, "5 component checks"),
+        ("s/entropy-bound", "Confirmed", 0.0, math.log(4), "exact h_top=1.386294"),
+        ("s/column-census", "Confirmed", math.log(4096) / 4, None, "count=4096 method=product-form"),
+    ]
 
 
 def test_acceptance_leaves_numpy_ma_unimported():

@@ -39,7 +39,7 @@ from sftlab.codes import (
 )
 from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
 from sftlab.reports import _random_code, _shift_powers
-from sftlab.shifts import WORD_CHUNK, build_edge_shift, transpose_shift
+from sftlab.shifts import WORD_CHUNK, build_edge_shift, kronecker_product, transpose_shift
 
 
 # -- frozen profiles for the named examples ---------------------------------
@@ -144,7 +144,8 @@ def test_golden_times_cycle_slopes_are_exact():
     # coordinate: only the golden track's exponent enters the slopes
     _, sigma = make_builtin("shift", {"shift": shift_builtin("golden_mean")})
     _, ident = make_builtin("identity", {"shift": build_edge_shift([[0, 1], [1, 0]])})
-    prod, auto = product_automorphism(sigma, ident)
+    prod = kronecker_product(sigma.shift, ident.shift)
+    auto = product_automorphism(sigma, ident, prod)
     assert prod.irreducible and prod.positive_entropy
     assert coding_range_profile(auto, 3).w_minus == (-1, -2, -3)
     b = lyapunov_bounds(auto, 3)

@@ -1,5 +1,6 @@
 """Report structure, determinism, and the named verification suites."""
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from sftlab.reports import (
     run_criterion,
     run_suite,
 )
-from sftlab import codes, reports
+from sftlab import codes, reports, shifts
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 
@@ -108,8 +109,8 @@ def _counted_builtins(monkeypatch):
     """Every (name, automorphism) the suites build, in call order."""
     built = []
 
-    def counted(name, params=None):
-        shift, auto = make_builtin(name, params)
+    def counted(name, params=None, shift=None):
+        shift, auto = make_builtin(name, params, shift)
         built.append((name, auto))
         return shift, auto
 
@@ -130,6 +131,32 @@ def test_two_runs_share_no_automorphism(monkeypatch):
     # every object is still held by ``built``, so equal ids mean one object
     assert len(built) == 2 * len(DEFAULT_SUITE)
     assert len({id(auto) for _, auto in built}) == len(built)
+
+
+def test_acceptance_run_builds_one_shift_per_presentation(monkeypatch):
+    # a presentation is a matrix with its product factors, if any; subsystem
+    # restriction and the spectral checks build shifts of their own
+    built = []
+    init = shifts.EdgeShift.__init__
+
+    def counted(self, matrix):
+        init(self, matrix)
+        if not any(
+            frame.function == "restrict_code_to_subsystem" or frame.filename.endswith("spectra.py")
+            for frame in inspect.stack(0)[1:]
+        ):
+            built.append(self)
+
+    monkeypatch.setattr(shifts.EdgeShift, "__init__", counted)
+    assert run_suite("acceptance").exit_code == 0
+    groups = {}
+    for shift in built:
+        factors = shift.product_of and tuple(f.matrix for f in shift.product_of)
+        groups.setdefault((shift.matrix, factors), []).append(shift)
+    # the product [[4]] of two full 2-shifts is not the plain [[4]]
+    assert (((4,),), (((2,),), ((2,),))) in groups and (((4,),), None) in groups
+    assert len(groups) == 8
+    assert all(len(group) == 1 for group in groups.values())
 
 
 # -- criteria ---------------------------------------------------------------

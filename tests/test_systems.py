@@ -200,6 +200,16 @@ def test_builtin_on_wrong_shift_is_an_error(tmp_path):
     assert "lives on" in str(info.value)
 
 
+def test_builtins_live_on_the_file_shift(tmp_path):
+    for spec, names in (
+        ({"full_shift": 2}, ("shift", "identity")),
+        ({"builtin": "golden_mean_product"}, ("tau_golden",)),
+    ):
+        autos = {name: {"builtin": name} for name in names}
+        parsed = load_system_file(write_doc(tmp_path, {"shift": spec, "automorphisms": autos}))
+        assert all(auto.shift is parsed.shift for auto in parsed.automorphisms.values())
+
+
 def test_wrong_explicit_inverse_propagates_witness(tmp_path):
     _, shift_auto = make_builtin("shift")
     doc = {

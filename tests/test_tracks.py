@@ -32,7 +32,7 @@ from sftlab.codes import Automorphism, SlidingBlockCode, automorphism_power
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 from sftlab.dimension import apply_automorphism_to_ray, canonical_zero_ray
 from sftlab.entropy import column_census, exact_entropy_of
-from sftlab.shifts import build_edge_shift
+from sftlab.shifts import build_edge_shift, kronecker_product
 
 GOLDEN = build_edge_shift([[1, 1], [1, 0]])
 CYCLE = build_edge_shift([[0, 1], [1, 0]])
@@ -76,7 +76,7 @@ def check_against_flat(auto, exponents):
 def golden_times_cycle():
     _, sigma = make_builtin("shift", {"shift": GOLDEN})
     _, ident = make_builtin("identity", {"shift": CYCLE})
-    return product_automorphism(sigma, ident)[1]
+    return product_automorphism(sigma, ident, kronecker_product(GOLDEN, CYCLE))
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,8 @@ def factors(draw):
 @given(left=factors(), right=factors())
 def test_drawn_products_match_the_flat_table(left, right):
     (a, s), (b, t) = left, right
-    prod, auto = product_automorphism(a, b)
+    prod = kronecker_product(a.shift, b.shift)
+    auto = product_automorphism(a, b, prod)
     # the flat oracle tabulates phi^3 and phi^-3 on the product shift
     window = max(1 + 3 * (c.memory + c.anticipation) for c in (auto.forward, auto.inverse))
     assume(prod.word_count(window) <= FLAT_WORDS)
