@@ -20,7 +20,9 @@ from .shifts import (
     dimension_data,
     kronecker_product,
     perron_data,
+    resolve_budget,
     transpose_shift,
+    window_budget,
 )
 from .codes import (
     Automorphism,
@@ -35,7 +37,6 @@ from .codes import (
     pad_code,
     power,
     product_code,
-    resolve_budget,
     shift_code,
     verify_automorphism,
 )

@@ -163,12 +163,12 @@ def _five_symbol(params, shift):
     return infer_inverse(code, r_max=int(params.get("R_max", 3)))
 
 
-def product_automorphism(left, right, prod, budget=None):
+def product_automorphism(left, right, prod):
     """Coordinatewise product of two certified automorphisms on ``prod``,
     a product shift (kronecker_product) of their shifts."""
-    fwd = product_code(left.forward, right.forward, prod, budget=budget)
-    inv = product_code(left.inverse, right.inverse, prod, budget=budget)
-    return verify_automorphism(fwd, inv, budget=budget)
+    fwd = product_code(left.forward, right.forward, prod)
+    inv = product_code(left.inverse, right.inverse, prod)
+    return verify_automorphism(fwd, inv)
 
 
 #: Builtins on one shift: name -> (its shift or matrix from the params, builder).
@@ -198,12 +198,12 @@ _PRODUCT_BUILTINS = {
 }
 
 
-def make_builtin(name, params=None, shift=None):
+def make_builtin(name, params=None, shift=None, products=None):
     """Build a named automorphism on ``shift`` (see the module docstring);
-    returns (shift, automorphism)."""
+    returns (shift, automorphism).  ``products``: see _product."""
     params = params or {}
     if name in _PRODUCT_BUILTINS:
-        return _product(name, _PRODUCT_BUILTINS[name](params), shift)
+        return _product(name, _PRODUCT_BUILTINS[name](params), shift, products)
     try:
         home, build = _AUTOMORPHISM_BUILTINS[name]
     except KeyError:
@@ -218,15 +218,24 @@ def make_builtin(name, params=None, shift=None):
     return shift, build(params, shift)
 
 
-def _product(name, tracks, shift):
+def _product(name, tracks, shift, products=None):
     """A product builtin, each track built on the factor ``shift`` records.
     A shift with no factors recorded must equal the product of the tracks'
-    own shifts, which the automorphism then lives on, keeping its tracks."""
+    own shifts, which the automorphism then lives on, keeping its tracks:
+    the first product shift in the list ``products`` whose factors fit the
+    tracks, else a new one, appended to ``products`` for the next call."""
+    for prod in products or ():
+        try:
+            return _product(name, tracks, prod)
+        except ShiftMismatch:
+            pass
     factors = getattr(shift, "product_of", None) or (None, None)
     (_, left), (_, right) = (make_builtin(*track, factor) for track, factor in zip(tracks, factors))
     prod = shift if factors[0] else kronecker_product(left.shift, right.shift)
     if shift is not None and shift != prod:
         raise ShiftMismatch(f"builtin {name!r} lives on {prod!r}, not on {shift!r}")
+    if products is not None and prod is not shift:
+        products.append(prod)
     return prod, product_automorphism(left, right, prod)
 
 

@@ -44,9 +44,10 @@ from .reports import (
     profile_payload,
     run_suite,
 )
-from .codes import resolve_budget
+from .records import format_fraction
+from .shifts import resolve_budget, window_budget
 from .spectra import IntPolynomial, search_primitive_realization, verify_eb_failure
-from .systems import format_fraction, load_system_file
+from .systems import load_system_file
 
 
 def _parse_poly(text):
@@ -83,101 +84,94 @@ def _cmd_analyze(args):
         names = sorted(parsed.automorphisms)
     rec = Recorder()
     payload = {}
-    for name in names:
-        auto = parsed.automorphisms[name]
-        payload[name] = {}
-        try:
-            profile = coding_range_profile(auto, args.n_max, budget=parsed.budget)
-        except PreconditionFailed as exc:  # no half-line scan on this shift
-            profile = None
-            rec.add(f"{name}/coding-range", "Inconclusive", detail=str(exc))
-        else:
-            bounds = lyapunov_bounds(auto, args.n_max, profile=profile, budget=parsed.budget)
-            rec.add(
-                f"{name}/coding-range",
-                "Confirmed",
-                lhs=f"W^- {profile.w_minus}",
-                rhs=f"W^+ {profile.w_plus}",
-                detail=f"n_max={args.n_max}",
-            )
-            rec.add(
-                f"{name}/lyapunov",
-                "Consistent" if bounds.distorted_candidate() else "Confirmed",
-                lhs=f"[{format_fraction(bounds.alpha_minus[0])},{format_fraction(bounds.alpha_minus[1])}]",
-                rhs=f"[{format_fraction(bounds.alpha_plus[0])},{format_fraction(bounds.alpha_plus[1])}]",
-                detail=f"method={bounds.method} verdict={bounds.verdict}",
-            )
-            payload[name]["profile"] = profile_payload(profile, bounds)
-        try:
-            action = dimension_matrix(auto, budget=parsed.budget)
-            rec.add(
-                f"{name}/dimension-action",
-                "Confirmed",
-                lhs=f"lambda={action.lambda_phi:.9g}",
-                rhs=f"rho={action.rho:.9g}",
-                detail=f"inert={action.inert} order={action.order_if_finite}",
-            )
-            payload[name]["S_phi"] = [[format_fraction(x) for x in row] for row in action.S_phi]
-            if profile is not None:
-                bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
-                rec.adopt(bound, name=f"{name}/main-bounds")
-            entropy = exact_entropy_of(auto)
-            if entropy is not None:
-                rec.adopt(
-                    verify_entropy_bound(entropy, action, tol=tol),
-                    name=f"{name}/entropy-bound",
-                    detail=f"exact h_top={entropy:.6f}",
+    with window_budget(parsed.budget):
+        for name in names:
+            auto = parsed.automorphisms[name]
+            payload[name] = {}
+            try:
+                profile = coding_range_profile(auto, args.n_max)
+            except PreconditionFailed as exc:  # no half-line scan on this shift
+                profile = None
+                rec.add(f"{name}/coding-range", "Inconclusive", detail=str(exc))
+            else:
+                bounds = lyapunov_bounds(auto, args.n_max, profile=profile)
+                rec.add(
+                    f"{name}/coding-range",
+                    "Confirmed",
+                    lhs=f"W^- {profile.w_minus}",
+                    rhs=f"W^+ {profile.w_plus}",
+                    detail=f"n_max={args.n_max}",
                 )
-        except SftlabError as exc:
-            if isinstance(exc, (WindowBudgetExceeded, InternalInvariantViolation)):
-                raise
-            rec.add(f"{name}/dimension-action", "Inconclusive", detail=str(exc))
-        if args.w is not None:
-            census = column_census(auto, args.w, args.steps, budget=parsed.budget)
-            rec.add(
-                f"{name}/column-census",
-                "Confirmed" if census.certified else "Consistent",
-                census.estimate,
-                None,
-                detail=f"count={census.count} method={census.method}",
-            )
-            payload[name]["census"] = asdict(census)
-    report = Report(
-        suite="analyze",
-        records=rec.records,
-        tol=tol,
-        budget=resolve_budget(parsed.budget),
-        options={"file": args.file, "n_max": args.n_max, "w": args.w, "steps": args.steps},
-        payload=payload,
-    )
+                rec.add(
+                    f"{name}/lyapunov",
+                    "Consistent" if bounds.distorted_candidate() else "Confirmed",
+                    lhs=f"[{format_fraction(bounds.alpha_minus[0])},{format_fraction(bounds.alpha_minus[1])}]",
+                    rhs=f"[{format_fraction(bounds.alpha_plus[0])},{format_fraction(bounds.alpha_plus[1])}]",
+                    detail=f"method={bounds.method} verdict={bounds.verdict}",
+                )
+                payload[name]["profile"] = profile_payload(profile, bounds)
+            try:
+                action = dimension_matrix(auto)
+                rec.add(
+                    f"{name}/dimension-action",
+                    "Confirmed",
+                    lhs=f"lambda={action.lambda_phi:.9g}",
+                    rhs=f"rho={action.rho:.9g}",
+                    detail=f"inert={action.inert} order={action.order_if_finite}",
+                )
+                payload[name]["S_phi"] = [[format_fraction(x) for x in row] for row in action.S_phi]
+                if profile is not None:
+                    bound, _ = verify_main_bounds(auto, profile, action, tol=tol)
+                    rec.adopt(bound, name=f"{name}/main-bounds")
+                entropy = exact_entropy_of(auto)
+                if entropy is not None:
+                    rec.adopt(
+                        verify_entropy_bound(entropy, action, tol=tol),
+                        name=f"{name}/entropy-bound",
+                        detail=f"exact h_top={entropy:.6f}",
+                    )
+            except SftlabError as exc:
+                if isinstance(exc, (WindowBudgetExceeded, InternalInvariantViolation)):
+                    raise
+                rec.add(f"{name}/dimension-action", "Inconclusive", detail=str(exc))
+            if args.w is not None:
+                census = column_census(auto, args.w, args.steps)
+                rec.add(
+                    f"{name}/column-census",
+                    "Confirmed" if census.certified else "Consistent",
+                    census.estimate,
+                    None,
+                    detail=f"count={census.count} method={census.method}",
+                )
+                payload[name]["census"] = asdict(census)
+        report = Report(
+            suite="analyze",
+            records=rec.records,
+            tol=tol,
+            budget=resolve_budget(),
+            options={"file": args.file, "n_max": args.n_max, "w": args.w, "steps": args.steps},
+            payload=payload,
+        )
     _emit(report, args.json_path)
     return report.exit_code
 
 
+def _given(**options):
+    """The options given on the command line: those that are not None."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _cmd_suite(args):
-    options = {}
-    if args.tol is not None:
-        options["tol"] = args.tol
-    if args.poly is not None:
-        options["poly"] = list(_parse_poly(args.poly).coeffs)
-    if args.N is not None:
-        options["N"] = args.N
-    if args.auto is not None:
-        options["auto"] = args.auto
-    if args.n_max is not None:
-        options["n_max"] = args.n_max
+    poly = None if args.poly is None else list(_parse_poly(args.poly).coeffs)
+    options = _given(tol=args.tol, poly=poly, N=args.N, auto=args.auto, n_max=args.n_max)
     report = run_suite(args.name, options)
     _emit(report, args.json_path)
     return report.exit_code
 
 
 def _cmd_spectra_check(args):
-    options = {"poly": list(_parse_poly(args.poly).coeffs), "search": False}
-    if args.N is not None:
-        options["N"] = args.N
-    if args.tol is not None:
-        options["tol"] = args.tol
-    report = run_suite("spectra", options)
+    poly = list(_parse_poly(args.poly).coeffs)
+    report = run_suite("spectra", _given(poly=poly, search=False, N=args.N, tol=args.tol))
     _emit(report, args.json_path)
     return report.exit_code
 

@@ -18,38 +18,17 @@ identity in both orders.
 from collections.abc import ItemsView, Mapping
 import functools
 import itertools
-import math
-import os
 
 import numpy as np
 
 from .errors import (
     NotInverse,
     NotInvertibleWithin,
-    ParseError,
     PreconditionFailed,
     ShiftMismatch,
     WordTooShort,
 )
-from .shifts import DEFAULT_BUDGET, transpose_shift
-
-
-def resolve_budget(budget=None):
-    """Effective window budget: explicit argument, else SFTLAB_BUDGET from
-    the environment (a positive integer, possibly written like 1e6), else
-    the package default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("SFTLAB_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        value = float(env)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value.is_integer() and value >= 1):
-        raise ParseError(f"must be a positive integer, got {env!r}", "SFTLAB_BUDGET")
-    return int(value)
+from .shifts import transpose_shift
 
 
 def _edge_dtype(shift):
@@ -66,7 +45,7 @@ class SlidingBlockCode:
     """A sliding block code; ``column`` holds its output on each admissible
     window, in rank order, and ``rule`` views it as a mapping."""
 
-    def __init__(self, source, target, memory, anticipation, rule, check=True, budget=None):
+    def __init__(self, source, target, memory, anticipation, rule, check=True):
         """Code from a rule table mapping every admissible window (a tuple
         of edge indices) to a target edge.  With ``check`` the table is
         validated in full: total, nothing extra, outputs in range and
@@ -78,7 +57,7 @@ class SlidingBlockCode:
         self.memory = int(memory)
         self.anticipation = int(anticipation)
         if check:
-            source.ensure_budget(self.window + 1, resolve_budget(budget))
+            source.ensure_budget(self.window + 1)
             outputs = self._checked_outputs(rule)
         else:
             outputs = [rule[w] for w in source.words(self.window)]
@@ -87,7 +66,7 @@ class SlidingBlockCode:
             self._check_composable()
 
     @classmethod
-    def from_column(cls, source, target, memory, anticipation, column, check=False, budget=None):
+    def from_column(cls, source, target, memory, anticipation, column, check=False):
         """Code from its output column; with ``check`` the outputs must be
         composable."""
         code = cls.__new__(cls)
@@ -97,7 +76,7 @@ class SlidingBlockCode:
         code.anticipation = int(anticipation)
         code.column = column
         if check:
-            source.ensure_budget(code.window + 1, resolve_budget(budget))
+            source.ensure_budget(code.window + 1)
             code._check_composable()
         return code
 
@@ -268,14 +247,14 @@ def _reversed_windows(code):
         yield start, cols, code.outputs(tuple(back[c] for c in reversed(cols)))
 
 
-def reverse_code(code, budget=None):
+def reverse_code(code):
     """Conjugate by coordinate reversal: windows reverse, memory and
     anticipation swap, and edges pass through the transpose bijection
     (:func:`transpose_shift`)."""
     if code.source != code.target:
         raise PreconditionFailed("reverse_code needs an endomorphism-shaped code")
     tshift, bijection = transpose_shift(code.source)
-    count = tshift.ensure_budget(code.window, resolve_budget(budget))
+    count = tshift.ensure_budget(code.window)
     column = np.empty(count, dtype=_edge_dtype(tshift))
     for start, _, out in _reversed_windows(code):
         column[start : start + len(out)] = np.take(bijection, out)
@@ -354,7 +333,7 @@ def _rank_terms(code, cols, start, positions, width, ranks=None):
     return ranks
 
 
-def compose(outer, inner, budget=None):
+def compose(outer, inner):
     """outer(inner(x)) as a single code; memories and anticipations add.
     The outer rule is read at the ranks of the inner images
     (:func:`image_ranks`)."""
@@ -362,15 +341,14 @@ def compose(outer, inner, budget=None):
         raise ShiftMismatch("inner target and outer source differ")
     m = inner.memory + outer.memory
     a = inner.anticipation + outer.anticipation
-    budget = resolve_budget(budget)
-    count = inner.source.ensure_budget(m + a + 1, budget)
+    count = inner.source.ensure_budget(m + a + 1)
     column = np.empty(count, dtype=_edge_dtype(outer.target))
     for first, ranks in image_ranks([(inner, 0)], m + a + 1, outer.window):
         column[first : first + len(ranks)] = outer.column[ranks[:, 0]]
     return SlidingBlockCode.from_column(inner.source, outer.target, m, a, column)
 
 
-def iterates(code, budget=None):
+def iterates(code):
     """Yield code^0, code^1, code^2, ... of an endomorphism-shaped code.
 
     Each iterate past the first power is one compose of the previous
@@ -382,21 +360,21 @@ def iterates(code, budget=None):
     result = code
     while True:
         yield result
-        result = compose(result, code, budget=budget)
+        result = compose(result, code)
 
 
-def power(code, n, budget=None):
+def power(code, n):
     """n-fold composition of an endomorphism-shaped code, n >= 0."""
     if n < 0:
         raise ValueError("negative power; use Automorphism.power")
-    return next(itertools.islice(iterates(code, budget=budget), n, None))
+    return next(itertools.islice(iterates(code), n, None))
 
 
-def pad_code(code, extra_memory=0, extra_anticipation=0, budget=None):
+def pad_code(code, extra_memory=0, extra_anticipation=0):
     """Same behaviour on a wider window (useful to align windows)."""
     m = code.memory + extra_memory
     a = code.anticipation + extra_anticipation
-    count = code.source.ensure_budget(m + a + 1, resolve_budget(budget))
+    count = code.source.ensure_budget(m + a + 1)
     column = np.empty(count, dtype=_edge_dtype(code.target))
     # the rank of a one-edge image word is its edge
     for first, edges in image_ranks([(code, extra_memory)], m + a + 1, 1):
@@ -404,7 +382,7 @@ def pad_code(code, extra_memory=0, extra_anticipation=0, budget=None):
     return SlidingBlockCode.from_column(code.source, code.target, m, a, column)
 
 
-def codes_equal(c1, c2, edge_map=None, budget=None):
+def codes_equal(c1, c2, edge_map=None):
     """Behavioural equality on the common window.
 
     ``edge_map`` carries c1's shift onto c2's (tuple indexed by edge of
@@ -418,8 +396,7 @@ def codes_equal(c1, c2, edge_map=None, budget=None):
     edge_map = np.asarray(edge_map, dtype=np.intp)
     m = max(c1.memory, c2.memory)
     a = max(c1.anticipation, c2.anticipation)
-    budget = resolve_budget(budget)
-    c1.source.ensure_budget(m + a + 1, budget)
+    c1.source.ensure_budget(m + a + 1)
     for _, cols in c1.source.ranked_words(m + a + 1):
         out1 = c1.outputs(cols[m - c1.memory : m + c1.anticipation + 1])
         mapped = tuple(edge_map[c] for c in cols[m - c2.memory : m + c2.anticipation + 1])
@@ -451,11 +428,9 @@ class Automorphism:
     def shift(self):
         return self.forward.source
 
-    def power(self, n, budget=None):
+    def power(self, n):
         """phi^n as a single code; negative n uses the inverse."""
-        if n >= 0:
-            return power(self.forward, n, budget=budget)
-        return power(self.inverse, -n, budget=budget)
+        return power(self.forward, n) if n >= 0 else power(self.inverse, -n)
 
     @functools.cached_property
     def tracks(self):
@@ -487,7 +462,7 @@ class Automorphism:
         )
 
 
-def verify_automorphism(forward, inverse, budget=None):
+def verify_automorphism(forward, inverse):
     """Certify that the two codes invert each other in both orders.
 
     Raises :class:`NotInverse` with a witness window on failure; on success
@@ -497,7 +472,6 @@ def verify_automorphism(forward, inverse, budget=None):
     for c in (forward, inverse):
         if c.source != shift or c.target != shift:
             raise ShiftMismatch("both codes must be endomorphism-shaped on one shift")
-    budget = resolve_budget(budget)
     checked = []
     for outer, inner, label in (
         (inverse, forward, "inverse_after_forward"),
@@ -505,7 +479,7 @@ def verify_automorphism(forward, inverse, budget=None):
     ):
         m = inner.memory + outer.memory
         a = inner.anticipation + outer.anticipation
-        count = shift.ensure_budget(m + a + 1, budget)
+        count = shift.ensure_budget(m + a + 1)
         for _, cols in shift.ranked_words(m + a + 1):
             bad = np.flatnonzero(outer.outputs(inner.image(cols)) != cols[m])
             if bad.size:
@@ -514,7 +488,7 @@ def verify_automorphism(forward, inverse, budget=None):
     return Automorphism(forward, inverse, {"method": "verify", "checks": checked})
 
 
-def infer_inverse(code, r_max=3, budget=None):
+def infer_inverse(code, r_max=3):
     """Search for an inverse with coding radius R = 0..r_max.
 
     For each R, groups admissible input windows by their image word of
@@ -526,11 +500,10 @@ def infer_inverse(code, r_max=3, budget=None):
     shift = code.source
     if shift != code.target:
         raise ShiftMismatch("infer_inverse needs an endomorphism-shaped code")
-    budget = resolve_budget(budget)
     m, a = code.memory, code.anticipation
     for r in range(r_max + 1):
         length = 2 * r + 1 + m + a
-        shift.ensure_budget(length, budget)
+        shift.ensure_budget(length)
         # candidate[rank of an image word] = centre edge of its preimages
         candidate = np.full(shift.word_count(2 * r + 1), -1, dtype=np.int64)
         consistent = all(
@@ -543,33 +516,28 @@ def infer_inverse(code, r_max=3, budget=None):
             continue
         try:
             inv = SlidingBlockCode.from_column(
-                shift, shift, r, r, candidate.astype(_edge_dtype(shift)),
-                check=True, budget=budget,
+                shift, shift, r, r, candidate.astype(_edge_dtype(shift)), check=True
             )
-            return verify_automorphism(code, inv, budget=budget)
+            return verify_automorphism(code, inv)
         except (ValueError, NotInverse):
             continue
     raise NotInvertibleWithin(r_max)
 
 
-def compose_automorphisms(outer, inner, budget=None):
+def compose_automorphisms(outer, inner):
     """outer o inner as an automorphism; inverses compose in reverse."""
-    fwd = compose(outer.forward, inner.forward, budget=budget)
-    inv = compose(inner.inverse, outer.inverse, budget=budget)
+    fwd = compose(outer.forward, inner.forward)
+    inv = compose(inner.inverse, outer.inverse)
     return Automorphism(fwd, inv, {"method": "composition"})
 
 
-def automorphism_power(auto, n, budget=None):
+def automorphism_power(auto, n):
     """phi^n packaged with its inverse as a certified-by-construction
     automorphism (n may be negative)."""
-    return Automorphism(
-        auto.power(n, budget=budget),
-        auto.power(-n, budget=budget),
-        {"method": "power", "n": n},
-    )
+    return Automorphism(auto.power(n), auto.power(-n), {"method": "power", "n": n})
 
 
-def product_code(left, right, prod_shift, budget=None):
+def product_code(left, right, prod_shift):
     """Coordinatewise action of two codes on a recorded product shift."""
     if prod_shift.product_of is None:
         raise ShiftMismatch("product_code needs a shift built by kronecker_product")
@@ -580,8 +548,7 @@ def product_code(left, right, prod_shift, budget=None):
         raise ShiftMismatch("factor codes must be endomorphism-shaped")
     m = max(left.memory, right.memory)
     a = max(left.anticipation, right.anticipation)
-    budget = resolve_budget(budget)
-    count = prod_shift.ensure_budget(m + a + 1, budget)
+    count = prod_shift.ensure_budget(m + a + 1)
     track_a, track_b, pair_edge = _pair_arrays(prod_shift)
 
     def outputs(cols):

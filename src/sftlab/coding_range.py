@@ -25,7 +25,6 @@ from .codes import (
     Automorphism,
     iterates,
     recognized_exponents,
-    resolve_budget,
     reverse_code,
 )
 from .errors import InternalInvariantViolation, PreconditionFailed
@@ -151,19 +150,18 @@ class WValues:
     plus_inv: int
 
 
-def w_values(auto, n, budget=None, forward=None):
+def w_values(auto, n, forward=None):
     """Exact W^-(n, phi), W^+(n, phi) and the same for phi^-1.  ``forward``
     is the code of phi^n when the caller has built it already; it is used
     when the automorphism is its own single track."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    budget = resolve_budget(budget)
     per_track = []
     for track in _scanned_tracks(auto):
         fwd = forward if track is auto else None
         if fwd is None:
-            fwd = track.power(n, budget=budget)
-        per_track.append(_scan_w(n, fwd, track.power(-n, budget=budget)))
+            fwd = track.power(n)
+        per_track.append(_scan_w(n, fwd, track.power(-n)))
     return _combined(per_track)
 
 
@@ -249,15 +247,14 @@ class CodingRangeProfile:
         )
 
 
-def coding_range_profile(auto, n_max, budget=None):
+def coding_range_profile(auto, n_max):
     """W values at n = 1..n_max, from the tracks' (:func:`_scanned_tracks`).
     Each track walks phi^n and phi^-n in lockstep, so each iterate is built
     once, from the one before, on the track's own shift."""
-    budget = resolve_budget(budget)
     walks = []
     for track in _scanned_tracks(auto):
-        forward = iterates(track.forward, budget)
-        inverse = iterates(track.inverse, budget)
+        forward = iterates(track.forward)
+        inverse = iterates(track.inverse)
         next(forward), next(inverse)  # phi^0
         walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
     _, wm, wp, wmi, wpi = zip(*(astuple(_combined(t)) for t in zip(*walks)))
@@ -315,9 +312,9 @@ def _argbest(seq, sign, best):
     return slopes.index(value) + 1, value
 
 
-def lyapunov_bounds(auto, n_max, profile=None, budget=None):
+def lyapunov_bounds(auto, n_max, profile=None):
     if profile is None:
-        profile = coding_range_profile(auto, n_max, budget=budget)
+        profile = coding_range_profile(auto, n_max)
     n_max = profile.n_max
     lo_m_n, lo_m = _argbest(profile.w_minus, 1, max)
     hi_m_n, hi_m = _argbest(profile.w_minus_inv, -1, min)

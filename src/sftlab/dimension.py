@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .codes import resolve_budget
 from .coding_range import lyapunov_bounds, w_values
 from .errors import (
     InconsistentSystem,
@@ -211,7 +210,7 @@ def unstable_measure(beam):
     return lam ** (-beam.level) * total
 
 
-def apply_automorphism_to_ray(auto, n, ray, budget=None):
+def apply_automorphism_to_ray(auto, n, ray):
     """Image of a 0-ray under the n-th power of a certified automorphism,
     as a beam at level -W^-(n, phi^-1).
 
@@ -226,10 +225,9 @@ def apply_automorphism_to_ray(auto, n, ray, budget=None):
         raise PreconditionFailed("image beams are computed from 0-rays")
     if n == 0:
         return Beam(level=0, rays=(ray,))
-    budget = resolve_budget(budget)
-    code = auto.power(n, budget=budget)
+    code = auto.power(n)
     mem, ant = code.memory, code.anticipation
-    wv = w_values(auto, n, budget=budget, forward=code)
+    wv = w_values(auto, n, forward=code)
     level_out = -wv.minus_inv
     w_fwd = wv.minus
     p = len(ray.cycle)
@@ -242,7 +240,7 @@ def apply_automorphism_to_ray(auto, n, ray, budget=None):
     lo = cut - p + 1 - mem
     hi = level_out + ant
     ext_len = max(0, hi)
-    shift.ensure_budget(ext_len, budget)
+    shift.ensure_budget(ext_len)
     if ext_len:
         chunks = (cols for _, cols in shift.ranked_words(ext_len, start_state=ray.end_state))
     else:
@@ -345,7 +343,7 @@ def _finite_order(s_phi, cp):
     return n if ratmat.mat_pow(ints, n) == scalar else None
 
 
-def dimension_matrix(auto, budget=None):
+def dimension_matrix(auto):
     """Solve for the exact matrix S of the automorphism on the eventual range.
 
     For each state the canonical 0-ray's class c and its image class y give
@@ -372,7 +370,7 @@ def dimension_matrix(auto, budget=None):
     for state in range(k):
         ray = canonical_zero_ray(shift, state)
         beams.append(Beam(level=0, rays=(ray,)))
-        images.append(apply_automorphism_to_ray(auto, 1, ray, budget=budget))
+        images.append(apply_automorphism_to_ray(auto, 1, ray))
     lift = max(0, *(image.level for image in images))
 
     def lifted(beam):

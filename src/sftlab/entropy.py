@@ -19,7 +19,6 @@ from .codes import (
     image_ranks,
     iterates,
     recognized_exponents,
-    resolve_budget,
     shift_power_of,
     verify_automorphism,
 )
@@ -40,7 +39,7 @@ class ColumnCensus:
     method: str
 
 
-def column_census(auto, w, n, budget=None):
+def column_census(auto, w, n):
     """Census of spacetime columns.  The columns of a coordinatewise product
     are the pairs of its tracks' columns, so the count is the product of
     the tracks' counts.  A track whose rule is a shift power is counted by
@@ -49,14 +48,13 @@ def column_census(auto, w, n, budget=None):
     if w < 0 or n < 1:
         raise ValueError("need w >= 0 and n >= 1")
     _require_points(auto.shift)
-    budget = resolve_budget(budget)
     count, certified = 1, True
     for track in auto.tracks:
         s = shift_power_of(track.forward)
         if s is not None and abs(s) <= 2 * w + 1:
             count *= count_words(track.shift, 2 * w + 1 + abs(s) * (n - 1))
         else:
-            count *= _distinct_windows(track, n, 2 * w + 1, True, budget)
+            count *= _distinct_windows(track, n, 2 * w + 1, True)
             certified = False
     return ColumnCensus(
         w=w,
@@ -75,18 +73,18 @@ def _require_points(shift):
         raise NilpotentMatrix("A^k = 0; the shift has no points")
 
 
-def _distinct_windows(auto, count, width, ordered, budget):
+def _distinct_windows(auto, count, width, ordered):
     """Number of distinct collections of iterate windows phi^i(y)|[k,
     k+width-1], i < count, over all points y, as tuples or as sets.  The
     iterates commute with the shift, so the number is the same for every k;
     the window is placed where every iterate's coding window fits inside
     the enumerated words."""
     shift = auto.shift
-    powers = list(itertools.islice(iterates(auto.forward, budget), count))
+    powers = list(itertools.islice(iterates(auto.forward), count))
     mem = max(code.memory for code in powers)
     ant = max(code.anticipation for code in powers)
     length = width + mem + ant
-    shift.ensure_budget(length, budget)
+    shift.ensure_budget(length)
     # one row per word: the rank of each iterate's output window; a set of
     # windows becomes its sorted distinct ranks, padded in front with -1
     found = []
@@ -109,20 +107,20 @@ def _distinct_rows(rows):
     return rows[keep]
 
 
-def c_phi_count(auto, n, budget=None):
+def c_phi_count(auto, n):
     """Number of distinct collections (sets) of iterate windows
     phi^i(y)|[k, k+2r+1], i = 0..n, with r the coding range of the forward
     rule; k does not change the count."""
     _require_points(auto.shift)
     r = max(auto.forward.memory, auto.forward.anticipation)
-    return _distinct_windows(auto, n + 1, 2 * r + 2, False, resolve_budget(budget))
+    return _distinct_windows(auto, n + 1, 2 * r + 2, False)
 
 
-def c_phi_diagnostic(auto, n, action, budget=None):
+def c_phi_diagnostic(auto, n, action):
     """Finite-n growth rate of the iterate-window count (lhs) next to the
     measure multiplier's log (rhs); finite n can land on either side, so
     this only flags."""
-    card = c_phi_count(auto, n, budget=budget)
+    card = c_phi_count(auto, n)
     return CheckRecord(
         "iterate-window-growth",
         "Inconclusive",
@@ -192,11 +190,11 @@ def _restrict(allowed_edges, *codes):
     return sub, restricted, to_sub
 
 
-def restrict_to_subsystem(auto, allowed_edges, budget=None):
+def restrict_to_subsystem(auto, allowed_edges):
     """Restriction of a certified automorphism to an invariant edge subset;
     both directions must keep the subset invariant."""
     sub, (fwd, inv), _ = _restrict(allowed_edges, auto.forward, auto.inverse)
-    return sub, verify_automorphism(fwd, inv, budget=budget)
+    return sub, verify_automorphism(fwd, inv)
 
 
 def exact_entropy_of(auto):

@@ -5,7 +5,10 @@ Consistent, Inconclusive, Violated, NotStrict, Indeterminate}."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .systems import format_fraction
+
+def format_fraction(value):
+    """Exact rational as a JSON-friendly string: "3", "-5/7"."""
+    return str(Fraction(value))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .codes import (
     infer_inverse,
     iterates,
     pad_code,
-    resolve_budget,
     shift_code,
     inverse_shift_code,
     SlidingBlockCode,
@@ -71,16 +70,15 @@ from .entropy import (
     restrict_code_to_subsystem,
 )
 from .errors import NotInvertibleWithin, SftlabError
-from .records import CheckRecord, _json_value
+from .records import CheckRecord, _json_value, format_fraction
 from .shifts import DEFAULT_TOL, build_edge_shift, count_words, dimension_data, perron_data
-from .shifts import kronecker_product
+from .shifts import kronecker_product, resolve_budget, window_budget
 from .spectra import (
     IntPolynomial,
     check_conditions,
     search_primitive_realization,
     verify_eb_failure,
 )
-from .systems import format_fraction
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -354,14 +352,14 @@ def _criterion_sum_and_reverse(rec, tol, shifts, built):
 
 def _criterion_cubic(rec, tol, shifts, built):
     poly = IntPolynomial([1, -5, -6, 1])
-    traces = check_conditions(poly).traces
+    report = check_conditions(poly, tol=tol)
+    traces = report.traces  # they do not depend on tol
     rec.exact(
         "power-traces",
         traces[0] == 5 and traces[1] == 37,
         lhs=f"tr1={traces[0]}, tr2={traces[1]}",
         rhs="5, 37",
     )
-    report = check_conditions(poly, tol=tol)
     rec.exact(
         "net-trace-n2", report.net_traces[1] == 32, lhs=report.net_traces[1], rhs=32
     )
@@ -790,12 +788,14 @@ def run_suite(name, options=None):
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     options = dict(options or {})
-    records, payload = _SUITES[name](options)
+    with window_budget(options.get("budget")):
+        records, payload = _SUITES[name](options)
+        budget = resolve_budget()
     return Report(
         suite=name,
         records=records,
         tol=options.get("tol", DEFAULT_TOL),
-        budget=resolve_budget(options.get("budget")),
+        budget=budget,
         options=options,
         payload=payload,
     )

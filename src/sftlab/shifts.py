@@ -7,9 +7,12 @@ order sorted by (source, target, copy); every rule table in this package
 refers to edges through that indexing.
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import os
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from .errors import (
     InadmissibleWord,
     InternalInvariantViolation,
     NilpotentMatrix,
+    ParseError,
     ReducibleInput,
     WindowBudgetExceeded,
     ZeroMatrix,
@@ -36,6 +40,39 @@ DEFAULT_TOL = 1e-9
 #: grow with the window count, so at the default cap one column holds at
 #: most 50 MB on small alphabets.
 DEFAULT_BUDGET = 5 * 10**7
+
+#: The window budget of the innermost :func:`window_budget` scope, if any.
+_WINDOW_BUDGET = contextvars.ContextVar("window_budget", default=None)
+
+
+@contextlib.contextmanager
+def window_budget(budget):
+    """Scope capping every window enumeration at ``budget`` words (None: the enclosing cap)."""
+    token = _WINDOW_BUDGET.set(_WINDOW_BUDGET.get() if budget is None else int(budget))
+    try:
+        yield
+    finally:
+        _WINDOW_BUDGET.reset(token)
+
+
+def resolve_budget():
+    """Effective window budget: the innermost :func:`window_budget` scope,
+    else SFTLAB_BUDGET from the environment (a positive integer, possibly
+    written like 1e6), else the package default."""
+    budget = _WINDOW_BUDGET.get()
+    if budget is not None:
+        return budget
+    env = os.environ.get("SFTLAB_BUDGET")
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = float(env)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer() and value >= 1):
+        raise ParseError(f"must be a positive integer, got {env!r}", "SFTLAB_BUDGET")
+    return int(value)
+
 
 #: Words per chunk when an enumeration runs over edge arrays (ranked_words).
 #: A length whose words fit in one chunk is enumerated once per shift and
@@ -334,8 +371,11 @@ class EdgeShift:
         """Exact number of admissible words with ``length`` edges."""
         return count_words(self, length)
 
-    def ensure_budget(self, length, budget):
+    def ensure_budget(self, length):
+        """Number of words of ``length`` edges; raises
+        :class:`WindowBudgetExceeded` when it is over :func:`resolve_budget`."""
         n = self.word_count(length)
+        budget = resolve_budget()
         if n > budget:
             raise WindowBudgetExceeded(n, budget)
         return n

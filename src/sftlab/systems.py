@@ -25,17 +25,9 @@ from .errors import (
     ShiftMismatch,
     WindowBudgetExceeded,
 )
-from .shifts import DEFAULT_TOL, build_edge_shift, kronecker_product
+from .shifts import DEFAULT_TOL, build_edge_shift, kronecker_product, window_budget
 
 DEFAULT_R_MAX = 3
-
-
-def format_fraction(value):
-    """Exact rational as a JSON-friendly string: "3", "-5/7"."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def parse_fraction(text, location=""):
@@ -166,13 +158,13 @@ def parse_rule(obj, shift, location):
         raise ParseError(str(exc), f"{location}.rule") from None
 
 
-def parse_automorphism(obj, shift, location, budget=None):
+def parse_automorphism(obj, shift, location, products=None):
     """Either {"builtin": name, "params": {...}} or an explicit
     {"forward": rule, "inverse": rule | "infer", "R_max": r} table pair.
 
     Explicit inverses are verified (NotInverse propagates with its witness);
     "infer" searches coding radii up to R_max.  A builtin must live on the
-    file's shift and is built on it.
+    file's shift and is built on it (``products``: see make_builtin).
     """
     if isinstance(obj, dict) and "builtin" in obj:
         _require_keys(obj, ("builtin",), ("params",), location)
@@ -183,9 +175,11 @@ def parse_automorphism(obj, shift, location, budget=None):
         if not isinstance(params, dict):
             raise ParseError("params must be an object", f"{location}.params")
         try:
-            return make_builtin(name, params, shift)[1]
+            return make_builtin(name, params, shift, products)[1]
         except ShiftMismatch as exc:
             raise ParseError(str(exc), location) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad params: {exc}", f"{location}.params") from None
     _require_keys(obj, ("forward",), ("inverse", "R_max"), location)
     forward = parse_rule(obj["forward"], shift, f"{location}.forward")
     inverse_spec = obj.get("inverse", "infer")
@@ -193,9 +187,9 @@ def parse_automorphism(obj, shift, location, budget=None):
         r_max = DEFAULT_R_MAX
         if "R_max" in obj:
             r_max = _int_at(obj, "R_max", location, minimum=0)
-        return infer_inverse(forward, r_max=r_max, budget=budget)
+        return infer_inverse(forward, r_max=r_max)
     inverse = parse_rule(inverse_spec, shift, f"{location}.inverse")
-    return verify_automorphism(forward, inverse, budget=budget)
+    return verify_automorphism(forward, inverse)
 
 
 @dataclass(frozen=True)
@@ -221,17 +215,16 @@ def load_system_file(path):
         raise ParseError(f"not valid JSON: {exc}", "$") from None
     _require_keys(doc, ("shift",), ("automorphisms", "tol", "budget"), "$")
     shift = parse_shift_spec(doc["shift"], "$.shift")
-    budget = None
-    if "budget" in doc:
-        budget = _int_at(doc, "budget", "$", minimum=1)
-    autos = {}
+    budget = _int_at(doc, "budget", "$", minimum=1) if "budget" in doc else None
     table = doc.get("automorphisms", {})
     if not isinstance(table, dict):
         raise ParseError("automorphisms must be an object", "$.automorphisms")
-    for name, spec in table.items():
-        autos[name] = parse_automorphism(
-            spec, shift, f"$.automorphisms.{name}", budget=budget
-        )
+    products = []  # one product shift per factor structure, see make_builtin
+    with window_budget(budget):
+        autos = {
+            name: parse_automorphism(spec, shift, f"$.automorphisms.{name}", products)
+            for name, spec in table.items()
+        }
     tol = doc.get("tol", DEFAULT_TOL)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ParseError(f"tol must be a finite positive number, got {tol!r}", "$.tol")

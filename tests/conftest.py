@@ -5,7 +5,19 @@ from pathlib import Path
 
 import pytest
 
+from sftlab import shifts
+
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def no_window_budget_scope():
+    """Fail a test that starts or ends inside a window_budget scope: a
+    leaked scope caps every later call in the interpreter, as it would the
+    later operations of a bench workload (bench/child.py runs them in one)."""
+    assert shifts._WINDOW_BUDGET.get() is None, "a window_budget scope is in force"
+    yield
+    assert shifts._WINDOW_BUDGET.get() is None, "the test left a window_budget scope in force"
 
 
 @pytest.fixture

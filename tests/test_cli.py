@@ -265,6 +265,41 @@ def test_analyze_rejects_a_malformed_budget_env(tau_file, monkeypatch, capsys, v
     assert "input error: SFTLAB_BUDGET" in capsys.readouterr().err
 
 
+def test_analyze_over_budget_leaves_the_next_run_unchanged(tmp_path, monkeypatch, capsys):
+    # one interpreter: a file's budget ends with its run
+    monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
+    five = {"builtin": "five_symbol", "params": {"completion": "swap"}}
+    doc = {"shift": {"full_shift": 5}, "automorphisms": {"five": five}}
+    plain, over, out = tmp_path / "plain.json", tmp_path / "over.json", tmp_path / "out.json"
+    plain.write_text(json.dumps(doc))
+    over.write_text(json.dumps({**doc, "budget": 20000}))
+
+    def report():
+        assert main(["analyze", str(plain), "--n-max", "3", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for record in doc["records"]:
+            record["runtime_ms"] = None
+        return doc
+
+    first = report()
+    capsys.readouterr()
+    assert main(["analyze", str(over), "--n-max", "3"]) == 3
+    assert "needs 78125 words, budget is 20000" in capsys.readouterr().err
+    assert report() == first
+    assert first["budget"] == shifts.DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "params", [{"builtin": "full_shift_symbol_permutation", "params": {"n": "x"}},
+               {"builtin": "identity", "params": {"shift": [2]}}]
+)
+def test_analyze_bad_builtin_params_is_an_input_error(tmp_path, capsys, params):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"shift": {"full_shift": 2}, "automorphisms": {"p": params}}))
+    assert main(["analyze", str(path)]) == 2
+    assert "$.automorphisms.p.params" in capsys.readouterr().err
+
+
 def test_analyze_wrong_inverse_is_an_input_error(tmp_path, capsys):
     _, shift_auto = make_builtin("shift")
     doc = {

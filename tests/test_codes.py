@@ -8,8 +8,9 @@ Claims covered:
     - infer_inverse finds a radius-bounded inverse or reports its absence
     - shift-power recognition and product-code factorization round-trip;
       recognized_exponents names the paper's exact cases with their tracks
-    - the window budget resolves from argument, environment, then default,
-      and bounds compose, padding and reversal
+    - the window budget resolves from the innermost window_budget scope,
+      the environment, then the default, and bounds compose, padding and
+      reversal
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 
 from sftlab.builtins import make_builtin
 from sftlab.codes import (
-    DEFAULT_BUDGET,
     SlidingBlockCode,
     automorphism_power,
     codes_equal,
@@ -31,7 +31,6 @@ from sftlab.codes import (
     power,
     product_code,
     recognized_exponents,
-    resolve_budget,
     shift_code,
     shift_power_of,
     verify_automorphism,
@@ -45,7 +44,13 @@ from sftlab.errors import (
     WindowBudgetExceeded,
     WordTooShort,
 )
-from sftlab.shifts import build_edge_shift, kronecker_product
+from sftlab.shifts import (
+    DEFAULT_BUDGET,
+    build_edge_shift,
+    kronecker_product,
+    resolve_budget,
+    window_budget,
+)
 
 
 @pytest.fixture
@@ -303,19 +308,34 @@ def test_product_code_requires_recorded_product(full2):
 def test_resolve_budget_priority(monkeypatch):
     monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
     assert resolve_budget() == DEFAULT_BUDGET
-    assert resolve_budget(123) == 123
+    with window_budget(123):
+        assert resolve_budget() == 123
     monkeypatch.setenv("SFTLAB_BUDGET", "1e4")
     assert resolve_budget() == 10000
-    assert resolve_budget(77) == 77
+    with window_budget(77):
+        assert resolve_budget() == 77
     monkeypatch.setenv("SFTLAB_BUDGET", "abc")
     with pytest.raises(ParseError, match="SFTLAB_BUDGET"):
         resolve_budget()
 
 
+def test_window_budget_scopes_nest_and_reset(monkeypatch):
+    monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
+    with window_budget(50):
+        with window_budget(None):  # None keeps the enclosing budget
+            assert resolve_budget() == 50
+        with pytest.raises(WindowBudgetExceeded):
+            with window_budget(7):
+                assert resolve_budget() == 7
+                build_edge_shift([[2]]).ensure_budget(3)
+        assert resolve_budget() == 50
+    assert resolve_budget() == DEFAULT_BUDGET
+
+
 def test_budget_stops_compose(full2):
     sigma = shift_code(full2)
-    with pytest.raises(WindowBudgetExceeded):
-        compose(sigma, sigma, budget=3)
+    with pytest.raises(WindowBudgetExceeded), window_budget(3):
+        compose(sigma, sigma)
 
 
 def test_budget_stops_padding_and_reversal(full2, monkeypatch):
@@ -324,8 +344,10 @@ def test_budget_stops_padding_and_reversal(full2, monkeypatch):
     sigma = shift_code(full2)
     with pytest.raises(WindowBudgetExceeded):
         pad_code(sigma, 10, 0)
-    wide = pad_code(sigma, 10, 0, budget=4096)
+    with window_budget(4096):
+        wide = pad_code(sigma, 10, 0)
     assert wide.window == 12
     with pytest.raises(WindowBudgetExceeded):
         reverse_code(wide)
-    assert reverse_code(wide, budget=4096).window == 12
+    with window_budget(4096):
+        assert reverse_code(wide).window == 12

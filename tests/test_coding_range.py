@@ -39,7 +39,13 @@ from sftlab.codes import (
 )
 from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
 from sftlab.reports import _random_code, _shift_powers
-from sftlab.shifts import WORD_CHUNK, build_edge_shift, kronecker_product, transpose_shift
+from sftlab.shifts import (
+    WORD_CHUNK,
+    build_edge_shift,
+    kronecker_product,
+    transpose_shift,
+    window_budget,
+)
 
 
 # -- frozen profiles for the named examples ---------------------------------
@@ -114,8 +120,8 @@ def test_w_values_rejects_bad_n():
 
 def test_w_values_budget():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
-    with pytest.raises(WindowBudgetExceeded):
-        w_values(auto, 2, budget=20)
+    with pytest.raises(WindowBudgetExceeded), window_budget(20):
+        w_values(auto, 2)
 
 
 # -- slope enclosures -------------------------------------------------------

@@ -60,7 +60,13 @@ from sftlab.errors import (
     ReducibleInput,
     WindowBudgetExceeded,
 )
-from sftlab.shifts import build_edge_shift, dimension_data, distinct_roots, perron_data
+from sftlab.shifts import (
+    build_edge_shift,
+    dimension_data,
+    distinct_roots,
+    perron_data,
+    window_budget,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN = [[1, 1], [1, 0]]
@@ -214,8 +220,8 @@ def test_apply_automorphism_builds_each_power_once_within_budget(monkeypatch):
     real_compose = codes.compose
     completed = []
 
-    def counting_compose(outer, inner, budget=None):
-        result = real_compose(outer, inner, budget=budget)
+    def counting_compose(outer, inner):
+        result = real_compose(outer, inner)
         completed.append(result.window)
         return result
 
@@ -227,8 +233,8 @@ def test_apply_automorphism_builds_each_power_once_within_budget(monkeypatch):
     assert completed == [3, 3]
     # phi^2 has 8 windows of width 3: the budget refuses it before any work
     completed.clear()
-    with pytest.raises(WindowBudgetExceeded):
-        apply_automorphism_to_ray(auto, 2, ray, budget=4)
+    with pytest.raises(WindowBudgetExceeded), window_budget(4):
+        apply_automorphism_to_ray(auto, 2, ray)
     assert completed == []
 
 

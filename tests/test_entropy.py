@@ -35,7 +35,7 @@ from sftlab.entropy import (
 )
 from sftlab.dimension import dimension_matrix
 from sftlab.errors import NilpotentMatrix, NotInvariant, WindowBudgetExceeded, ZeroMatrix
-from sftlab.shifts import build_edge_shift, count_words
+from sftlab.shifts import build_edge_shift, count_words, window_budget
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -105,8 +105,8 @@ def test_census_rejects_bad_arguments_and_budget():
         column_census(auto, -1, 1)
     with pytest.raises(ValueError):
         column_census(auto, 1, 0)
-    with pytest.raises(WindowBudgetExceeded):
-        column_census(auto, 2, 3, budget=10)
+    with pytest.raises(WindowBudgetExceeded), window_budget(10):
+        column_census(auto, 2, 3)
 
 
 # -- iterate-window counts --------------------------------------------------

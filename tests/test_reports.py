@@ -19,6 +19,7 @@ from sftlab.reports import (
 from sftlab import codes, reports, shifts
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
+from sftlab.errors import WindowBudgetExceeded
 
 STATUS_VOCABULARY = {
     "Confirmed",
@@ -180,9 +181,9 @@ def test_run_criterion_prefixes_names():
 def test_oracle_criterion_builds_each_pool_power_once(monkeypatch):
     calls = []
 
-    def counted(outer, inner, budget=None):
+    def counted(outer, inner):
         calls.append(outer)
-        return compose(outer, inner, budget=budget)
+        return compose(outer, inner)
 
     compose = codes.compose
     monkeypatch.setattr(codes, "compose", counted)  # the powers' iterates
@@ -271,6 +272,16 @@ def test_spectra_suite_reports_indeterminate_band():
     by_name = {r.name: r.status for r in report.records}
     assert by_name["condition-reciprocal"] == "Indeterminate"
     assert report.exit_code == 0
+
+
+def test_suite_budget_option_bounds_the_run(monkeypatch):
+    monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
+    with pytest.raises(WindowBudgetExceeded):
+        run_suite("theorem-4", {"budget": 10})
+    report = run_suite("spectra", {"budget": 123})
+    assert report.budget == 123
+    assert "budget: 123" in report.render().splitlines()[0]
+    assert run_suite("spectra").budget == shifts.DEFAULT_BUDGET
 
 
 def test_theorem_suites_run_clean(golden):

@@ -49,6 +49,7 @@ from sftlab.shifts import (
     kronecker_product,
     perron_data,
     transpose_shift,
+    window_budget,
 )
 
 GOLDEN = [[1, 1], [1, 0]]
@@ -254,9 +255,10 @@ def test_count_words_is_the_entry_sum_of_matrix_powers(matrix):
 
 def test_ensure_budget_raises_past_cap():
     shift = build_edge_shift([[2]])
-    assert shift.ensure_budget(3, 100) == 8
-    with pytest.raises(WindowBudgetExceeded):
-        shift.ensure_budget(10, 100)
+    with window_budget(100):
+        assert shift.ensure_budget(3) == 8
+        with pytest.raises(WindowBudgetExceeded):
+            shift.ensure_budget(10)
 
 
 # -- structural flags -------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sftlab import shifts
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import codes_equal
 from sftlab.errors import (
@@ -14,9 +15,10 @@ from sftlab.errors import (
     ParseError,
     WindowBudgetExceeded,
 )
+from sftlab.records import format_fraction
 from sftlab.shifts import build_edge_shift
+from sftlab.cli import main
 from sftlab.systems import (
-    format_fraction,
     load_system,
     load_system_file,
     parse_fraction,
@@ -208,6 +210,66 @@ def test_builtins_live_on_the_file_shift(tmp_path):
         autos = {name: {"builtin": name} for name in names}
         parsed = load_system_file(write_doc(tmp_path, {"shift": spec, "automorphisms": autos}))
         assert all(auto.shift is parsed.shift for auto in parsed.automorphisms.values())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"builtin": "full_shift_symbol_permutation", "params": {"n": "x"}},
+        {"builtin": "identity", "params": {"shift": [2]}},
+    ],
+)
+def test_bad_builtin_params_are_located(tmp_path, spec):
+    path = write_doc(tmp_path, {"shift": {"full_shift": 2}, "automorphisms": {"p": spec}})
+    with pytest.raises(ParseError) as info:
+        load_system_file(path)
+    assert info.value.location == "$.automorphisms.p.params"
+
+
+def test_file_budget_bounds_builtins(tmp_path):
+    # five_symbol's inverse search starts on 5^3 = 125 windows
+    five = {"builtin": "five_symbol", "params": {"completion": "swap"}}
+    doc = {"shift": {"full_shift": 5}, "budget": 100, "automorphisms": {"five": five}}
+    with pytest.raises(WindowBudgetExceeded, match="needs 125 words, budget is 100"):
+        load_system_file(write_doc(tmp_path, doc))
+    del doc["budget"]
+    assert load_system_file(write_doc(tmp_path, doc)).automorphisms["five"].shift.n_edges == 5
+
+
+def _product_spec(left, right):
+    return {"builtin": "product", "params": {"left": left, "right": right}}
+
+
+def test_product_builtins_share_a_product_shift_per_factor_structure(tmp_path):
+    # the 6-shift has no recorded factors: products of 2 x 3 share one
+    # product shift, 3 x 2 gets its own, and a rule table keeps the file's
+    on_2, on_3 = ["shift", {"shift": "full_2"}], ["identity", {"shift": "full_3"}]
+    _, identity = make_builtin("identity", {"shift": build_edge_shift([[6]])})
+    doc = {
+        "shift": {"full_shift": 6},
+        "automorphisms": {
+            "a": _product_spec(on_2, on_3),
+            "b": _product_spec(on_3, on_2),
+            "c": _product_spec(on_2, on_3),
+            "t": serialize_automorphism(identity),
+        },
+    }
+    parsed = load_system_file(write_doc(tmp_path, doc))
+    a, b, c, t = (parsed.automorphisms[name].shift for name in "abct")
+    assert a is c and a is not b and a is not parsed.shift
+    assert [f.matrix for f in a.product_of] == [((2,),), ((3,),)]
+    assert [f.matrix for f in b.product_of] == [((3,),), ((2,),)]
+    assert t is parsed.shift
+
+
+def test_product_builtins_on_one_file_compute_dimension_data_once(tmp_path, monkeypatch):
+    calls = []
+    real = shifts._eventual_range
+    monkeypatch.setattr(shifts, "_eventual_range", lambda s: calls.append(s) or real(s))
+    sxs = {"builtin": "sigma_x_sigma_inv"}
+    path = write_doc(tmp_path, {"shift": {"full_shift": 4}, "automorphisms": {"a": sxs, "b": sxs}})
+    assert main(["analyze", str(path), "--n-max", "2"]) == 0
+    assert len(calls) == 1
 
 
 def test_wrong_explicit_inverse_propagates_witness(tmp_path):

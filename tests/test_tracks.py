@@ -146,9 +146,9 @@ def test_ray_image_on_a_product_reads_w_from_the_tracks(monkeypatch):
     built = []
     real = Automorphism.power
 
-    def recorded(self, n, budget=None):
+    def recorded(self, n):
         built.append((self.shift, n))
-        return real(self, n, budget=budget)
+        return real(self, n)
 
     monkeypatch.setattr(Automorphism, "power", recorded)
     _, auto = make_builtin("sigma_x_sigma_inv")
