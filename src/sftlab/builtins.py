@@ -21,7 +21,7 @@ from .codes import (
     shift_code,
     verify_automorphism,
 )
-from .errors import ShiftMismatch, UnknownBuiltin
+from .errors import BadParams, ShiftMismatch, UnknownBuiltin
 from .shifts import EdgeShift, build_edge_shift, kronecker_product
 
 GOLDEN_MEAN = ((1, 1), (1, 0))
@@ -57,7 +57,17 @@ def _named_shift(params):
     spec = params.get("shift", "full_2")
     if isinstance(spec, EdgeShift):
         return spec
+    if not isinstance(spec, str):
+        raise BadParams(f"shift must be a shift builtin's name, got {spec!r}")
     return _SHIFT_MATRICES[spec] if spec in _SHIFT_MATRICES else shift_builtin(spec)
+
+
+def _param(params, key, default, read=int):
+    """``read`` of params[key], else of ``default``; a refusal is BadParams."""
+    try:
+        return read(params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"bad {key}: {exc}") from None
 
 
 # -- five-symbol reflection rule ------------------------------------------
@@ -96,7 +106,7 @@ def five_symbol_code(completion="swap", shift=None):
     """
     try:
         complete = FIVE_SYMBOL_COMPLETIONS[completion]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: not a name, nor hashable
         raise UnknownBuiltin(
             f"unknown completion {completion!r}; choose from "
             f"{sorted(FIVE_SYMBOL_COMPLETIONS)}"
@@ -137,9 +147,9 @@ def _inverse_shift(params, shift):
 
 def _full_shift_symbol_permutation(params, shift):
     n = shift.n_edges
-    perm = tuple(params.get("permutation", tuple(reversed(range(n)))))
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
+    perm = _param(params, "permutation", reversed(range(n)), tuple)
+    if not all(isinstance(p, int) for p in perm) or sorted(perm) != list(range(n)):
+        raise BadParams(f"not a permutation of 0..{n - 1}: {perm!r}")
     fwd = SlidingBlockCode(shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False)
     inv_perm = [0] * n
     for i, p in enumerate(perm):
@@ -160,7 +170,7 @@ def _vertex_swap_B(params, shift):
 
 def _five_symbol(params, shift):
     _, code = five_symbol_code(params.get("completion", "swap"), shift)
-    return infer_inverse(code, r_max=int(params.get("R_max", 3)))
+    return infer_inverse(code, r_max=_param(params, "R_max", 3))
 
 
 def product_automorphism(left, right, prod):
@@ -177,16 +187,27 @@ _AUTOMORPHISM_BUILTINS = {
     "shift": (_named_shift, _shift),
     "inverse_shift": (_named_shift, _inverse_shift),
     "full_shift_symbol_permutation": (
-        lambda params: ((int(params.get("n", 2)),),),
+        lambda params: ((_param(params, "n", 2),),),
         _full_shift_symbol_permutation,
     ),
     "vertex_swap_B": (lambda params: SWAP_B, _vertex_swap_B),
     "five_symbol": (lambda params: FULL_5, _five_symbol),
 }
 
+
+def _track(spec):
+    """A product builtin's track: its [name, params] pair."""
+    name, params = spec
+    if not (isinstance(name, str) and isinstance(params, dict)):
+        raise ValueError(f"not a [name, params] pair: {spec!r}")
+    return name, params
+
+
 #: Product builtins: name -> the (name, params) of their two tracks.
 _PRODUCT_BUILTINS = {
-    "product": lambda params: (params["left"], params["right"]),
+    "product": lambda params: tuple(
+        _param(params, side, (), _track) for side in ("left", "right")
+    ),
     "tau_golden": lambda params: (
         ("identity", {"shift": "golden_mean"}),
         ("inverse_shift", {"shift": "golden_mean"}),
@@ -198,12 +219,12 @@ _PRODUCT_BUILTINS = {
 }
 
 
-def make_builtin(name, params=None, shift=None, products=None):
+def make_builtin(name, params=None, shift=None):
     """Build a named automorphism on ``shift`` (see the module docstring);
-    returns (shift, automorphism).  ``products``: see _product."""
+    returns (shift, automorphism)."""
     params = params or {}
     if name in _PRODUCT_BUILTINS:
-        return _product(name, _PRODUCT_BUILTINS[name](params), shift, products)
+        return _product(name, _PRODUCT_BUILTINS[name](params), shift)
     try:
         home, build = _AUTOMORPHISM_BUILTINS[name]
     except KeyError:
@@ -218,24 +239,31 @@ def make_builtin(name, params=None, shift=None, products=None):
     return shift, build(params, shift)
 
 
-def _product(name, tracks, shift, products=None):
+def _factor_key(name, params):
+    """The matrix of the shift a builtin lives on; for a product builtin,
+    its tracks' keys."""
+    if name in _PRODUCT_BUILTINS:
+        return tuple(_factor_key(*track) for track in _PRODUCT_BUILTINS[name](params))
+    own = _AUTOMORPHISM_BUILTINS[name][0](params) if name in _AUTOMORPHISM_BUILTINS else None
+    return getattr(own, "matrix", own)
+
+
+def _product(name, tracks, shift):
     """A product builtin, each track built on the factor ``shift`` records.
     A shift with no factors recorded must equal the product of the tracks'
-    own shifts, which the automorphism then lives on, keeping its tracks:
-    the first product shift in the list ``products`` whose factors fit the
-    tracks, else a new one, appended to ``products`` for the next call."""
-    for prod in products or ():
-        try:
-            return _product(name, tracks, prod)
-        except ShiftMismatch:
-            pass
+    own shifts, which the automorphism then lives on, keeping its tracks;
+    the shift keeps that product for the builtins of the same factor key."""
     factors = getattr(shift, "product_of", None) or (None, None)
+    if shift is not None and factors[0] is None:
+        key = tuple(_factor_key(*track) for track in tracks)
+        if key in shift._products:
+            return _product(name, tracks, shift._products[key])
     (_, left), (_, right) = (make_builtin(*track, factor) for track, factor in zip(tracks, factors))
     prod = shift if factors[0] else kronecker_product(left.shift, right.shift)
     if shift is not None and shift != prod:
         raise ShiftMismatch(f"builtin {name!r} lives on {prod!r}, not on {shift!r}")
-    if products is not None and prod is not shift:
-        products.append(prod)
+    if shift is not None and prod is not shift:
+        shift._products[key] = prod
     return prod, product_automorphism(left, right, prod)
 
 

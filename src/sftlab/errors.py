@@ -67,6 +67,10 @@ class UnknownBuiltin(SftlabError):
     pass
 
 
+class BadParams(SftlabError, ValueError):
+    """A builtin's params do not read as the values it needs."""
+
+
 class WindowBudgetExceeded(SftlabError):
     def __init__(self, needed, budget):
         super().__init__(f"window enumeration needs {needed} words, budget is {budget}")

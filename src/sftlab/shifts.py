@@ -141,6 +141,7 @@ class EdgeShift:
         self._perron = None  # see perron_data
         self._dimension = None  # see dimension_data
         self._transpose = None  # see transpose_shift
+        self._products = {}  # product shifts of builtins, see builtins._product
         self._ranking = []  # rank tables by tail length, see _rank_tables
         self._one_chunk = {}  # length -> [edge columns, word tuples or None]
         self._paths = [1] * self.k  # paths from each state, next tail length

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .builtins import make_builtin, shift_builtin
 from .codes import SlidingBlockCode, infer_inverse, verify_automorphism
 from .errors import (
+    BadParams,
     InternalInvariantViolation,
     ParseError,
     SftlabError,
@@ -158,13 +159,13 @@ def parse_rule(obj, shift, location):
         raise ParseError(str(exc), f"{location}.rule") from None
 
 
-def parse_automorphism(obj, shift, location, products=None):
+def parse_automorphism(obj, shift, location):
     """Either {"builtin": name, "params": {...}} or an explicit
     {"forward": rule, "inverse": rule | "infer", "R_max": r} table pair.
 
     Explicit inverses are verified (NotInverse propagates with its witness);
     "infer" searches coding radii up to R_max.  A builtin must live on the
-    file's shift and is built on it (``products``: see make_builtin).
+    file's shift and is built on it.
     """
     if isinstance(obj, dict) and "builtin" in obj:
         _require_keys(obj, ("builtin",), ("params",), location)
@@ -175,11 +176,11 @@ def parse_automorphism(obj, shift, location, products=None):
         if not isinstance(params, dict):
             raise ParseError("params must be an object", f"{location}.params")
         try:
-            return make_builtin(name, params, shift, products)[1]
+            return make_builtin(name, params, shift)[1]
         except ShiftMismatch as exc:
             raise ParseError(str(exc), location) from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad params: {exc}", f"{location}.params") from None
+        except BadParams as exc:
+            raise ParseError(str(exc), f"{location}.params") from None
     _require_keys(obj, ("forward",), ("inverse", "R_max"), location)
     forward = parse_rule(obj["forward"], shift, f"{location}.forward")
     inverse_spec = obj.get("inverse", "infer")
@@ -219,10 +220,9 @@ def load_system_file(path):
     table = doc.get("automorphisms", {})
     if not isinstance(table, dict):
         raise ParseError("automorphisms must be an object", "$.automorphisms")
-    products = []  # one product shift per factor structure, see make_builtin
     with window_budget(budget):
         autos = {
-            name: parse_automorphism(spec, shift, f"$.automorphisms.{name}", products)
+            name: parse_automorphism(spec, shift, f"$.automorphisms.{name}")
             for name, spec in table.items()
         }
     tol = doc.get("tol", DEFAULT_TOL)

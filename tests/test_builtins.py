@@ -57,6 +57,8 @@ def test_unknown_names_raise():
         shift_builtin("no_such_shift")
     with pytest.raises(UnknownBuiltin):
         five_symbol_code("no_such_completion")
+    with pytest.raises(UnknownBuiltin):
+        five_symbol_code(["swap"])
 
 
 def test_vertex_swap_is_an_involution():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sftlab import shifts
+from sftlab import builtins, shifts
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import codes_equal
 from sftlab.errors import (
@@ -212,18 +212,42 @@ def test_builtins_live_on_the_file_shift(tmp_path):
         assert all(auto.shift is parsed.shift for auto in parsed.automorphisms.values())
 
 
+def _product_spec(left, right):
+    return {"builtin": "product", "params": {"left": left, "right": right}}
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "n, spec",
     [
-        {"builtin": "full_shift_symbol_permutation", "params": {"n": "x"}},
-        {"builtin": "identity", "params": {"shift": [2]}},
+        (2, {"builtin": "full_shift_symbol_permutation", "params": {"n": "x"}}),
+        (2, {"builtin": "identity", "params": {"shift": [2]}}),
+        (2, {"builtin": "full_shift_symbol_permutation", "params": {"permutation": [0, 0]}}),
+        (2, {"builtin": "full_shift_symbol_permutation", "params": {"permutation": 5}}),
+        (5, {"builtin": "five_symbol", "params": {"R_max": "x"}}),
+        (4, {"builtin": "sigma_x_sigma_inv", "params": {"shift": {}}}),
+        (4, _product_spec(["identity", 5], ["shift", {}])),
+        (4, {"builtin": "product", "params": {"left": ["identity", {}]}}),
     ],
 )
-def test_bad_builtin_params_are_located(tmp_path, spec):
-    path = write_doc(tmp_path, {"shift": {"full_shift": 2}, "automorphisms": {"p": spec}})
+def test_bad_builtin_params_are_located(tmp_path, n, spec):
+    path = write_doc(tmp_path, {"shift": {"full_shift": n}, "automorphisms": {"p": spec}})
     with pytest.raises(ParseError) as info:
         load_system_file(path)
     assert info.value.location == "$.automorphisms.p.params"
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError, ValueError])
+def test_errors_while_a_builtin_is_built_are_not_params_errors(tmp_path, monkeypatch, error):
+    # only the reading of params is the file's fault; a failure after it
+    # propagates as it was raised
+    def broken(*codes):
+        raise error("raised while building")
+
+    monkeypatch.setattr(builtins, "verify_automorphism", broken)
+    doc = {"shift": {"full_shift": 2}, "automorphisms": {"p": {"builtin": "identity"}}}
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(error, match="raised while building"):
+        load_system_file(path)
 
 
 def test_file_budget_bounds_builtins(tmp_path):
@@ -236,13 +260,10 @@ def test_file_budget_bounds_builtins(tmp_path):
     assert load_system_file(write_doc(tmp_path, doc)).automorphisms["five"].shift.n_edges == 5
 
 
-def _product_spec(left, right):
-    return {"builtin": "product", "params": {"left": left, "right": right}}
-
-
 def test_product_builtins_share_a_product_shift_per_factor_structure(tmp_path):
     # the 6-shift has no recorded factors: products of 2 x 3 share one
-    # product shift, 3 x 2 gets its own, and a rule table keeps the file's
+    # product shift whatever their tracks' builtins, 3 x 2 gets its own,
+    # and a rule table keeps the file's
     on_2, on_3 = ["shift", {"shift": "full_2"}], ["identity", {"shift": "full_3"}]
     _, identity = make_builtin("identity", {"shift": build_edge_shift([[6]])})
     doc = {
@@ -251,12 +272,13 @@ def test_product_builtins_share_a_product_shift_per_factor_structure(tmp_path):
             "a": _product_spec(on_2, on_3),
             "b": _product_spec(on_3, on_2),
             "c": _product_spec(on_2, on_3),
+            "d": _product_spec(["identity", {"shift": "full_2"}], on_3),
             "t": serialize_automorphism(identity),
         },
     }
     parsed = load_system_file(write_doc(tmp_path, doc))
-    a, b, c, t = (parsed.automorphisms[name].shift for name in "abct")
-    assert a is c and a is not b and a is not parsed.shift
+    a, b, c, d, t = (parsed.automorphisms[name].shift for name in "abcdt")
+    assert a is c is d and a is not b and a is not parsed.shift
     assert [f.matrix for f in a.product_of] == [((2,),), ((3,),)]
     assert [f.matrix for f in b.product_of] == [((3,),), ((2,),)]
     assert t is parsed.shift
