@@ -77,7 +77,7 @@ from .spectra import (
     verify_eb_failure,
 )
 from .builtins import DEFAULT_SUITE, make_builtin
-from .systems import SystemFile, load_system, load_system_file, save_system
+from .systems import SystemFile, load_system_file, save_system
 from .records import CheckRecord
 from .reports import (
     ACCEPTANCE_CRITERIA,

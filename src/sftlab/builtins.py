@@ -113,7 +113,7 @@ def five_symbol_code(completion="swap", shift=None):
         ) from None
     shift = shift or build_edge_shift(FULL_5)
     wall = FIVE_SYMBOL_WALL
-    rule = {}
+    column = []  # one output per window, in rank (lexicographic) order
     for left, centre, right in itertools.product(range(5), repeat=3):
         if centre == wall:
             out = wall
@@ -123,8 +123,8 @@ def five_symbol_code(completion="swap", shift=None):
             first = _pair(centre)[1] if right == wall else _pair(right)[0]
             second = _pair(centre)[0] if left == wall else _pair(left)[1]
             out = _pair_edge(first, second)
-        rule[(left, centre, right)] = out
-    return shift, SlidingBlockCode(shift, shift, 1, 1, rule, check=False)
+        column.append(out)
+    return shift, SlidingBlockCode.from_column(shift, shift, 1, 1, column)
 
 
 def five_symbol_no_wall_edges():
@@ -150,21 +150,17 @@ def _full_shift_symbol_permutation(params, shift):
     perm = _param(params, "permutation", reversed(range(n)), tuple)
     if not all(isinstance(p, int) for p in perm) or sorted(perm) != list(range(n)):
         raise BadParams(f"not a permutation of 0..{n - 1}: {perm!r}")
-    fwd = SlidingBlockCode(shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False)
+    fwd = SlidingBlockCode.from_column(shift, shift, 0, 0, perm)
     inv_perm = [0] * n
     for i, p in enumerate(perm):
         inv_perm[p] = i
-    inv = SlidingBlockCode(shift, shift, 0, 0, {(e,): inv_perm[e] for e in range(n)}, check=False)
+    inv = SlidingBlockCode.from_column(shift, shift, 0, 0, inv_perm)
     return verify_automorphism(fwd, inv)
 
 
 def _vertex_swap_B(params, shift):
-    mapping = {
-        e: shift.edge_index[(1 - s, 1 - t, c)] for e, (s, t, c) in enumerate(shift.edges)
-    }
-    code = SlidingBlockCode(
-        shift, shift, 0, 0, {(e,): mapping[e] for e in range(shift.n_edges)}, check=False
-    )
+    column = [shift.edge_index[(1 - s, 1 - t, c)] for s, t, c in shift.edges]
+    code = SlidingBlockCode.from_column(shift, shift, 0, 0, column)
     return verify_automorphism(code, code)
 
 
@@ -181,17 +177,19 @@ def product_automorphism(left, right, prod):
     return verify_automorphism(fwd, inv)
 
 
-#: Builtins on one shift: name -> (its shift or matrix from the params, builder).
+#: Builtins on one shift: name -> (the params keys it reads, its shift or
+#: matrix from the params, builder).
 _AUTOMORPHISM_BUILTINS = {
-    "identity": (_named_shift, _identity),
-    "shift": (_named_shift, _shift),
-    "inverse_shift": (_named_shift, _inverse_shift),
+    "identity": (("shift",), _named_shift, _identity),
+    "shift": (("shift",), _named_shift, _shift),
+    "inverse_shift": (("shift",), _named_shift, _inverse_shift),
     "full_shift_symbol_permutation": (
+        ("n", "permutation"),
         lambda params: ((_param(params, "n", 2),),),
         _full_shift_symbol_permutation,
     ),
-    "vertex_swap_B": (lambda params: SWAP_B, _vertex_swap_B),
-    "five_symbol": (lambda params: FULL_5, _five_symbol),
+    "vertex_swap_B": ((), lambda params: SWAP_B, _vertex_swap_B),
+    "five_symbol": (("completion", "R_max"), lambda params: FULL_5, _five_symbol),
 }
 
 
@@ -203,19 +201,21 @@ def _track(spec):
     return name, params
 
 
-#: Product builtins: name -> the (name, params) of their two tracks.
+#: Product builtins: name -> (the params keys it reads, the (name, params)
+#: of its two tracks).
 _PRODUCT_BUILTINS = {
-    "product": lambda params: tuple(
-        _param(params, side, (), _track) for side in ("left", "right")
+    "product": (
+        ("left", "right"),
+        lambda params: tuple(_param(params, side, (), _track) for side in ("left", "right")),
     ),
-    "tau_golden": lambda params: (
+    "tau_golden": ((), lambda params: (
         ("identity", {"shift": "golden_mean"}),
         ("inverse_shift", {"shift": "golden_mean"}),
-    ),
-    "sigma_x_sigma_inv": lambda params: (
+    )),
+    "sigma_x_sigma_inv": (("shift",), lambda params: (
         ("shift", {"shift": params.get("shift", "full_2")}),
         ("inverse_shift", {"shift": params.get("shift", "full_2")}),
-    ),
+    )),
 }
 
 
@@ -224,11 +224,14 @@ def make_builtin(name, params=None, shift=None):
     returns (shift, automorphism)."""
     params = params or {}
     if name in _PRODUCT_BUILTINS:
-        return _product(name, _PRODUCT_BUILTINS[name](params), shift)
+        keys, tracks = _PRODUCT_BUILTINS[name]
+        _refuse_unknown_keys(name, params, keys)
+        return _product(name, tracks(params), shift)
     try:
-        home, build = _AUTOMORPHISM_BUILTINS[name]
+        keys, home, build = _AUTOMORPHISM_BUILTINS[name]
     except KeyError:
         raise UnknownBuiltin(f"no automorphism builtin named {name!r}") from None
+    _refuse_unknown_keys(name, params, keys)
     own = home(params)
     matrix = getattr(own, "matrix", own)
     if shift is None:
@@ -239,12 +242,20 @@ def make_builtin(name, params=None, shift=None):
     return shift, build(params, shift)
 
 
+def _refuse_unknown_keys(name, params, keys):
+    """BadParams when ``params`` has a key that builtin ``name`` does not
+    read, so a misspelt key is not a silent default."""
+    unknown = [k for k in params if k not in keys]
+    if unknown:
+        raise BadParams(f"unknown key(s) {unknown}; {name!r} reads {list(keys)}")
+
+
 def _factor_key(name, params):
     """The matrix of the shift a builtin lives on; for a product builtin,
     its tracks' keys."""
     if name in _PRODUCT_BUILTINS:
-        return tuple(_factor_key(*track) for track in _PRODUCT_BUILTINS[name](params))
-    own = _AUTOMORPHISM_BUILTINS[name][0](params) if name in _AUTOMORPHISM_BUILTINS else None
+        return tuple(_factor_key(*track) for track in _PRODUCT_BUILTINS[name][1](params))
+    own = _AUTOMORPHISM_BUILTINS[name][1](params) if name in _AUTOMORPHISM_BUILTINS else None
     return getattr(own, "matrix", own)
 
 

@@ -21,13 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import (
-    NotInverse,
-    NotInvertibleWithin,
-    PreconditionFailed,
-    ShiftMismatch,
-    WordTooShort,
-)
+from .errors import NotInverse, NotInvertibleWithin, PreconditionFailed, ShiftMismatch
 from .shifts import transpose_shift
 
 
@@ -45,36 +39,31 @@ class SlidingBlockCode:
     """A sliding block code; ``column`` holds its output on each admissible
     window, in rank order, and ``rule`` views it as a mapping."""
 
-    def __init__(self, source, target, memory, anticipation, rule, check=True):
+    def __init__(self, source, target, memory, anticipation, rule):
         """Code from a rule table mapping every admissible window (a tuple
-        of edge indices) to a target edge.  With ``check`` the table is
-        validated in full: total, nothing extra, outputs in range and
-        composable."""
+        of edge indices) to a target edge, validated in full: total,
+        nothing extra, outputs in range and composable.  Trusted builders
+        hand their column to :meth:`from_column` instead."""
         if memory < 0 or anticipation < 0:
             raise ValueError("memory and anticipation must be nonnegative")
         self.source = source
         self.target = target
         self.memory = int(memory)
         self.anticipation = int(anticipation)
-        if check:
-            source.ensure_budget(self.window + 1)
-            outputs = self._checked_outputs(rule)
-        else:
-            outputs = [rule[w] for w in source.words(self.window)]
-        self.column = np.array(outputs, dtype=_edge_dtype(target))
-        if check:
-            self._check_composable()
+        source.ensure_budget(self.window + 1)
+        self.column = np.array(self._checked_outputs(rule), dtype=_edge_dtype(target))
+        self._check_composable()
 
     @classmethod
     def from_column(cls, source, target, memory, anticipation, column, check=False):
-        """Code from its output column; with ``check`` the outputs must be
-        composable."""
+        """Code from its output column, a sequence of target edges in window
+        rank order; with ``check`` the outputs must be composable."""
         code = cls.__new__(cls)
         code.source = source
         code.target = target
         code.memory = int(memory)
         code.anticipation = int(anticipation)
-        code.column = column
+        code.column = np.asarray(column, dtype=_edge_dtype(target))
         if check:
             source.ensure_budget(code.window + 1)
             code._check_composable()
@@ -153,23 +142,6 @@ class SlidingBlockCode:
         per window position, so ``memory + anticipation`` fewer columns."""
         w = self.window
         return tuple(self.outputs(cols[i : i + w]) for i in range(len(cols) - w + 1))
-
-    def apply_to_word(self, word):
-        """Image word; output index i is the image edge at input coordinate
-        i + memory.  The output is shorter by memory + anticipation."""
-        if len(word) < self.window:
-            raise WordTooShort(
-                f"need at least {self.window} edges, got {len(word)}"
-            )
-        if not all(0 <= e < self.source.n_edges for e in word):
-            raise KeyError(tuple(word))
-        self.source.check_admissible(word)
-        # the windows stacked as rows: column i holds edge i of every window,
-        # so one gather reads all the outputs
-        w = self.window
-        rows = len(word) - w + 1
-        edges = np.array(word, dtype=np.intp)
-        return tuple(self.outputs(tuple(edges[i : i + rows] for i in range(w))).tolist())
 
     def __repr__(self):
         return (
@@ -262,8 +234,7 @@ def reverse_code(code):
 
 
 def identity_code(shift):
-    column = np.arange(shift.n_edges, dtype=_edge_dtype(shift))
-    return SlidingBlockCode.from_column(shift, shift, 0, 0, column)
+    return SlidingBlockCode.from_column(shift, shift, 0, 0, range(shift.n_edges))
 
 
 def shift_code(shift):
@@ -382,25 +353,17 @@ def pad_code(code, extra_memory=0, extra_anticipation=0):
     return SlidingBlockCode.from_column(code.source, code.target, m, a, column)
 
 
-def codes_equal(c1, c2, edge_map=None):
-    """Behavioural equality on the common window.
-
-    ``edge_map`` carries c1's shift onto c2's (tuple indexed by edge of
-    c1.source/target; identity when omitted, in which case the codes must
-    live on equal shifts).
-    """
-    if edge_map is None:
-        if c1.source != c2.source or c1.target != c2.target:
-            raise ShiftMismatch("codes live on different shifts; pass edge_map")
-        edge_map = range(c1.source.n_edges)
-    edge_map = np.asarray(edge_map, dtype=np.intp)
+def codes_equal(c1, c2):
+    """Behavioural equality on the common window of two codes on equal
+    shifts."""
+    if c1.source != c2.source or c1.target != c2.target:
+        raise ShiftMismatch("codes live on different shifts")
     m = max(c1.memory, c2.memory)
     a = max(c1.anticipation, c2.anticipation)
     c1.source.ensure_budget(m + a + 1)
     for _, cols in c1.source.ranked_words(m + a + 1):
         out1 = c1.outputs(cols[m - c1.memory : m + c1.anticipation + 1])
-        mapped = tuple(edge_map[c] for c in cols[m - c2.memory : m + c2.anticipation + 1])
-        if np.any(edge_map[out1] != c2.outputs(mapped)):
+        if np.any(out1 != c2.outputs(cols[m - c2.memory : m + c2.anticipation + 1])):
             return False
     return True
 
@@ -515,9 +478,7 @@ def infer_inverse(code, r_max=3):
         if not consistent or np.any(candidate < 0):
             continue
         try:
-            inv = SlidingBlockCode.from_column(
-                shift, shift, r, r, candidate.astype(_edge_dtype(shift)), check=True
-            )
+            inv = SlidingBlockCode.from_column(shift, shift, r, r, candidate, check=True)
             return verify_automorphism(code, inv)
         except (ValueError, NotInverse):
             continue
@@ -607,9 +568,9 @@ def factor_product_code(code):
                 return None
         if np.any(column < 0):
             return None
-        factors.append(SlidingBlockCode.from_column(
-            shift, shift, code.memory, code.anticipation, column.astype(_edge_dtype(shift))
-        ))
+        factors.append(
+            SlidingBlockCode.from_column(shift, shift, code.memory, code.anticipation, column)
+        )
     return tuple(factors)
 
 

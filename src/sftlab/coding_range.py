@@ -251,6 +251,8 @@ def coding_range_profile(auto, n_max):
     """W values at n = 1..n_max, from the tracks' (:func:`_scanned_tracks`).
     Each track walks phi^n and phi^-n in lockstep, so each iterate is built
     once, from the one before, on the track's own shift."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     walks = []
     for track in _scanned_tracks(auto):
         forward = iterates(track.forward)
@@ -296,8 +298,6 @@ class LyapunovBounds:
 
     alpha_minus: tuple
     alpha_plus: tuple
-    n_minus: tuple
-    n_plus: tuple
     method: str
     verdict: str
 
@@ -305,21 +305,19 @@ class LyapunovBounds:
         return self.verdict == "consistent-with-distortion"
 
 
-def _argbest(seq, sign, best):
-    """(n, slope) of the ``best`` slope sign * seq[n - 1] / n, first n on ties."""
-    slopes = [Fraction(sign * w, n) for n, w in enumerate(seq, 1)]
-    value = best(slopes)
-    return slopes.index(value) + 1, value
+def _best_slope(seq, sign, best):
+    """The ``best`` of the slopes sign * seq[n - 1] / n."""
+    return best(Fraction(sign * w, n) for n, w in enumerate(seq, 1))
 
 
 def lyapunov_bounds(auto, n_max, profile=None):
     if profile is None:
         profile = coding_range_profile(auto, n_max)
     n_max = profile.n_max
-    lo_m_n, lo_m = _argbest(profile.w_minus, 1, max)
-    hi_m_n, hi_m = _argbest(profile.w_minus_inv, -1, min)
-    lo_p_n, lo_p = _argbest(profile.w_plus_inv, -1, max)
-    hi_p_n, hi_p = _argbest(profile.w_plus, 1, min)
+    lo_m = _best_slope(profile.w_minus, 1, max)
+    hi_m = _best_slope(profile.w_minus_inv, -1, min)
+    lo_p = _best_slope(profile.w_plus_inv, -1, max)
+    hi_p = _best_slope(profile.w_plus, 1, min)
     method = "interval"
     recognized = recognized_exponents(auto)
     if recognized is not None:
@@ -350,8 +348,6 @@ def lyapunov_bounds(auto, n_max, profile=None):
     return LyapunovBounds(
         alpha_minus=(lo_m, hi_m),
         alpha_plus=(lo_p, hi_p),
-        n_minus=(lo_m_n, hi_m_n),
-        n_plus=(lo_p_n, hi_p_n),
         method=method,
         verdict=verdict,
     )

@@ -283,31 +283,11 @@ class DimensionAction:
     order_if_finite: object
 
 
-def _perron_left_coords(dim):
-    """Numeric left Perron direction of A, in eventual-range coordinates."""
-    a = dim.matrix
-    k = dim.k
-    # each column's nonzero entries in row order: the zeros left out would
-    # add exact 0.0s, so every float is the one the dense sum gives
-    columns = [[(i, a[i][j]) for i in range(k) if a[i][j]] for j in range(k)]
-    u = [1.0 / k] * k
-    for _ in range(200000):
-        # power iteration on A + I keeps periodic matrices convergent
-        nxt = [sum(u[i] * x for i, x in col) + u[j] for j, col in enumerate(columns)]
-        norm = sum(abs(x) for x in nxt)
-        nxt = [x / norm for x in nxt]
-        delta = sum(abs(nxt[j] - u[j]) for j in range(k))
-        u = nxt
-        if delta <= 1e-15:
-            return [u[p] for p in dim.pivots]
-    raise InternalInvariantViolation("power iteration did not converge")
-
-
 def lambda_phi_of(s_phi, dim):
     """Rayleigh ratio of the action matrix ``s_phi`` on the numeric Perron
     direction of the restricted multiplication map; positive by the theory.
     The direction must be an eigenvector to within 1e-8 of its scale."""
-    c = _perron_left_coords(dim)
+    c = dim.perron_left
     d = len(c)
     s = [[float(x) for x in row] for row in s_phi]
     cs = [sum(c[i] * s[i][j] for i in range(d)) for j in range(d)]

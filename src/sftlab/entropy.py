@@ -120,6 +120,8 @@ def c_phi_diagnostic(auto, n, action):
     """Finite-n growth rate of the iterate-window count (lhs) next to the
     measure multiplier's log (rhs); finite n can land on either side, so
     this only flags."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     card = c_phi_count(auto, n)
     return CheckRecord(
         "iterate-window-growth",

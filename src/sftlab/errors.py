@@ -33,10 +33,6 @@ class NilpotentMatrix(SftlabError):
     pass
 
 
-class WordTooShort(SftlabError):
-    pass
-
-
 class InadmissibleWord(SftlabError):
     def __init__(self, word, position):
         super().__init__(f"word {word!r} breaks at position {position}")

@@ -537,9 +537,7 @@ def _random_code(rng, powers):
         n = shift.n_edges
         perm = list(range(n))
         rng.shuffle(perm)
-        code = SlidingBlockCode(
-            shift, shift, 0, 0, {(e,): perm[e] for e in range(n)}, check=False
-        )
+        code = SlidingBlockCode.from_column(shift, shift, 0, 0, perm)
     if r is not None:
         code = powers[r]
     if rng.random() < 0.5 and shift.k == 1:

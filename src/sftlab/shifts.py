@@ -9,6 +9,7 @@ refers to edges through that indexing.
 
 import contextlib
 import contextvars
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -484,6 +485,27 @@ def _perron_iteration(shift):
     return PerronData(lambda_=lam, v_right=tuple(float(x) for x in v), entropy=math.log(lam))
 
 
+def _perron_left_coords(dim):
+    """Numeric left Perron direction of A, in the eventual-range coordinates
+    of ``dim`` (a :class:`DimensionData`)."""
+    a = dim.matrix
+    k = dim.k
+    # each column's nonzero entries in row order: the zeros left out would
+    # add exact 0.0s, so every float is the one the dense sum gives
+    columns = [[(i, a[i][j]) for i in range(k) if a[i][j]] for j in range(k)]
+    u = [1.0 / k] * k
+    for _ in range(200000):
+        # power iteration on A + I keeps periodic matrices convergent
+        nxt = [sum(u[i] * x for i, x in col) + u[j] for j, col in enumerate(columns)]
+        norm = sum(abs(x) for x in nxt)
+        nxt = [x / norm for x in nxt]
+        delta = sum(abs(nxt[j] - u[j]) for j in range(k))
+        u = nxt
+        if delta <= 1e-15:
+            return tuple(u[p] for p in dim.pivots)
+    raise InternalInvariantViolation("power iteration did not converge")
+
+
 @dataclass(frozen=True)
 class DimensionData:
     """Eventual-range data of A acting on row vectors (x -> xA).
@@ -496,7 +518,8 @@ class DimensionData:
     x -> xA on that basis (coordinates multiply on the right), and
     ``delta_inverse`` its exact inverse.  ``rho_minus`` is the reciprocal of
     the smallest modulus among nonzero eigenvalues of A, i.e. the spectral
-    radius of the inverse action on the eventual range.
+    radius of the inverse action on the eventual range.  ``perron_left``,
+    the numeric left Perron direction, is computed on first use.
     """
 
     k: int
@@ -512,6 +535,10 @@ class DimensionData:
     @property
     def d(self):
         return len(self.basis)
+
+    @functools.cached_property
+    def perron_left(self):
+        return _perron_left_coords(self)
 
     def coords(self, vec):
         """Coordinates of ``vec`` in the basis; exact membership check."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .builtins import make_builtin, shift_builtin
 from .codes import SlidingBlockCode, infer_inverse, verify_automorphism
@@ -29,19 +28,6 @@ from .errors import (
 from .shifts import DEFAULT_TOL, build_edge_shift, kronecker_product, window_budget
 
 DEFAULT_R_MAX = 3
-
-
-def parse_fraction(text, location=""):
-    if isinstance(text, bool):
-        raise ParseError("expected a rational, got a boolean", location)
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {text!r}: {exc}", location) from None
-    raise ParseError(f"expected a rational, got {type(text).__name__}", location)
 
 
 def _require_keys(obj, required, optional, location):
@@ -150,7 +136,7 @@ def parse_rule(obj, shift, location):
         out = _int_at(entry, "out", here, minimum=0)
         table[key] = out
     try:
-        return SlidingBlockCode(shift, shift, memory, anticipation, table, check=True)
+        return SlidingBlockCode(shift, shift, memory, anticipation, table)
     except (ParseError, WindowBudgetExceeded, InternalInvariantViolation):
         # a bad SFTLAB_BUDGET, resource limits and library bugs are not the
         # file's fault
@@ -229,12 +215,6 @@ def load_system_file(path):
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ParseError(f"tol must be a finite positive number, got {tol!r}", "$.tol")
     return SystemFile(shift=shift, automorphisms=autos, tol=float(tol), budget=budget)
-
-
-def load_system(path):
-    """The (shift, name -> automorphism) pair of a system file."""
-    parsed = load_system_file(path)
-    return parsed.shift, parsed.automorphisms
 
 
 # -- serialization ------------------------------------------------------------

@@ -20,7 +20,7 @@ from sftlab.codes import (
     pad_code,
     shift_power_of,
 )
-from sftlab.errors import NotInvertibleWithin, ShiftMismatch, UnknownBuiltin
+from sftlab.errors import BadParams, NotInvertibleWithin, ShiftMismatch, UnknownBuiltin
 from sftlab.shifts import build_edge_shift, kronecker_product
 
 
@@ -81,6 +81,27 @@ def test_symbol_permutation_three_cycle():
 def test_symbol_permutation_rejects_non_permutation():
     with pytest.raises(ValueError):
         make_builtin("full_shift_symbol_permutation", {"n": 2, "permutation": (0, 0)})
+
+
+def test_each_builtin_refuses_the_params_keys_it_does_not_read():
+    reads = {
+        "identity": ["shift"],
+        "shift": ["shift"],
+        "inverse_shift": ["shift"],
+        "full_shift_symbol_permutation": ["n", "permutation"],
+        "vertex_swap_B": [],
+        "five_symbol": ["completion", "R_max"],
+        "tau_golden": [],
+        "sigma_x_sigma_inv": ["shift"],
+        "product": ["left", "right"],
+    }
+    for name, keys in reads.items():
+        for key in ("completoin", "shift", "permutation"):
+            if key not in keys:
+                with pytest.raises(BadParams, match=f"unknown key.*{key}"):
+                    make_builtin(name, {key: None})
+    for name, params in DEFAULT_SUITE:
+        assert set(params) <= set(reads[name])
 
 
 def test_tau_golden_is_identity_times_inverse_shift():

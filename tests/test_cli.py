@@ -69,6 +69,20 @@ def _readme_tau():
     return system, table.split("```", 1)[0]
 
 
+def test_readme_python_blocks_run_as_shown(capsys, monkeypatch):
+    # every python block of the README, in order, in one namespace, gives
+    # the values its comments state
+    monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    namespace = {}
+    for block in readme.split("```python\n")[1:]:
+        exec(block.split("```", 1)[0], namespace)
+    assert namespace["census"].count == 168
+    assert namespace["check"].status == "Confirmed"
+    assert capsys.readouterr().out == "144 100\n"
+    assert namespace["again"].shift is namespace["tau"].shift
+
+
 def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
     # the README's tau.json example, input and output, verbatim
     system, table = _readme_tau()
@@ -128,20 +142,21 @@ def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, caps
 
 def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
     # main-bounds and the exact entropy of a shift power both read the
-    # Perron data of the one shift
+    # Perron data of the one shift, and both dimension actions its left
+    # Perron direction
     shift, sigma = make_builtin("shift")
     path = tmp_path / "shift.json"
     save_system(path, shift, {"s": sigma, "s_inv": sigma.inverse_automorphism()})
-    calls = []
-    iterate = shifts._perron_iteration
+    runs = {"_perron_iteration": 0, "_perron_left_coords": 0}
+    for name in runs:
 
-    def counted(arg):
-        calls.append(arg)
-        return iterate(arg)
+        def counted(arg, name=name, iterate=getattr(shifts, name)):
+            runs[name] += 1
+            return iterate(arg)
 
-    monkeypatch.setattr(shifts, "_perron_iteration", counted)
+        monkeypatch.setattr(shifts, name, counted)
     assert main(["analyze", str(path)]) == 0
-    assert len(calls) == 1
+    assert runs == {"_perron_iteration": 1, "_perron_left_coords": 1}
     out = capsys.readouterr().out
     assert "s/entropy-bound" in out and "s_inv/entropy-bound" in out
 
@@ -298,6 +313,17 @@ def test_analyze_bad_builtin_params_is_an_input_error(tmp_path, capsys, params):
     path.write_text(json.dumps({"shift": {"full_shift": 2}, "automorphisms": {"p": params}}))
     assert main(["analyze", str(path)]) == 2
     assert "$.automorphisms.p.params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"completoin": "wall"}, {"permutation": [0, 0]}])
+def test_analyze_unknown_builtin_param_keys_are_input_errors(tmp_path, capsys, params):
+    # a misspelt key is refused, not read as the default completion
+    five = {"builtin": "five_symbol", "params": params}
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"shift": {"full_shift": 5}, "automorphisms": {"five": five}}))
+    assert main(["analyze", str(path), "--n-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "$.automorphisms.five.params" in err and "unknown key(s)" in err
 
 
 def test_analyze_wrong_inverse_is_an_input_error(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Claims covered:
     - construction rejects incomplete / inadmissible / non-composable rules
-    - apply_to_word, composition, powers, and padding show consistent
-      behaviour; apply_to_word equals per-window rule lookups
+    - image, composition, powers, and padding show consistent behaviour;
+      image equals per-window rule lookups
     - verify_automorphism certifies both orders, with a witness on failure
     - infer_inverse finds a radius-bounded inverse or reports its absence
     - shift-power recognition and product-code factorization round-trip;
@@ -42,7 +42,6 @@ from sftlab.errors import (
     ParseError,
     ShiftMismatch,
     WindowBudgetExceeded,
-    WordTooShort,
 )
 from sftlab.shifts import (
     DEFAULT_BUDGET,
@@ -66,7 +65,7 @@ def golden():
 def xor_code(shift):
     """x_i + x_{i+1} mod 2 on the full 2-shift: the classic 2-to-1 rule."""
     rule = {(a, b): a ^ b for a in range(2) for b in range(2)}
-    return SlidingBlockCode(shift, shift, 0, 1, rule, check=False)
+    return SlidingBlockCode(shift, shift, 0, 1, rule)
 
 
 # -- construction-time validation ------------------------------------------
@@ -74,51 +73,39 @@ def xor_code(shift):
 
 def test_rejects_missing_window(full2):
     with pytest.raises(ValueError, match="not total"):
-        SlidingBlockCode(full2, full2, 0, 0, {(0,): 0}, check=True)
+        SlidingBlockCode(full2, full2, 0, 0, {(0,): 0})
 
 
 def test_rejects_inadmissible_window(golden):
     rule = {w: w[0] for w in golden.words(2)}
     rule[(1, 1)] = 0  # edge 1 cannot follow itself
     with pytest.raises(ValueError, match="inadmissible"):
-        SlidingBlockCode(golden, golden, 1, 0, rule, check=True)
+        SlidingBlockCode(golden, golden, 1, 0, rule)
 
 
 def test_rejects_non_composable_outputs(golden):
     # constant rule to edge 1 (state 0 -> 1): 1 cannot follow 1
     rule = {w: 1 for w in golden.words(1)}
     with pytest.raises(ValueError, match="composable"):
-        SlidingBlockCode(golden, golden, 0, 0, rule, check=True)
+        SlidingBlockCode(golden, golden, 0, 0, rule)
 
 
 def test_rejects_bad_output_index(full2):
     with pytest.raises(ValueError, match="not a target edge"):
-        SlidingBlockCode(full2, full2, 0, 0, {(0,): 5, (1,): 0}, check=True)
+        SlidingBlockCode(full2, full2, 0, 0, {(0,): 5, (1,): 0})
 
 
 def test_rejects_negative_window_shape(full2):
     with pytest.raises(ValueError):
-        SlidingBlockCode(full2, full2, -1, 0, {}, check=False)
+        SlidingBlockCode(full2, full2, -1, 0, {})
 
 
 def test_valid_identity_passes_check(golden):
-    code = SlidingBlockCode(
-        golden, golden, 0, 0, {(e,): e for e in range(3)}, check=True
-    )
+    code = SlidingBlockCode(golden, golden, 0, 0, {(e,): e for e in range(3)})
     assert code.window == 1
 
 
 # -- applying and combining -------------------------------------------------
-
-
-def test_apply_to_word_alignment(full2):
-    sigma = shift_code(full2)
-    assert sigma.apply_to_word((0, 1, 0, 1)) == (1, 0, 1)
-    with pytest.raises(WordTooShort):
-        sigma.apply_to_word((0,))
-    for word in ((2,), (-1,)):  # not edges of the full 2-shift
-        with pytest.raises(KeyError):
-            identity_code(full2).apply_to_word(word)
 
 
 def test_apply_to_word_matches_rule_lookups(full2, golden):
@@ -131,7 +118,8 @@ def test_apply_to_word_matches_rule_lookups(full2, golden):
         w = code.window
         for word in code.source.words(w + 3):
             looked_up = tuple(code.rule[word[i : i + w]] for i in range(4))
-            assert code.apply_to_word(word) == looked_up
+            image = code.image(tuple(np.array([e]) for e in word))
+            assert tuple(int(c[0]) for c in image) == looked_up
 
 
 def test_rule_items_are_python_ints_equal_to_lookups(full2, golden):
@@ -175,15 +163,6 @@ def test_pad_code_same_behaviour(golden):
 
 def test_codes_equal_distinguishes(full2):
     assert not codes_equal(shift_code(full2), inverse_shift_code(full2))
-
-
-def test_codes_equal_via_edge_map(golden):
-    # relabel edges by a permutation consistent with the graph: only the
-    # identity works on the golden mean, so use the full shift instead
-    full = build_edge_shift([[2]])
-    c1 = SlidingBlockCode(full, full, 0, 0, {(0,): 1, (1,): 0}, check=False)
-    c2 = SlidingBlockCode(full, full, 0, 0, {(0,): 1, (1,): 0}, check=False)
-    assert codes_equal(c1, c2, edge_map=(1, 0))
 
 
 # -- certified automorphisms ------------------------------------------------
@@ -248,7 +227,7 @@ def test_shift_power_recognition(full2):
     assert shift_power_of(identity_code(full2)) == 0
     assert shift_power_of(power(shift_code(full2), 3)) == 3
     assert shift_power_of(xor_code(full2)) is None
-    flip = SlidingBlockCode(full2, full2, 0, 0, {(0,): 1, (1,): 0}, check=False)
+    flip = SlidingBlockCode(full2, full2, 0, 0, {(0,): 1, (1,): 0})
     assert shift_power_of(flip) is None
 
 
@@ -278,7 +257,7 @@ def test_factor_product_code_refuses_entangled(full2):
         (e,): prod.pair_to_edge[(pairs[e][1], pairs[e][0])]
         for e in range(prod.n_edges)
     }
-    swap = SlidingBlockCode(prod, prod, 0, 0, rule, check=False)
+    swap = SlidingBlockCode(prod, prod, 0, 0, rule)
     assert factor_product_code(swap) is None
 
 

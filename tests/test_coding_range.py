@@ -118,6 +118,18 @@ def test_w_values_rejects_bad_n():
         w_values(auto, 0)
 
 
+def test_profile_rejects_bad_n_max():
+    _, auto = make_builtin("shift")
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        coding_range_profile(auto, 0)
+
+
+def test_lyapunov_bounds_rejects_bad_n_max():
+    _, auto = make_builtin("shift")
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        lyapunov_bounds(auto, 0)
+
+
 def test_w_values_budget():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
     with pytest.raises(WindowBudgetExceeded), window_budget(20):
@@ -205,8 +217,8 @@ def test_double_reversal_restores_behaviour():
     _, auto = make_builtin("tau_golden")
     _, rev, bij = reverse_automorphism(auto)
     _, back, bij2 = reverse_automorphism(rev)
-    roundtrip = tuple(bij2[e] for e in bij)
-    assert codes_equal(auto.forward, back.forward, edge_map=roundtrip)
+    assert tuple(bij2[e] for e in bij) == tuple(range(auto.shift.n_edges))
+    assert codes_equal(auto.forward, back.forward)
 
 
 # -- the grouped scans against the literal oracles --------------------------

@@ -41,7 +41,6 @@ from sftlab.dimension import (
     Ray,
     apply_automorphism_to_ray,
     _finite_order,
-    _perron_left_coords,
     canonical_zero_ray,
     dimension_matrix,
     distortion_spectrum_check,
@@ -61,6 +60,7 @@ from sftlab.errors import (
     WindowBudgetExceeded,
 )
 from sftlab.shifts import (
+    _perron_left_coords,
     build_edge_shift,
     dimension_data,
     distinct_roots,
@@ -632,4 +632,4 @@ def test_perron_left_coords_keep_the_dense_bits():
         assert shift.irreducible
         dim = dimension_data(shift)
         # float equality, not approx: the same bits
-        assert _perron_left_coords(dim) == dense_perron_left_coords(dim), shift
+        assert _perron_left_coords(dim) == tuple(dense_perron_left_coords(dim)), shift

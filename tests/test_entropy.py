@@ -89,8 +89,8 @@ def test_census_enumeration_agrees_with_closed_form():
     # structure: the enumeration path must reproduce the closed form
     prod_shift, auto = make_builtin("sigma_x_sigma_inv")
     flat = build_edge_shift([[4]])
-    fwd = SlidingBlockCode(flat, flat, 1, 1, dict(auto.forward.rule), check=False)
-    inv = SlidingBlockCode(flat, flat, 1, 1, dict(auto.inverse.rule), check=False)
+    fwd = SlidingBlockCode(flat, flat, 1, 1, dict(auto.forward.rule))
+    inv = SlidingBlockCode(flat, flat, 1, 1, dict(auto.inverse.rule))
     flat_auto = Automorphism(fwd, inv, {"method": "relabel"})
     for n in (1, 2):
         closed = column_census(auto, 1, n)
@@ -127,6 +127,12 @@ def test_iterate_window_diagnostic_shape():
     assert out.lhs == pytest.approx(math.log(59) / 2)
     assert out.rhs == pytest.approx(math.log(2))
     assert not out.lhs < out.rhs
+
+
+def test_iterate_window_diagnostic_rejects_bad_n():
+    _, auto = make_builtin("shift")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        c_phi_diagnostic(auto, 0, dimension_matrix(auto))
 
 
 # -- restriction to invariant subsystems ------------------------------------

@@ -206,6 +206,12 @@ def test_run_criterion_unknown_id():
 # -- suites -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["profile", "theorem-4"])
+def test_run_suite_rejects_bad_n_max(name):
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        run_suite(name, {"n_max": 0})
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError) as info:
         run_suite("nope")
