@@ -49,7 +49,7 @@ def coded_minus(code, j):
         return j <= m - d
     # window fully to the right of 0: the two points diverge at coordinate 1
     # from a common state, reaching the window starts by paths of equal length
-    return _far_coded(code, np.array(code.source.reach_exact(j - m - 1)), 0)
+    return _far_coded(code, code.source.reach_exact(j - m - 1), 0)
 
 
 def coded_plus(code, j):
@@ -61,15 +61,14 @@ def coded_plus(code, j):
     d = code.suffix_lcp
     if j >= -a or d > 0:
         return j >= d - a
-    reach = np.array(code.source.reach_exact(-(j + a) - 1)).T  # row s: states reaching s
+    reach = code.source.reach_exact(-(j + a) - 1).T  # row s: states reaching s
     return _far_coded(code, reach, -1)
 
 
 def _far_coded(code, reach, end):
     """Beyond the window, where the output reads only the window's edge at
-    ``end`` (0 or -1; D <= 0): do the edges at the states of each row of
-    ``reach`` (where they start, for end = -1 where they end) have at most
-    one output between them?  The output is read on one window per edge."""
+    ``end`` (0 or -1; D <= 0): the reach test of :func:`_one_output_per_reach`
+    on one window per edge."""
     shift = code.source
     ahead, behind = (shift.edge_targets, shift.edge_sources)[:: 1 if end == 0 else -1]
     step = np.empty(shift.k, dtype=np.intp)
@@ -77,20 +76,29 @@ def _far_coded(code, reach, end):
     cols = [np.arange(shift.n_edges)]
     while len(cols) < code.window:
         cols.append(step[ahead[cols[-1]]])
-    presence = np.zeros((shift.k, code.target.n_edges), dtype=bool)
-    presence[behind, code.outputs(tuple(cols[:: 1 if end == 0 else -1]))] = True
+    cols = tuple(cols[:: 1 if end == 0 else -1])
+    return _one_output_per_reach(code, reach, end, [(cols, code.outputs(cols))])
+
+
+def _one_output_per_reach(code, reach, end, windows):
+    """Per row of ``reach``: do the windows (``windows`` yields edge columns
+    and outputs) whose edge at ``end`` is at a state of the row (starts there;
+    for end = -1 ends there) have at most one output between them?"""
+    edge_states = (code.source.edge_sources, code.source.edge_targets)[end]
+    presence = np.zeros((code.source.k, code.target.n_edges), dtype=bool)
+    for cols, outputs in windows:
+        presence[edge_states[cols[end]], outputs] = True
     return bool(np.all((reach @ presence).sum(axis=1) <= 1))
 
 
 # -- literal-definition oracles (small systems only; used to guard
 #    coded_minus and coded_plus in tests).  A group of windows -- the windows
 #    that two agreeing points can show around coordinate j -- is coded when
-#    every pair in it has the same output.  Equality is transitive, so that
-#    holds exactly when every window has its group's first output, which
-#    one pass over the rule table decides.  Near 0 a group is a slice on
-#    the agreed side; far from 0 it is the windows whose end on that side
-#    is reached from one common state, so the pass collects outputs per end
-#    state and reach_exact joins them. --
+#    every pair in it has the same output (by transitivity: the output of one
+#    window of the group).  They read the output column against the edge
+#    columns of every window, chunk by chunk.  Near 0 a group is the windows
+#    with one word on the agreed side, keyed by its rank; far from 0, those
+#    whose end on that side is reached from one common state. --
 
 
 def coded_minus_naive(code, j):
@@ -98,11 +106,9 @@ def coded_minus_naive(code, j):
     m, a = code.memory, code.anticipation
     if j + a <= 0:
         return True
-    shift = code.source
     if j - m <= 0:  # the window's edges at coordinates <= 0
         return _one_output_per_group(code, slice(None, m - j + 1))
-    reach = shift.reach_exact(j - m - 1)
-    return _one_output_per_reach(code, reach, 0, shift.edge_sources.tolist())
+    return _one_output_per_reach(code, code.source.reach_exact(j - m - 1), 0, _windows(code))
 
 
 def coded_plus_naive(code, j):
@@ -110,33 +116,25 @@ def coded_plus_naive(code, j):
     m, a = code.memory, code.anticipation
     if j - m >= 0:
         return True
-    shift = code.source
     if j + a >= 0:  # the window's edges at coordinates >= 0
         return _one_output_per_group(code, slice(m - j, None))
-    reach = tuple(zip(*shift.reach_exact(-(j + a) - 1)))  # row s: states reaching s
-    return _one_output_per_reach(code, reach, -1, shift.edge_targets.tolist())
+    reach = code.source.reach_exact(-(j + a) - 1).T  # row s: states reaching s
+    return _one_output_per_reach(code, reach, -1, _windows(code))
+
+
+def _windows(code):
+    """Yield (edge columns, outputs) over the code's windows, chunk by chunk."""
+    for first, cols in code.source.ranked_words(code.window):
+        yield cols, code.column[first : first + len(cols[0])]
 
 
 def _one_output_per_group(code, agreed):
-    """Does every window have the output of the first window with the same
-    slice ``agreed``?  Stops at the first one that does not."""
-    first = {}
-    for w, out in code.rule.items():
-        if first.setdefault(w[agreed], out) != out:
-            return False
-    return True
-
-
-def _one_output_per_reach(code, reach, end, edge_states):
-    """Per row of ``reach``: do the windows whose edge ``end`` is at a state
-    (``edge_states``) in the row have at most one output between them?"""
-    outputs = [set() for _ in range(code.source.k)]
-    for w, out in code.rule.items():
-        outputs[edge_states[w[end]]].add(out)
-    return all(
-        len(set().union(*(outs for outs, hit in zip(outputs, row) if hit))) <= 1
-        for row in reach
-    )
+    """Does every window read back its own output after each has written it
+    at the rank of its slice ``agreed`` (rank is injective on words)?"""
+    keys = np.concatenate([code.source.rank(cols[agreed]) for cols, _ in _windows(code)])
+    written = np.empty(code.source.word_count(len(range(code.window)[agreed])), code.column.dtype)
+    written[keys] = code.column
+    return np.array_equal(written[keys], code.column)
 
 
 @dataclass(frozen=True)

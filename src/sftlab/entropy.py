@@ -111,6 +111,8 @@ def c_phi_count(auto, n):
     """Number of distinct collections (sets) of iterate windows
     phi^i(y)|[k, k+2r+1], i = 0..n, with r the coding range of the forward
     rule; k does not change the count."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     _require_points(auto.shift)
     r = max(auto.forward.memory, auto.forward.anticipation)
     return _distinct_windows(auto, n + 1, 2 * r + 2, False)

@@ -383,13 +383,13 @@ class EdgeShift:
         return n
 
     def reach_exact(self, steps):
-        """Boolean matrix: reach_exact(n)[i][j] iff a path i->j with exactly
-        n edges exists."""
+        """Read-only boolean array: reach_exact(n)[i, j] iff a path i->j
+        with exactly n edges exists."""
         if steps < 0:
             raise ValueError("path length must be nonnegative")
         if steps not in self._reach:
-            pattern = _pattern_power(self._adjacency, steps)
-            self._reach[steps] = tuple(map(tuple, pattern.tolist()))
+            pattern = self._reach[steps] = _pattern_power(self._adjacency, steps)
+            pattern.flags.writeable = False
         return self._reach[steps]
 
 

@@ -2,8 +2,9 @@
 
 The grouped scans (coded_minus / coded_plus) are cross-checked against the
 literal two-point quantifier oracles on every system in a small pool, and
-the oracles' one-output-per-group form against the pairwise comparison it
-replaced, on that pool and on the acceptance suite's seeded stream; the
+the oracles' one-output-per-group form against the pairwise comparison, on
+that pool and on the acceptance suite's seeded stream; the oracles read
+edge columns, never word tuples, and see a group whole across chunks; the
 profile values for the named examples are frozen from independent hand
 calculation (shift powers code exactly by their exponent; the product
 examples code track by track).
@@ -28,7 +29,9 @@ from sftlab.coding_range import (
     w_values,
 )
 from sftlab.codes import (
+    RuleView,
     SlidingBlockCode,
+    _RuleItems,
     codes_equal,
     compose,
     identity_code,
@@ -41,6 +44,7 @@ from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
 from sftlab.reports import _random_code, _shift_powers
 from sftlab.shifts import (
     WORD_CHUNK,
+    EdgeShift,
     build_edge_shift,
     kronecker_product,
     transpose_shift,
@@ -298,9 +302,8 @@ def test_set_form_oracles_match_the_pairwise_reference_on_the_acceptance_stream(
 
 # Each branch of each oracle on a code that outputs edge 0 everywhere but on
 # one window: that window's group then has two outputs.  The odd window is a
-# given one, then the first and the last in rank order, so the one-pass
-# oracles must catch it whether it opens its group or comes after all of
-# it.  The 2-state full shift has groups that the state splits (reach over
+# given one, then the first and the last in rank order, so the oracles must
+# catch it whether it opens its group or comes after all of it.  The 2-state full shift has groups that the state splits (reach over
 # 0 steps).
 FULL_2X2 = build_edge_shift([[1, 1], [1, 1]])
 
@@ -370,6 +373,36 @@ def test_grouped_scan_matches_naive(name, params):
             assert coded_plus(code, j) == coded_plus_naive(code, j), (name, j)
             assert coded_minus_naive(code, j) == pairwise_minus(code, j), (name, j)
             assert coded_plus_naive(code, j) == pairwise_plus(code, j), (name, j)
+
+
+@pytest.mark.parametrize("name,params", ORACLE_POOL)
+def test_oracles_read_columns_not_word_tuples(name, params, monkeypatch):
+    _, auto = make_builtin(name, dict(params))
+    codes = (auto.forward, auto.inverse, auto.power(2))
+    cases = [(c, j) for c in codes for j in range(-4, 5)]
+    expected = [(coded_minus(c, j), coded_plus(c, j)) for c, j in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle read word tuples")
+
+    monkeypatch.setattr(EdgeShift, "words", refuse)
+    monkeypatch.setattr(RuleView, "__iter__", refuse)
+    monkeypatch.setattr(_RuleItems, "__iter__", refuse)
+    for (c, j), want in zip(cases, expected):
+        assert (coded_minus_naive(c, j), coded_plus_naive(c, j)) == want, (name, j)
+
+
+# A group that spans chunks: on the full 2-shift a window of 16 edges has
+# 65,536 words in 4 chunks, and the words agreeing on all but the first
+# edge sit 2^15 ranks apart, one in chunk 0 or 1 and the other in chunk 2
+# or 3.  Output the first edge and each such group has two outputs.
+def test_a_group_spanning_chunks_is_read_whole():
+    shift = build_edge_shift([[2]])
+    assert len(list(shift.ranked_words(16))) == 4
+    first_edge = np.arange(2**16) >> 15
+    for column, coded in ((first_edge, False), (np.zeros_like(first_edge), True)):
+        code = SlidingBlockCode.from_column(shift, shift, 1, 14, column)
+        assert coded_plus_naive(code, 0) == coded_plus(code, 0) == coded  # agreed: edges 1..15
 
 
 # -- the window statistics at their edge cases --------------------------------

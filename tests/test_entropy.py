@@ -117,6 +117,13 @@ def test_iterate_window_counts_sigma():
     assert c_phi_count(auto, 2) == 59
 
 
+def test_iterate_window_count_takes_n_from_zero():
+    _, auto = make_builtin("shift")
+    assert c_phi_count(auto, 0) == 16  # the words of 4 edges: one window each
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        c_phi_count(auto, -1)
+
+
 def test_iterate_window_diagnostic_shape():
     _, auto = make_builtin("shift")
     action = dimension_matrix(auto)

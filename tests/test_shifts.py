@@ -325,7 +325,9 @@ def test_flags_and_reach_match_networkx_and_matrix_powers(m):
     )
     for n in range(7):
         power = ratmat.mat_pow(m, n)
-        assert shift.reach_exact(n) == tuple(tuple(x > 0 for x in row) for row in power)
+        reach = shift.reach_exact(n)
+        assert reach.dtype == bool and not reach.flags.writeable
+        assert np.array_equal(reach, np.array(power) > 0)
 
 
 def test_reach_exact_rejects_negative_lengths():
