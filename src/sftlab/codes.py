@@ -4,14 +4,24 @@ A code with memory m and anticipation a maps a point x to the point whose
 i-th edge is rule(x[i-m..i+a]).  Rules are total maps from admissible words
 of length m+a+1 (tuples of edge indices) to single edges of the target
 shift, constrained so consecutive outputs concatenate into admissible
-paths.  A code stores its rule as an output column: a numpy array holding
-one target edge per admissible window, indexed by the window's rank
-(:meth:`EdgeShift.rank`).  Operations on codes walk the windows in chunks
-of edge arrays (:meth:`EdgeShift.ranked_words`) and gather from columns.
-compose, pad_code and the entropy census read one kernel instead,
-:func:`image_ranks`: the ranks of the images of the windows, with the rank
-terms that lie in the windows' kept tail summed once per walk.
-An :class:`Automorphism` is a pair of codes certified to compose to the
+paths.
+
+A code stores its rule as a quasi-reduced ordered decision diagram over the
+window's positions (Bryant, IEEE Trans. Comput. C-35, 1986, over the edge
+alphabet with every level kept).  A node at level L is one distinct
+function of the edges after an L-edge prefix of a window: it carries the
+state its prefix ends at and has one child per edge out of that state that
+a window continues with.  Level L is an array with one row per node and
+one column per source edge, holding the child's index at level L + 1 (the
+target edge at the last level), -1 where the edge does not continue; level
+0 is the single root.  Nodes are numbered bottom-up in the lexicographic
+order of their rows, so equal codes have equal arrays.
+
+A code's output on given windows is one gather per level
+(:meth:`SlidingBlockCode.outputs`); every enumeration of a rule reads it so,
+over :meth:`EdgeShift.ranked_words`.  compose is a product construction
+level by level, which reads no table, and pad_code inserts levels.  An
+:class:`Automorphism` is a pair of codes certified to compose to the
 identity in both orders.
 """
 
@@ -25,19 +35,14 @@ from .errors import NotInverse, NotInvertibleWithin, PreconditionFailed, ShiftMi
 from .shifts import transpose_shift
 
 
-def _edge_dtype(shift):
-    """Smallest unsigned dtype that holds every edge index of ``shift``."""
-    return np.min_scalar_type(shift.n_edges - 1)
-
-
 def _word_at(cols, i):
     """Row i of edge columns, as a tuple of Python ints."""
     return tuple(int(c[i]) for c in cols)
 
 
 class SlidingBlockCode:
-    """A sliding block code; ``column`` holds its output on each admissible
-    window, in rank order, and ``rule`` views it as a mapping."""
+    """A sliding block code; ``levels`` holds its diagram (see the module
+    docstring), and ``rule`` views it as a mapping."""
 
     def __init__(self, source, target, memory, anticipation, rule):
         """Code from a rule table mapping every admissible window (a tuple
@@ -51,31 +56,50 @@ class SlidingBlockCode:
         self.memory = int(memory)
         self.anticipation = int(anticipation)
         source.ensure_budget(self.window + 1)
-        self.column = np.array(self._checked_outputs(rule), dtype=_edge_dtype(target))
+        column = np.array(self._checked_outputs(rule), dtype=np.intp)
+        self.levels = _column_levels(source, self.window, column, target.n_edges)
         self._check_composable()
 
     @classmethod
     def from_column(cls, source, target, memory, anticipation, column, check=False):
         """Code from its output column, a sequence of target edges in window
-        rank order; with ``check`` the outputs must be composable."""
+        rank order (:meth:`EdgeShift.rank`) with one entry per admissible
+        window; with ``check`` the outputs must be composable."""
+        window = memory + anticipation + 1
+        column = np.asarray(column)
+        count = source.word_count(window)
+        if len(column) != count:
+            raise ValueError(
+                f"column has {len(column)} entries, but there are {count} "
+                f"admissible windows of {window} edges"
+            )
+        code = cls._from_levels(
+            source, target, memory, anticipation,
+            _column_levels(source, window, column, target.n_edges),
+        )
+        if check:
+            source.ensure_budget(window + 1)
+            code._check_composable()
+        return code
+
+    @classmethod
+    def _from_levels(cls, source, target, memory, anticipation, levels):
         code = cls.__new__(cls)
         code.source = source
         code.target = target
         code.memory = int(memory)
         code.anticipation = int(anticipation)
-        code.column = np.asarray(column, dtype=_edge_dtype(target))
-        if check:
-            source.ensure_budget(code.window + 1)
-            code._check_composable()
+        for level in levels:
+            level.flags.writeable = False  # padded codes share levels
+        code.levels = tuple(levels)
         return code
 
     @classmethod
     def tabulated(cls, source, target, memory, anticipation, count, outputs):
         """Code whose column is ``outputs(cols)`` over the chunks of its
         ``count`` windows (see :meth:`EdgeShift.ranked_words`)."""
-        length = memory + anticipation + 1
-        column = np.empty(count, dtype=_edge_dtype(target))
-        for start, cols in source.ranked_words(length):
+        column = np.empty(count, dtype=np.intp)
+        for start, cols in source.ranked_words(memory + anticipation + 1):
             column[start : start + len(cols[0])] = outputs(cols)
         return cls.from_column(source, target, memory, anticipation, column)
 
@@ -89,19 +113,53 @@ class SlidingBlockCode:
 
     @functools.cached_property
     def prefix_lcp(self):
-        """D^-: the longest common prefix of rank-adjacent windows with
-        different outputs (:func:`_changes_lcp`).  Windows sharing their
-        first L edges have consecutive ranks, so the output is a function
-        of those L edges iff L > D^-."""
-        words = self.source.ranked_words(self.window)
-        return _changes_lcp(self.source, ((c, self.column[i : i + len(c[0])]) for i, c in words))
+        """D^-: the longest common prefix of two windows with different
+        outputs, -1 when the code is constant.
+
+        Every node at level L is the output's residual function after one
+        L-edge prefix of a window, and every such prefix reaches one.  So
+        the output is a function of the first L edges iff every node at
+        level L is constant.  Two windows with different outputs and a
+        common prefix of d edges pass through one node at level d, which is
+        then not constant; and a node at level d that is not constant has
+        two windows below it with different outputs, which share d edges.
+        Hence D^- is one less than the first level whose nodes are all
+        constant.  Constants are read bottom-up, so the walk stops at the
+        first level from the bottom that has a varying node."""
+        value = None  # the constant of each node a level down; a terminal is its own
+        for level in range(self.window - 1, -1, -1):
+            rows = self.levels[level]
+            seen = rows if value is None else np.concatenate((value, (-1,)))[rows]
+            high = seen.max(axis=1)  # an absent child reads -1, below every constant
+            if (np.where(seen < 0, high[:, None], seen).min(axis=1) != high).any():
+                return level
+            value = high
+        return -1
 
     @functools.cached_property
     def suffix_lcp(self):
-        """D^+: :attr:`prefix_lcp` of the windows read backwards, so the
-        output is a function of the window's last L edges iff L > D^+."""
-        tshift = transpose_shift(self.source)[0]
-        return _changes_lcp(tshift, ((c, out) for _, c, out in _reversed_windows(self)))
+        """D^+: the longest common suffix of two windows with different
+        outputs, -1 when the code is constant.
+
+        For L >= 1, two windows with the same last L edges have their first
+        W - L edges (W the window) end at one state s, and every L-edge word
+        out of s completes every such prefix.  So the output is a function
+        of the last L edges iff all nodes at level W - L that end at one
+        state are one node, i.e. that level has one node per state (level 0
+        is the single root, so L = W always qualifies).  By the argument of
+        :attr:`prefix_lcp`, D^+ is one less than the least such L, and -1
+        when the output is a function of no edge at all."""
+        if self.prefix_lcp < 0:
+            return -1
+        sources = self.source.edge_sources
+        for last in range(1, self.window):
+            rows = self.levels[self.window - last]
+            if len(rows) > self.source.k:
+                continue
+            states = sources[np.argmax(rows >= 0, axis=1)]  # a node's state: its edges' source
+            if len(rows) == 1 or np.bincount(states).max() == 1:
+                return last - 1
+        return self.window - 1
 
     def _checked_outputs(self, rule):
         src, tgt = self.source, self.target
@@ -134,8 +192,20 @@ class SlidingBlockCode:
 
     def outputs(self, cols):
         """Outputs on the windows whose i-th edges are ``cols[i]``
-        (``window`` equal-length arrays of admissible words)."""
-        return self.column[self.source.rank(cols)]
+        (``window`` equal-length arrays of admissible words): one gather
+        per level of the diagram."""
+        nodes = self._offsets[0][cols[0]]
+        for offsets, col in zip(self._offsets[1:], cols[1:]):
+            nodes = offsets.take(nodes + col)
+        return nodes
+
+    @functools.cached_property
+    def _offsets(self):
+        """The levels flattened for :meth:`outputs`, each child index times
+        the number of source edges: the offset of the child's row in the
+        next flattened level (target edges at the last level)."""
+        edges = self.source.n_edges
+        return [level.ravel() * edges for level in self.levels[:-1]] + [self.levels[-1].ravel()]
 
     def image(self, cols):
         """Edge columns of the image words of the words ``cols``: one output
@@ -151,8 +221,8 @@ class SlidingBlockCode:
 
 
 class RuleView(Mapping):
-    """Read-only view of a code's column as a mapping from admissible
-    windows (tuples of edge indices) to target edges, in rank order."""
+    """Read-only view of a code as a mapping from admissible windows (tuples
+    of edge indices) to target edges, in rank order."""
 
     __slots__ = ("_code",)
 
@@ -161,80 +231,338 @@ class RuleView(Mapping):
 
     def __getitem__(self, window):
         code = self._code
-        rank = code.source.rank_of(window) if len(window) == code.window else None
-        if rank is None:
+        if len(window) != code.window or not code.source.is_admissible(window):
             raise KeyError(window)
-        return int(code.column[rank])
+        return int(code.outputs([np.array([e]) for e in window])[0])
 
     def __iter__(self):
         return self._code.source.words(self._code.window)
 
     def __len__(self):
-        return len(self._code.column)
+        return self._code.source.word_count(self._code.window)
 
     def items(self):
         return _RuleItems(self)
 
 
 class _RuleItems(ItemsView):
-    """(window, output) pairs of a :class:`RuleView`, read off the column in
-    order instead of one lookup per window."""
+    """(window, output) pairs of a :class:`RuleView`, read chunk by chunk
+    instead of one lookup per window."""
 
     def __iter__(self):
         code = self._mapping._code
-        return zip(code.source.words(code.window), code.column.tolist())
+        for _, cols in code.source.ranked_words(code.window):
+            yield from zip(zip(*(c.tolist() for c in cols)), code.outputs(cols).tolist())
 
 
-def _changes_lcp(shift, chunks):
-    """Max over rank-adjacent words with different outputs of their longest
-    common prefix, -1 when no outputs differ; ``chunks`` yields (edge
-    columns, outputs) in rank order.  When every state has an edge out (as
-    on an irreducible shift), the word after w keeps w's edges up to the
-    last position where its edge is not the first out of its state, so that
-    position is the pair's common prefix (0 if there is none).  The walk
-    stops once the maximum reaches its bound, the length minus one."""
-    later = np.zeros(shift.n_edges, dtype=bool)  # not the first edge out of its state
-    later[1:] = shift.edge_sources[1:] == shift.edge_sources[:-1]
-    d, before = -1, None
-    for cols, out in chunks:
-        top = len(cols) - 1
-        previous = out[:1] if before is None else before  # the output before each word
-        changes = np.flatnonzero(out != np.concatenate((previous, out[:-1])))
-        before = out[-1:]
-        if changes.size:
-            d = max(d, 0)
-            d = next((p for p in range(top, d, -1) if later[cols[p][changes]].any()), d)
-            if d == top:
-                break
-    return d
+# -- the diagram kernel --------------------------------------------------------
+
+#: Packed row keys stay below this, so one more digit never overflows int64.
+_KEY_LIMIT = 1 << 62
 
 
-def _reversed_windows(code):
-    """Yield (rank of the first word, edge columns, outputs) over the
-    transpose shift's words of the code's window length, chunk by chunk:
-    each is a window read backwards, with the code's output on it."""
-    tshift, bijection = transpose_shift(code.source)
-    back = np.argsort(bijection)  # transpose edge -> original edge
-    for start, cols in tshift.ranked_words(code.window):
-        yield start, cols, code.outputs(tuple(back[c] for c in reversed(cols)))
+def _distinct(keys):
+    """(index of the first occurrence of each distinct key, in increasing
+    key order; each key's index among the distinct keys)."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)  # a key differs from the one before
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = starts.cumsum() - 1
+    return order[starts], ids
+
+
+def _row_keys(rows, bases):
+    """One int64 key per row of a 2-d array whose column i holds integers
+    in -1..bases[i] - 1, increasing in the rows' lexicographic order.  The
+    entries plus one are read as the digits of one number, one matrix
+    product per run of columns whose digits fit in a key; between runs the
+    keys so far are replaced by their ranks to make room."""
+    keys, start, span = None, 0, 1
+    for stop in range(len(bases) + 1):
+        if stop < len(bases) and span * (bases[stop] + 1) < _KEY_LIMIT:
+            span *= bases[stop] + 1
+            continue
+        weights, scale = [], 1
+        for base in reversed(bases[start:stop]):
+            weights.append(scale)
+            scale *= base + 1
+        part = rows[:, start:stop] @ np.array(weights[::-1]) + sum(weights)
+        keys = part if keys is None else keys * scale + part
+        if stop == len(bases):
+            return keys
+        keys = _distinct(keys)[1]
+        start, span = stop, len(rows) * (bases[stop] + 1)
+
+
+#: Up to this many product states a step of :func:`_product` keeps them
+#: all: merging so few costs more than carrying them to :func:`_reduce`.
+_FEW_STATES = 256
+
+#: Up to this many rows :func:`_distinct_rows` sorts Python tuples.
+_FEW_ROWS = 32
+
+#: The child index that an absent child maps to.
+_ABSENT = np.array([-1])
+
+
+def _distinct_rows(rows, bases):
+    """The distinct rows of a 2-d array whose column i holds integers in
+    -1..bases[i] - 1, in lexicographic order, and each row's index among
+    them followed by -1, the index of an absent child.  A row of -1s (a
+    node with no child) sorts first; it is dropped, and rows equal to it
+    get index -1."""
+    if len(rows) <= _FEW_ROWS:  # sorting tuples beats the numpy calls
+        listed = list(map(tuple, rows.tolist()))
+        distinct = sorted(set(listed))
+        dead = bool(distinct) and max(distinct[0]) < 0
+        index = {row: i - dead for i, row in enumerate(distinct)}
+        ids = np.array([index[row] for row in listed] + [-1], dtype=np.intp)
+        return np.array(distinct[dead:], dtype=np.intp).reshape(-1, rows.shape[1]), ids
+    first, ids = _distinct(_row_keys(rows, bases))
+    rows = rows[first]
+    if len(rows) and rows[0].max() < 0:
+        rows, ids = rows[1:], ids - 1
+    return rows, np.concatenate((ids, _ABSENT))
+
+
+def _reduce(tables, n_target):
+    """Canonical levels of a diagram given level by level, all of whose
+    rows the root reaches: row i of ``tables[L]`` is a node at level L, and
+    its entries index rows of ``tables[L + 1]`` (target edges at the last
+    level), -1 where an edge does not continue.  Bottom-up, equal rows
+    become one node, and rows left without a child are dropped."""
+    levels, ids, count = [], None, n_target
+    for table in reversed(tables):
+        rows = table if ids is None else ids[table]
+        if len(levels) < len(tables) - 1:  # the root stays, even without a child
+            rows, ids = _distinct_rows(rows, [count] * rows.shape[1])
+            count = len(rows)
+        levels.append(rows)
+    return levels[::-1]
+
+
+def _column_levels(source, window, column, n_target):
+    """The canonical levels of the code whose outputs, in window rank
+    order, are ``column``: the prefix tree of the windows, reduced.  Row p
+    of its level L - 1 is the word of L - 1 edges ranked p, and its entry
+    for edge e is the rank of the word followed by e (the output at the
+    last level)."""
+    tables = []
+    for length in range(1, window + 1):
+        table = np.full((source.word_count(length - 1), source.n_edges), -1, dtype=np.intp)
+        for start, cols in source.ranked_words(length):
+            stop = start + len(cols[0])
+            below = column[start:stop] if length == window else np.arange(start, stop)
+            table[source.rank(cols[:-1]) if length > 1 else 0, cols[-1]] = below
+        tables.append(table)
+    return _reduce(tables, n_target)
+
+
+def _product(outer, inner):
+    """Levels of outer o inner before :func:`_reduce`, by a product
+    construction over the composite window: the inner code read as a
+    transducer (:func:`_transducer`) feeds its outputs to the outer
+    diagram, which moves down one level per output.
+
+    After the composite window's first L edges, a product state is the
+    outer node and the transducer's context.  Copies of the inner code
+    start at the first outer.window edges, so the context follows the
+    transducer's "start" table there and its "stop" table after.  A state
+    whose edges do not continue is dead (context 0); the last level's
+    entries are the outer's outputs, -1 for a dead state."""
+    wi, wo = inner.window, outer.window
+    reading = _transducer(inner, wo)
+    size = len(reading[0][0])  # contexts
+    # the outer's root, and context 1: no edge read
+    nodes, contexts = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
+    tables = []
+    for step in range(wi + wo - 1):
+        following, output = reading[step >= wo]
+        following = following[contexts]
+        if step >= wi - 1:  # the oldest copy has read its window: the outer reads its output
+            # (a live state's output word is an outer window, so the outer
+            # node exists; a dead state reads garbage and stays dead)
+            nodes = outer.levels[step - wi + 1][nodes[:, None], output[contexts]]
+        else:
+            nodes = np.broadcast_to(nodes[:, None], following.shape)
+        if step == wi + wo - 2:
+            tables.append(np.where(following > 0, nodes, -1))
+            break
+        if following.size > _FEW_STATES:  # merge equal product states, drop dead ones
+            keys = np.where(following > 0, nodes * size + following, -1).ravel()
+            first, ids = _distinct(keys)
+            if keys[first[0]] < 0:
+                first, ids = first[1:], ids - 1
+            nodes, contexts = np.divmod(keys[first], size)
+        else:  # one state per prefix, dead ones too: _reduce merges and drops them
+            ids = np.arange(following.size)
+            nodes, contexts = nodes.ravel(), following.ravel()
+        tables.append(ids.reshape(following.shape))
+    return tables
+
+
+def _transducer(code, starts):
+    """The code read as a transducer over its source edges (Lind-Marcus
+    1.5), kept on the code and read again when a compose needs more starts.
+
+    A context is the state that the edges read so far end at (k before any
+    edge) and, for l = 1..window - 1, the node of the copy of the code that
+    has read l edges (-1: none); context 0 is dead, and context 1 has read
+    nothing.  On each edge every copy moves down a level, the copy at the
+    last level outputs, and under "start" a new copy begins.  Contexts are
+    read round by round from context 1, under start for the first
+    ``starts`` rounds and under stop in every round, until a round finds no
+    new one.  A context is a function of the last window edges read (the
+    state needs the last one), so past window + 1 starts none is new: a
+    compose that starts window copies or more reads all window + 1 rounds,
+    which serve every later compose.
+
+    Returns, under start and under stop, (next context, output): contexts x
+    source edges tables.  The next context is 0, dead, where the edge does
+    not continue (and where the context was not read under start); the
+    output is -1 where none is due."""
+    starts = code.window + 1 if starts >= code.window else starts
+    kept = code.__dict__.get("_transducer")
+    if kept is None or kept[0] < starts:
+        kept = code.__dict__["_transducer"] = (starts, _read_contexts(code, starts))
+    return kept[1]
+
+
+def _read_contexts(code, starts):
+    """The tables of :func:`_transducer`, with ``starts`` rounds read under
+    start."""
+    w, edges = code.window, code.source.n_edges
+    index = {(-1,) * w: 0, (code.source.k, *[-1] * (w - 1)): 1}
+    dead = (np.zeros((1, edges), dtype=np.intp), np.full((1, edges), -1))
+    tables = ([dead], [dead])  # per phase: (next contexts, outputs) per round
+    read, rounds = 1, 0
+    while read < len(index):
+        rounds += 1
+        batch = np.array(list(index)[read:], dtype=np.intp)
+        read = len(index)
+        for stop, (after, out) in enumerate(_read(code, batch)):
+            if stop or rounds <= starts:
+                keys = list(map(tuple, after.reshape(-1, w).tolist()))
+                for key in dict.fromkeys(keys):
+                    index.setdefault(key, len(index))
+                following = np.array(list(map(index.__getitem__, keys)))
+            else:
+                following, out = np.zeros_like(out), np.full_like(out, -1)
+            tables[stop].append((following.reshape(out.shape), out))
+    return [[np.concatenate(part) for part in zip(*phase)] for phase in tables]
+
+
+def _read(code, contexts):
+    """One edge of :func:`_transducer` from each context row, under start
+    and under stop: the next context rows (contexts x edges x window; all
+    -1, the dead context, where the edge does not continue) and the outputs
+    (-1 where none is due)."""
+    levels, w = code.levels, code.window
+    n, edges = len(contexts), code.source.n_edges
+    after = np.empty((n, edges, w), dtype=np.intp)
+    after[:, :, 0] = code.source.next_state[contexts[:, 0]]
+    dead = (after[:, :, 0] < 0) | (contexts[:, :1] < 0)  # the dead context stays dead
+    for slot in range(2, w):  # the copy in slot - 1 has read one more edge
+        held = contexts[:, slot - 1, None] >= 0
+        after[:, :, slot] = np.where(held, levels[slot - 1][contexts[:, slot - 1]], -1)
+        dead |= held & (after[:, :, slot] < 0)
+    begun = levels[0][0]  # a new copy's node after one edge, or its output
+    if w == 1:
+        out = np.full(dead.shape, -1)
+    else:
+        held = contexts[:, w - 1, None] >= 0
+        out = np.where(held, levels[w - 1][contexts[:, w - 1]], -1)
+        dead |= held & (out < 0)
+    phases = []
+    for stop in (False, True):
+        next_after, next_dead = after.copy(), dead if stop else dead | (begun < 0)
+        next_out = out if stop or w > 1 else np.broadcast_to(begun, dead.shape)
+        if w > 1:
+            next_after[:, :, 1] = -1 if stop else begun
+        next_after[next_dead] = -1
+        phases.append((next_after, np.where(next_dead, -1, next_out)))
+    return phases
+
+
+def _padded(code, before, after):
+    """The levels of ``code`` on a window wider by ``before`` edges in front
+    and ``after`` behind.
+
+    The levels that read edges without using them carry what the output
+    still needs: in front, the state the prefix ends at (the root then
+    restricted to that state's edges); behind, the state and the output.
+    Such nodes are numbered by descending state, then output.  On an
+    essential shift (every state has edges in and out) every node stays
+    reachable and alive, distinct nodes stay distinct and that numbering is
+    the lexicographic order of their rows, so the levels are canonical as
+    built; elsewhere they are trimmed and reduced."""
+    shift, levels = code.source, list(code.levels)
+    down = shift.k - 1 - shift.edge_targets  # the target's rank by descending state
+    if after:
+        last, count = levels.pop(), code.target.n_edges
+        for _ in range(after):
+            keys = np.where(last >= 0, down * count + last, -1)
+            first, ids = _distinct(keys.ravel())
+            held = keys.ravel()[first]
+            if held[0] < 0:
+                held, ids = held[1:], ids - 1
+            levels.append(ids.reshape(last.shape))
+            ranks, outputs = np.divmod(held, count)
+            states = shift.k - 1 - ranks
+            last = np.where(shift.edge_sources == states[:, None], outputs[:, None], -1)
+        levels.append(last)
+    if before:
+        by_state = shift.edge_sources == np.arange(shift.k - 1, -1, -1)[:, None]
+        levels[:1] = [
+            down[None, :],
+            *[np.where(by_state, down, -1)] * (before - 1),
+            np.where(by_state, levels[0][0], -1),
+        ]
+    if not shift.essential:
+        levels = _reduce(_reachable(levels), code.target.n_edges)
+    return levels
+
+
+def _reachable(levels):
+    """The levels with the rows that the root does not reach removed."""
+    levels = list(levels)
+    for i in range(1, len(levels)):
+        reached = np.zeros(len(levels[i]) + 1, dtype=bool)
+        reached[levels[i - 1]] = True  # an absent child marks the spare last slot
+        kept = np.flatnonzero(reached[:-1])
+        index = np.full(len(levels[i]) + 1, -1)
+        index[kept] = np.arange(len(kept))
+        levels[i - 1] = index[levels[i - 1]]
+        levels[i] = levels[i][kept]
+    return levels
 
 
 def reverse_code(code):
     """Conjugate by coordinate reversal: windows reverse, memory and
     anticipation swap, and edges pass through the transpose bijection
-    (:func:`transpose_shift`)."""
+    (:func:`transpose_shift`).  Tabulated: each transpose window is read
+    back to front through the bijection's inverse."""
     if code.source != code.target:
         raise PreconditionFailed("reverse_code needs an endomorphism-shaped code")
     tshift, bijection = transpose_shift(code.source)
     count = tshift.ensure_budget(code.window)
-    column = np.empty(count, dtype=_edge_dtype(tshift))
-    for start, _, out in _reversed_windows(code):
-        column[start : start + len(out)] = np.take(bijection, out)
-    return SlidingBlockCode.from_column(tshift, tshift, code.anticipation, code.memory, column)
+    back = np.argsort(bijection)  # transpose edge -> original edge
+    forth = np.asarray(bijection)
+
+    def outputs(cols):
+        return forth[code.outputs(tuple(back[c] for c in reversed(cols)))]
+
+    return SlidingBlockCode.tabulated(
+        tshift, tshift, code.anticipation, code.memory, count, outputs
+    )
 
 
 def identity_code(shift):
-    return SlidingBlockCode.from_column(shift, shift, 0, 0, range(shift.n_edges))
+    """The identity: a root that outputs each edge it reads."""
+    return SlidingBlockCode._from_levels(shift, shift, 0, 0, [np.arange(shift.n_edges)[None, :]])
 
 
 def shift_code(shift):
@@ -306,17 +634,15 @@ def _rank_terms(code, cols, start, positions, width, ranks=None):
 
 def compose(outer, inner):
     """outer(inner(x)) as a single code; memories and anticipations add.
-    The outer rule is read at the ranks of the inner images
-    (:func:`image_ranks`)."""
+    Built level by level by :func:`_product` and reduced, so no table is
+    read; the budget still counts the composite window's words."""
     if inner.target != outer.source:
         raise ShiftMismatch("inner target and outer source differ")
     m = inner.memory + outer.memory
     a = inner.anticipation + outer.anticipation
-    count = inner.source.ensure_budget(m + a + 1)
-    column = np.empty(count, dtype=_edge_dtype(outer.target))
-    for first, ranks in image_ranks([(inner, 0)], m + a + 1, outer.window):
-        column[first : first + len(ranks)] = outer.column[ranks[:, 0]]
-    return SlidingBlockCode.from_column(inner.source, outer.target, m, a, column)
+    inner.source.ensure_budget(m + a + 1)
+    levels = _reduce(_product(outer, inner), outer.target.n_edges)
+    return SlidingBlockCode._from_levels(inner.source, outer.target, m, a, levels)
 
 
 def iterates(code):
@@ -342,30 +668,32 @@ def power(code, n):
 
 
 def pad_code(code, extra_memory=0, extra_anticipation=0):
-    """Same behaviour on a wider window (useful to align windows)."""
+    """Same behaviour on a window wider by the given extra memory and
+    anticipation (useful to align windows); padding only widens, so
+    negative extras are refused."""
+    if extra_memory < 0 or extra_anticipation < 0:
+        raise ValueError(
+            f"pad_code widens windows: got extra_memory={extra_memory}, "
+            f"extra_anticipation={extra_anticipation}"
+        )
     m = code.memory + extra_memory
     a = code.anticipation + extra_anticipation
-    count = code.source.ensure_budget(m + a + 1)
-    column = np.empty(count, dtype=_edge_dtype(code.target))
-    # the rank of a one-edge image word is its edge
-    for first, edges in image_ranks([(code, extra_memory)], m + a + 1, 1):
-        column[first : first + len(edges)] = edges[:, 0]
-    return SlidingBlockCode.from_column(code.source, code.target, m, a, column)
+    code.source.ensure_budget(m + a + 1)
+    levels = _padded(code, extra_memory, extra_anticipation)
+    return SlidingBlockCode._from_levels(code.source, code.target, m, a, levels)
 
 
 def codes_equal(c1, c2):
     """Behavioural equality on the common window of two codes on equal
-    shifts."""
+    shifts: both are padded to it, and canonical diagrams of one function
+    are equal arrays."""
     if c1.source != c2.source or c1.target != c2.target:
         raise ShiftMismatch("codes live on different shifts")
     m = max(c1.memory, c2.memory)
     a = max(c1.anticipation, c2.anticipation)
     c1.source.ensure_budget(m + a + 1)
-    for _, cols in c1.source.ranked_words(m + a + 1):
-        out1 = c1.outputs(cols[m - c1.memory : m + c1.anticipation + 1])
-        if np.any(out1 != c2.outputs(cols[m - c2.memory : m + c2.anticipation + 1])):
-            return False
-    return True
+    padded = (_padded(c, m - c.memory, a - c.anticipation) for c in (c1, c2))
+    return all(map(np.array_equal, *padded))
 
 
 def _record(table, keys, values):
@@ -539,8 +867,8 @@ def shift_power_of(code):
     if code.source != code.target:
         return None
     matches = range(-code.memory, code.anticipation + 1)
-    for start, cols in code.source.ranked_words(code.window):
-        out = code.column[start : start + len(cols[0])]
+    for _, cols in code.source.ranked_words(code.window):
+        out = code.outputs(cols)
         matches = [s for s in matches if np.array_equal(out, cols[code.memory + s])]
         if not matches:
             return None
@@ -562,8 +890,8 @@ def factor_product_code(code):
     factors = []
     for shift, track in ((a_shift, track_a), (b_shift, track_b)):
         column = np.full(shift.word_count(code.window), -1, dtype=np.int64)
-        for start, cols in prod.ranked_words(code.window):
-            out = code.column[start : start + len(cols[0])]
+        for _, cols in prod.ranked_words(code.window):
+            out = code.outputs(cols)
             if not _record(column, shift.rank(tuple(track[c] for c in cols)), track[out]):
                 return None
         if np.any(column < 0):

@@ -18,6 +18,7 @@ decides beyond the window, out to the cap of the sum inequalities.
 
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+import itertools
 
 import numpy as np
 
@@ -95,10 +96,11 @@ def _one_output_per_reach(code, reach, end, windows):
 #    coded_minus and coded_plus in tests).  A group of windows -- the windows
 #    that two agreeing points can show around coordinate j -- is coded when
 #    every pair in it has the same output (by transitivity: the output of one
-#    window of the group).  They read the output column against the edge
-#    columns of every window, chunk by chunk.  Near 0 a group is the windows
-#    with one word on the agreed side, keyed by its rank; far from 0, those
-#    whose end on that side is reached from one common state. --
+#    window of the group).  They read the outputs (SlidingBlockCode.outputs)
+#    against the edge columns of every window, chunk by chunk.  Near 0 a
+#    group is the windows with one word on the agreed side, keyed by its
+#    rank; far from 0, those whose end on that side is reached from one
+#    common state. --
 
 
 def coded_minus_naive(code, j):
@@ -124,17 +126,18 @@ def coded_plus_naive(code, j):
 
 def _windows(code):
     """Yield (edge columns, outputs) over the code's windows, chunk by chunk."""
-    for first, cols in code.source.ranked_words(code.window):
-        yield cols, code.column[first : first + len(cols[0])]
+    for _, cols in code.source.ranked_words(code.window):
+        yield cols, code.outputs(cols)
 
 
 def _one_output_per_group(code, agreed):
     """Does every window read back its own output after each has written it
     at the rank of its slice ``agreed`` (rank is injective on words)?"""
-    keys = np.concatenate([code.source.rank(cols[agreed]) for cols, _ in _windows(code)])
-    written = np.empty(code.source.word_count(len(range(code.window)[agreed])), code.column.dtype)
-    written[keys] = code.column
-    return np.array_equal(written[keys], code.column)
+    keys, outputs = zip(*((code.source.rank(cols[agreed]), out) for cols, out in _windows(code)))
+    keys, outputs = np.concatenate(keys), np.concatenate(outputs)
+    written = np.empty(code.source.word_count(len(range(code.window)[agreed])), outputs.dtype)
+    written[keys] = outputs
+    return np.array_equal(written[keys], outputs)
 
 
 @dataclass(frozen=True)
@@ -248,15 +251,21 @@ class CodingRangeProfile:
 def coding_range_profile(auto, n_max):
     """W values at n = 1..n_max, from the tracks' (:func:`_scanned_tracks`).
     Each track walks phi^n and phi^-n in lockstep, so each iterate is built
-    once, from the one before, on the track's own shift."""
+    once, from the one before, on the track's own shift.  Codes with equal
+    diagrams (as when one track is another's inverse) share one walk."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    walks = []
+    walks, shared = [], {}
     for track in _scanned_tracks(auto):
-        forward = iterates(track.forward)
-        inverse = iterates(track.inverse)
-        next(forward), next(inverse)  # phi^0
-        walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
+        sides = []
+        for code in (track.forward, track.inverse):
+            key = (code.source, code.memory, code.anticipation, *(
+                (level.shape, level.tobytes()) for level in code.levels
+            ))
+            shared[key], side = itertools.tee(shared.get(key) or iterates(code))
+            next(side)  # phi^0
+            sides.append(side)
+        walks.append(map(_scan_w, range(1, n_max + 1), *sides))
     _, wm, wp, wmi, wpi = zip(*(astuple(_combined(t)) for t in zip(*walks)))
     # proved shape constraints; failing any is a library bug
     for seq, label, sign, kind in (

@@ -179,7 +179,7 @@ def _restrict(allowed_edges, *codes):
     into_sub[to_orig] = np.arange(sub.n_edges)
     restricted = []
     for code in codes:
-        column = np.empty(sub.word_count(code.window), dtype=code.column.dtype)
+        column = np.empty(sub.word_count(code.window), dtype=np.intp)
         for start, cols in sub.ranked_words(code.window):
             windows = tuple(to_orig[c] for c in cols)
             out = code.outputs(windows)

@@ -100,6 +100,7 @@ class EdgeShift:
     share a strongly connected component iff R[i][j] and R[j][i]:
 
     - ``irreducible``: A has an edge and R is all true;
+    - ``essential``: every row and every column of A has an edge;
     - ``positive_entropy``: some component carries more edges, with
       multiplicity, than states (a component that is one cycle has entropy
       zero);
@@ -146,11 +147,17 @@ class EdgeShift:
         self._ranking = []  # rank tables by tail length, see _rank_tables
         self._one_chunk = {}  # length -> [edge columns, word tuples or None]
         self._paths = [1] * self.k  # paths from each state, next tail length
+        self._counts = {}  # length -> word count, see word_count
         a = np.array(self.matrix, dtype=np.int64)
         self._adjacency = a > 0
         reach = _pattern_power(self._adjacency | np.eye(self.k, dtype=bool), self.k - 1)
         same = reach & reach.T  # i and j share a strongly connected component
         self.irreducible = self.n_edges > 0 and bool(same.all())
+        # every state has an edge in and an edge out, so every word extends
+        # to a bi-infinite path
+        self.essential = bool(self._adjacency.any(axis=0).all()) and bool(
+            self._adjacency.any(axis=1).all()
+        )
         self.primitive = bool(_pattern_power(self._adjacency, (self.k - 1) ** 2 + 1).all())
         # edges (with multiplicity) inside each state's component, per state
         inside = ((same @ a) * same).sum(axis=1)
@@ -370,8 +377,12 @@ class EdgeShift:
         return int(self.rank([np.array([e]) for e in word])[0])
 
     def word_count(self, length):
-        """Exact number of admissible words with ``length`` edges."""
-        return count_words(self, length)
+        """Exact number of admissible words with ``length`` edges, kept per
+        length: every enumeration and budget check asks for it."""
+        count = self._counts.get(length)
+        if count is None:
+            count = self._counts[length] = count_words(self, length)
+        return count
 
     def ensure_budget(self, length):
         """Number of words of ``length`` edges; raises
@@ -381,6 +392,16 @@ class EdgeShift:
         if n > budget:
             raise WindowBudgetExceeded(n, budget)
         return n
+
+    @functools.cached_property
+    def next_state(self):
+        """Read-only (k + 1) x n_edges table: next_state[s, e] is the target
+        of e if e leaves s, else -1; row k, before any edge is read, holds
+        every edge's target."""
+        table = np.where(self.edge_sources == np.arange(self.k + 1)[:, None], self.edge_targets, -1)
+        table[self.k] = self.edge_targets
+        table.flags.writeable = False
+        return table
 
     def reach_exact(self, steps):
         """Read-only boolean array: reach_exact(n)[i, j] iff a path i->j

@@ -304,6 +304,19 @@ def test_analyze_over_budget_leaves_the_next_run_unchanged(tmp_path, monkeypatch
     assert first["budget"] == shifts.DEFAULT_BUDGET
 
 
+def test_analyze_exits_3_where_the_bench_over_budget_item_does(tmp_path, monkeypatch, capsys):
+    # the benchmark's five_symbol_over_budget item: phi^3 needs 5^7 words
+    monkeypatch.delenv("SFTLAB_BUDGET", raising=False)
+    five = {"builtin": "five_symbol", "params": {"completion": "swap"}}
+    system = tmp_path / "five_symbol_over_budget.json"
+    system.write_text(json.dumps(
+        {"shift": {"full_shift": 5}, "budget": 20000, "automorphisms": {"five": five}}
+    ))
+    assert main(["analyze", str(system), "--n-max", "3"]) == 3
+    assert "needs 78125 words, budget is 20000" in capsys.readouterr().err
+    assert main(["analyze", str(system), "--n-max", "2"]) == 0
+
+
 @pytest.mark.parametrize(
     "params", [{"builtin": "full_shift_symbol_permutation", "params": {"n": "x"}},
                {"builtin": "identity", "params": {"shift": [2]}}]

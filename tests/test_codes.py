@@ -133,7 +133,8 @@ def test_rule_items_are_python_ints_equal_to_lookups(full2, golden):
         assert [w for w, _ in items] == list(code.source.words(code.window))
         for w, out in items:
             assert type(out) is int and out == code.rule[w]
-    assert shift_code(full2).column.dtype == np.uint8
+    # the shift map on the full 2-shift: one root and one node reading the last edge
+    assert [level.tolist() for level in shift_code(full2).levels] == [[[0, 0]], [[0, 1]]]
 
 
 def test_compose_adds_window_shape(full2):
@@ -330,3 +331,42 @@ def test_budget_stops_padding_and_reversal(full2, monkeypatch):
         reverse_code(wide)
     with window_budget(4096):
         assert reverse_code(wide).window == 12
+
+
+def test_pad_code_refuses_negative_extras(full2):
+    # a negative extra would narrow the window: shift_code padded by -1 in
+    # anticipation would be the identity's shape with the shift's outputs
+    sigma = shift_code(full2)
+    for extra in ((0, -1), (-1, 0), (-2, 3)):
+        with pytest.raises(ValueError):
+            pad_code(sigma, *extra)
+    assert codes_equal(pad_code(sigma, 0, 0), sigma)
+
+
+def test_from_column_checks_the_window_count(full2):
+    # the shift code's window has 2 edges, so 4 windows on the full 2-shift
+    with pytest.raises(ValueError, match="3 entries.*4 admissible"):
+        SlidingBlockCode.from_column(full2, full2, 0, 1, [0, 1, 0])
+    with pytest.raises(ValueError, match="5 entries.*4 admissible"):
+        SlidingBlockCode.from_column(full2, full2, 0, 1, [0, 1, 0, 1, 0])
+    code = SlidingBlockCode.from_column(full2, full2, 0, 1, [0, 1, 0, 1])
+    assert codes_equal(code, shift_code(full2))
+
+
+def test_wide_rows_are_deduplicated_in_lexicographic_order():
+    # past 32 rows the rows are packed into int64 keys; 30 digits of base
+    # 10^6 + 1 need several runs of packing, with ranks between runs
+    from sftlab.codes import _distinct_rows
+
+    rng = np.random.default_rng(7)
+    for base, columns in ((2, 3), (50, 12), (10**6, 30)):
+        rows = rng.integers(-1, base, size=(60, columns))
+        rows[::4] = rows[1]
+        rows[7] = -1  # a row with no child is dropped
+        got, ids = _distinct_rows(rows, [base] * columns)
+        listed = list(map(tuple, rows.tolist()))
+        distinct = sorted(set(listed))[1:]  # the row of -1s sorts first
+        assert list(map(tuple, got.tolist())) == distinct
+        index = {row: i for i, row in enumerate(distinct)}
+        assert ids.tolist() == [index.get(row, -1) for row in listed] + [-1]
+

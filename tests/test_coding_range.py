@@ -501,6 +501,66 @@ def test_shifted_marker_profile():
     assert p.at(2) == coding_range_profile(sigma, 2).at(2)  # (sigma o m)^2 = sigma^2
 
 
+# -- depth: the iterates as decision diagrams ---------------------------------
+#
+# The word budget still counts each iterate's formal window, so each profile
+# runs under a budget sized to its deepest window; no window is enumerated.
+
+
+def test_marker_product_profile_to_depth_five():
+    # (m o m')^n reads its whole formal window of 8n + 1 edges
+    with window_budget(2 ** 41):
+        p = coding_range_profile(_composed(MARKER, MARKER_PRIME), 5)
+    assert p.w_minus == p.w_minus_inv == tuple(-4 * n for n in range(1, 6))
+    assert p.w_plus == p.w_plus_inv == tuple(4 * n for n in range(1, 6))
+
+
+def test_shifted_marker_profile_to_depth_eight():
+    # (sigma o m)^2 = sigma^2, so two more iterates move every W by -2
+    _, sigma = make_builtin("shift", {"shift": FULL_2})
+    with window_budget(2 ** 41):  # (sigma o m)^8 has 5 * 8 + 1 edges
+        p = coding_range_profile(_composed(sigma, MARKER), 8)
+    for seq, step in ((p.w_minus, -2), (p.w_plus, -2), (p.w_minus_inv, 2), (p.w_plus_inv, 2)):
+        assert all(seq[n + 1] == seq[n - 1] + step for n in range(1, 7)), seq
+    assert p.w_minus[:2] == (-3, -2) and p.w_plus[:2] == (1, -2)
+    assert p.w_minus_inv[:2] == (-1, 2) and p.w_plus_inv[:2] == (3, 2)
+
+
+def test_five_symbol_profile_to_depth_six():
+    _, five = make_builtin("five_symbol", {"completion": "swap"})
+    with window_budget(5 ** 13):  # phi^6 has 13 edges
+        p = coding_range_profile(five, 6)
+    assert p.w_minus == p.w_minus_inv == tuple(-n for n in range(1, 7))
+    assert p.w_plus == p.w_plus_inv == tuple(range(1, 7))
+
+
+def test_vertex_swap_after_shift_profile_to_depth_ten():
+    # on the two-state shift [[2, 1], [1, 2]]: the swap is a one-edge
+    # involution that commutes with the shift, so (v o sigma)^n = v^n o
+    # sigma^n codes exactly as sigma^n
+    shift, swap = make_builtin("vertex_swap_B")
+    _, sigma = make_builtin("shift", {"shift": shift})
+    auto = _composed(swap, sigma)
+    with window_budget(shift.word_count(12)):  # (v o sigma)^10 has 11 edges
+        p = coding_range_profile(auto, 10)
+    assert p.w_minus == p.w_plus == tuple(-n for n in range(1, 11))
+    assert p.w_minus_inv == p.w_plus_inv == tuple(range(1, 11))
+    assert p.at(2) == w_values(auto, 2)
+    for code in (auto.forward, auto.inverse, auto.power(3)):
+        _assert_matches_naive(code, range(-code.window, code.window + 1))
+
+
+def test_five_symbol_over_budget_stops_at_its_third_iterate():
+    # the budget counts phi^3's formal window, 5^7 words, as the bench's
+    # five_symbol_over_budget item does; phi^2's 5^5 fit
+    _, five = make_builtin("five_symbol", {"completion": "swap"})
+    with window_budget(20000):
+        assert coding_range_profile(five, 2).w_minus == (-1, -2)
+        with pytest.raises(WindowBudgetExceeded) as info:
+            coding_range_profile(five, 3)
+    assert (info.value.needed, info.value.budget) == (78125, 20000)
+
+
 @pytest.mark.parametrize("which", ["product", "shifted"])
 def test_marker_codes_match_naive(which):
     _, sigma = make_builtin("shift", {"shift": FULL_2})

@@ -1,14 +1,19 @@
 """Output columns against dict rule tables.
 
-Codes store their rules as output columns over ranked windows.  The dict
-implementations below (rule tables keyed by window tuples, walked one window
-at a time) are the reference: a property test draws random automorphism
-codes and checks every column operation against them.
+Codes store their rules as decision diagrams, read as output columns over
+ranked windows.  The dict implementations below (rule tables keyed by window
+tuples, walked one window at a time) are the reference: a property test
+draws random automorphism codes and checks every operation against them.
 
 Claims covered:
     - on automorphisms from the acceptance suite's generator and on random
       codes that permute parallel edges, compose/power, pad_code, product_code, codes_equal, reverse_code and
       infer_inverse build the same rule table as the dict implementation
+    - prefix_lcp and suffix_lcp, read off the diagram's levels, equal the
+      longest common prefix and suffix of windows with different outputs,
+      found over words(), on those codes, their compositions and pads, and
+      on the vertex_swap_B and golden mean builtins
+    - (m o m')^2, 131,072 windows, outputs the column of its dict table
     - the grouped scans coded_minus/coded_plus agree with the literal
       oracles coded_minus_naive/coded_plus_naive (whose own reference is
       the pairwise comparison in test_coding_range.py)
@@ -23,7 +28,10 @@ import random
 import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
+import numpy as np
+import pytest
 
+from sftlab.builtins import make_builtin
 from sftlab.codes import (
     SlidingBlockCode,
     codes_equal,
@@ -33,6 +41,7 @@ from sftlab.codes import (
     pad_code,
     power,
     product_code,
+    verify_automorphism,
 )
 from sftlab.coding_range import (
     coded_minus,
@@ -127,6 +136,25 @@ def ref_inverse(code, r_max):
     return None
 
 
+def ref_lcps(code):
+    """(D^-, D^+) by brute force over the windows: the longest common prefix
+    and suffix of two windows with different outputs, -1 when none differ.
+    A prefix of L edges shared by two such windows is one whose windows do
+    not all have one output."""
+    rule = dict(code.rule)
+    windows = list(code.source.words(code.window))
+
+    def longest(part):
+        for length in range(code.window - 1, -1, -1):
+            seen = {}
+            for w in windows:
+                if seen.setdefault(part(w, length), rule[w]) != rule[w]:
+                    return length
+        return -1
+
+    return longest(lambda w, n: w[:n]), longest(lambda w, n: w[len(w) - n :])
+
+
 def ref_distinct_windows(auto, count, width, ordered):
     powers = list(itertools.islice(iterates(auto.forward), count))
     mem = max(c.memory for c in powers)
@@ -185,8 +213,11 @@ def test_columns_match_dict_tables(shift, seeds, shape, pad, j):
 
     bijection = transpose_shift(shift)[1]
     track = small_code(seeds[1], GOLDEN)
+    for c in (code, other, compose(code, other)):
+        assert (c.prefix_lcp, c.suffix_lcp) == ref_lcps(c)
     for c in (code, other):
         padded = pad_code(c, *pad)
+        assert (padded.prefix_lcp, padded.suffix_lcp) == ref_lcps(padded)
         assert dict(padded.rule) == ref_pad(c, *pad)
         assert codes_equal(c, padded)
         assert dict(reverse_code(c).rule) == ref_reverse(c, bijection)
@@ -222,3 +253,36 @@ def test_columns_match_dict_tables(shift, seeds, shape, pad, j):
     for before, after in ((auto.forward, loaded.forward), (auto.inverse, loaded.inverse)):
         assert (after.memory, after.anticipation) == (before.memory, before.anticipation)
         assert dict(after.rule) == dict(before.rule)
+
+
+@pytest.mark.parametrize("name", ["vertex_swap_B", "tau_golden", "shift", "inverse_shift"])
+def test_lcps_of_builtins_equal_the_brute_force(name):
+    _, auto = make_builtin(name, {"shift": GOLDEN} if "shift" in name else {})
+    for code in (auto.forward, auto.inverse, auto.power(2), auto.power(-3)):
+        assert (code.prefix_lcp, code.suffix_lcp) == ref_lcps(code), code
+
+
+def test_marker_product_square_outputs_its_dict_column():
+    # m flips x_0 iff (x_-2, x_-1, x_1, x_2) = 0010 and m' iff it is 0100; on
+    # the full 2-shift a word's rank is its edges read in binary, so the
+    # dict table of m o m' (window 9) is an array over 9-bit numbers, and
+    # (m o m')^2 reads it at the nine 9-bit slices of each 17-bit number
+    full = build_edge_shift([[2]])
+
+    def marker(context):
+        rule = {w: w[2] ^ (w[:2] + w[3:] == context) for w in full.words(5)}
+        code = SlidingBlockCode(full, full, 2, 2, rule)
+        return verify_automorphism(code, code)
+
+    m, m_prime = marker((0, 0, 1, 0)), marker((0, 1, 0, 0))
+    table = ref_compose(m.forward, m_prime.forward)
+    once = np.array([table[tuple((x >> (8 - i)) & 1 for i in range(9))] for x in range(512)])
+    words = np.arange(2**17)
+    image = sum(once[(words >> (8 - j)) & 511] << (8 - j) for j in range(9))
+    column = once[image]
+    square = power(compose(m.forward, m_prime.forward), 2)
+    assert square.window == 17
+    with window_budget(2**17):
+        got = np.concatenate([square.outputs(cols) for _, cols in full.ranked_words(17)])
+    assert np.array_equal(got, column)
+

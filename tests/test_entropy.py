@@ -170,6 +170,12 @@ def test_restriction_not_invariant():
     assert info.value.witness == (0,)
 
 
+def outputs_in_rank_order(code):
+    """The code's outputs on its windows, in rank order."""
+    words = code.source.ranked_words(code.window)
+    return [out for _, cols in words for out in code.outputs(cols).tolist()]
+
+
 def _restrict_by_lookup(code, allowed_edges):
     """The restriction, one window lookup at a time: the reference for the
     gathered restriction.  The subsystem and its edge map come from
@@ -193,7 +199,7 @@ def test_restriction_matches_the_window_by_window_reference(completion):
     ref_sub, reference = _restrict_by_lookup(code, five_symbol_no_wall_edges())
     assert sub.matrix == ref_sub.matrix
     assert codes_equal(restricted, reference)
-    assert restricted.column.tolist() == reference.column.tolist()
+    assert outputs_in_rank_order(restricted) == outputs_in_rank_order(reference)
 
 
 def test_census_refuses_a_shift_whose_words_die_out():
@@ -234,7 +240,7 @@ def test_restriction_prunes_in_cascade():
     sub, restricted, to_sub = restrict_code_to_subsystem(code, (0, 1, 2, 3))
     assert sub.matrix == ((1,),)
     assert to_sub == {0: 0}
-    assert restricted.column.tolist() == [0]
+    assert outputs_in_rank_order(restricted) == [0]
 
 
 def test_restriction_without_a_cycle_empties_out():

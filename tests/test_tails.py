@@ -7,13 +7,13 @@ Claims covered:
     - unrank refuses ranks outside 0..word_count(length), and its columns,
       over any range and from every start state, are byte-identical to the
       all-levels searchsorted unrank
-    - compose, pad_code and the census read the image-rank kernel; their
-      columns are byte-identical, and their counts equal, to the
-      ``outputs(image(cols))`` and ``rank(image(cols))`` forms over the
-      all-levels walk, for p = 0..3 top edges on full, golden mean,
-      two-state, cycle-plus-chord and product shifts, five_symbol's
-      iterates up to phi^4, and (with a small chunk) every split down to
-      s = 0
+    - the outputs of compose and pad_code, read over the all-levels walk,
+      are byte-identical to the ``outputs(image(cols))`` forms, and the
+      census (which reads the image-rank kernel) counts what the
+      ``rank(image(cols))`` form counts, for p = 0..3 top edges on full,
+      golden mean, two-state, cycle-plus-chord and product shifts,
+      five_symbol's iterates up to phi^4, and (with a small chunk) every
+      split down to s = 0
 """
 
 import itertools
@@ -68,6 +68,11 @@ def ref_column(source, target, length, outputs):
     for first, cols in ref_walk(source, length):
         column[first : first + len(cols[0])] = outputs(cols)
     return column
+
+
+def column_of(code):
+    """The code's outputs on its windows in rank order, over the all-levels walk."""
+    return ref_column(code.source, code.target, code.window, code.outputs)
 
 
 def ref_compose(outer, inner):
@@ -221,17 +226,17 @@ def test_compose_and_pad_equal_the_image_forms(name):
     for p in range(4):
         length = s + p
         outer = random_code(shift, length - 5, 2, seed=p)
-        assert_same_column(compose(outer, inner).column, ref_compose(outer, inner))
+        assert_same_column(column_of(compose(outer, inner)), ref_compose(outer, inner))
         # the outer at the front of the window: straddling positions only
         front = random_code(shift, 0, 1, seed=10 + p)
         wide = random_code(shift, 2, length - 4, seed=20 + p)
-        assert_same_column(compose(front, wide).column, ref_compose(front, wide))
+        assert_same_column(column_of(compose(front, wide)), ref_compose(front, wide))
         # pads whose extra memory exceeds p read the tail only
         for extra_memory in {0, p, p + 1, length - 3}:
             padded = pad_code(inner, extra_memory, length - 3 - extra_memory)
             assert padded.window == length
             assert_same_column(
-                padded.column, ref_pad(inner, extra_memory, length - 3 - extra_memory)
+                column_of(padded), ref_pad(inner, extra_memory, length - 3 - extra_memory)
             )
 
 
@@ -241,7 +246,7 @@ def test_a_product_code_composes_like_its_image_form():
     inner = product_code(shift_code(golden), random_code(full, 1, 1, seed=3), prod)
     outer = product_code(inverse_shift_code(golden), random_code(full, 3, 3, seed=4), prod)
     assert outer.window + inner.window - 1 == TAILS["golden-x-full-2"] + 2
-    assert_same_column(compose(outer, inner).column, ref_compose(outer, inner))
+    assert_same_column(column_of(compose(outer, inner)), ref_compose(outer, inner))
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +261,7 @@ def test_five_symbol_iterates_equal_the_image_forms(five, direction):
     for n in range(2, 5 if direction == "forward" else 4):
         # phi^3 is 7 edges wide (p = 1), phi^4 is 9 (p = 3)
         current = power(code, n)
-        assert_same_column(current.column, ref_compose(previous, code))
+        assert_same_column(column_of(current), ref_compose(previous, code))
         previous = current
 
 
@@ -308,10 +313,10 @@ def test_every_split_equals_the_references(matrix, chunk, extra_memory, extra_an
             _same_columns(shift.unrank(length, 0, count), ref_unrank(shift, length, 0, count))
             for first, cols in shift.ranked_words(length):
                 _same_columns(cols, ref_unrank(shift, length, first, first + len(cols[0])))
-        assert_same_column(compose(outer, inner).column, ref_compose(outer, inner))
-        assert_same_column(compose(inner, outer).column, ref_compose(inner, outer))
+        assert_same_column(column_of(compose(outer, inner)), ref_compose(outer, inner))
+        assert_same_column(column_of(compose(inner, outer)), ref_compose(inner, outer))
         assert_same_column(
-            pad_code(inner, extra_memory, extra_anticipation).column,
+            column_of(pad_code(inner, extra_memory, extra_anticipation)),
             ref_pad(inner, extra_memory, extra_anticipation),
         )
         auto = Automorphism(inner, inner, {})

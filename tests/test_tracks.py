@@ -41,11 +41,16 @@ PIECE_SHIFTS = (build_edge_shift([[2]]), build_edge_shift([[3]]), GOLDEN)
 FLAT_WORDS = 20000
 
 
+def column(code):
+    """The code's outputs on its windows, in rank order."""
+    return np.concatenate([code.outputs(cols) for _, cols in code.source.ranked_words(code.window)])
+
+
 def flat(auto):
     """The same rule on a shift with the same matrix and no recorded factors."""
     shift = build_edge_shift(auto.shift.matrix)
     fwd, inv = (
-        SlidingBlockCode.from_column(shift, shift, c.memory, c.anticipation, c.column)
+        SlidingBlockCode.from_column(shift, shift, c.memory, c.anticipation, column(c))
         for c in (auto.forward, auto.inverse)
     )
     return Automorphism(fwd, inv, {"method": "relabel"})
