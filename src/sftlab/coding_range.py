@@ -18,7 +18,6 @@ decides beyond the window, out to the cap of the sum inequalities.
 
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-import itertools
 
 import numpy as np
 
@@ -251,21 +250,15 @@ class CodingRangeProfile:
 def coding_range_profile(auto, n_max):
     """W values at n = 1..n_max, from the tracks' (:func:`_scanned_tracks`).
     Each track walks phi^n and phi^-n in lockstep, so each iterate is built
-    once, from the one before, on the track's own shift.  Codes with equal
-    diagrams (as when one track is another's inverse) share one walk."""
+    once, from the one before, on the track's own shift."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    walks, shared = [], {}
+    walks = []
     for track in _scanned_tracks(auto):
-        sides = []
-        for code in (track.forward, track.inverse):
-            key = (code.source, code.memory, code.anticipation, *(
-                (level.shape, level.tobytes()) for level in code.levels
-            ))
-            shared[key], side = itertools.tee(shared.get(key) or iterates(code))
-            next(side)  # phi^0
-            sides.append(side)
-        walks.append(map(_scan_w, range(1, n_max + 1), *sides))
+        forward = iterates(track.forward)
+        inverse = iterates(track.inverse)
+        next(forward), next(inverse)  # phi^0
+        walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
     _, wm, wp, wmi, wpi = zip(*(astuple(_combined(t)) for t in zip(*walks)))
     # proved shape constraints; failing any is a library bug
     for seq, label, sign, kind in (

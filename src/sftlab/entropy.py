@@ -16,6 +16,8 @@ import numpy as np
 
 from .codes import (
     SlidingBlockCode,
+    _index_dtype,
+    _sorted_rows,
     image_ranks,
     iterates,
     recognized_exponents,
@@ -94,17 +96,9 @@ def _distinct_windows(auto, count, width, ordered):
             rows.sort(axis=1)
             rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
             rows.sort(axis=1)
-        found.append(_distinct_rows(rows))
-    return len(_distinct_rows(np.concatenate(found)))
-
-
-def _distinct_rows(rows):
-    """The distinct rows of a 2-d integer array, by a lexicographic sort
-    and a comparison of neighbours."""
-    rows = rows[np.lexsort(rows.T)]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[keep]
+        order, starts = _sorted_rows(rows)
+        found.append(rows[order[starts]])
+    return int(_sorted_rows(np.concatenate(found))[1].sum())
 
 
 def c_phi_count(auto, n):
@@ -179,7 +173,7 @@ def _restrict(allowed_edges, *codes):
     into_sub[to_orig] = np.arange(sub.n_edges)
     restricted = []
     for code in codes:
-        column = np.empty(sub.word_count(code.window), dtype=np.intp)
+        column = np.empty(sub.word_count(code.window), dtype=_index_dtype(sub.n_edges))
         for start, cols in sub.ranked_words(code.window):
             windows = tuple(to_orig[c] for c in cols)
             out = code.outputs(windows)

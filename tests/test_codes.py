@@ -13,6 +13,8 @@ Claims covered:
       reversal
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -354,16 +356,17 @@ def test_from_column_checks_the_window_count(full2):
 
 
 def test_wide_rows_are_deduplicated_in_lexicographic_order():
-    # past 32 rows the rows are packed into int64 keys; 30 digits of base
-    # 10^6 + 1 need several runs of packing, with ranks between runs
-    from sftlab.codes import _distinct_rows
+    # a level's rows against a sort of Python tuples, up to 30 columns with
+    # entries far past what one int64 key could pack, below and above the
+    # size at which the rows themselves are sorted as tuples
+    from sftlab.codes import _nodes
 
     rng = np.random.default_rng(7)
-    for base, columns in ((2, 3), (50, 12), (10**6, 30)):
-        rows = rng.integers(-1, base, size=(60, columns))
+    for (base, columns), size in itertools.product(((2, 3), (50, 12), (10**6, 30)), (20, 60)):
+        rows = rng.integers(-1, base, size=(size, columns))
         rows[::4] = rows[1]
         rows[7] = -1  # a row with no child is dropped
-        got, ids = _distinct_rows(rows, [base] * columns)
+        got, ids = _nodes(rows)
         listed = list(map(tuple, rows.tolist()))
         distinct = sorted(set(listed))[1:]  # the row of -1s sorts first
         assert list(map(tuple, got.tolist())) == distinct

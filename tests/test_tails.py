@@ -27,6 +27,7 @@ from sftlab.builtins import make_builtin
 from sftlab.codes import (
     Automorphism,
     SlidingBlockCode,
+    _sorted_rows,
     compose,
     inverse_shift_code,
     iterates,
@@ -35,7 +36,7 @@ from sftlab.codes import (
     product_code,
     shift_code,
 )
-from sftlab.entropy import _distinct_rows, _distinct_windows, column_census
+from sftlab.entropy import _distinct_windows, column_census
 from sftlab.shifts import build_edge_shift, kronecker_product, window_budget
 
 GOLDEN = [[1, 1], [1, 0]]
@@ -103,8 +104,9 @@ def ref_distinct_windows(auto, count, width, ordered):
             rows.sort(axis=1)
             rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
             rows.sort(axis=1)
-        found.append(_distinct_rows(rows))
-    return len(_distinct_rows(np.concatenate(found)))
+        order, starts = _sorted_rows(rows)
+        found.append(rows[order[starts]])
+    return int(_sorted_rows(np.concatenate(found))[1].sum())
 
 
 def assert_same_column(column, reference):
