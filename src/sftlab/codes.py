@@ -575,60 +575,6 @@ def inverse_shift_code(shift):
     )
 
 
-def image_ranks(placed, length, width):
-    """Yield (rank of the first word, ranks) over the words of ``length``
-    edges, chunk by chunk (:meth:`EdgeShift.split_words`).  ``placed``
-    holds (code, start) pairs on one source shift, and column i of the
-    2-d array ``ranks`` belongs to pair i: the ranks, among its code's
-    target words of ``width`` edges, of the image of each word's edges
-    start .. start + width + window - 2.
-
-    A rank is a sum of one term per image position (:meth:`EdgeShift.rank`).
-    The terms of the positions whose window lies in the words' kept tail
-    are summed once over the kept tail words and gathered per chunk; only
-    the positions that straddle the top edges are ranked per chunk."""
-    source = placed[0][0].source
-    s, tail = source.tail(length)
-    p = length - s
-    # per pair: the image positions below cut straddle the top edges
-    cuts = [min(width, max(0, p - start)) for _, start in placed]
-    sums = [
-        _rank_terms(code, tail, start - p, range(cut, width), width)
-        for (code, start), cut in zip(placed, cuts)
-    ]
-    # the tail edges that straddling windows read
-    reach = max(
-        (start + cut + code.window - 1 - p for (code, start), cut in zip(placed, cuts) if cut),
-        default=0,
-    )
-    for first, top, x in source.split_words(length):
-        cols = top + tuple(c[x] for c in tail[:reach])
-        ranks = np.empty((len(x), len(placed)), dtype=np.int64)
-        for i, ((code, start), cut, total) in enumerate(zip(placed, cuts, sums)):
-            ranks[:, i] = _rank_terms(
-                code, cols, start, range(cut), width, None if total is None else total[x]
-            )
-        yield first, ranks
-
-
-def _rank_terms(code, cols, start, positions, width, ranks=None):
-    """``ranks`` plus the rank terms, among ``code``'s target words of
-    ``width`` edges, of the image edges at ``positions``: image edge j is
-    the output on cols[start + j : start + j + window], and its term is
-    offset_(width-1-j)[edge], or prefix for j = 0 (the block start of the
-    edge's state included).  None when there are neither ranks nor
-    positions; ``ranks`` is added to in place."""
-    tables = code.target._rank_tables(width)
-    for j in positions:
-        edge = code.outputs(cols[start + j : start + j + code.window])
-        term = tables[width - 1 - j][0 if j == 0 else 1][edge]
-        if ranks is None:
-            ranks = term
-        else:
-            ranks += term
-    return ranks
-
-
 def compose(outer, inner):
     """outer(inner(x)) as a single code; memories and anticipations add.
     Built level by level by :func:`_product` and reduced, so no table is

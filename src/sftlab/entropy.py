@@ -8,7 +8,6 @@ Estimates are heuristic unless the rule is a recognized (product of) shift
 power(s) or the value rides on a certified invariant subsystem.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ from .codes import (
     SlidingBlockCode,
     _index_dtype,
     _sorted_rows,
-    image_ranks,
-    iterates,
     recognized_exponents,
     shift_power_of,
     verify_automorphism,
@@ -78,20 +75,24 @@ def _require_points(shift):
 def _distinct_windows(auto, count, width, ordered):
     """Number of distinct collections of iterate windows phi^i(y)|[k,
     k+width-1], i < count, over all points y, as tuples or as sets.  The
-    iterates commute with the shift, so the number is the same for every k;
-    the window is placed where every iterate's coding window fits inside
-    the enumerated words."""
-    shift = auto.shift
-    powers = list(itertools.islice(iterates(auto.forward), count))
-    mem = max(code.memory for code in powers)
-    ant = max(code.anticipation for code in powers)
-    length = width + mem + ant
+    iterates commute with the shift, so the number is the same for every k.
+    phi^i of a word is phi's image taken i times (Lind-Marcus 1.5), and
+    each image drops phi's memory m in front, so on enumerated words of
+    width + (count-1)(m+a) edges iterate i's window starts at (count-1-i)m."""
+    shift, phi = auto.shift, auto.forward
+    m, a = phi.memory, phi.anticipation
+    length = width + (count - 1) * (m + a)
     shift.ensure_budget(length)
     # one row per word: the rank of each iterate's output window; a set of
     # windows becomes its sorted distinct ranks, padded in front with -1
     found = []
-    placed = [(code, mem - code.memory) for code in powers]
-    for _, rows in image_ranks(placed, length, width):
+    for _, cols in shift.ranked_words(length):
+        rows = np.empty((len(cols[0]), count), dtype=np.int64)
+        for i in range(count):
+            if i:
+                cols = phi.image(cols)
+            start = (count - 1 - i) * m
+            rows[:, i] = shift.rank(cols[start : start + width])
         if not ordered:
             rows.sort(axis=1)
             rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1

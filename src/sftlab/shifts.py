@@ -79,8 +79,8 @@ def resolve_budget():
 #: A length whose words fit in one chunk is enumerated once per shift and
 #: kept (EdgeShift's one-chunk memo): at most WORD_CHUNK x length int64
 #: cells per length, plus the word tuples once words() has asked for them.
-#: Longer lengths stream chunk by chunk as p top edges over a tail of s
-#: edges, s the longest length that is kept (EdgeShift.tail): they keep
+#: Longer lengths stream chunk by chunk as top edges over a tail of s
+#: edges, s the longest length that is kept (EdgeShift.unrank): they keep
 #: nothing of their own, only that tail, at most WORD_CHUNK x s cells.
 WORD_CHUNK = 1 << 14
 
@@ -275,21 +275,19 @@ class EdgeShift:
     def unrank(self, length, start, stop):
         """Edge columns (a tuple of ``length`` arrays) of the words ranked
         start..stop-1; ValueError unless 0 <= start <= stop <=
-        word_count(length).  Past one chunk only the top edges are read off
-        the rank tables: the tail is gathered from its kept words."""
+        word_count(length).  A word is its top edges followed by a tail of
+        s edges, s the longest length that fits in one chunk: only the top
+        edges are read off the rank tables, and the tail is gathered from
+        the kept words of s edges.  A length whose words fit in one chunk is
+        read whole (s = 0): that is how its kept words are made."""
         count = self._block(length, None)[1]
         if not 0 <= start <= stop <= count:
             raise ValueError(f"ranks {start}..{stop} are not within 0..{count}")
-        s = self._tail_length(length)
-        if s == length:  # a length that fits is read whole: this is how it is kept
+        s = length
+        while s and self._block(s, None)[1] > WORD_CHUNK:
+            s -= 1
+        if s == length:
             s = 0
-        top, x = self._descend(length, start, stop, s)
-        return top + tuple(c[x] for c in self._kept(s)[0]) if s else top
-
-    def _descend(self, length, start, stop, s):
-        """Top ``length - s`` edge columns of the words ranked start..stop-1,
-        and the ranks of their last s edges among the words of s edges
-        (meaningless for s = 0)."""
         tables = self._rank_tables(length)
         x = np.arange(start, stop, dtype=np.int64)
         top = []
@@ -298,37 +296,8 @@ class EdgeShift:
             top.append(e)
             if r:
                 x -= tables[r][3][e]
-        return tuple(top), x
-
-    def tail(self, length):
-        """The top/tail split of the words of ``length`` >= 1 edges: (s, the
-        kept, read-only edge columns of the words of s edges).  s is the
-        longest length up to ``length`` whose words fit in one chunk, 0 (and
-        no columns) when not even the one-edge words do; a word is its
-        p = length - s top edges followed by a word of s edges."""
-        s = self._tail_length(length)
-        return s, (self._kept(s)[0] if s else ())
-
-    def _tail_length(self, length):
-        s = length
-        while s and self._block(s, None)[1] > WORD_CHUNK:
-            s -= 1
-        return s
-
-    def split_words(self, length):
-        """Yield (rank of the first word, top edge columns, tail ranks) over
-        the words of ``length`` >= 1 edges, WORD_CHUNK words at a time, in
-        rank order: each word is its top edges followed by the kept word of
-        s edges at its tail rank (see :meth:`tail`).  A length that fits in
-        one chunk is all tail: one chunk with no top columns."""
-        count = self._block(length, None)[1]
-        s = self._tail_length(length)
-        if s == length:
-            if count:
-                yield 0, (), np.arange(count, dtype=np.int64)
-            return
-        for first in range(0, count, WORD_CHUNK):
-            yield first, *self._descend(length, first, min(first + WORD_CHUNK, count), s)
+        # x is now the rank of each word's last s edges among the words of s edges
+        return tuple(top) + tuple(c[x] for c in self._kept(s)[0]) if s else tuple(top)
 
     def ranked_words(self, length, start_state=None):
         """Yield (rank of the first word, edge columns) over the admissible

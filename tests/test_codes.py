@@ -147,6 +147,16 @@ def test_compose_adds_window_shape(full2):
     assert codes_equal(twice, power(sigma, 2))
 
 
+def test_a_composed_code_has_one_rule_entry_per_window(golden):
+    # the rule view of a diagram counts the composite window's words, not
+    # its nodes; the benchmark's tracer reads len(result.rule) per compose
+    sigma = shift_code(golden)
+    code = compose(inverse_shift_code(golden), compose(sigma, sigma))
+    assert (code.memory, code.anticipation) == (1, 2)
+    assert len(code.rule) == code.source.word_count(code.window) == 13
+    assert len(code.rule) == sum(1 for _ in code.rule.items())
+
+
 def test_compose_requires_matching_shifts(full2, golden):
     with pytest.raises(ShiftMismatch):
         compose(shift_code(full2), shift_code(golden))

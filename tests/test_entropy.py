@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from sftlab import codes
 from sftlab.builtins import (
     DEFAULT_SUITE,
     five_symbol_code,
@@ -82,6 +83,23 @@ def test_census_vertex_swap_saturates():
 def test_census_five_symbol_counts():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
     assert [column_census(auto, 1, n).count for n in (1, 2, 3)] == [125, 405, 1445]
+
+
+def test_census_applies_phi_to_its_words_and_composes_no_iterate(monkeypatch):
+    _, five = make_builtin("five_symbol")
+
+    def refuse(outer, inner):
+        raise AssertionError("the census composes no iterate")
+
+    monkeypatch.setattr(codes, "compose", refuse)
+    assert column_census(five, 1, 3).count == 1445
+    assert c_phi_count(five, 2) == 6980
+    # the words enumerated are 3 + 2 (m + a) = 7 edges wide: 5^7 of them
+    with pytest.raises(WindowBudgetExceeded) as refused, window_budget(78_124):
+        column_census(five, 1, 3)
+    assert refused.value.needed == 78_125
+    with window_budget(78_125):
+        assert column_census(five, 1, 3).count == 1445
 
 
 def test_census_enumeration_agrees_with_closed_form():

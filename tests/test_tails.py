@@ -1,16 +1,17 @@
 """Long words as top edges over a kept tail.
 
 Claims covered:
-    - tail(length) is the longest length up to ``length`` whose words fit
-      in one chunk (0 when not even the one-edge words do), and a length
-      past one chunk keeps nothing but its tail
+    - unrank reads a word past one chunk as its top edges over a tail of
+      s edges, s the longest length whose words fit in one chunk: it keeps
+      the words of s edges and of no longer length, and keeps nothing when
+      not even the one-edge words fit
     - unrank refuses ranks outside 0..word_count(length), and its columns,
       over any range and from every start state, are byte-identical to the
       all-levels searchsorted unrank
     - the outputs of compose and pad_code, read over the all-levels walk,
       are byte-identical to the ``outputs(image(cols))`` forms, and the
-      census (which reads the image-rank kernel) counts what the
-      ``rank(image(cols))`` form counts, for p = 0..3 top edges on full,
+      census counts what the ``rank(image(cols))`` form of the composed
+      iterates counts, for windows up to 3 edges past one chunk on full,
       golden mean, two-state, cycle-plus-chord and product shifts,
       five_symbol's iterates up to phi^4, and (with a small chunk) every
       split down to s = 0
@@ -42,7 +43,7 @@ from sftlab.shifts import build_edge_shift, kronecker_product, window_budget
 GOLDEN = [[1, 1], [1, 0]]
 
 
-# -- the references: the code as it was before the top/tail split -----------
+# -- the references: every level read off the rank tables, iterates composed --
 
 
 def ref_unrank(shift, length, start, stop):
@@ -171,19 +172,21 @@ def test_the_tail_is_the_longest_length_that_fits(name):
     s = TAILS[name]
     assert shift.word_count(s) <= shifts.WORD_CHUNK < shift.word_count(s + 1)
     for length in (1, s - 1, s, s + 1, s + 3):
-        tail, cols = shift.tail(length)
-        assert tail == min(length, s)
-        if tail:
-            _same_columns(cols, ref_unrank(shift, tail, 0, shift.word_count(tail)))
+        count = shift.word_count(length)
+        for start, stop in {(0, min(count, 900)), (max(0, count - 700), count)}:
+            _same_columns(shift.unrank(length, start, stop), ref_unrank(shift, length, start, stop))
+    # the words past one chunk read their tail from the kept words of s edges
+    assert s in shift._one_chunk
     assert set(shift._one_chunk) <= set(range(1, s + 1))
 
 
 def test_no_tail_when_one_edge_words_do_not_fit():
     shift = build_edge_shift([[shifts.WORD_CHUNK + 1]])
-    assert shift.tail(1) == (0, ())
-    assert shift.tail(2) == (0, ())
-    for start, stop in ((0, 3), (shifts.WORD_CHUNK - 1, shifts.WORD_CHUNK + 2)):
-        _same_columns(shift.unrank(2, start, stop), ref_unrank(shift, 2, start, stop))
+    for length in (1, 2):
+        for start, stop in ((0, 3), (shifts.WORD_CHUNK - 1, shifts.WORD_CHUNK + 1)):
+            _same_columns(
+                shift.unrank(length, start, stop), ref_unrank(shift, length, start, stop)
+            )
     assert not shift._one_chunk
 
 
@@ -278,14 +281,17 @@ def test_five_symbol_census_equals_the_image_form(five):
 def test_census_equals_the_image_form(name):
     shift = SHIFTS[name]()
     s = TAILS[name]
-    code = random_code(shift, 1, 1, seed=5)
-    auto = Automorphism(code, code, {})  # the count reads only the forward iterates
-    # p = 1, 2 and 3 top edges
-    for count, width in ((3, s - 3), (2, s), (1, s + 3)):
-        for ordered in (True, False):
-            with window_budget(10**8):
-                got = _distinct_windows(auto, count, width, ordered)
-            assert got == ref_distinct_windows(auto, count, width, ordered)
+    # iterate i's window starts at (count - 1 - i) m, so memory and
+    # anticipation are also drawn unequal
+    for seed, (memory, anticipation) in enumerate(((1, 1), (0, 2), (2, 0)), start=5):
+        code = random_code(shift, memory, anticipation, seed)
+        auto = Automorphism(code, code, {})  # the count reads only the forward iterates
+        # words of 1, 2 and 3 edges past one chunk
+        for count, width in ((3, s - 3), (2, s), (1, s + 3)):
+            for ordered in (True, False):
+                with window_budget(10**8):
+                    got = _distinct_windows(auto, count, width, ordered)
+                assert got == ref_distinct_windows(auto, count, width, ordered)
 
 
 # -- every split, with a small chunk ----------------------------------------
