@@ -183,7 +183,9 @@ def test_the_tail_is_the_longest_length_that_fits(name):
 def test_no_tail_when_one_edge_words_do_not_fit():
     shift = build_edge_shift([[shifts.WORD_CHUNK + 1]])
     for length in (1, 2):
-        for start, stop in ((0, 3), (shifts.WORD_CHUNK - 1, shifts.WORD_CHUNK + 1)):
+        # rank WORD_CHUNK + 1 is the first two-edge word with top edge 1
+        stop = min(shifts.WORD_CHUNK + 2, shift.word_count(length))
+        for start, stop in ((0, 3), (shifts.WORD_CHUNK - 1, stop)):
             _same_columns(
                 shift.unrank(length, start, stop), ref_unrank(shift, length, start, stop)
             )
