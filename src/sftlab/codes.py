@@ -277,9 +277,11 @@ def _sorted_rows(rows):
     Each row is packed into one int64 key, its entries the digits (offset
     by their column's least entry), and the keys are sorted.  When the next
     column would overflow a key, the keys so far are first replaced by
-    their ranks among the distinct keys."""
+    their ranks among the distinct keys.  Each column's bounds are read
+    from that column: axis-0 reductions over C-ordered rows run strided."""
     keys, span = np.zeros(len(rows), dtype=np.int64), 1
-    for col, low, high in zip(rows.T, rows.min(axis=0).tolist(), rows.max(axis=0).tolist()):
+    for col in rows.T:
+        low, high = int(col.min()), int(col.max())
         if span * (high - low + 1) >= _KEY_LIMIT:
             order, starts = _sorted_keys(keys)
             keys[order] = starts.cumsum() - 1
@@ -390,7 +392,7 @@ def _product(outer, inner):
             # dies before the window ends; a dead state reads garbage)
             nodes = outer.levels[step - wi + 1][nodes[:, None], output[contexts]]
         else:
-            nodes = np.broadcast_to(nodes[:, None], following.shape)
+            nodes = nodes[:, None]  # the steps below broadcast it
         if step == wi + wo - 2:
             tables.append(np.where(following > 0, nodes, -1))
             break

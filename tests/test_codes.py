@@ -383,3 +383,39 @@ def test_wide_rows_are_deduplicated_in_lexicographic_order():
         index = {row: i for i, row in enumerate(distinct)}
         assert ids.tolist() == [index.get(row, -1) for row in listed] + [-1]
 
+
+def test_sorted_rows_on_any_layout_and_dtype():
+    # order and starts against a sort of Python tuples, on layouts and
+    # dtypes the callers may pass: Fortran-ordered, transposed and
+    # column-sliced views, int8 and int16 index tables, a constant and a
+    # single column, and wide entries whose keys are re-ranked mid-row
+    from sftlab.codes import _sorted_rows
+
+    rng = np.random.default_rng(11)
+    wide = rng.integers(-1, 10**6, size=(70, 12))
+    wide[::3] = wide[2]
+    wide[5::7, 6:] = wide[4, 6:]  # rows that differ only in their first 6 columns
+    narrow = rng.integers(-1, 3, size=(40, 9))
+    constant = narrow.copy()
+    constant[:, 2] = 5
+    cases = [
+        np.asfortranarray(wide),
+        np.ascontiguousarray(wide.T).T,
+        wide[:, 1::2],
+        wide[:, 7:],
+        narrow.astype(np.int8),
+        np.asfortranarray(narrow.astype(np.int16))[:, ::3],
+        constant,
+        narrow[:, 4:5],
+        wide[:, :1].astype(np.int32),
+        np.hstack([narrow[:, :2], wide[:40, 3:6]]),
+        narrow[:1],
+    ]
+    for rows in cases:
+        order, starts = _sorted_rows(rows)
+        listed = list(map(tuple, rows.tolist()))
+        ordered = [listed[i] for i in order.tolist()]
+        assert sorted(order.tolist()) == list(range(len(rows)))
+        assert ordered == sorted(listed)
+        assert starts.tolist() == [i == 0 or ordered[i] != ordered[i - 1] for i in range(len(rows))]
+        assert [ordered[i] for i in np.flatnonzero(starts)] == sorted(set(listed))

@@ -28,7 +28,6 @@ from sftlab.builtins import make_builtin
 from sftlab.codes import (
     Automorphism,
     SlidingBlockCode,
-    _sorted_rows,
     compose,
     inverse_shift_code,
     iterates,
@@ -105,9 +104,15 @@ def ref_distinct_windows(auto, count, width, ordered):
             rows.sort(axis=1)
             rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
             rows.sort(axis=1)
-        order, starts = _sorted_rows(rows)
-        found.append(rows[order[starts]])
-    return int(_sorted_rows(np.concatenate(found))[1].sum())
+        found.append(distinct_rows(rows))
+    return len(distinct_rows(np.concatenate(found)))
+
+
+def distinct_rows(rows):
+    """The distinct rows of a 2-d array by lexsort, apart from the
+    dedup kernel that the census itself uses."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    return ordered[np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]]
 
 
 def assert_same_column(column, reference):
