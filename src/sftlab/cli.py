@@ -25,6 +25,7 @@ from .dimension import dimension_matrix, verify_entropy_bound, verify_main_bound
 from .entropy import column_census, exact_entropy_of
 from .errors import (
     InternalInvariantViolation,
+    NilpotentMatrix,
     NonMonic,
     NotInverse,
     NotInvertibleWithin,
@@ -135,15 +136,19 @@ def _cmd_analyze(args):
                     raise
                 rec.add(f"{name}/dimension-action", "Inconclusive", detail=str(exc))
             if args.w is not None:
-                census = column_census(auto, args.w, args.steps)
-                rec.add(
-                    f"{name}/column-census",
-                    "Confirmed" if census.certified else "Consistent",
-                    census.estimate,
-                    None,
-                    detail=f"count={census.count} method={census.method}",
-                )
-                payload[name]["census"] = asdict(census)
+                try:
+                    census = column_census(auto, args.w, args.steps)
+                except NilpotentMatrix as exc:  # no points, so no columns
+                    rec.add(f"{name}/column-census", "Inconclusive", detail=str(exc))
+                else:
+                    rec.add(
+                        f"{name}/column-census",
+                        "Confirmed" if census.certified else "Consistent",
+                        census.estimate,
+                        None,
+                        detail=f"count={census.count} method={census.method}",
+                    )
+                    payload[name]["census"] = asdict(census)
         report = Report(
             suite="analyze",
             records=rec.records,

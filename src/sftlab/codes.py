@@ -1,28 +1,31 @@
 """Sliding block codes between edge shifts, and certified automorphisms.
 
 A code with memory m and anticipation a maps a point x to the point whose
-i-th edge is rule(x[i-m..i+a]).  Rules are total maps from admissible words
-of length m+a+1 (tuples of edge indices) to single edges of the target
-shift, constrained so consecutive outputs concatenate into admissible
-paths.
+i-th edge is the output on the window x[i-m..i+a], an admissible word of
+m+a+1 edges; outputs are edges of the target shift, and consecutive ones
+concatenate into admissible paths.
 
-A code stores its rule as a quasi-reduced ordered decision diagram over the
-window's positions (Bryant, IEEE Trans. Comput. C-35, 1986, over the edge
-alphabet with every level kept).  A node at level L is one distinct
-function of the edges after an L-edge prefix of a window: it carries the
-state its prefix ends at and has one child per edge out of that state that
-a window continues with.  Level L is an array with one row per node and
-one column per source edge, holding the child's index at level L + 1 (the
-target edge at the last level), -1 where the edge does not continue; level
-0 is the single root.  Nodes are numbered bottom-up in the lexicographic
-order of their rows, so equal codes have equal arrays.
+A code is the quasi-reduced ordered decision diagram of its outputs over
+the window's positions (Bryant, IEEE Trans. Comput. C-35, 1986, over the
+edge alphabet with every level kept), and the constructor takes its
+levels.  A node at level L is one distinct function of the edges after an
+L-edge prefix of a window: it carries the state its prefix ends at and has
+one child per edge out of that state that a window continues with.  Level
+L is an array with one row per node and one column per source edge,
+holding the child's index at level L + 1 (the target edge at the last
+level), -1 where the edge does not continue; level 0 is the single root.
+Nodes are numbered bottom-up in the lexicographic order of their rows, so
+equal codes have equal arrays.
 
-A code's output on given windows is one gather per level
-(:meth:`SlidingBlockCode.outputs`); every enumeration of a rule reads it so,
-over :meth:`EdgeShift.ranked_words`.  compose is a product construction
-level by level, which reads no table, and pad_code inserts levels.  An
-:class:`Automorphism` is a pair of codes certified to compose to the
-identity in both orders.
+A rule table, the outputs in window rank order, is read into its levels
+bottom-up by :meth:`SlidingBlockCode.from_column`, which can also check
+that the outputs compose; a system file's table is checked entry by entry
+in :func:`sftlab.systems.parse_rule` first.  A code's output on given
+windows is one gather per level (:meth:`SlidingBlockCode.outputs`); every
+enumeration of a rule reads it so, over :meth:`EdgeShift.ranked_words`.
+compose is a product construction level by level, which reads no table,
+and pad_code inserts levels.  An :class:`Automorphism` is a pair of codes
+certified to compose to the identity in both orders.
 """
 
 from collections.abc import ItemsView, Mapping
@@ -44,27 +47,24 @@ class SlidingBlockCode:
     """A sliding block code; ``levels`` holds its diagram (see the module
     docstring), and ``rule`` views it as a mapping."""
 
-    def __init__(self, source, target, memory, anticipation, rule):
-        """Code from a rule table mapping every admissible window (a tuple
-        of edge indices) to a target edge, validated in full: total,
-        nothing extra, outputs in range and composable.  Trusted builders
-        hand their column to :meth:`from_column` instead."""
-        if memory < 0 or anticipation < 0:
-            raise ValueError("memory and anticipation must be nonnegative")
+    def __init__(self, source, target, memory, anticipation, levels):
+        """Code from the canonical levels of its diagram, kept as read-only
+        intp arrays; outputs are read into levels by :meth:`from_column`."""
         self.source = source
         self.target = target
         self.memory = int(memory)
         self.anticipation = int(anticipation)
-        source.ensure_budget(self.window + 1)
-        column = np.array(self._checked_outputs(rule), dtype=np.intp)
-        self._keep(_column_levels(source, self.window, column, target.n_edges))
-        self._check_composable()
+        self.levels = tuple(level.astype(np.intp, copy=False) for level in levels)
+        for level in self.levels:
+            level.flags.writeable = False
 
     @classmethod
     def from_column(cls, source, target, memory, anticipation, column, check=False):
         """Code from its output column, a sequence of target edges in window
         rank order (:meth:`EdgeShift.rank`) with one entry per admissible
         window; with ``check`` the outputs must be composable."""
+        if memory < 0 or anticipation < 0:
+            raise ValueError("memory and anticipation must be nonnegative")
         window = memory + anticipation + 1
         column = np.asarray(column)
         count = source.word_count(window)
@@ -73,7 +73,7 @@ class SlidingBlockCode:
                 f"column has {len(column)} entries, but there are {count} "
                 f"admissible windows of {window} edges"
             )
-        code = cls._from_levels(
+        code = cls(
             source, target, memory, anticipation,
             _column_levels(source, window, column, target.n_edges),
         )
@@ -81,22 +81,6 @@ class SlidingBlockCode:
             source.ensure_budget(window + 1)
             code._check_composable()
         return code
-
-    @classmethod
-    def _from_levels(cls, source, target, memory, anticipation, levels):
-        code = cls.__new__(cls)
-        code.source = source
-        code.target = target
-        code.memory = int(memory)
-        code.anticipation = int(anticipation)
-        code._keep(levels)
-        return code
-
-    def _keep(self, levels):
-        """Store the levels as read-only intp arrays."""
-        self.levels = tuple(level.astype(np.intp, copy=False) for level in levels)
-        for level in self.levels:
-            level.flags.writeable = False
 
     @classmethod
     def tabulated(cls, source, target, memory, anticipation, count, outputs):
@@ -164,21 +148,6 @@ class SlidingBlockCode:
             if len(rows) == 1 or np.bincount(states).max() == 1:
                 return last - 1
         return self.window - 1
-
-    def _checked_outputs(self, rule):
-        src, tgt = self.source, self.target
-        outputs = []
-        for w in src.words(self.window):
-            if w not in rule:
-                raise ValueError(f"rule is not total: missing window {w!r}")
-            out = rule[w]
-            if not 0 <= out < tgt.n_edges:
-                raise ValueError(f"rule output {out} is not a target edge")
-            outputs.append(out)
-        if len(rule) != len(outputs):
-            extra = set(rule) - set(src.words(self.window))
-            raise ValueError(f"rule has inadmissible windows, e.g. {sorted(extra)[:1]}")
-        return outputs
 
     def _check_composable(self):
         # consecutive outputs must concatenate into admissible paths
@@ -419,7 +388,9 @@ def _transducer(code, starts):
     new one.  A context is a function of the last window edges read (the
     state needs the last one), so past window + 1 starts none is new: a
     compose that starts window copies or more reads all window + 1 rounds,
-    which serve every later compose.
+    which serve every later compose.  Reading fewer is needed: all rounds of
+    a random inner code of 13 to 16 edges on the full 2-shift, under a
+    2-edge outer, hold contexts for every copy and ran out of 4 GB.
 
     Returns, under start and under stop, (next context, output): contexts x
     source edges tables.  The next context is 0, dead, where the edge does
@@ -561,7 +532,7 @@ def reverse_code(code):
 
 def identity_code(shift):
     """The identity: a root that outputs each edge it reads."""
-    return SlidingBlockCode._from_levels(shift, shift, 0, 0, [np.arange(shift.n_edges)[None, :]])
+    return SlidingBlockCode(shift, shift, 0, 0, [np.arange(shift.n_edges)[None, :]])
 
 
 def shift_code(shift):
@@ -587,7 +558,7 @@ def compose(outer, inner):
     a = inner.anticipation + outer.anticipation
     inner.source.ensure_budget(m + a + 1)
     levels = _reduce(_product(outer, inner))
-    return SlidingBlockCode._from_levels(inner.source, outer.target, m, a, levels)
+    return SlidingBlockCode(inner.source, outer.target, m, a, levels)
 
 
 def iterates(code):
@@ -625,7 +596,7 @@ def pad_code(code, extra_memory=0, extra_anticipation=0):
     a = code.anticipation + extra_anticipation
     code.source.ensure_budget(m + a + 1)
     levels = _padded(code, extra_memory, extra_anticipation)
-    return SlidingBlockCode._from_levels(code.source, code.target, m, a, levels)
+    return SlidingBlockCode(code.source, code.target, m, a, levels)
 
 
 def codes_equal(c1, c2):

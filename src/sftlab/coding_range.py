@@ -10,10 +10,11 @@ can be spliced there (Lind-Marcus 2.2), so an output that is a function of
 two overlapping parts of the window is a function of their overlap: the
 coordinates it reads form one interval [-m*, a*].  Near 0 (-a < j <= m)
 (-inf, 0] fixes the first m - j + 1 edges of the window at j, so it codes
-j iff m - j + 1 > D^- (:attr:`SlidingBlockCode.prefix_lcp`): W^- = m - D^-
-= -a* when D^- >= 1, and dually W^+ = D^+ - a = m*.  When D <= 0 the
-output reads only the window's far edge, and a reach test on its states
-decides beyond the window, out to the cap of the sum inequalities.
+j iff m - j + 1 > D^- (:attr:`SlidingBlockCode.prefix_lcp`).  An
+automorphism's code codes nothing beyond its window (:func:`_scan_w`):
+W^- = m - max(D^-, 0), and dually W^+ = max(D^+, 0) - a.  For any code,
+:func:`coded_minus` decides one coordinate; when D <= 0 the output reads
+only the window's far edge, and beyond the window a reach test decides.
 """
 
 from dataclasses import astuple, dataclass
@@ -185,30 +186,23 @@ def _combined(per_track):
 
 def _scan_w(n, fwd, inv):
     """W values from the codes of phi^n and phi^-n, each read off its own
-    code.  A far branch steps out to the cap that the other code's window
-    gives: W^-(phi) <= -W^-(phi^-1) <= a(phi^-1), W^+(phi) >= -m(phi^-1)."""
-    wm_f, wm_i = (_w_minus(c, other.anticipation) for c, other in ((fwd, inv), (inv, fwd)))
-    wp_f, wp_i = (_w_plus(c, -other.memory) for c, other in ((fwd, inv), (inv, fwd)))
+    code: W^- = m - max(D^-, 0), W^+ = max(D^+, 0) - a.  For D^- >= 1 that
+    is the first uncoded coordinate near 0.  Else (-inf, 0] codes the whole
+    window, but not m + 1.  D^- = -1 is a constant code, not onto a shift
+    of positive entropy.  At D^- = 0 the output is f(x[i - m]) for a map f
+    on edges; each edge lies on a point of the irreducible shift, so the
+    code is onto only if f is, and then f is a bijection.  Some state has
+    two out-edges, and two points that agree on (-inf, 0], reach it at 0
+    and leave by different edges have images that differ at m + 1.  W^+
+    is the same with a state that has two in-edges."""
+    wm_f, wm_i = (c.memory - max(c.prefix_lcp, 0) for c in (fwd, inv))
+    wp_f, wp_i = (max(c.suffix_lcp, 0) - c.anticipation for c in (fwd, inv))
     if wm_f + wm_i > 0 or wp_f + wp_i < 0:
         raise InternalInvariantViolation(
             f"sum inequalities failed at n={n}: "
             f"W-=({wm_f},{wm_i}) W+=({wp_f},{wp_i})"
         )
     return WValues(n=n, minus=wm_f, plus=wp_f, minus_inv=wm_i, plus_inv=wp_i)
-
-
-def _w_minus(code, cap):
-    j = code.memory - max(code.prefix_lcp, 0)
-    while j < cap and coded_minus(code, j + 1):
-        j += 1
-    return j
-
-
-def _w_plus(code, floor):
-    j = max(code.suffix_lcp, 0) - code.anticipation
-    while j > floor and coded_plus(code, j - 1):
-        j -= 1
-    return j
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,14 @@ class EdgeShift:
     WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only,
     and the word tuples built from them the first time :meth:`words` asks.
     A length costs at most WORD_CHUNK x length int64 cells plus its tuples.
-    Longer lengths are streamed anew on every walk, each word as p top
-    edges over a tail of s edges (:meth:`tail`): :meth:`unrank` descends
-    the rank tables over the top edges only and gathers the tail from the
-    kept words of length s, which is all the memory a long length adds
-    (at most WORD_CHUNK x s int64 cells).  It also keeps one
-    :func:`perron_data` record, one :func:`dimension_data` record and one
-    :func:`transpose_shift` record, each computed the first time it is
-    asked for.
+    Longer lengths are streamed anew on every walk by :meth:`unrank`, which
+    splits each word into its top edges and a tail of s edges, s the
+    longest kept length: it descends the rank tables over the top edges
+    only and gathers the tail from the kept words of length s, which is
+    all the memory a long length adds (at most WORD_CHUNK x s int64
+    cells).  It also keeps one :func:`perron_data` record, one
+    :func:`dimension_data` record and one :func:`transpose_shift` record,
+    each computed the first time it is asked for.
     """
 
     def __init__(self, matrix):

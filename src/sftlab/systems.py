@@ -15,16 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .builtins import make_builtin, shift_builtin
 from .codes import SlidingBlockCode, infer_inverse, verify_automorphism
-from .errors import (
-    BadParams,
-    InternalInvariantViolation,
-    ParseError,
-    SftlabError,
-    ShiftMismatch,
-    WindowBudgetExceeded,
-)
+from .errors import BadParams, ParseError, SftlabError, ShiftMismatch
 from .shifts import DEFAULT_TOL, build_edge_shift, kronecker_product, window_budget
 
 DEFAULT_R_MAX = 3
@@ -104,15 +99,15 @@ def parse_shift_spec(spec, location="$.shift"):
 
 def parse_rule(obj, shift, location):
     """A rule table {"memory", "anticipation", "rule": [{"window", "out"}]},
-    validated against the shift: total on admissible windows, nothing extra,
-    outputs composable."""
+    validated against the shift: every window admissible and listed once,
+    every output an edge, all windows listed, outputs composable."""
     _require_keys(obj, ("memory", "anticipation", "rule"), (), location)
     memory = _int_at(obj, "memory", location, minimum=0)
     anticipation = _int_at(obj, "anticipation", location, minimum=0)
     entries = obj["rule"]
     if not isinstance(entries, list):
         raise ParseError("rule must be a list of entries", f"{location}.rule")
-    table = {}
+    seen, outs = set(), []
     width = memory + anticipation + 1
     for i, entry in enumerate(entries):
         here = f"{location}.rule[{i}]"
@@ -130,18 +125,31 @@ def parse_rule(obj, shift, location):
             raise ParseError(
                 f"edge index out of range 0..{shift.n_edges - 1}", f"{here}.window"
             )
-        key = tuple(window)
-        if key in table:
+        if tuple(window) in seen:
             raise ParseError(f"duplicate window {window}", f"{here}.window")
+        seen.add(tuple(window))
         out = _int_at(entry, "out", here, minimum=0)
-        table[key] = out
+        if out >= shift.n_edges:
+            raise ParseError(f"rule output {out} is not a target edge", f"{here}.out")
+        outs.append(out)
+    shift.ensure_budget(width + 1)
+    cols = np.array([entry["window"] for entry in entries], dtype=np.intp).reshape(-1, width).T
+    broken = shift.edge_targets[cols[:-1]] != shift.edge_sources[cols[1:]]
+    bad = np.flatnonzero(broken.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        raise ParseError(
+            f"inadmissible window {entries[i]['window']}", f"{location}.rule[{i}].window"
+        )
+    column = np.full(shift.word_count(width), -1, dtype=np.intp)
+    column[shift.rank(cols)] = outs
+    missing = np.flatnonzero(column < 0)
+    if missing.size:
+        window = tuple(int(c[0]) for c in shift.unrank(width, missing[0], missing[0] + 1))
+        raise ParseError(f"rule is not total: missing window {window!r}", f"{location}.rule")
     try:
-        return SlidingBlockCode(shift, shift, memory, anticipation, table)
-    except (ParseError, WindowBudgetExceeded, InternalInvariantViolation):
-        # a bad SFTLAB_BUDGET, resource limits and library bugs are not the
-        # file's fault
-        raise
-    except (ValueError, SftlabError) as exc:
+        return SlidingBlockCode.from_column(shift, shift, memory, anticipation, column, check=True)
+    except ValueError as exc:  # outputs that do not compose
         raise ParseError(str(exc), f"{location}.rule") from None
 
 

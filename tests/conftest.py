@@ -1,13 +1,40 @@
 """Golden reports: masked JSON (runtime_ms nulled) that the suites and the
-README's commands must reproduce byte for byte, kept in tests/golden."""
+README's commands must reproduce byte for byte, kept in tests/golden; and
+two helpers the test modules import: codes from rule dicts, and the check
+that W read off a window is what the literal oracles find."""
 
 from pathlib import Path
 
 import pytest
 
 from sftlab import shifts
+from sftlab.codes import SlidingBlockCode
+from sftlab.coding_range import _scan_w, _scanned_tracks, coded_minus_naive, coded_plus_naive
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def rule_code(shift, memory, anticipation, rule):
+    """The code on ``shift`` whose output on each window is ``rule[window]``
+    (window tuples as keys), checked to compose."""
+    column = [rule[w] for w in shift.words(memory + anticipation + 1)]
+    return SlidingBlockCode.from_column(shift, shift, memory, anticipation, column, check=True)
+
+
+def assert_w_attained_and_maximal(auto, n_max):
+    """On each scanned track and n <= n_max, the W values that
+    coding_range._scan_w reads off the windows of phi^n and phi^-n are
+    coded by the literal oracles, and one coordinate further is not."""
+    for track in _scanned_tracks(auto):
+        for n in range(1, n_max + 1):
+            fwd, inv = track.power(n), track.power(-n)
+            w = _scan_w(n, fwd, inv)
+            for code, minus, plus in ((fwd, w.minus, w.plus), (inv, w.minus_inv, w.plus_inv)):
+                where = (track, n, code)
+                assert coded_minus_naive(code, minus), where
+                assert not coded_minus_naive(code, minus + 1), where
+                assert coded_plus_naive(code, plus), where
+                assert not coded_plus_naive(code, plus - 1), where
 
 
 @pytest.fixture(autouse=True)

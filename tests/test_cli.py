@@ -248,6 +248,23 @@ def test_analyze_census_option(tau_file, tmp_path):
     }
 
 
+def test_analyze_census_on_a_shift_with_no_points_is_inconclusive(tmp_path, capsys):
+    table = {"memory": 0, "anticipation": 0, "rule": [{"window": [0], "out": 0}]}
+    doc = {
+        "shift": {"matrix": [[0, 1], [0, 0]]},
+        "automorphisms": {"id": {"forward": table, "inverse": table}},
+    }
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(doc))
+    json_path = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--w", "0", "--json", str(json_path)]) == 0
+    report = json.loads(json_path.read_text())
+    records = {r["name"]: r for r in report["records"]}
+    assert records["id/column-census"]["status"] == "Inconclusive"
+    assert records["id/column-census"]["detail"] == "A^k = 0; the shift has no points"
+    assert "census" not in report["payload"]["id"]
+
+
 def test_analyze_unknown_automorphism(swap_file, capsys):
     assert main(["analyze", swap_file, "--auto", "ghost"]) == 2
     err = capsys.readouterr().err

@@ -17,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import assert_w_attained_and_maximal, rule_code
 from sftlab.builtins import DEFAULT_SUITE, make_builtin, product_automorphism, shift_builtin
 from sftlab.coding_range import (
     coded_minus,
@@ -471,7 +472,7 @@ FULL_2 = build_edge_shift([[2]])
 
 def _marker(context):
     rule = {w: w[2] ^ (w[:2] + w[3:] == context) for w in FULL_2.words(5)}
-    return verify_automorphism(*[SlidingBlockCode(FULL_2, FULL_2, 2, 2, rule)] * 2)
+    return verify_automorphism(*[rule_code(FULL_2, 2, 2, rule)] * 2)
 
 
 MARKER = _marker((0, 0, 1, 0))
@@ -499,6 +500,24 @@ def test_shifted_marker_profile():
     assert p.w_minus_inv == (-1, 2, 1)
     assert p.w_plus_inv == (3, 2, 5)
     assert p.at(2) == coding_range_profile(sigma, 2).at(2)  # (sigma o m)^2 = sigma^2
+
+
+# -- W is read off the window: nothing beyond it is coded ---------------------
+
+
+@pytest.mark.parametrize("name,params", DEFAULT_SUITE, ids=[n for n, _ in DEFAULT_SUITE])
+def test_w_read_off_the_builtins_is_attained_and_maximal(name, params):
+    assert_w_attained_and_maximal(make_builtin(name, params)[1], 3)
+
+
+@pytest.mark.parametrize(
+    "auto",
+    [MARKER, MARKER_PRIME, _composed(MARKER, MARKER_PRIME)],
+    ids=["m", "m_prime", "m_m_prime"],
+)
+def test_w_read_off_the_markers_is_attained_and_maximal(auto):
+    with window_budget(2 ** 17):  # (m o m')^2 has 17 edges
+        assert_w_attained_and_maximal(auto, 2)
 
 
 # -- depth: the iterates as decision diagrams ---------------------------------

@@ -31,9 +31,9 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from conftest import assert_w_attained_and_maximal, rule_code
 from sftlab.builtins import make_builtin
 from sftlab.codes import (
-    SlidingBlockCode,
     codes_equal,
     compose,
     infer_inverse,
@@ -190,7 +190,7 @@ def noisy_code(seed, shift, memory, anticipation):
     for w in shift.words(memory + anticipation + 1):
         s, t, _ = shift.edges[w[memory]]
         rule[w] = shift.edge_index[(s, t, rng.randrange(shift.matrix[s][t]))]
-    return SlidingBlockCode(shift, shift, memory, anticipation, rule)
+    return rule_code(shift, memory, anticipation, rule)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -239,6 +239,7 @@ def test_columns_match_dict_tables(shift, seeds, shape, pad, j):
         assert dict(auto.inverse.rule) == table
     if expected is None:
         return  # a shift power beyond the searched radius
+    assert_w_attained_and_maximal(auto, 2)
 
     if code.window <= 3:
         for ordered in (True, False):
@@ -271,7 +272,7 @@ def test_marker_product_square_outputs_its_dict_column():
 
     def marker(context):
         rule = {w: w[2] ^ (w[:2] + w[3:] == context) for w in full.words(5)}
-        code = SlidingBlockCode(full, full, 2, 2, rule)
+        code = rule_code(full, 2, 2, rule)
         return verify_automorphism(code, code)
 
     m, m_prime = marker((0, 0, 1, 0)), marker((0, 1, 0, 0))

@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import rule_code
 from sftlab import codes, ratmat
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
@@ -406,7 +407,7 @@ def test_action_checks_fire_on_a_constant_code(matrix, error, message):
     # conditions are inconsistent, or their solution does not commute with
     # the multiplication map
     shift = build_edge_shift(matrix)
-    const = codes.SlidingBlockCode(shift, shift, 0, 0, {(e,): 0 for e in range(shift.n_edges)})
+    const = rule_code(shift, 0, 0, {(e,): 0 for e in range(shift.n_edges)})
     bogus = codes.Automorphism(const, codes.identity_code(shift), {})
     with pytest.raises(error, match=message):
         dimension_matrix(bogus)

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from conftest import rule_code
 from sftlab import codes
 from sftlab.builtins import (
     DEFAULT_SUITE,
@@ -19,7 +20,6 @@ from sftlab.builtins import (
 )
 from sftlab.codes import (
     Automorphism,
-    SlidingBlockCode,
     codes_equal,
     identity_code,
     recognized_exponents,
@@ -107,8 +107,8 @@ def test_census_enumeration_agrees_with_closed_form():
     # structure: the enumeration path must reproduce the closed form
     prod_shift, auto = make_builtin("sigma_x_sigma_inv")
     flat = build_edge_shift([[4]])
-    fwd = SlidingBlockCode(flat, flat, 1, 1, dict(auto.forward.rule))
-    inv = SlidingBlockCode(flat, flat, 1, 1, dict(auto.inverse.rule))
+    fwd = rule_code(flat, 1, 1, auto.forward.rule)
+    inv = rule_code(flat, 1, 1, auto.inverse.rule)
     flat_auto = Automorphism(fwd, inv, {"method": "relabel"})
     for n in (1, 2):
         closed = column_census(auto, 1, n)
@@ -207,7 +207,7 @@ def _restrict_by_lookup(code, allowed_edges):
         if out not in to_sub:
             raise NotInvariant(witness=window, output=out)
         rule[sub_word] = to_sub[out]
-    return sub, SlidingBlockCode(sub, sub, code.memory, code.anticipation, rule)
+    return sub, rule_code(sub, code.memory, code.anticipation, rule)
 
 
 @pytest.mark.parametrize("completion", ["identity", "swap", "first", "second", "wall"])

@@ -166,6 +166,48 @@ def test_rule_entry_errors_are_located(tmp_path):
     assert "edge index out of range 0..1" in str(info.value)
 
 
+def rule_doc(matrix, memory, entries):
+    """A document whose one automorphism's forward table is ``entries``."""
+    rule = [{"window": list(w), "out": out} for w, out in entries]
+    forward = {"memory": memory, "anticipation": 0, "rule": rule}
+    return {"shift": {"matrix": matrix}, "automorphisms": {"f": {"forward": forward}}}
+
+
+def refusal(tmp_path, doc):
+    with pytest.raises(ParseError) as info:
+        load_system_file(write_doc(tmp_path, doc))
+    return info.value.location.removeprefix("$.automorphisms.f.forward"), str(info.value)
+
+
+def test_rejects_missing_window(tmp_path):
+    location, message = refusal(tmp_path, rule_doc([[1, 1], [1, 0]], 1, [((0, 1), 1)]))
+    assert location == ".rule"
+    assert "rule is not total: missing window (0, 0)" in message
+
+
+def test_rejects_inadmissible_window(tmp_path):
+    golden = build_edge_shift([[1, 1], [1, 0]])
+    entries = [(w, w[0]) for w in golden.words(2)]
+    entries.insert(2, ((1, 1), 0))  # edge 1 cannot follow itself
+    location, message = refusal(tmp_path, rule_doc([[1, 1], [1, 0]], 1, entries))
+    assert location == ".rule[2].window"
+    assert "inadmissible window [1, 1]" in message
+
+
+def test_rejects_bad_output_index(tmp_path):
+    location, message = refusal(tmp_path, rule_doc([[2]], 0, [((0,), 0), ((1,), 5)]))
+    assert location == ".rule[1].out"
+    assert "rule output 5 is not a target edge" in message
+
+
+def test_rejects_non_composable_outputs_at_the_rule(tmp_path):
+    # the constant rule to edge 1 (state 0 -> 1): 1 cannot follow 1
+    entries = [((e,), 1) for e in range(3)]
+    location, message = refusal(tmp_path, rule_doc([[1, 1], [1, 0]], 0, entries))
+    assert location == ".rule"
+    assert "not composable" in message
+
+
 def test_builtin_reference_loads(tmp_path):
     path = write_doc(
         tmp_path,
