@@ -7,7 +7,9 @@ that pool and on the acceptance suite's seeded stream; the oracles read
 edge columns, never word tuples, and see a group whole across chunks; the
 profile values for the named examples are frozen from independent hand
 calculation (shift powers code exactly by their exponent; the product
-examples code track by track).
+examples code track by track).  W read off each iterate's window is the
+largest coded coordinate by the literal oracles on the builtins and the
+marker involutions: nothing beyond an automorphism's window is coded.
 """
 
 from fractions import Fraction

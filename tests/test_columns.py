@@ -17,6 +17,9 @@ Claims covered:
     - the grouped scans coded_minus/coded_plus agree with the literal
       oracles coded_minus_naive/coded_plus_naive (whose own reference is
       the pairwise comparison in test_coding_range.py)
+    - on the automorphisms found, W of phi^+-1 and phi^+-2 read off the
+      windows is coded by the literal oracles and one coordinate further
+      is not
     - the census counts the same distinct iterate windows, as tuples and
       as sets
     - save_system followed by load_system_file round-trips
