@@ -8,7 +8,7 @@ concatenate into admissible paths.
 A code is the quasi-reduced ordered decision diagram of its outputs over
 the window's positions (Bryant, IEEE Trans. Comput. C-35, 1986, over the
 edge alphabet with every level kept), and the constructor takes its
-levels.  A node at level L is one distinct function of the edges after an
+levels (or a rule mapping, read as its column).  A node at level L is one distinct function of the edges after an
 L-edge prefix of a window: it carries the state its prefix ends at and has
 one child per edge out of that state that a window continues with.  Level
 L is an array with one row per node and one column per source edge,
@@ -19,7 +19,7 @@ equal codes have equal arrays.
 
 A rule table, the outputs in window rank order, is read into its levels
 bottom-up by :meth:`SlidingBlockCode.from_column`, which can also check
-that the outputs compose; a system file's table is checked entry by entry
+that the outputs are target edges and compose; a system file's table is checked entry by entry
 in :func:`sftlab.systems.parse_rule` first.  A code's output on given
 windows is one gather per level (:meth:`SlidingBlockCode.outputs`); every
 enumeration of a rule reads it so, over :meth:`EdgeShift.ranked_words`.
@@ -50,6 +50,11 @@ class SlidingBlockCode:
     def __init__(self, source, target, memory, anticipation, levels):
         """Code from the canonical levels of its diagram, kept as read-only
         intp arrays; outputs are read into levels by :meth:`from_column`."""
+        if isinstance(levels, Mapping):  # a rule table: admissible window tuple -> output
+            column = [levels[w] for w in source.words(memory + anticipation + 1)]
+            if len(column) != len(levels):
+                raise ValueError("rule has windows that are not admissible")
+            levels = self.from_column(source, target, memory, anticipation, column, check=True).levels
         self.source = source
         self.target = target
         self.memory = int(memory)
@@ -73,12 +78,16 @@ class SlidingBlockCode:
                 f"column has {len(column)} entries, but there are {count} "
                 f"admissible windows of {window} edges"
             )
+        if check:
+            source.ensure_budget(window + 1)
+            bad = np.flatnonzero((column < 0) | (column >= target.n_edges))
+            if bad.size:
+                raise ValueError(f"rule output {column[bad[0]]} is not a target edge")
         code = cls(
             source, target, memory, anticipation,
             _column_levels(source, window, column, target.n_edges),
         )
         if check:
-            source.ensure_budget(window + 1)
             code._check_composable()
         return code
 

@@ -118,13 +118,11 @@ def parse_rule(obj, shift, location):
             or len(window) != width
             or any(isinstance(e, bool) or not isinstance(e, int) for e in window)
         ):
-            raise ParseError(
-                f"window must be a list of {width} edge indices", f"{here}.window"
-            )
+            raise ParseError(f"window must be a list of {width} edge indices", f"{here}.window")
         if any(not 0 <= e < shift.n_edges for e in window):
-            raise ParseError(
-                f"edge index out of range 0..{shift.n_edges - 1}", f"{here}.window"
-            )
+            raise ParseError(f"edge index out of range 0..{shift.n_edges - 1}", f"{here}.window")
+        if not shift.is_admissible(window):
+            raise ParseError(f"inadmissible window {window}", f"{here}.window")
         if tuple(window) in seen:
             raise ParseError(f"duplicate window {window}", f"{here}.window")
         seen.add(tuple(window))
@@ -134,13 +132,6 @@ def parse_rule(obj, shift, location):
         outs.append(out)
     shift.ensure_budget(width + 1)
     cols = np.array([entry["window"] for entry in entries], dtype=np.intp).reshape(-1, width).T
-    broken = shift.edge_targets[cols[:-1]] != shift.edge_sources[cols[1:]]
-    bad = np.flatnonzero(broken.any(axis=0))
-    if bad.size:
-        i = bad[0]
-        raise ParseError(
-            f"inadmissible window {entries[i]['window']}", f"{location}.rule[{i}].window"
-        )
     column = np.full(shift.word_count(width), -1, dtype=np.intp)
     column[shift.rank(cols)] = outs
     missing = np.flatnonzero(column < 0)

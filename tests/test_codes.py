@@ -89,6 +89,21 @@ def test_rejects_negative_window_shape(full2):
         SlidingBlockCode.from_column(full2, full2, 1, -2, [])
 
 
+def test_checked_column_refuses_outputs_that_are_not_target_edges(full2):
+    for column, out in (([-1, 0], -1), ([5, 0], 5)):
+        with pytest.raises(ValueError, match=f"rule output {out} is not a target edge"):
+            SlidingBlockCode.from_column(full2, full2, 0, 0, column, check=True)
+
+
+def test_constructor_reads_a_rule_table_as_its_checked_column(full2, golden):
+    rule = {(a, b): a ^ b for a in range(2) for b in range(2)}
+    assert codes_equal(SlidingBlockCode(full2, full2, 0, 1, rule), xor_code(full2))
+    with pytest.raises(ValueError, match="not admissible"):
+        SlidingBlockCode(golden, golden, 0, 0, {(0,): 0, (1,): 1, (2,): 2, (3,): 0})
+    with pytest.raises(ValueError, match="composable"):
+        SlidingBlockCode(golden, golden, 0, 0, {(0,): 1, (1,): 1, (2,): 1})
+
+
 def test_valid_identity_passes_check(golden):
     code = rule_code(golden, 0, 0, {(e,): e for e in range(3)})
     assert code.window == 1
