@@ -118,9 +118,13 @@ def parse_rule(obj, shift, location):
             or len(window) != width
             or any(isinstance(e, bool) or not isinstance(e, int) for e in window)
         ):
-            raise ParseError(f"window must be a list of {width} edge indices", f"{here}.window")
+            raise ParseError(
+                f"window must be a list of {width} edge indices", f"{here}.window"
+            )
         if any(not 0 <= e < shift.n_edges for e in window):
-            raise ParseError(f"edge index out of range 0..{shift.n_edges - 1}", f"{here}.window")
+            raise ParseError(
+                f"edge index out of range 0..{shift.n_edges - 1}", f"{here}.window"
+            )
         if not shift.is_admissible(window):
             raise ParseError(f"inadmissible window {window}", f"{here}.window")
         if tuple(window) in seen:
