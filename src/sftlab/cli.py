@@ -24,8 +24,8 @@ from .coding_range import coding_range_profile, lyapunov_bounds
 from .dimension import dimension_matrix, verify_entropy_bound, verify_main_bounds
 from .entropy import column_census, exact_entropy_of
 from .errors import (
+    BadParams,
     InternalInvariantViolation,
-    NilpotentMatrix,
     NonMonic,
     NotInverse,
     NotInvertibleWithin,
@@ -57,9 +57,12 @@ def _parse_poly(text):
     except json.JSONDecodeError as exc:
         raise ParseError(f"--poly must be a JSON list of integers: {exc}", "--poly")
     try:
-        return IntPolynomial(coeffs)
+        poly = IntPolynomial(coeffs)
     except (NonMonic, TypeError) as exc:
         raise ParseError(str(exc), "--poly") from None
+    if poly.degree < 1:
+        raise ParseError(f"polynomial {coeffs} must have degree >= 1", "--poly")
+    return poly
 
 
 def _emit(report, json_path):
@@ -68,6 +71,18 @@ def _emit(report, json_path):
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
             handle.write("\n")
+
+
+def _unless_refused(rec, name, compute, *args):
+    """compute(*args), or None once its refusal is recorded as Inconclusive
+    under ``name``.  A budget overrun or a library bug propagates."""
+    try:
+        return compute(*args)
+    except (WindowBudgetExceeded, InternalInvariantViolation):
+        raise
+    except SftlabError as exc:
+        rec.add(name, "Inconclusive", detail=str(exc))
+        return None
 
 
 def _cmd_analyze(args):
@@ -89,12 +104,10 @@ def _cmd_analyze(args):
         for name in names:
             auto = parsed.automorphisms[name]
             payload[name] = {}
-            try:
-                profile = coding_range_profile(auto, args.n_max)
-            except PreconditionFailed as exc:  # no half-line scan on this shift
-                profile = None
-                rec.add(f"{name}/coding-range", "Inconclusive", detail=str(exc))
-            else:
+            profile = _unless_refused(
+                rec, f"{name}/coding-range", coding_range_profile, auto, args.n_max
+            )
+            if profile is not None:
                 bounds = lyapunov_bounds(auto, args.n_max, profile=profile)
                 rec.add(
                     f"{name}/coding-range",
@@ -111,8 +124,8 @@ def _cmd_analyze(args):
                     detail=f"method={bounds.method} verdict={bounds.verdict}",
                 )
                 payload[name]["profile"] = profile_payload(profile, bounds)
-            try:
-                action = dimension_matrix(auto)
+            action = _unless_refused(rec, f"{name}/dimension-action", dimension_matrix, auto)
+            if action is not None:
                 rec.add(
                     f"{name}/dimension-action",
                     "Confirmed",
@@ -131,16 +144,11 @@ def _cmd_analyze(args):
                         name=f"{name}/entropy-bound",
                         detail=f"exact h_top={entropy:.6f}",
                     )
-            except SftlabError as exc:
-                if isinstance(exc, (WindowBudgetExceeded, InternalInvariantViolation)):
-                    raise
-                rec.add(f"{name}/dimension-action", "Inconclusive", detail=str(exc))
             if args.w is not None:
-                try:
-                    census = column_census(auto, args.w, args.steps)
-                except NilpotentMatrix as exc:  # no points, so no columns
-                    rec.add(f"{name}/column-census", "Inconclusive", detail=str(exc))
-                else:
+                census = _unless_refused(
+                    rec, f"{name}/column-census", column_census, auto, args.w, args.steps
+                )
+                if census is not None:
                     rec.add(
                         f"{name}/column-census",
                         "Confirmed" if census.certified else "Consistent",
@@ -294,6 +302,7 @@ def main(argv=None):
     except (
         ParseError,
         UnknownBuiltin,
+        BadParams,
         NotInverse,
         NotInvertibleWithin,
         NonMonic,

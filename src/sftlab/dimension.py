@@ -439,8 +439,8 @@ def verify_main_bounds(auto, profile, action, tol=DEFAULT_TOL):
     h(sigma_A) and rho_minus are read from the shift's own Perron and
     dimension records.  Returns the overall record, whose lhs is the
     smallest margin rhs_lo - lhs over the applicable inequalities, and the
-    five component records; a component that does not apply is Inconclusive
-    with no lhs or rhs.
+    five component records; a component whose hypothesis fails is
+    Inconclusive, with no lhs or rhs and the failed hypothesis as detail.
     """
     bounds_f = lyapunov_bounds(auto, profile.n_max, profile=profile)
     bounds_i = lyapunov_bounds(
@@ -456,58 +456,29 @@ def verify_main_bounds(auto, profile, action, tol=DEFAULT_TOL):
     lhs = math.log(action.rho)
     abs_ami = _abs_interval(ami)
     abs_ap = _abs_interval(ap)
-    checks = [
-        _bound(
-            "bound-minus",
-            lhs,
-            float(abs_ami[0]) * growth - float(am[1]) * h,
-            float(abs_ami[1]) * growth - float(am[0]) * h,
-            tol,
-        ),
-        _bound(
-            "bound-plus",
-            lhs,
-            float(abs_ap[0]) * growth + float(api[0]) * h,
-            float(abs_ap[1]) * growth + float(api[1]) * h,
-            tol,
-        ),
-    ]
-    if ami[0] > 0:
-        checks.append(
-            _bound("one-sided-minus", lhs, -float(am[1]) * h, -float(am[0]) * h, tol)
-        )
-    else:
-        checks.append(
-            CheckRecord(
-                "one-sided-minus",
-                "Inconclusive",
-                detail="left slope of the inverse not certainly positive",
-            )
-        )
-    if ap[1] < 0:
-        checks.append(
-            _bound("one-sided-plus", lhs, float(api[0]) * h, float(api[1]) * h, tol)
-        )
-    else:
-        checks.append(
-            CheckRecord(
-                "one-sided-plus",
-                "Inconclusive",
-                detail="right slope of the map not certainly negative",
-            )
-        )
-    zero = (Fraction(0), Fraction(0))
-    if (am, ap, ami, api) == (zero, zero, zero, zero):
-        deviation = distortion_spectrum_check(action, tol=tol).lhs
-        checks.append(_bound("unit-circle", deviation, 0.0, 0.0, tol))
-    else:
-        checks.append(
-            CheckRecord(
-                "unit-circle",
-                "Inconclusive",
-                detail="slope enclosures are not all exactly zero",
-            )
-        )
+    zeros = all(iv == (0, 0) for iv in (am, ap, ami, api))
+    # one row per inequality: (name, failed hypothesis or "", lhs, rhs_lo, rhs_hi)
+    rows = (
+        ("bound-minus", "", lhs,
+         float(abs_ami[0]) * growth - float(am[1]) * h,
+         float(abs_ami[1]) * growth - float(am[0]) * h),
+        ("bound-plus", "", lhs,
+         float(abs_ap[0]) * growth + float(api[0]) * h,
+         float(abs_ap[1]) * growth + float(api[1]) * h),
+        ("one-sided-minus",
+         "" if ami[0] > 0 else "left slope of the inverse not certainly positive",
+         lhs, -float(am[1]) * h, -float(am[0]) * h),
+        ("one-sided-plus",
+         "" if ap[1] < 0 else "right slope of the map not certainly negative",
+         lhs, float(api[0]) * h, float(api[1]) * h),
+        ("unit-circle", "" if zeros else "slope enclosures are not all exactly zero",
+         distortion_spectrum_check(action, tol=tol).lhs if zeros else None, 0.0, 0.0),
+    )
+    checks = tuple(
+        CheckRecord(name, "Inconclusive", detail=failed) if failed
+        else _bound(name, value, lo, hi, tol)
+        for name, failed, value, lo, hi in rows
+    )
 
     statuses = {c.status for c in checks}
     if "Violated" in statuses:
@@ -520,7 +491,7 @@ def verify_main_bounds(auto, profile, action, tol=DEFAULT_TOL):
     record = CheckRecord(
         "main-bounds", overall, gap, None, tol, detail=f"{len(checks)} component checks"
     )
-    return record, tuple(checks)
+    return record, checks
 
 
 def distortion_spectrum_check(action, tol=DEFAULT_TOL):

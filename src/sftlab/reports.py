@@ -69,7 +69,7 @@ from .entropy import (
     exact_entropy_of,
     restrict_code_to_subsystem,
 )
-from .errors import NotInvertibleWithin, SftlabError
+from .errors import NotInvertibleWithin
 from .records import CheckRecord, _json_value, format_fraction
 from .shifts import DEFAULT_TOL, build_edge_shift, count_words, dimension_data, perron_data
 from .shifts import kronecker_product, resolve_budget, window_budget
@@ -172,6 +172,10 @@ class Recorder:
 
     def exact(self, name, ok, lhs=None, rhs=None, detail=""):
         return self.add(name, "Confirmed" if ok else "Violated", lhs, rhs, 0, detail)
+
+    def none_of(self, name, failed, cases, detail=""):
+        """Confirmed iff ``failed`` is empty; the lhs counts its ``cases``."""
+        return self.exact(name, not failed, f"{len(failed)} {cases}", "0", detail)
 
     def close(self, name, lhs, rhs, tol, detail=""):
         ok = abs(lhs - rhs) <= tol
@@ -334,20 +338,8 @@ def _criterion_sum_and_reverse(rec, tol, shifts, built):
                 bad_sum.append((name, n))
             if wr.minus != -wv.plus:
                 bad_rev.append((name, n, wr.minus, -wv.plus))
-    rec.exact(
-        "sum-inequalities",
-        not bad_sum,
-        lhs=f"{len(bad_sum)} violations",
-        rhs="0",
-        detail=f"{total} (builtin, n) pairs",
-    )
-    rec.exact(
-        "reverse-identity",
-        not bad_rev,
-        lhs=f"{len(bad_rev)} violations",
-        rhs="0",
-        detail="W^-(n, reverse) = -W^+(n, phi)",
-    )
+    rec.none_of("sum-inequalities", bad_sum, "violations", detail=f"{total} (builtin, n) pairs")
+    rec.none_of("reverse-identity", bad_rev, "violations", detail="W^-(n, reverse) = -W^+(n, phi)")
 
 
 def _criterion_cubic(rec, tol, shifts, built):
@@ -409,15 +401,11 @@ def _criterion_functoriality(rec, tol, shifts, built):
         for depth in range(1, 5):
             if theta(refine_ray(ray, depth)) != base:
                 bad_theta.append((name, depth))
-    rec.exact("S-of-square", not bad_sq, lhs=f"{len(bad_sq)} mismatches", rhs="0")
-    rec.exact("S-of-inverse", not bad_inv, lhs=f"{len(bad_inv)} mismatches", rhs="0")
-    rec.exact("delta-commutation", not bad_comm, lhs=f"{len(bad_comm)} mismatches", rhs="0")
-    rec.exact(
-        "theta-level-independence",
-        not bad_theta,
-        lhs=f"{len(bad_theta)} mismatches",
-        rhs="0",
-        detail="refinement depths 1..4",
+    rec.none_of("S-of-square", bad_sq, "mismatches")
+    rec.none_of("S-of-inverse", bad_inv, "mismatches")
+    rec.none_of("delta-commutation", bad_comm, "mismatches")
+    rec.none_of(
+        "theta-level-independence", bad_theta, "mismatches", detail="refinement depths 1..4"
     )
 
 
@@ -439,19 +427,11 @@ def _criterion_measure_coherence(rec, tol, shifts, built):
                 paired = sum(float(row[i]) * v_right[i] for i in range(shift.k))
                 if abs(paired - unstable_measure(b)) > 1e-9:
                     bad_pair.append((name, state))
-    rec.exact(
-        "measure-scaling",
-        not bad_scale,
-        lhs=f"{len(bad_scale)} violations",
-        rhs="0",
-        detail=f"{total} canonical rays, tol 1e-6",
+    rec.none_of(
+        "measure-scaling", bad_scale, "violations", detail=f"{total} canonical rays, tol 1e-6"
     )
-    rec.exact(
-        "theta-pairing",
-        not bad_pair,
-        lhs=f"{len(bad_pair)} violations",
-        rhs="0",
-        detail="measure = theta . v_right, tol 1e-9",
+    rec.none_of(
+        "theta-pairing", bad_pair, "violations", detail="measure = theta . v_right, tol 1e-9"
     )
 
 
@@ -469,13 +449,12 @@ def _criterion_five_symbol(rec, tol, shifts, built):
         try:
             infer_inverse(code, r_max=3)
             certified.append(completion)
-        except (NotInvertibleWithin, SftlabError):
+        except NotInvertibleWithin:
             pass
-    rec.exact(
+    rec.none_of(
         "no-wall-restriction",
-        not bad,
-        lhs=f"{len(bad)} completions differ",
-        rhs="0",
+        bad,
+        "completions differ",
         detail="restriction equals the paired shift/inverse-shift product",
     )
     entropy = exact_entropy_of(sigma_pair)

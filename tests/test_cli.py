@@ -33,6 +33,28 @@ def tau_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def reducible_file(tmp_path):
+    shift = build_edge_shift([[1, 1], [0, 2]])
+    ident = verify_automorphism(identity_code(shift), identity_code(shift))
+    sigma = verify_automorphism(shift_code(shift), inverse_shift_code(shift))
+    path = tmp_path / "reducible.json"
+    save_system(path, shift, {"a": ident, "b": ident, "s": sigma})
+    return str(path)
+
+
+@pytest.fixture
+def nilpotent_file(tmp_path):
+    table = {"memory": 0, "anticipation": 0, "rule": [{"window": [0], "out": 0}]}
+    doc = {
+        "shift": {"matrix": [[0, 1], [0, 0]]},
+        "automorphisms": {"id": {"forward": table, "inverse": table}},
+    }
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 # -- analyze ----------------------------------------------------------------
 
 
@@ -161,14 +183,9 @@ def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
     assert "s/entropy-bound" in out and "s_inv/entropy-bound" in out
 
 
-def test_analyze_dimension_failure_marks_every_automorphism(tmp_path, capsys):
-    shift = build_edge_shift([[1, 1], [0, 2]])  # reducible
-    ident = verify_automorphism(identity_code(shift), identity_code(shift))
-    sigma = verify_automorphism(shift_code(shift), inverse_shift_code(shift))
-    path = tmp_path / "reducible.json"
-    save_system(path, shift, {"a": ident, "b": ident, "s": sigma})
+def test_analyze_dimension_failure_marks_every_automorphism(reducible_file, tmp_path, capsys):
     json_path = tmp_path / "report.json"
-    assert main(["analyze", str(path), "--json", str(json_path)]) == 0
+    assert main(["analyze", reducible_file, "--json", str(json_path)]) == 0
     records = {r["name"]: r for r in json.loads(json_path.read_text())["records"]}
     for name in ("a", "b", "s"):
         record = records[f"{name}/dimension-action"]
@@ -248,16 +265,11 @@ def test_analyze_census_option(tau_file, tmp_path):
     }
 
 
-def test_analyze_census_on_a_shift_with_no_points_is_inconclusive(tmp_path, capsys):
-    table = {"memory": 0, "anticipation": 0, "rule": [{"window": [0], "out": 0}]}
-    doc = {
-        "shift": {"matrix": [[0, 1], [0, 0]]},
-        "automorphisms": {"id": {"forward": table, "inverse": table}},
-    }
-    path = tmp_path / "nilpotent.json"
-    path.write_text(json.dumps(doc))
+def test_analyze_census_on_a_shift_with_no_points_is_inconclusive(
+    nilpotent_file, tmp_path, capsys
+):
     json_path = tmp_path / "report.json"
-    assert main(["analyze", str(path), "--w", "0", "--json", str(json_path)]) == 0
+    assert main(["analyze", nilpotent_file, "--w", "0", "--json", str(json_path)]) == 0
     report = json.loads(json_path.read_text())
     records = {r["name"]: r for r in report["records"]}
     assert records["id/column-census"]["status"] == "Inconclusive"
@@ -387,6 +399,36 @@ def test_analyze_wrong_inverse_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+# -- every command ends in a verdict or a refusal ----------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["suite", "profile", "--auto", "product"], 2),  # unreadable builtin params
+        (["spectra", "check", "--poly", "[1]"], 2),  # constant polynomials
+        (["spectra", "search", "--poly", "[1]"], 2),
+        (["suite", "spectra", "--poly", "[1]"], 2),
+        (["suite", "profile", "--auto", "nosuch"], 2),
+        (["suite", "spectra", "--poly", "[1,0]"], 2),
+        (["spectra", "search", "--poly", "[1,-2,1]"], 2),
+        (["spectra", "check", "--poly", "[1,-2]"], 1),
+        (["analyze", "NILPOTENT", "--w", "0"], 0),
+        (["analyze", "REDUCIBLE", "--w", "0"], 0),
+    ],
+)
+def test_cli_ends_in_a_verdict_or_a_refusal(reducible_file, nilpotent_file, capsys, argv, code):
+    files = {"NILPOTENT": nilpotent_file, "REDUCIBLE": reducible_file}
+    assert main([files.get(a, a) for a in argv]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("input error: ")
+    else:
+        assert f"exit code: {code}" in out
+    if code == 1:
+        assert "Violated" in out
 
 
 # -- suite ------------------------------------------------------------------

@@ -18,6 +18,8 @@ Claims covered:
     - dimension_matrix equals the theta/Delta^-1 reference route, and ray
       images equal per-window lookups, on every builtin with its inverse and
       square and on seeded cycle-plus-chord graphs
+    - verify_main_bounds' five rows give the records of the per-component
+      branches they replaced, on the same builtins and cycle-plus-chord graphs
     - the left Perron iteration over nonzero entries gives the dense loop's
       floats bit for bit, on seeded cycle-plus-chord graphs up to k = 24 and
       on random irreducible matrices
@@ -36,10 +38,12 @@ from conftest import rule_code
 from sftlab import codes, ratmat
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
-from sftlab.coding_range import coding_range_profile, w_values
+from sftlab.coding_range import coding_range_profile, lyapunov_bounds, w_values
 from sftlab.dimension import (
     Beam,
     Ray,
+    _abs_interval,
+    _bound,
     apply_automorphism_to_ray,
     _finite_order,
     canonical_zero_ray,
@@ -60,7 +64,9 @@ from sftlab.errors import (
     ReducibleInput,
     WindowBudgetExceeded,
 )
+from sftlab.records import CheckRecord
 from sftlab.shifts import (
+    DEFAULT_TOL,
     _perron_left_coords,
     build_edge_shift,
     dimension_data,
@@ -573,13 +579,13 @@ def _seeded_cycles_with_a_chord(seed, sizes):
         yield f"cycle{k}_chord_{i}_{j}", shift, sigma
 
 
-def _reference_cases():
+def _reference_cases(sizes=(4, 5, 7, 10)):
     for name, params in DEFAULT_SUITE:
         shift, auto = make_builtin(name, dict(params))
         yield name, shift, auto
         yield f"{name}^-1", shift, auto.inverse_automorphism()
         yield f"{name}^2", shift, automorphism_power(auto, 2)
-    for name, shift, sigma in _seeded_cycles_with_a_chord(7, (4, 5, 7, 10)):
+    for name, shift, sigma in _seeded_cycles_with_a_chord(7, sizes):
         yield name, shift, sigma
         yield f"{name}^-1", shift, sigma.inverse_automorphism()
 
@@ -593,6 +599,115 @@ def test_dimension_matrix_matches_the_reference_route():
         assert repr(act.S_phi) == repr(s_phi), name
         assert (act.order_if_finite, act.inert) == (order, inert), name
         assert (act.rho, act.lambda_phi) == (rho, lam), name
+
+
+# verify_main_bounds reads each inequality off one row (name, failed
+# hypothesis, lhs, rhs_lo, rhs_hi).  The per-component branches it replaced
+# stay here as the reference.
+
+
+def ref_main_bounds(auto, profile, action, tol=DEFAULT_TOL):
+    bounds_f = lyapunov_bounds(auto, profile.n_max, profile=profile)
+    bounds_i = lyapunov_bounds(
+        auto.inverse_automorphism(),
+        profile.n_max,
+        profile=profile.inverse(),
+    )
+    am, ap = bounds_f.alpha_minus, bounds_f.alpha_plus
+    ami, api = bounds_i.alpha_minus, bounds_i.alpha_plus
+    h = perron_data(auto.shift).entropy
+    log_rho_minus = math.log(dimension_data(auto.shift).rho_minus)
+    growth = h + log_rho_minus
+    lhs = math.log(action.rho)
+    abs_ami = _abs_interval(ami)
+    abs_ap = _abs_interval(ap)
+    checks = [
+        _bound(
+            "bound-minus",
+            lhs,
+            float(abs_ami[0]) * growth - float(am[1]) * h,
+            float(abs_ami[1]) * growth - float(am[0]) * h,
+            tol,
+        ),
+        _bound(
+            "bound-plus",
+            lhs,
+            float(abs_ap[0]) * growth + float(api[0]) * h,
+            float(abs_ap[1]) * growth + float(api[1]) * h,
+            tol,
+        ),
+    ]
+    if ami[0] > 0:
+        checks.append(
+            _bound("one-sided-minus", lhs, -float(am[1]) * h, -float(am[0]) * h, tol)
+        )
+    else:
+        checks.append(
+            CheckRecord(
+                "one-sided-minus",
+                "Inconclusive",
+                detail="left slope of the inverse not certainly positive",
+            )
+        )
+    if ap[1] < 0:
+        checks.append(
+            _bound("one-sided-plus", lhs, float(api[0]) * h, float(api[1]) * h, tol)
+        )
+    else:
+        checks.append(
+            CheckRecord(
+                "one-sided-plus",
+                "Inconclusive",
+                detail="right slope of the map not certainly negative",
+            )
+        )
+    zero = (Fraction(0), Fraction(0))
+    if (am, ap, ami, api) == (zero, zero, zero, zero):
+        deviation = distortion_spectrum_check(action, tol=tol).lhs
+        checks.append(_bound("unit-circle", deviation, 0.0, 0.0, tol))
+    else:
+        checks.append(
+            CheckRecord(
+                "unit-circle",
+                "Inconclusive",
+                detail="slope enclosures are not all exactly zero",
+            )
+        )
+
+    statuses = {c.status for c in checks}
+    if "Violated" in statuses:
+        overall = "Violated"
+    elif "Consistent" in statuses:
+        overall = "Consistent"
+    else:
+        overall = "Confirmed"
+    gap = min(c.rhs[0] - c.lhs for c in checks if c.rhs is not None)
+    record = CheckRecord(
+        "main-bounds", overall, gap, None, tol, detail=f"{len(checks)} component checks"
+    )
+    return record, tuple(checks)
+
+
+def _fields(records):
+    """Every field but runtime_ms, as repr: the same values with the same types."""
+    return [repr(dataclasses.replace(r, runtime_ms=0.0)) for r in records]
+
+
+def test_main_bounds_rows_match_the_reference_route():
+    statuses = set()
+    for name, shift, auto in _reference_cases(sizes=(4, 5, 7)):
+        # (five_symbol^2)^3 reads windows of 25 edges on the full 5-shift,
+        # past the default window budget
+        profile = coding_range_profile(auto, 2 if name == "five_symbol^2" else 3)
+        action = dimension_matrix(auto)
+        record, checks = verify_main_bounds(auto, profile, action)
+        ref_record, ref_checks = ref_main_bounds(auto, profile, action)
+        assert _fields((record, *checks)) == _fields((ref_record, *ref_checks)), name
+        statuses.update((c.name, c.status) for c in checks)
+    # every component applies somewhere and is refused somewhere
+    for component in ("one-sided-minus", "one-sided-plus", "unit-circle"):
+        assert {(component, "Confirmed"), (component, "Inconclusive")} <= statuses
+    assert ("bound-minus", "Consistent") in statuses
 
 
 # The left Perron iteration with a full dot product per column: the

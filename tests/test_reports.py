@@ -103,6 +103,16 @@ def test_recorder_helpers():
     assert all(r.runtime_ms >= 0 for r in rec.records)
 
 
+def test_recorder_counts_failures():
+    rec = Recorder()
+    rec.none_of("none", [], "mismatches", detail="d")
+    rec.none_of("two", [("a", 1), ("b", 2)], "completions differ")
+    assert [(r.status, r.lhs, r.rhs, r.tol, r.detail) for r in rec.records] == [
+        ("Confirmed", "0 mismatches", "0", 0, "d"),
+        ("Violated", "2 completions differ", "0", 0, ""),
+    ]
+
+
 # -- the builtins of one run ------------------------------------------------
 
 
@@ -196,6 +206,16 @@ def test_oracle_criterion_builds_each_pool_power_once(monkeypatch):
     assert record.status == "Confirmed"
     assert record.lhs == "0 discrepancies"
     assert record.detail == "500 randomized (code, j) cases, seeded"
+
+
+def test_five_symbol_criterion_lets_a_budget_overrun_propagate():
+    # only NotInvertibleWithin means "not certified"; a completion whose
+    # inverse search overran the window budget has no verdict
+    run_shifts, built = reports._run_builtins()
+    rec = Recorder()
+    with shifts.window_budget(3000), pytest.raises(WindowBudgetExceeded):
+        reports._criterion_five_symbol(rec, 1e-9, run_shifts, built)
+    assert not any(r.name == "completion-certification" for r in rec.records)
 
 
 def test_run_criterion_unknown_id():
