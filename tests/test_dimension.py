@@ -696,8 +696,8 @@ def _fields(records):
 def test_main_bounds_rows_match_the_reference_route():
     statuses = set()
     for name, shift, auto in _reference_cases(sizes=(4, 5, 7)):
-        # (five_symbol^2)^3 reads windows of 25 edges on the full 5-shift,
-        # past the default window budget
+        # (five_symbol^2)^3 is built on windows of 13 edges, 5^13 words on
+        # the full 5-shift, past the default window budget of 5e7
         profile = coding_range_profile(auto, 2 if name == "five_symbol^2" else 3)
         action = dimension_matrix(auto)
         record, checks = verify_main_bounds(auto, profile, action)
