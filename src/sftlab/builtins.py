@@ -201,13 +201,18 @@ def _track(spec):
     return name, params
 
 
+def _tracks(params):
+    """The product builtin's two tracks, which have no defaults."""
+    missing = [side for side in ("left", "right") if side not in params]
+    if missing:
+        raise BadParams(f"product needs the tracks {' and '.join(missing)}, [name, params] pairs")
+    return tuple(_param(params, side, None, _track) for side in ("left", "right"))
+
+
 #: Product builtins: name -> (the params keys it reads, the (name, params)
 #: of its two tracks).
 _PRODUCT_BUILTINS = {
-    "product": (
-        ("left", "right"),
-        lambda params: tuple(_param(params, side, (), _track) for side in ("left", "right")),
-    ),
+    "product": (("left", "right"), _tracks),
     "tau_golden": ((), lambda params: (
         ("identity", {"shift": "golden_mean"}),
         ("inverse_shift", {"shift": "golden_mean"}),

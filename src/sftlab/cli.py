@@ -177,7 +177,10 @@ def _given(**options):
 def _cmd_suite(args):
     poly = None if args.poly is None else list(_parse_poly(args.poly).coeffs)
     options = _given(tol=args.tol, poly=poly, N=args.N, auto=args.auto, n_max=args.n_max)
-    report = run_suite(args.name, options)
+    try:
+        report = run_suite(args.name, options)
+    except BadParams as exc:  # only the builtin --auto names reads params
+        raise BadParams(f"--auto {args.auto} takes the builtin's default params: {exc}") from None
     _emit(report, args.json_path)
     return report.exit_code
 

@@ -88,7 +88,7 @@ class SlidingBlockCode:
             _column_levels(source, window, column, target.n_edges),
         )
         if check:
-            code._check_composable()
+            code.check_composable()
         return code
 
     @classmethod
@@ -158,8 +158,8 @@ class SlidingBlockCode:
                 return last - 1
         return self.window - 1
 
-    def _check_composable(self):
-        # consecutive outputs must concatenate into admissible paths
+    def check_composable(self):
+        """ValueError unless consecutive outputs concatenate into paths."""
         tgt = self.target
         for _, cols in self.source.ranked_words(self.window + 1):
             left = self.outputs(cols[:-1])

@@ -2,8 +2,8 @@
 
 Entries are Python ints or fractions.Fraction and are used as given: integer
 input stays integer, and a Fraction appears only where a division makes one
-(rref's one final division by its pivot minor, char_poly's division by a
-power of the common denominator of rational input, the polynomial helpers).
+(rref's final division by its pivot minor, char_poly on rational input, an
+inexact poly_divmod step, poly_gcd's monic output); squarefree_part is over Z.
 Matrices are tuples of tuples, row major. Vectors are tuples. Row-vector
 convention throughout: ``vec_mat(x, A)`` is x*A, the combination of A's rows
 weighted by x's nonzero entries, and ``mat_mul(A, B)`` is that combination
@@ -108,18 +108,27 @@ def char_poly(a):
     denominator of A's entries: B's coefficients are integers (its divisions
     by i are exact), and coefficient i of A is coefficient i of B over D^i.
     Each coefficient is a Python int when it is integral, else a Fraction.
+    M_i = B(M_{i-1} + c_{i-1} I) stays lists: c_{i-1} goes on the diagonal in
+    place, and each row combines M's rows at the nonzero entries of B's row.
     """
     n = len(a)
     den, b = clear_denominators(a)
+    # the nonzero entries of each row of B; a zero row takes row 0 times 0
+    terms = [[(j, x) for j, x in enumerate(row) if x] or [(0, 0)] for row in b]
     coeffs = [1]
-    m = identity(n)
+    m = [list(row) for row in identity(n)]
     for i in range(1, n + 1):
-        m = mat_mul(b, m)
+        nxt = []
+        for (j, x), *rest in terms:
+            out = m[j][:] if x == 1 else [x * v for v in m[j]]
+            for j, x in rest:
+                out = [s + x * v for s, v in zip(out, m[j])]
+            nxt.append(out)
+        m = nxt
         c = -sum(m[j][j] for j in range(n)) // i
         coeffs.append(c)
-        m = tuple(
-            tuple(m[r][s] + (c if r == s else 0) for s in range(n)) for r in range(n)
-        )
+        for j in range(n):
+            m[j][j] += c
     if den == 1:
         return coeffs
     scaled = [Fraction(c, den**i) for i, c in enumerate(coeffs)]
@@ -165,37 +174,45 @@ def poly_divmod(num, den):
     return quot, _poly_normalize(rem[steps:]) or [0]
 
 
-def poly_gcd(p, q):
-    a = [Fraction(c) for c in _poly_normalize(list(p))]
-    b = [Fraction(c) for c in _poly_normalize(list(q))]
-    while b != [Fraction(0)]:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a[0] != 0:
-        a = [c / a[0] for c in a]  # monic
+def _primitive(coeffs):
+    """The primitive integer multiple of a polynomial with a positive leading
+    coefficient, [0] for zero."""
+    _, (ints,) = clear_denominators((_poly_normalize(list(coeffs)),))
+    content = (math.gcd(*ints) or 1) * (-1 if ints[0] < 0 else 1)
+    return [v // content for v in ints]
+
+
+def _primitive_gcd(a, b):
+    """Primitive gcd by the primitive remainder sequence over Z (Collins, J.
+    ACM 14, 1967; Brown, J. ACM 18, 1971): Euclid on primitive parts,
+    dividing lc(b)^(deg a - deg b + 1) a by b, where each step is exact."""
+    a, b = _primitive(a), _primitive(b)
+    while b != [0]:
+        _, rem = poly_divmod([x * b[0] ** max(len(a) - len(b) + 1, 0) for x in a], b)
+        a, b = b, _primitive(rem)
     return a
 
 
+def poly_gcd(p, q):
+    """Monic gcd over Q, from the primitive gcd over Z; [0] for p = q = 0."""
+    g = _primitive_gcd(p, q)
+    return [Fraction(c, g[0] or 1) for c in g]
+
+
 def squarefree_part(coeffs):
-    """Exact square-free part of a polynomial, integer coefficients out.
+    """Exact square-free part of a polynomial, integer coefficients out:
+    f / gcd(f, f') over Z, f the primitive multiple of ``coeffs``.
 
     Removes repeated roots so downstream numeric root finding stays
     well conditioned near tolerance checks.
     """
     if coeffs[0] == 0:
         raise NonMonic("leading coefficient must be nonzero")
-    g = poly_gcd(coeffs, poly_derivative(coeffs))
-    if len(g) == 1:
-        reduced = [Fraction(c) for c in coeffs]
-    else:
-        reduced, rem = poly_divmod(coeffs, g)
-        if _poly_normalize(rem) != [Fraction(0)]:
-            raise InternalInvariantViolation("square-free division left a remainder")
-    # clear denominators, primitive integer output with positive leading coeff
-    den = math.lcm(*(c.denominator for c in reduced))
-    ints = [int(c * den) for c in reduced]
-    g_all = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
-    return [v // g_all for v in ints]
+    f = _primitive(coeffs)
+    reduced, rem = poly_divmod(f, _primitive_gcd(f, poly_derivative(f)))  # exact: Gauss's lemma
+    if rem != [0]:
+        raise InternalInvariantViolation("square-free division left a remainder")
+    return reduced
 
 
 def _totient(n):

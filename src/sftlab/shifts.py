@@ -508,15 +508,15 @@ class DimensionData:
     x -> xA on that basis (coordinates multiply on the right), and
     ``delta_inverse`` its exact inverse.  ``rho_minus`` is the reciprocal of
     the smallest modulus among nonzero eigenvalues of A, i.e. the spectral
-    radius of the inverse action on the eventual range.  ``perron_left``,
-    the numeric left Perron direction, is computed on first use.
+    radius of the inverse action on the eventual range.  ``delta_inverse``
+    and ``perron_left``, the numeric left Perron direction, are computed on
+    first use.
     """
 
     k: int
     basis: tuple
     pivots: tuple
     delta_restricted: tuple
-    delta_inverse: tuple
     char_poly: tuple
     rho_minus: float
     matrix: tuple
@@ -525,6 +525,10 @@ class DimensionData:
     @property
     def d(self):
         return len(self.basis)
+
+    @functools.cached_property
+    def delta_inverse(self):
+        return ratmat.inverse(self.delta_restricted)
 
     @functools.cached_property
     def perron_left(self):
@@ -590,7 +594,6 @@ def _eventual_range(shift):
         if ratmat.vec_mat(c, basis) != image:
             raise InternalInvariantViolation("eventual range is not A-invariant")
         delta_rows.append(c)
-    delta = tuple(delta_rows)
     cp = tuple(ratmat.char_poly(a))
     _, nonzero_part = ratmat.strip_zero_roots(list(cp))
     if len(nonzero_part) - 1 != d:
@@ -602,8 +605,7 @@ def _eventual_range(shift):
         k=k,
         basis=basis,
         pivots=pivots,
-        delta_restricted=delta,
-        delta_inverse=ratmat.inverse(delta),
+        delta_restricted=tuple(delta_rows),
         char_poly=cp,
         rho_minus=float(1.0 / min_mod),
         matrix=a,

@@ -142,10 +142,12 @@ def parse_rule(obj, shift, location):
     if missing.size:
         window = tuple(int(c[0]) for c in shift.unrank(width, missing[0], missing[0] + 1))
         raise ParseError(f"rule is not total: missing window {window!r}", f"{location}.rule")
-    try:
-        return SlidingBlockCode.from_column(shift, shift, memory, anticipation, column, check=True)
-    except ValueError as exc:  # outputs that do not compose
+    code = SlidingBlockCode.from_column(shift, shift, memory, anticipation, column)
+    try:  # the budget and the outputs are checked above
+        code.check_composable()
+    except ValueError as exc:
         raise ParseError(str(exc), f"{location}.rule") from None
+    return code
 
 
 def parse_automorphism(obj, shift, location):

@@ -407,7 +407,7 @@ def test_analyze_wrong_inverse_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["suite", "profile", "--auto", "product"], 2),  # unreadable builtin params
+        (["suite", "profile", "--auto", "product"], 2),  # no default tracks
         (["spectra", "check", "--poly", "[1]"], 2),  # constant polynomials
         (["spectra", "search", "--poly", "[1]"], 2),
         (["suite", "spectra", "--poly", "[1]"], 2),
@@ -423,6 +423,8 @@ def test_cli_ends_in_a_verdict_or_a_refusal(reducible_file, nilpotent_file, caps
     files = {"NILPOTENT": nilpotent_file, "REDUCIBLE": reducible_file}
     assert main([files.get(a, a) for a in argv]) == code
     out, err = capsys.readouterr()
+    if argv == ["suite", "profile", "--auto", "product"]:
+        assert "--auto product" in err and "tracks left and right" in err
     if code == 2:
         assert err.startswith("input error: ")
     else:

@@ -4,6 +4,9 @@ Claims covered:
     - ray normal forms: equal tails compare equal regardless of presentation
     - beams validate levels/distinctness; count vectors are per-state tallies
     - theta is exact, level-independent, and additive under refinement
+    - Delta^-1 is built when theta first asks: analyze and the eb-failure
+      witness on a 24-cycle plus a chord never invert, and a copy of the
+      dimension data builds its own
     - the unstable measure refines consistently, scales by lambda_phi under
       the automorphism, and equals the pairing of theta with the Perron
       eigenvector
@@ -64,6 +67,7 @@ from sftlab.errors import (
     ReducibleInput,
     WindowBudgetExceeded,
 )
+from sftlab.cli import main
 from sftlab.records import CheckRecord
 from sftlab.shifts import (
     DEFAULT_TOL,
@@ -74,6 +78,8 @@ from sftlab.shifts import (
     perron_data,
     window_budget,
 )
+from sftlab.spectra import verify_eb_failure
+from sftlab.systems import save_system
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN = [[1, 1], [1, 0]]
@@ -181,6 +187,32 @@ def test_dimension_data_fields_survive_replace():
     assert copy.eventual_power == ratmat.mat_pow(golden.matrix, 2)
     vec = (3, 2)
     assert copy.apply_delta_power(vec, -4) == dim.apply_delta_power(vec, -4)
+
+
+def test_delta_inverse_is_built_when_theta_first_asks(tmp_path, monkeypatch, capsys):
+    # analyze on a system file and the eb-failure witness never invert Delta
+    name, shift, sigma = next(_seeded_cycles_with_a_chord(13, (24,)))
+    path = tmp_path / f"{name}.json"
+    save_system(path, shift, {"sigma": sigma})
+
+    def refuse(matrix):
+        raise AssertionError("Delta was inverted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ratmat, "inverse", refuse)
+        assert main(["analyze", str(path)]) == 0
+        assert verify_eb_failure(shift.matrix)["name"] == "eb-failure"
+        dim = dimension_data(shift)
+    assert "delta_inverse" not in vars(dim)
+    ray = canonical_zero_ray(shift, 0)
+    base = theta(Beam(level=0, rays=(ray,)))
+    assert vars(dim)["delta_inverse"] == ratmat.inverse(dim.delta_restricted)
+    for depth in (1, 2):
+        assert theta(refine_ray(ray, depth)) == base
+    # a copy builds its own on first use
+    copy = dataclasses.replace(dim)
+    assert "delta_inverse" not in vars(copy)
+    assert copy.apply_delta_power(dim.basis[0], -3) == dim.apply_delta_power(dim.basis[0], -3)
 
 
 def test_measure_refinement_invariance():

@@ -6,22 +6,26 @@ Claims covered:
     - clear_denominators scales int and Fraction entries to ints and
       refuses floats
     - inverse() really inverts over Q and refuses singular input
-    - char_poly matches hand-computed polynomials (companion, diagonal)
+    - char_poly matches hand-computed polynomials (companion, diagonal,
+      rows with one entry in a shared column, a zero row)
     - char_poly, rref, inverse, mat_mul, vec_mat and mat_pow agree with
       sympy on seeded integer matrices, singular and nilpotent ones
       included, and integer input keeps Python ints where no division is
       made
     - char_poly agrees with sympy on seeded rational matrices, with ints
       exactly where the coefficient is integral; so do rref, inverse,
-      mat_mul and vec_mat
+      mat_mul and vec_mat.  char_poly also agrees on 0/1 cycles plus a
+      chord up to 24 states
     - the row-combination mat_mul/vec_mat and the fraction-free rref give
       the values of the column-dot products and the Fraction elimination
       kept here as references, on seeded integer and rational matrices and
       on zero rows and columns, rank-deficient, 1 x n, n x 1, empty and
       all-zero input; rref and inverse give Fraction entries
     - polynomial division, gcd, square-free part, and zero-root stripping
-      behave on exact integer/rational coefficients; division and the
-      square-free part agree with sympy on polynomials with repeated factors
+      behave on exact integer/rational coefficients; division, the monic
+      gcd and the square-free part agree with sympy on polynomials with
+      repeated factors, scaled by negative, rational and non-unit factors;
+      the square-free part builds no Fraction and has int coefficients
     - cyclotomic_indices factors products of cyclotomic polynomials and
       rejects everything else
 """
@@ -117,6 +121,9 @@ def test_char_poly_small_cases():
     assert ratmat.char_poly([[2]]) == [1, -2]
     assert ratmat.char_poly([[1, 1], [1, 0]]) == [1, -1, -1]
     assert ratmat.char_poly([[2, 0], [0, 3]]) == [1, -5, 6]
+    # rows with one entry into the same column, and a zero row
+    assert ratmat.char_poly([[0, 1, 0], [0, 1, 0], [1, 0, 1]]) == [1, -2, 1, 0]
+    assert ratmat.char_poly([[0, 1, 0], [0, 1, 0], [0, 0, 0]]) == [1, -1, 0, 0]
 
 
 def test_char_poly_fraction_entries():
@@ -241,7 +248,18 @@ def test_polynomial_helpers_agree_with_sympy(seed):
         sqf = sympy.Poly(num, t).sqf_part()
         want = [int(c) for c in sqf.all_coeffs()]
         content = math.gcd(*want) if want[0] > 0 else -math.gcd(*want)
-        assert ratmat.squarefree_part(num) == [c // content for c in want]
+        want = [c // content for c in want]
+        want_gcd = [F(int(c.p), int(c.q)) for c in sympy.gcd(p, q).monic().all_coeffs()]
+        # the same primitive part and monic gcd from any nonzero multiple,
+        # negative, rational or with content other than 1
+        multiples = [[scale * c for c in num] for scale in (1, -1, 6, F(-3, 4), F(5, 2))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ratmat, "Fraction", None)  # the square-free part builds none
+            parts = [ratmat.squarefree_part(m) for m in multiples]
+        assert all(out == want and all(type(c) is int for c in out) for out in parts)
+        for m in multiples:
+            for gcd in (ratmat.poly_gcd(m, den), ratmat.poly_gcd(den, [-c for c in m])):
+                assert gcd == want_gcd and all(type(c) is F for c in gcd)
 
 
 def _cyclotomic(n):
@@ -274,6 +292,19 @@ def _seeded_rational_matrices(n, seed):
     ]
 
 
+def _cycles_plus_chord(k, seed):
+    """0/1 k-cycles 0 -> 1 -> ... -> k-1 -> 0 plus a seeded chord (a
+    doubled cycle edge when it lands on one), and the cycle with no chord."""
+    rng = random.Random(seed)
+    cycle = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+    matrices = [cycle]
+    for _ in range(2):
+        chorded = [list(row) for row in cycle]
+        chorded[rng.randrange(k)][rng.randrange(k)] += 1
+        matrices.append(chorded)
+    return matrices
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rational_char_poly_agrees_with_sympy(n):
     sympy = pytest.importorskip("sympy")
@@ -283,6 +314,11 @@ def test_rational_char_poly_agrees_with_sympy(n):
         assert coeffs == want
         # ints where integral, Fractions elsewhere
         assert [type(c) for c in coeffs] == [int if c.denominator == 1 else F for c in want]
+    # integer cycle-plus-chord matrices of 4, 9, 14, 19 and 24 states
+    for a in _cycles_plus_chord(5 * n - 1, seed=n):
+        coeffs = ratmat.char_poly(a)
+        assert coeffs == [int(c) for c in sympy.Matrix(a).charpoly().all_coeffs()]
+        assert all(type(c) is int for c in coeffs)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -20,9 +20,11 @@ from sftlab.shifts import build_edge_shift
 from sftlab.cli import main
 from sftlab.systems import (
     load_system_file,
+    parse_rule,
     parse_shift_spec,
     save_system,
     serialize_automorphism,
+    serialize_rule,
     system_file_dict,
 )
 
@@ -183,6 +185,26 @@ def test_rejects_missing_window(tmp_path):
     location, message = refusal(tmp_path, rule_doc([[1, 1], [1, 0]], 1, [((0, 1), 1)]))
     assert location == ".rule"
     assert "rule is not total: missing window (0, 0)" in message
+
+
+def test_an_explicit_table_is_charged_to_the_budget_once(tmp_path, monkeypatch, capsys):
+    charged = []
+    ensure_budget = shifts.EdgeShift.ensure_budget
+
+    def counted(shift, length):
+        charged.append(length)
+        return ensure_budget(shift, length)
+
+    shift, tau = make_builtin("tau_golden")
+    monkeypatch.setattr(shifts.EdgeShift, "ensure_budget", counted)
+    parse_rule(serialize_rule(tau.forward), shift, "$")
+    assert charged == [tau.forward.window + 1]
+    # the refusals keep their order: over budget before not total
+    golden = [[1, 1], [1, 0]]
+    doc = {**rule_doc(golden, 30, [((0,) * 31, 0)]), "budget": 1000}
+    assert main(["analyze", str(write_doc(tmp_path, doc))]) == 3
+    assert main(["analyze", str(write_doc(tmp_path, rule_doc(golden, 1, [((0, 1), 1)])))]) == 2
+    assert "$.automorphisms.f.forward.rule: rule is not total" in capsys.readouterr().err
 
 
 def test_rejects_inadmissible_window(tmp_path):
