@@ -159,7 +159,7 @@ class SlidingBlockCode:
         return self.window - 1
 
     def check_composable(self):
-        """ValueError unless consecutive outputs concatenate into paths."""
+        """Raise ValueError unless consecutive outputs concatenate into paths."""
         tgt = self.target
         for _, cols in self.source.ranked_words(self.window + 1):
             left = self.outputs(cols[:-1])
