@@ -108,7 +108,7 @@ def _cmd_analyze(args):
                 rec, f"{name}/coding-range", coding_range_profile, auto, args.n_max
             )
             if profile is not None:
-                bounds = lyapunov_bounds(auto, args.n_max, profile=profile)
+                bounds = lyapunov_bounds(auto, profile)
                 rec.add(
                     f"{name}/coding-range",
                     "Confirmed",

@@ -11,10 +11,8 @@ two overlapping parts of the window is a function of their overlap: the
 coordinates it reads form one interval [-m*, a*].  Near 0 (-a < j <= m)
 (-inf, 0] fixes the first m - j + 1 edges of the window at j, so it codes
 j iff m - j + 1 > D^- (:attr:`SlidingBlockCode.prefix_lcp`).  An
-automorphism's code codes nothing beyond its window (:func:`_scan_w`):
-W^- = m - max(D^-, 0), and dually W^+ = max(D^+, 0) - a.  For any code,
-:func:`coded_minus` decides one coordinate; when D <= 0 the output reads
-only the window's far edge, and beyond the window a reach test decides.
+automorphism's code codes nothing beyond its window (:func:`window_w`):
+W^- = m - max(D^-, 0), and dually W^+ = max(D^+, 0) - a.
 """
 
 from dataclasses import astuple, dataclass
@@ -39,68 +37,15 @@ def _require_scannable(shift):
         raise PreconditionFailed("coding-range analysis needs positive entropy")
 
 
-def coded_minus(code, j):
-    """Do points agreeing on (-inf, 0] have images agreeing at coordinate j?"""
-    _require_scannable(code.source)
-    m, a = code.memory, code.anticipation
-    if j + a <= 0:
-        return True  # the whole window sits in the agreed half-line
-    d = code.prefix_lcp
-    if j <= m or d > 0:  # past the window only a one-edge output can be coded
-        return j <= m - d
-    # window fully to the right of 0: the two points diverge at coordinate 1
-    # from a common state, reaching the window starts by paths of equal length
-    return _far_coded(code, code.source.reach_exact(j - m - 1), 0)
-
-
-def coded_plus(code, j):
-    """Dual of :func:`coded_minus` for agreement on [0, +inf)."""
-    _require_scannable(code.source)
-    m, a = code.memory, code.anticipation
-    if j - m >= 0:
-        return True
-    d = code.suffix_lcp
-    if j >= -a or d > 0:
-        return j >= d - a
-    reach = code.source.reach_exact(-(j + a) - 1).T  # row s: states reaching s
-    return _far_coded(code, reach, -1)
-
-
-def _far_coded(code, reach, end):
-    """Beyond the window, where the output reads only the window's edge at
-    ``end`` (0 or -1; D <= 0): the reach test of :func:`_one_output_per_reach`
-    on one window per edge."""
-    shift = code.source
-    ahead, behind = (shift.edge_targets, shift.edge_sources)[:: 1 if end == 0 else -1]
-    step = np.empty(shift.k, dtype=np.intp)
-    step[behind] = np.arange(shift.n_edges)  # an edge leaving (entering) each state
-    cols = [np.arange(shift.n_edges)]
-    while len(cols) < code.window:
-        cols.append(step[ahead[cols[-1]]])
-    cols = tuple(cols[:: 1 if end == 0 else -1])
-    return _one_output_per_reach(code, reach, end, [(cols, code.outputs(cols))])
-
-
-def _one_output_per_reach(code, reach, end, windows):
-    """Per row of ``reach``: do the windows (``windows`` yields edge columns
-    and outputs) whose edge at ``end`` is at a state of the row (starts there;
-    for end = -1 ends there) have at most one output between them?"""
-    edge_states = (code.source.edge_sources, code.source.edge_targets)[end]
-    presence = np.zeros((code.source.k, code.target.n_edges), dtype=bool)
-    for cols, outputs in windows:
-        presence[edge_states[cols[end]], outputs] = True
-    return bool(np.all((reach @ presence).sum(axis=1) <= 1))
-
-
-# -- literal-definition oracles (small systems only; used to guard
-#    coded_minus and coded_plus in tests).  A group of windows -- the windows
-#    that two agreeing points can show around coordinate j -- is coded when
-#    every pair in it has the same output (by transitivity: the output of one
-#    window of the group).  They read the outputs (SlidingBlockCode.outputs)
-#    against the edge columns of every window, chunk by chunk.  Near 0 a
-#    group is the windows with one word on the agreed side, keyed by its
-#    rank; far from 0, those whose end on that side is reached from one
-#    common state. --
+# -- literal-definition oracles (small systems only; they guard window_w in
+#    acceptance criterion 12 and in tests).  A group of windows -- the
+#    windows that two agreeing points can show around coordinate j -- is
+#    coded when every pair in it has the same output (by transitivity: the
+#    output of one window of the group).  They read the outputs
+#    (SlidingBlockCode.outputs) against the edge columns of every window,
+#    chunk by chunk.  Near 0 a group is the windows with one word on the
+#    agreed side, keyed by its rank; far from 0, those whose end on that
+#    side is reached from one common state. --
 
 
 def coded_minus_naive(code, j):
@@ -138,6 +83,17 @@ def _one_output_per_group(code, agreed):
     written = np.empty(code.source.word_count(len(range(code.window)[agreed])), outputs.dtype)
     written[keys] = outputs
     return np.array_equal(written[keys], outputs)
+
+
+def _one_output_per_reach(code, reach, end, windows):
+    """Per row of ``reach``: do the windows (``windows`` yields edge columns
+    and outputs) whose edge at ``end`` is at a state of the row (starts there;
+    for end = -1 ends there) have at most one output between them?"""
+    edge_states = (code.source.edge_sources, code.source.edge_targets)[end]
+    presence = np.zeros((code.source.k, code.target.n_edges), dtype=bool)
+    for cols, outputs in windows:
+        presence[edge_states[cols[end]], outputs] = True
+    return bool(np.all((reach @ presence).sum(axis=1) <= 1))
 
 
 @dataclass(frozen=True)
@@ -184,19 +140,28 @@ def _combined(per_track):
     return WValues(n[0], min(minus), max(plus), min(minus_inv), max(plus_inv))
 
 
+def window_w(code):
+    """(W^-, W^+) of an automorphism's code of an irreducible shift of
+    positive entropy, read off its window: W^- = m - max(D^-, 0), W^+ =
+    max(D^+, 0) - a.  For D^- >= 1 that is the first uncoded coordinate
+    near 0.  Else (-inf, 0] codes the whole window, but not m + 1.  D^- =
+    -1 is a constant code, not onto a shift of positive entropy.  At D^- =
+    0 the output is f(x[i - m]) for a map f on edges; each edge lies on a
+    point of the irreducible shift, so the code is onto only if f is, and
+    then f is a bijection.  Some state has two out-edges, and two points
+    that agree on (-inf, 0], reach it at 0 and leave by different edges
+    have images that differ at m + 1.  W^+ is the same with a state that
+    has two in-edges."""
+    return (
+        code.memory - max(code.prefix_lcp, 0),
+        max(code.suffix_lcp, 0) - code.anticipation,
+    )
+
+
 def _scan_w(n, fwd, inv):
     """W values from the codes of phi^n and phi^-n, each read off its own
-    code: W^- = m - max(D^-, 0), W^+ = max(D^+, 0) - a.  For D^- >= 1 that
-    is the first uncoded coordinate near 0.  Else (-inf, 0] codes the whole
-    window, but not m + 1.  D^- = -1 is a constant code, not onto a shift
-    of positive entropy.  At D^- = 0 the output is f(x[i - m]) for a map f
-    on edges; each edge lies on a point of the irreducible shift, so the
-    code is onto only if f is, and then f is a bijection.  Some state has
-    two out-edges, and two points that agree on (-inf, 0], reach it at 0
-    and leave by different edges have images that differ at m + 1.  W^+
-    is the same with a state that has two in-edges."""
-    wm_f, wm_i = (c.memory - max(c.prefix_lcp, 0) for c in (fwd, inv))
-    wp_f, wp_i = (max(c.suffix_lcp, 0) - c.anticipation for c in (fwd, inv))
+    code by :func:`window_w`."""
+    (wm_f, wp_f), (wm_i, wp_i) = window_w(fwd), window_w(inv)
     if wm_f + wm_i > 0 or wp_f + wp_i < 0:
         raise InternalInvariantViolation(
             f"sum inequalities failed at n={n}: "
@@ -304,10 +269,8 @@ def _best_slope(seq, sign, best):
     return best(Fraction(sign * w, n) for n, w in enumerate(seq, 1))
 
 
-def lyapunov_bounds(auto, n_max, profile=None):
-    if profile is None:
-        profile = coding_range_profile(auto, n_max)
-    n_max = profile.n_max
+def lyapunov_bounds(auto, profile):
+    """Slope enclosures for ``auto`` from its coding-range ``profile``."""
     lo_m = _best_slope(profile.w_minus, 1, max)
     hi_m = _best_slope(profile.w_minus_inv, -1, min)
     lo_p = _best_slope(profile.w_plus_inv, -1, max)
@@ -320,7 +283,7 @@ def lyapunov_bounds(auto, n_max, profile=None):
         exps = tuple(s for shift, s in tracks if shift.positive_entropy)
         am = Fraction(min(-s for s in exps))
         ap = Fraction(max(-s for s in exps))
-        for n in range(1, n_max + 1):
+        for n in range(1, profile.n_max + 1):
             if profile.at(n) != WValues(n, n * am, n * ap, n * min(exps), n * max(exps)):
                 raise InternalInvariantViolation(
                     f"recognized {kind} exponents {exps} contradict W data at n={n}"

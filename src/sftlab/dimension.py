@@ -442,12 +442,8 @@ def verify_main_bounds(auto, profile, action, tol=DEFAULT_TOL):
     five component records; a component whose hypothesis fails is
     Inconclusive, with no lhs or rhs and the failed hypothesis as detail.
     """
-    bounds_f = lyapunov_bounds(auto, profile.n_max, profile=profile)
-    bounds_i = lyapunov_bounds(
-        auto.inverse_automorphism(),
-        profile.n_max,
-        profile=profile.inverse(),
-    )
+    bounds_f = lyapunov_bounds(auto, profile)
+    bounds_i = lyapunov_bounds(auto.inverse_automorphism(), profile.inverse())
     am, ap = bounds_f.alpha_minus, bounds_f.alpha_plus
     ami, api = bounds_i.alpha_minus, bounds_i.alpha_plus
     h = perron_data(auto.shift).entropy

@@ -43,13 +43,12 @@ from .codes import (
     SlidingBlockCode,
 )
 from .coding_range import (
-    coded_minus,
     coded_minus_naive,
-    coded_plus,
     coded_plus_naive,
     coding_range_profile,
     lyapunov_bounds,
     reverse_automorphism,
+    window_w,
 )
 from .dimension import (
     Beam,
@@ -239,7 +238,7 @@ def _criterion_shift_sharpness(rec, tol, shifts, built):
         lhs=f"W-={profile.w_minus} W+={profile.w_plus}",
         rhs="both (-1,-2,-3,-4)",
     )
-    bounds = lyapunov_bounds(auto, 4, profile=profile)
+    bounds = lyapunov_bounds(auto, profile)
     rec.exact(
         "alpha-intervals",
         bounds.alpha_minus == (-1, -1) and bounds.alpha_plus == (-1, -1),
@@ -263,10 +262,8 @@ def _criterion_shift_sharpness(rec, tol, shifts, built):
 def _criterion_tau_example(rec, tol, shifts, built):
     shift, auto, action = built["tau_golden"]
     profile = coding_range_profile(auto, 4)
-    bounds = lyapunov_bounds(auto, 4, profile=profile)
-    bounds_inv = lyapunov_bounds(
-        auto.inverse_automorphism(), 4, profile=profile.inverse()
-    )
+    bounds = lyapunov_bounds(auto, profile)
+    bounds_inv = lyapunov_bounds(auto.inverse_automorphism(), profile.inverse())
     rec.exact(
         "alpha-minus-tau",
         bounds.alpha_minus == (0, 0),
@@ -470,7 +467,7 @@ def _criterion_five_symbol(rec, tol, shifts, built):
 def _criterion_unit_circle(rec, tol, shifts, built):
     for name in ("identity", "vertex_swap_B"):
         shift, auto, action = built[name]
-        bounds = lyapunov_bounds(auto, 3)
+        bounds = lyapunov_bounds(auto, coding_range_profile(auto, 3))
         zero = (0, 0)
         rec.exact(
             f"{name}/alpha-zero",
@@ -548,8 +545,9 @@ def _criterion_oracle_equivalence(rec, tol, shifts, built):
     for _ in range(cases):
         code = _random_code(rng, pool[rng.randrange(len(pool))])
         j = rng.randint(-5, 5)
-        mismatches += coded_minus(code, j) != coded_minus_naive(code, j)
-        mismatches += coded_plus(code, j) != coded_plus_naive(code, j)
+        minus, plus = window_w(code)
+        mismatches += coded_minus_naive(code, j) != (j <= minus)
+        mismatches += coded_plus_naive(code, j) != (j >= plus)
     rec.exact(
         "coded-vs-naive",
         mismatches == 0,
@@ -572,7 +570,7 @@ ACCEPTANCE_CRITERIA = (
     ("09-measure-coherence", "Unstable measure scaling and pairing", _criterion_measure_coherence),
     ("10-five-symbol", "Five-symbol no-wall restriction", _criterion_five_symbol),
     ("11-unit-circle", "Distortion forces unit-circle spectrum", _criterion_unit_circle),
-    ("12-oracle-equivalence", "Half-line coding scan vs naive oracle", _criterion_oracle_equivalence),
+    ("12-oracle-equivalence", "W read off the window vs naive oracle", _criterion_oracle_equivalence),
 )
 
 
@@ -728,12 +726,9 @@ def profile_payload(profile, bounds):
 def _suite_profile(options):
     name = options.get("auto", "tau_golden")
     n_max = options.get("n_max", 4)
-    params = options.get("params")
-    if params is None:
-        params = dict(DEFAULT_SUITE).get(name, {})
-    shift, auto = make_builtin(name, dict(params))
+    shift, auto = make_builtin(name, dict(DEFAULT_SUITE).get(name, {}))
     profile = coding_range_profile(auto, n_max)
-    bounds = lyapunov_bounds(auto, n_max, profile=profile)
+    bounds = lyapunov_bounds(auto, profile)
     rec = Recorder()
     rec.add(
         "profile",

@@ -9,7 +9,7 @@ import pytest
 
 from sftlab import shifts
 from sftlab.codes import SlidingBlockCode
-from sftlab.coding_range import _scan_w, _scanned_tracks, coded_minus_naive, coded_plus_naive
+from sftlab.coding_range import _scanned_tracks, coded_minus_naive, coded_plus_naive, window_w
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -23,13 +23,12 @@ def rule_code(shift, memory, anticipation, rule):
 
 def assert_w_attained_and_maximal(auto, n_max):
     """On each scanned track and n <= n_max, the W values that
-    coding_range._scan_w reads off the windows of phi^n and phi^-n are
+    coding_range.window_w reads off the windows of phi^n and phi^-n are
     coded by the literal oracles, and one coordinate further is not."""
     for track in _scanned_tracks(auto):
         for n in range(1, n_max + 1):
-            fwd, inv = track.power(n), track.power(-n)
-            w = _scan_w(n, fwd, inv)
-            for code, minus, plus in ((fwd, w.minus, w.plus), (inv, w.minus_inv, w.plus_inv)):
+            for code in (track.power(n), track.power(-n)):
+                minus, plus = window_w(code)
                 where = (track, n, code)
                 assert coded_minus_naive(code, minus), where
                 assert not coded_minus_naive(code, minus + 1), where

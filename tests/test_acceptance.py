@@ -7,6 +7,7 @@ its own PASS/FAIL summary line, visible under ``-s`` or on failure.
 
 import pytest
 
+from sftlab import reports
 from sftlab.reports import ACCEPTANCE_CRITERIA, run_criterion, run_suite
 
 CRITERIA = {cid: title for cid, title, _ in ACCEPTANCE_CRITERIA}
@@ -45,3 +46,35 @@ def test_full_acceptance_suite_is_green(golden):
     counts = report.counts()
     assert counts.get("Violated", 0) == 0
     assert sum(counts.values()) == len(report.records) == 40
+
+
+def _discrepancies(record):
+    return int(record.lhs.split()[0])
+
+
+def test_oracle_equivalence_fails_when_the_read_is_one_off(monkeypatch):
+    # W^- placed one coordinate too far: the oracle finds it uncoded
+    read = reports.window_w
+    monkeypatch.setattr(reports, "window_w", lambda code: (read(code)[0] + 1, read(code)[1]))
+    [record] = run_criterion("12-oracle-equivalence")
+    assert record.status == "Violated"
+    assert _discrepancies(record) > 0
+
+
+def test_oracle_equivalence_stream_reaches_both_outcomes(monkeypatch):
+    outcomes = {"minus": [], "plus": []}
+
+    def recording(oracle, seen):
+        def call(code, j):
+            seen.append(oracle(code, j))
+            return seen[-1]
+
+        return call
+
+    for side, seen in outcomes.items():
+        name = f"coded_{side}_naive"
+        monkeypatch.setattr(reports, name, recording(getattr(reports, name), seen))
+    [record] = run_criterion("12-oracle-equivalence")
+    assert record.status == "Confirmed" and _discrepancies(record) == 0
+    counts = {side: (seen.count(True), seen.count(False)) for side, seen in outcomes.items()}
+    assert counts == {"minus": (270, 230), "plus": (280, 220)}

@@ -1,15 +1,17 @@
 """Half-line coding ranges, slope enclosures, and coordinate reversal.
 
-The grouped scans (coded_minus / coded_plus) are cross-checked against the
-literal two-point quantifier oracles on every system in a small pool, and
-the oracles' one-output-per-group form against the pairwise comparison, on
-that pool and on the acceptance suite's seeded stream; the oracles read
-edge columns, never word tuples, and see a group whole across chunks; the
-profile values for the named examples are frozen from independent hand
-calculation (shift powers code exactly by their exponent; the product
-examples code track by track).  W read off each iterate's window is the
-largest coded coordinate by the literal oracles on the builtins and the
-marker involutions: nothing beyond an automorphism's window is coded.
+W read off an automorphism's window (window_w) is cross-checked against the
+literal two-point quantifier oracles on every system in a small pool, on
+the one-edge codes and on the marker involutions, and the oracles'
+one-output-per-group form against the pairwise comparison, on that pool,
+on codes that are not automorphisms and on the acceptance suite's seeded
+stream; the oracles read edge columns, never word tuples, and see a group
+whole across chunks; the profile values for the named examples are frozen
+from independent hand calculation (shift powers code exactly by their
+exponent; the product examples code track by track).  W read off each
+iterate's window is the largest coded coordinate by the literal oracles on
+the builtins and the marker involutions: nothing beyond an automorphism's
+window is coded.
 """
 
 from fractions import Fraction
@@ -22,14 +24,13 @@ import pytest
 from conftest import assert_w_attained_and_maximal, rule_code
 from sftlab.builtins import DEFAULT_SUITE, make_builtin, product_automorphism, shift_builtin
 from sftlab.coding_range import (
-    coded_minus,
     coded_minus_naive,
-    coded_plus,
     coded_plus_naive,
     coding_range_profile,
     lyapunov_bounds,
     reverse_automorphism,
     w_values,
+    window_w,
 )
 from sftlab.codes import (
     RuleView,
@@ -131,12 +132,6 @@ def test_profile_rejects_bad_n_max():
         coding_range_profile(auto, 0)
 
 
-def test_lyapunov_bounds_rejects_bad_n_max():
-    _, auto = make_builtin("shift")
-    with pytest.raises(ValueError, match="n_max must be >= 1"):
-        lyapunov_bounds(auto, 0)
-
-
 def test_w_values_budget():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
     with pytest.raises(WindowBudgetExceeded), window_budget(20):
@@ -146,9 +141,13 @@ def test_w_values_budget():
 # -- slope enclosures -------------------------------------------------------
 
 
+def _bounds(auto, n_max):
+    return lyapunov_bounds(auto, coding_range_profile(auto, n_max))
+
+
 def test_shift_slopes_exact():
     _, auto = make_builtin("shift")
-    b = lyapunov_bounds(auto, 3)
+    b = _bounds(auto, 3)
     assert b.alpha_minus == (Fraction(-1), Fraction(-1))
     assert b.alpha_plus == (Fraction(-1), Fraction(-1))
     assert b.method == "exact-shift-power"
@@ -158,7 +157,7 @@ def test_shift_slopes_exact():
 
 def test_tau_slopes_exact_product():
     _, auto = make_builtin("tau_golden")
-    b = lyapunov_bounds(auto, 4)
+    b = _bounds(auto, 4)
     assert b.alpha_minus == (Fraction(0), Fraction(0))
     assert b.alpha_plus == (Fraction(1), Fraction(1))
     assert b.method == "exact-product"
@@ -172,15 +171,16 @@ def test_golden_times_cycle_slopes_are_exact():
     prod = kronecker_product(sigma.shift, ident.shift)
     auto = product_automorphism(sigma, ident, prod)
     assert prod.irreducible and prod.positive_entropy
-    assert coding_range_profile(auto, 3).w_minus == (-1, -2, -3)
-    b = lyapunov_bounds(auto, 3)
+    p = coding_range_profile(auto, 3)
+    assert p.w_minus == (-1, -2, -3)
+    b = lyapunov_bounds(auto, p)
     assert b.alpha_minus == b.alpha_plus == (Fraction(-1), Fraction(-1))
     assert b.method == "exact-product"
 
 
 def test_vertex_swap_enclosure_contains_zero():
     _, auto = make_builtin("vertex_swap_B")
-    b = lyapunov_bounds(auto, 2)
+    b = _bounds(auto, 2)
     assert b.alpha_minus == (Fraction(0), Fraction(0))
     assert b.alpha_plus == (Fraction(0), Fraction(0))
     assert b.method == "interval"  # a finite-order map is no shift power
@@ -189,7 +189,7 @@ def test_vertex_swap_enclosure_contains_zero():
 
 def test_five_symbol_enclosure_straddles():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
-    b = lyapunov_bounds(auto, 2)
+    b = _bounds(auto, 2)
     assert b.alpha_minus == (Fraction(-1), Fraction(1))
     assert b.alpha_plus == (Fraction(-1), Fraction(1))
     assert b.verdict == "consistent-with-distortion"
@@ -228,7 +228,7 @@ def test_double_reversal_restores_behaviour():
     assert codes_equal(auto.forward, back.forward)
 
 
-# -- the grouped scans against the literal oracles --------------------------
+# -- W read off the window against the literal oracles -----------------------
 
 ORACLE_POOL = [
     ("shift", {}),
@@ -329,15 +329,15 @@ def _one_window_differs(memory, anticipation, rank):
     ],
 )
 def test_one_odd_window_makes_its_group_uncoded(side, memory, anticipation, j, window):
-    naive, grouped = {
-        "minus": (coded_minus_naive, coded_minus),
-        "plus": (coded_plus_naive, coded_plus),
+    naive, pairwise = {
+        "minus": (coded_minus_naive, pairwise_minus),
+        "plus": (coded_plus_naive, pairwise_plus),
     }[side]
     for rank in (FULL_2X2.rank_of(window), 0, -1):
         constant, odd = _one_window_differs(memory, anticipation, rank)
-        assert naive(constant, j) is True and grouped(constant, j)
+        assert naive(constant, j) is True and pairwise(constant, j)
         assert naive(odd, j) is False, rank
-        assert not grouped(odd, j), rank
+        assert not pairwise(odd, j), rank
 
 
 # An irreducible shift whose reach is not symmetric (the cycle 0 -> 1 -> 2 -> 0
@@ -350,9 +350,9 @@ CYCLE_WITH_LOOP = build_edge_shift([[1, 1, 0], [0, 0, 1], [1, 0, 0]])
 @pytest.mark.parametrize("side", ["minus", "plus"])
 def test_far_groups_follow_the_paths(side):
     shift = CYCLE_WITH_LOOP
-    naive, grouped, pairwise, state_at_end = {
-        "minus": (coded_minus_naive, coded_minus, pairwise_minus, lambda w: shift.source(w[0])),
-        "plus": (coded_plus_naive, coded_plus, pairwise_plus, lambda w: shift.target(w[-1])),
+    naive, pairwise, state_at_end = {
+        "minus": (coded_minus_naive, pairwise_minus, lambda w: shift.source(w[0])),
+        "plus": (coded_plus_naive, pairwise_plus, lambda w: shift.target(w[-1])),
     }[side]
     seen = set()
     for g in itertools.product((0, 1), repeat=shift.k):
@@ -362,18 +362,26 @@ def test_far_groups_follow_the_paths(side):
             code = SlidingBlockCode.from_column(shift, shift, m, a, column)
             for j in range(-4, 5):
                 expected = pairwise(code, j)
-                assert naive(code, j) == expected == grouped(code, j), (g, m, a, j)
+                assert naive(code, j) == expected, (g, m, a, j)
                 seen.add(expected)
     assert seen == {True, False}
+
+
+def _assert_w_read_matches_naive(code, js):
+    """On an automorphism's code, (-inf, 0] codes j iff j <= W^-, and
+    [0, +inf) codes j iff j >= W^+, by the literal oracles."""
+    minus, plus = window_w(code)
+    for j in js:
+        assert coded_minus_naive(code, j) == (j <= minus), j
+        assert coded_plus_naive(code, j) == (j >= plus), j
 
 
 @pytest.mark.parametrize("name,params", ORACLE_POOL)
 def test_grouped_scan_matches_naive(name, params):
     _, auto = make_builtin(name, dict(params))
     for code in (auto.forward, auto.inverse, auto.power(2)):
+        _assert_w_read_matches_naive(code, range(-4, 5))
         for j in range(-4, 5):
-            assert coded_minus(code, j) == coded_minus_naive(code, j), (name, j)
-            assert coded_plus(code, j) == coded_plus_naive(code, j), (name, j)
             assert coded_minus_naive(code, j) == pairwise_minus(code, j), (name, j)
             assert coded_plus_naive(code, j) == pairwise_plus(code, j), (name, j)
 
@@ -383,7 +391,7 @@ def test_oracles_read_columns_not_word_tuples(name, params, monkeypatch):
     _, auto = make_builtin(name, dict(params))
     codes = (auto.forward, auto.inverse, auto.power(2))
     cases = [(c, j) for c in codes for j in range(-4, 5)]
-    expected = [(coded_minus(c, j), coded_plus(c, j)) for c, j in cases]
+    expected = [(pairwise_minus(c, j), pairwise_plus(c, j)) for c, j in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle read word tuples")
@@ -405,16 +413,10 @@ def test_a_group_spanning_chunks_is_read_whole():
     first_edge = np.arange(2**16) >> 15
     for column, coded in ((first_edge, False), (np.zeros_like(first_edge), True)):
         code = SlidingBlockCode.from_column(shift, shift, 1, 14, column)
-        assert coded_plus_naive(code, 0) == coded_plus(code, 0) == coded  # agreed: edges 1..15
+        assert coded_plus_naive(code, 0) == coded  # agreed: edges 1..15
 
 
 # -- the window statistics at their edge cases --------------------------------
-
-
-def _assert_matches_naive(code, js):
-    for j in js:
-        assert coded_minus(code, j) == coded_minus_naive(code, j), j
-        assert coded_plus(code, j) == coded_plus_naive(code, j), j
 
 
 def test_constant_code_has_no_changes():
@@ -422,7 +424,9 @@ def test_constant_code_has_no_changes():
     column = np.zeros(shift.word_count(3), dtype=np.uint8)
     code = SlidingBlockCode.from_column(shift, shift, 1, 1, column)
     assert (code.prefix_lcp, code.suffix_lcp) == (-1, -1)
-    _assert_matches_naive(code, range(-4, 5))
+    for j in range(-4, 5):  # a constant code codes every coordinate
+        assert coded_minus_naive(code, j) and pairwise_minus(code, j), j
+        assert coded_plus_naive(code, j) and pairwise_plus(code, j), j
 
 
 @pytest.mark.parametrize(
@@ -430,22 +434,25 @@ def test_constant_code_has_no_changes():
     [(identity_code, (0, 0)), (shift_code, (1, 0)), (inverse_shift_code, (0, 1))],
 )
 def test_far_branch_decides_when_one_edge_does(build, lcps):
-    # D = 0 on a side: the output is a function of the window's edge at the
-    # far end of that side, and the reach test decides beyond the window
+    # D = 0 on a side: the output is a bijection of the window's edge at the
+    # far end of that side, so nothing beyond the window is coded, which the
+    # oracles' reach test finds
     for shift in (build_edge_shift([[2]]), FULL_2X2, CYCLE_WITH_LOOP):
         code = build(shift)
         assert (code.prefix_lcp, code.suffix_lcp) == lcps
-        _assert_matches_naive(code, range(-4, 5))
+        _assert_w_read_matches_naive(code, range(-4, 5))
 
 
 def test_window_statistic_reads_across_chunks():
     # the 2^16 windows of the full 2-shift walk in four chunks, and the one
     # change of output is at the first boundary: ranks 16383 and 16384 are
-    # 0011...1 and 0100...0, which share one edge
+    # 0011...1 and 0100...0, which share one edge; the output reads the
+    # window's first two edges, at j - 15 and j - 14
     column = (np.arange(2**16) >= WORD_CHUNK).astype(np.uint8)
     code = SlidingBlockCode.from_column(FULL_2, FULL_2, 15, 0, column)
     assert code.prefix_lcp == 1
-    _assert_matches_naive(code, range(13, 17))
+    coded = [(coded_minus_naive(code, j), coded_plus_naive(code, j)) for j in range(13, 17)]
+    assert coded == [(True, False), (True, False), (False, True), (False, True)]
 
 
 def test_transpose_record_is_kept():
@@ -568,7 +575,7 @@ def test_vertex_swap_after_shift_profile_to_depth_ten():
     assert p.w_minus_inv == p.w_plus_inv == tuple(range(1, 11))
     assert p.at(2) == w_values(auto, 2)
     for code in (auto.forward, auto.inverse, auto.power(3)):
-        _assert_matches_naive(code, range(-code.window, code.window + 1))
+        _assert_w_read_matches_naive(code, range(-code.window, code.window + 1))
 
 
 def test_five_symbol_over_budget_stops_at_its_third_iterate():
@@ -588,18 +595,18 @@ def test_marker_codes_match_naive(which):
     outer, inner = (MARKER, MARKER_PRIME) if which == "product" else (sigma, MARKER)
     auto = _composed(outer, inner)
     for code in (auto.forward, auto.inverse):
-        _assert_matches_naive(code, range(-code.window, code.window + 1))
+        _assert_w_read_matches_naive(code, range(-code.window, code.window + 1))
 
 
 def test_scan_rejects_zero_entropy():
     shift = build_edge_shift([[0, 1], [1, 0]])
     code = shift_code(shift)
     with pytest.raises(PreconditionFailed):
-        coded_minus(code, 0)
+        coded_minus_naive(code, 0)
 
 
 def test_scan_rejects_reducible():
     shift = build_edge_shift([[1, 1], [0, 2]])
     code = shift_code(shift)
     with pytest.raises(PreconditionFailed):
-        coded_plus(code, 0)
+        coded_plus_naive(code, 0)

@@ -25,7 +25,7 @@ from sftlab.codes import (
     recognized_exponents,
     verify_automorphism,
 )
-from sftlab.coding_range import lyapunov_bounds
+from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 from sftlab.entropy import (
     c_phi_count,
     c_phi_diagnostic,
@@ -299,6 +299,7 @@ def test_exact_cases_follow_the_recognizer(name, params):
     recognized = recognized_exponents(auto)
     exact = recognized is not None
     kind = recognized[0] if exact else None
-    assert (lyapunov_bounds(auto, 2).method == f"exact-{kind}") is exact
+    bounds = lyapunov_bounds(auto, coding_range_profile(auto, 2))
+    assert (bounds.method == f"exact-{kind}") is exact
     assert (exact_entropy_of(auto) is not None) is exact
     assert (column_census(auto, 1, 2).method == "product-form") is exact

@@ -258,7 +258,7 @@ def test_profile_suite_payload_fields():
     # the rendered payload matches a direct computation
     shift, auto = make_builtin("tau_golden")
     profile = coding_range_profile(auto, 4)
-    bounds = lyapunov_bounds(auto, 4, profile=profile)
+    bounds = lyapunov_bounds(auto, profile)
     assert payload == profile_payload(profile, bounds)
 
 

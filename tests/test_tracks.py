@@ -136,12 +136,12 @@ def test_each_direction_is_factored_once(monkeypatch):
     monkeypatch.setattr(codes, "factor_product_code", counted)
     _, auto = make_builtin("tau_golden")
     profile = coding_range_profile(auto, 3)
-    lyapunov_bounds(auto, 3, profile=profile)
+    lyapunov_bounds(auto, profile)
     column_census(auto, 1, 2)
     exact_entropy_of(auto)
     inv = auto.inverse_automorphism()
-    lyapunov_bounds(inv, 3)
-    lyapunov_bounds(inv.inverse_automorphism(), 3)
+    for a in (inv, inv.inverse_automorphism()):
+        lyapunov_bounds(a, coding_range_profile(a, 3))
     assert [t.forward for t in inv.tracks] == [t.inverse for t in auto.tracks]
     assert auto.forward in factored and auto.inverse in factored
     assert len({id(code) for code in factored}) == len(factored)
