@@ -4,7 +4,8 @@ Three instruments: a spacetime column census (how many distinct space-time
 columns of width 2w+1 appear over n iterates), the iterate-window counter
 used by the measure-growth argument, and invariant-subsystem restriction,
 which transfers exactly computable entropies as certified lower bounds.
-Estimates are heuristic unless the rule is a recognized (product of) shift
+Both counts walk a product of the iterates' diagrams, enumerating no word;
+estimates are heuristic unless the rule is a recognized (product of) shift
 power(s) or the value rides on a certified invariant subsystem.
 """
 
@@ -17,13 +18,15 @@ from .codes import (
     SlidingBlockCode,
     _index_dtype,
     _sorted_rows,
+    iterates,
+    pad_code,
     recognized_exponents,
     shift_power_of,
     verify_automorphism,
 )
 from .errors import NilpotentMatrix, NotInvariant, ZeroMatrix
 from .records import CheckRecord
-from .shifts import _pattern_power, build_edge_shift, count_words, perron_data
+from .shifts import WORD_CHUNK, _pattern_power, build_edge_shift, count_words, perron_data
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ def column_census(auto, w, n):
     are the pairs of its tracks' columns, so the count is the product of
     the tracks' counts.  A track whose rule is a shift power is counted by
     closed form (its windows, overlapping, reveal a word of the track's
-    shift), any other by exact enumeration over the dependence window."""
+    shift), any other by an exact count over the dependence window."""
     if w < 0 or n < 1:
         raise ValueError("need w >= 0 and n >= 1")
     _require_points(auto.shift)
@@ -74,32 +77,49 @@ def _require_points(shift):
 
 def _distinct_windows(auto, count, width, ordered):
     """Number of distinct collections of iterate windows phi^i(y)|[k,
-    k+width-1], i < count, over all points y, as tuples or as sets.  The
-    iterates commute with the shift, so the number is the same for every k.
-    phi^i of a word is phi's image taken i times (Lind-Marcus 1.5), and
-    each image drops phi's memory m in front, so on enumerated words of
-    width + (count-1)(m+a) edges iterate i's window starts at (count-1-i)m."""
+    k+width-1], i < count, over all points y, as tuples or as sets; k does
+    not change it.  phi^i padded by s = (count-1-i)m + p in front outputs
+    window position p over a prefix of a word of width + (count-1)(m+a)
+    edges.  The count·width diagrams are walked as one product (Bryant
+    1986), an edge per level: a state is each iterate's rank of its outputs
+    so far (EdgeShift.rank's terms, one per edge) and a node of each diagram
+    still reading.  The last reads the whole word, so equal states merge."""
     shift, phi = auto.shift, auto.forward
-    m, a = phi.memory, phi.anticipation
-    length = width + (count - 1) * (m + a)
+    length = width + (count - 1) * (phi.memory + phi.anticipation)
     shift.ensure_budget(length)
-    # one row per word: the rank of each iterate's output window; a set of
-    # windows becomes its sorted distinct ranks, padded in front with -1
-    found = []
-    for _, cols in shift.ranked_words(length):
-        rows = np.empty((len(cols[0]), count), dtype=np.int64)
-        for i in range(count):
-            if i:
-                cols = phi.image(cols)
-            start = (count - 1 - i) * m
-            rows[:, i] = shift.rank(cols[start : start + width])
-        if not ordered:
-            rows.sort(axis=1)
-            rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
-            rows.sort(axis=1)
-        order, starts = _sorted_rows(rows)
-        found.append(rows[order[starts]])
-    return int(_sorted_rows(np.concatenate(found))[1].sum())
+    gains = [shift._rank_tables(width)[width - 1 - p][p > 0] for p in range(width)]
+    diagrams = [  # (levels, iterate, window position)
+        (pad_code(code, (count - 1 - i) * phi.memory + p).levels, i, p)
+        for i, code in zip(range(count), iterates(phi)) for p in range(width)
+    ]
+    sizes = (len(level) for levels, _, _ in diagrams for level in levels)
+    dtype = _index_dtype(max(shift.n_edges, shift.word_count(width), *sizes))
+    states = np.zeros((count + len(diagrams), 1), dtype=dtype)  # a column per state
+    for depth in range(length):
+        reading = [d for d in diagrams if len(d[0]) > depth]
+        kept = [*range(count), *(count + j for j, d in enumerate(reading) if len(d[0]) > depth + 1)]
+        found = []
+        for first in range(0, states.shape[1], WORD_CHUNK):  # each chunk deduplicated
+            chunk = states[:, first : first + WORD_CHUNK]
+            rows = np.repeat(chunk[:, :, None], shift.n_edges, axis=2)  # ranks carry over
+            for row, nodes, (levels, i, p) in zip(rows[count:], chunk[count:], reading):
+                np.take(levels[depth], nodes, axis=0, out=row)
+                if len(levels) == depth + 1:  # row holds the output edges at position p
+                    rows[i] += gains[p][row].astype(dtype)
+            rows = rows.reshape(len(rows), -1)
+            found.append(_distinct_columns(rows[kept][:, rows.min(axis=0) >= 0]))  # drop the dead
+        states = _distinct_columns(np.concatenate(found, axis=1)) if len(found) > 1 else found[0]
+    if not ordered:  # a set of windows: its sorted distinct ranks, padded in front with -1
+        states.sort(axis=0)
+        states[1:][states[1:] == states[:-1]] = -1
+        states = _distinct_columns(np.sort(states, axis=0))
+    return states.shape[1]
+
+
+def _distinct_columns(states):
+    """The distinct columns of a 2-d array, in lexicographic order."""
+    order, starts = _sorted_rows(states.T)
+    return states[:, order[starts]]
 
 
 def c_phi_count(auto, n):

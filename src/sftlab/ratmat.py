@@ -8,7 +8,7 @@ Matrices are tuples of tuples, row major. Vectors are tuples. Row-vector
 convention throughout: ``vec_mat(x, A)`` is x*A, the combination of A's rows
 weighted by x's nonzero entries, and ``mat_mul(A, B)`` is that combination
 of B's rows for each row of A, so a product costs one row operation per
-nonzero entry of its left factor.
+nonzero entry of its left factor (a copy for a first weight of int 1).
 """
 
 import math
@@ -39,10 +39,11 @@ def mat_pow(a, n):
 
 
 def vec_mat(x, a):
-    out = [0] * (len(a[0]) if a else 0)
-    for c, row in zip(x, a):
-        if c:
-            out = [s + c * v for s, v in zip(out, row)]
+    terms = ((c, row) for c, row in zip(x, a) if c)
+    c, row = next(terms, (0, (0,) * (len(a[0]) if a else 0)))
+    out = list(row) if c == 1 and type(c) is int else [c * v for v in row]
+    for c, row in terms:
+        out = [s + c * v for s, v in zip(out, row)]
     return tuple(out)
 
 

@@ -11,7 +11,6 @@ import math
 import pytest
 
 from conftest import rule_code
-from sftlab import codes
 from sftlab.builtins import (
     DEFAULT_SUITE,
     five_symbol_code,
@@ -36,7 +35,7 @@ from sftlab.entropy import (
 )
 from sftlab.dimension import dimension_matrix
 from sftlab.errors import NilpotentMatrix, NotInvariant, WindowBudgetExceeded, ZeroMatrix
-from sftlab.shifts import build_edge_shift, count_words, window_budget
+from sftlab.shifts import EdgeShift, build_edge_shift, count_words, window_budget
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -82,19 +81,23 @@ def test_census_vertex_swap_saturates():
 
 def test_census_five_symbol_counts():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
-    assert [column_census(auto, 1, n).count for n in (1, 2, 3)] == [125, 405, 1445]
+    assert [column_census(auto, 1, n).count for n in (1, 2, 3, 4)] == [125, 405, 1445, 5445]
 
 
-def test_census_applies_phi_to_its_words_and_composes_no_iterate(monkeypatch):
+def test_census_enumerates_no_word_longer_than_phi(monkeypatch):
     _, five = make_builtin("five_symbol")
+    ranked_words = EdgeShift.ranked_words
 
-    def refuse(outer, inner):
-        raise AssertionError("the census composes no iterate")
+    def refuse_long(shift, length, start_state=None):
+        # shift_power_of still reads phi's own 3-edge windows
+        if length > five.forward.window:
+            raise AssertionError(f"the census enumerates words of {length} edges")
+        return ranked_words(shift, length, start_state)
 
-    monkeypatch.setattr(codes, "compose", refuse)
+    monkeypatch.setattr(EdgeShift, "ranked_words", refuse_long)
     assert column_census(five, 1, 3).count == 1445
     assert c_phi_count(five, 2) == 6980
-    # the words enumerated are 3 + 2 (m + a) = 7 edges wide: 5^7 of them
+    # the words charged are 3 + 2 (m + a) = 7 edges wide: 5^7 of them
     with pytest.raises(WindowBudgetExceeded) as refused, window_budget(78_124):
         column_census(five, 1, 3)
     assert refused.value.needed == 78_125

@@ -20,7 +20,10 @@ Claims covered:
       the values of the column-dot products and the Fraction elimination
       kept here as references, on seeded integer and rational matrices and
       on zero rows and columns, rank-deficient, 1 x n, n x 1, empty and
-      all-zero input; rref and inverse give Fraction entries
+      all-zero input; rref and inverse give Fraction entries; vec_mat,
+      started from its first weighted row, gives the values and types of
+      the combination added into a row of int zeros, for int, Fraction
+      and Fraction(1) weights
     - polynomial division, gcd, square-free part, and zero-root stripping
       behave on exact integer/rational coefficients; division, the monic
       gcd and the square-free part agree with sympy on polynomials with
@@ -65,6 +68,27 @@ def test_mat_pow_rejects_negative():
 def test_vec_mat_is_row_vector_convention():
     a = ((0, 1), (2, 3))
     assert ratmat.vec_mat((F(1), F(1)), a) == (F(2), F(4))
+
+
+def zero_start_vec_mat(x, a):
+    """The combination added into a row of int zeros, one row at a time."""
+    out = [0] * (len(a[0]) if a else 0)
+    for c, row in zip(x, a):
+        if c:
+            out = [s + c * v for s, v in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "x", [(1, 0, 2), (0, F(1), 1), (0, 0, F(2, 3)), (-1, 1, 0), (0, 0, 0), (True, 0, 1)]
+)
+@pytest.mark.parametrize(
+    "a", [((1, 2), (3, 4), (5, 6)), ((F(1, 2), 2), (3, F(4)), (0, F(-5, 6))), ()]
+)
+def test_vec_mat_starts_from_the_first_weighted_row(x, a):
+    got, want = ratmat.vec_mat(x, a), zero_start_vec_mat(x, a)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
 
 
 def test_rref_full_rank():

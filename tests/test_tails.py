@@ -13,8 +13,9 @@ Claims covered:
       census counts what the ``rank(image(cols))`` form of the composed
       iterates counts, for windows up to 3 edges past one chunk on full,
       golden mean, two-state, cycle-plus-chord and product shifts,
-      five_symbol's iterates up to phi^4, and (with a small chunk) every
-      split down to s = 0
+      five_symbol's iterates up to phi^4, the marker involutions m, m' and
+      m o m' at up to three iterates, and (with a small chunk) every split
+      down to s = 0
 """
 
 import itertools
@@ -38,6 +39,7 @@ from sftlab.codes import (
 )
 from sftlab.entropy import _distinct_windows, column_census
 from sftlab.shifts import build_edge_shift, kronecker_product, window_budget
+from test_coding_range import MARKER, MARKER_PRIME, _composed
 
 GOLDEN = [[1, 1], [1, 0]]
 
@@ -295,6 +297,16 @@ def test_census_equals_the_image_form(name):
         auto = Automorphism(code, code, {})  # the count reads only the forward iterates
         # words of 1, 2 and 3 edges past one chunk
         for count, width in ((3, s - 3), (2, s), (1, s + 3)):
+            for ordered in (True, False):
+                with window_budget(10**8):
+                    got = _distinct_windows(auto, count, width, ordered)
+                assert got == ref_distinct_windows(auto, count, width, ordered)
+
+
+def test_census_equals_the_image_form_on_marker_involutions():
+    # m, m' and m o m' read 5- and 9-edge windows, wider than any builtin's
+    for auto in (MARKER, MARKER_PRIME, _composed(MARKER, MARKER_PRIME)):
+        for count, width in itertools.product((1, 2, 3), (1, 2)):
             for ordered in (True, False):
                 with window_budget(10**8):
                     got = _distinct_windows(auto, count, width, ordered)
