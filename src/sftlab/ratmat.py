@@ -2,8 +2,9 @@
 
 Entries are Python ints or fractions.Fraction and are used as given: integer
 input stays integer, and a Fraction appears only where a division makes one
-(rref's final division by its pivot minor, char_poly on rational input, an
-inexact poly_divmod step, poly_gcd's monic output); squarefree_part is over Z.
+(an inexact step of rref's final division by its pivot minor, char_poly on
+rational input, an inexact poly_divmod step, poly_gcd's monic output);
+squarefree_part is over Z.
 Matrices are tuples of tuples, row major. Vectors are tuples. Row-vector
 convention throughout: ``vec_mat(x, A)`` is x*A, the combination of A's rows
 weighted by x's nonzero entries, and ``mat_mul(A, B)`` is that combination
@@ -48,8 +49,8 @@ def vec_mat(x, a):
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns), all
-    entries Fractions.
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns);
+    integral entries are ints, the others Fractions.
 
     Fraction-free Gauss-Jordan on the integer matrix D*rows, D the common
     denominator (Bareiss, "Sylvester's identity and multistep
@@ -83,7 +84,8 @@ def rref(rows):
         det = p
         pivots.append(c)
         r += 1
-    return tuple(tuple(Fraction(v, det) for v in row) for row in m[:r]), tuple(pivots)
+    rows = tuple(tuple(Fraction(v, det) if v % det else v // det for v in row) for row in m[:r])
+    return rows, tuple(pivots)
 
 
 def inverse(a):

@@ -30,8 +30,9 @@ from .errors import (
 
 #: Default tolerance band for floating-point verdicts across the package
 #: (natural logs everywhere).  A verdict's tol decides its status and nothing
-#: else: the eigen-solves run at one fixed precision (perron_data's stopping
-#: rule is this default), so no computed value depends on the band.
+#: else: the Perron kernel runs at one fixed precision and refuses a
+#: certified enclosure of lambda wider than this band relative, so no
+#: computed value depends on the band.
 DEFAULT_TOL = 1e-9
 
 #: Default cap on the number of windows any single enumeration may touch.
@@ -425,75 +426,65 @@ def count_words(shift, n):
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral radius, right eigenvector (1-norm one), and entropy in nats."""
+    """Certified Perron root of an irreducible matrix: ``enclosure`` is a
+    pair (lo, hi) of Fractions with lo <= lambda <= hi, ``lambda_`` the
+    float nearest its midpoint and ``entropy`` that float's natural log;
+    ``v_right`` is the positive right eigenvector (1-norm one) whose
+    Collatz-Wielandt ratios give the enclosure."""
 
     lambda_: float
     v_right: tuple
     entropy: float
+    enclosure: tuple
 
 
 def perron_data(shift):
-    """Perron eigenvalue and right eigenvector by power iteration.
+    """Certified Perron eigenvalue and right eigenvector of the shift's
+    matrix, from :func:`_perron_kernel`.
 
-    Irreducible input required.  Non-primitive irreducible matrices are
-    handled by iterating A + I (primitive whenever A is irreducible) and
-    shifting the eigenvalue back.  The iteration runs once per shift, at
-    DEFAULT_TOL, and the shift keeps its one Perron record; a refusal is
-    not kept.
+    Irreducible input required.  The kernel runs once per shift, and the
+    shift keeps its one Perron record; a refusal is not kept.
     """
     if not shift.irreducible:
         raise ReducibleInput("perron_data needs an irreducible matrix")
     if shift._perron is None:
-        shift._perron = _perron_iteration(shift)
+        shift._perron = _perron_kernel(shift.matrix)
     return shift._perron
 
 
-def _perron_iteration(shift):
-    tol = DEFAULT_TOL
-    k = shift.k
-    a = np.array(shift.matrix, dtype=float)
-    b = a + np.eye(k)
-    v = np.full(k, 1.0 / k)
-    lam = 0.0
-    for _ in range(200000):
-        w = b @ v
-        s = w.sum()
-        w /= s
-        if np.abs(w - v).max() < tol * 1e-4:  # the method skips np.max's dispatch
-            v = w
-            lam = s - 1.0
-            break
-        v = w
-    else:  # pragma: no cover - convergence is guaranteed for primitive B
-        raise InternalInvariantViolation("power iteration did not converge")
-    # polish with a Rayleigh step and verify the residual
-    av = a @ v
-    lam = float(av.sum() / v.sum())
-    if np.max(np.abs(av - lam * v)) > max(tol, tol * lam):
-        raise InternalInvariantViolation("Perron residual above tolerance")
-    v = v / v.sum()
-    return PerronData(lambda_=lam, v_right=tuple(float(x) for x in v), entropy=math.log(lam))
+def _perron_kernel(matrix):
+    """Perron data of an irreducible nonnegative integer matrix, certified.
 
-
-def _perron_left_coords(dim):
-    """Numeric left Perron direction of A, in the eventual-range coordinates
-    of ``dim`` (a :class:`DimensionData`)."""
-    a = dim.matrix
-    k = dim.k
-    # each column's nonzero entries in row order: the zeros left out would
-    # add exact 0.0s, so every float is the one the dense sum gives
-    columns = [[(i, a[i][j]) for i in range(k) if a[i][j]] for j in range(k)]
-    u = [1.0 / k] * k
-    for _ in range(200000):
-        # power iteration on A + I keeps periodic matrices convergent
-        nxt = [sum(u[i] * x for i, x in col) + u[j] for j, col in enumerate(columns)]
-        norm = sum(abs(x) for x in nxt)
-        nxt = [x / norm for x in nxt]
-        delta = sum(abs(nxt[j] - u[j]) for j in range(k))
-        u = nxt
-        if delta <= 1e-15:
-            return tuple(u[p] for p in dim.pivots)
-    raise InternalInvariantViolation("power iteration did not converge")
+    numpy's eigenvalues estimate the Perron root lam, and two solves of
+    inverse iteration at mu = lam (1 + 1e-12) from the flat vector give the
+    Perron vector x (mu = lam would be exactly singular on [[2]]); whichever
+    side of the root mu falls on, scaling to 1-norm one makes x positive.
+    For positive x the root lies between the least and the greatest ratio
+    (Ax)_i / x_i (Collatz-Wielandt; Wielandt, Math. Z. 52, 1950), computed
+    exactly in integers from x's dyadic floats.  An enclosure wider than
+    DEFAULT_TOL relative is refused.
+    """
+    k = len(matrix)
+    a = np.array(matrix, dtype=float)
+    shifted = np.linalg.eigvals(a).real.max() * (1 + 1e-12) * np.eye(k) - a
+    x = np.linalg.solve(shifted, np.ones(k))
+    x = np.linalg.solve(shifted, x / x.sum())
+    x = (x / x.sum()).tolist()
+    # x_i = n_i / d_i with d_i a power of two: scaled by the largest d_i,
+    # the vector is integral
+    ratios = [v.as_integer_ratio() for v in x]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    if min(ints) <= 0:
+        raise InternalInvariantViolation("Perron vector is not positive")
+    bounds = [
+        Fraction(sum(c * v for c, v in zip(row, ints) if c), v) for row, v in zip(matrix, ints)
+    ]
+    lo, hi = min(bounds), max(bounds)
+    if hi - lo > DEFAULT_TOL * lo:
+        raise InternalInvariantViolation("Perron enclosure is wider than DEFAULT_TOL")
+    lam = float((lo + hi) / 2)
+    return PerronData(lambda_=lam, v_right=tuple(x), entropy=math.log(lam), enclosure=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -509,8 +500,9 @@ class DimensionData:
     ``delta_inverse`` its exact inverse.  ``rho_minus`` is the reciprocal of
     the smallest modulus among nonzero eigenvalues of A, i.e. the spectral
     radius of the inverse action on the eventual range.  ``delta_inverse``
-    and ``perron_left``, the numeric left Perron direction, are computed on
-    first use.
+    and ``perron_left`` are computed on first use; ``perron_left`` is the
+    left Perron vector of A (the Perron kernel's vector on A^T, 1-norm one)
+    at the pivots, its coordinates in the basis.
     """
 
     k: int
@@ -532,7 +524,8 @@ class DimensionData:
 
     @functools.cached_property
     def perron_left(self):
-        return _perron_left_coords(self)
+        left = _perron_kernel(tuple(zip(*self.matrix))).v_right
+        return tuple(left[p] for p in self.pivots)
 
     def coords(self, vec):
         """Coordinates of ``vec`` in the basis; exact membership check."""
@@ -581,11 +574,7 @@ def _eventual_range(shift):
     ak = ratmat.mat_pow(a, k)
     if all(x == 0 for row in ak for x in row):
         raise NilpotentMatrix("A^k = 0; the eventual range is trivial")
-    reduced, pivots = ratmat.rref(ak)
-    # integral entries as ints keep the invariance check below in ints
-    basis = tuple(
-        tuple(x.numerator if x.denominator == 1 else x for x in row) for row in reduced
-    )
+    basis, pivots = ratmat.rref(ak)
     d = len(basis)
     delta_rows = []
     for row in basis:

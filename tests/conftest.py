@@ -1,13 +1,17 @@
 """Golden reports: masked JSON (runtime_ms nulled) that the suites and the
 README's commands must reproduce byte for byte, kept in tests/golden; and
-two helpers the test modules import: codes from rule dicts, and the check
-that W read off a window is what the literal oracles find."""
+three helpers the test modules import: codes from rule dicts, the check
+that W read off a window is what the literal oracles find, and a 40-digit
+reference for the Perron root."""
 
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
-from sftlab import shifts
+from sftlab import ratmat, shifts
 from sftlab.codes import SlidingBlockCode
 from sftlab.coding_range import _scanned_tracks, coded_minus_naive, coded_plus_naive, window_w
 
@@ -34,6 +38,20 @@ def assert_w_attained_and_maximal(auto, n_max):
                 assert not coded_minus_naive(code, minus + 1), where
                 assert coded_plus_naive(code, plus), where
                 assert not coded_plus_naive(code, plus - 1), where
+
+
+def reference_perron_root(matrix):
+    """The Perron root of an irreducible integer matrix to 40 digits, as an
+    exact Fraction of its binary value: Newton's method in mpmath on the
+    exact characteristic polynomial, from numpy's largest real eigenvalue."""
+    cp = ratmat.char_poly(matrix)
+    start = float(np.linalg.eigvals(np.array(matrix, dtype=float)).real.max())
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda t: mpmath.polyval(cp, t), mpmath.mpf(start))
+        assert abs(mpmath.polyval(cp, root)) < mpmath.mpf(10) ** -30 * root ** len(matrix)
+    assert abs(root - start) < 1e-12 * start
+    man, exp = root.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.fixture(autouse=True)

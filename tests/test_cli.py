@@ -120,8 +120,9 @@ def test_analyze_prints_the_readme_table(tmp_path, capsys, monkeypatch, golden):
 
 
 def test_analyze_values_do_not_depend_on_tol(tmp_path, capsys):
-    # the verdict band decides statuses; the numbers come from one
-    # eigen-solve per shift at a fixed precision
+    # the verdict band decides statuses; the numbers come from the Perron
+    # kernel, one certified enclosure per shift and direction at a fixed
+    # precision
     system, _ = _readme_tau()
     (tmp_path / "tau.json").write_text(system)
     json_path = tmp_path / "report.json"
@@ -131,7 +132,7 @@ def test_analyze_values_do_not_depend_on_tol(tmp_path, capsys):
         assert main(args) == 0
         lhs.append({r["name"]: r["lhs"] for r in json.loads(json_path.read_text())["records"]})
     assert lhs[1] == lhs[0]
-    assert lhs[1]["tau/main-bounds"] == 1.4436354751788052
+    assert lhs[1]["tau/main-bounds"] == 1.4436354751788105
 
 
 def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, capsys):
@@ -162,23 +163,22 @@ def test_analyze_builds_dimension_data_once_per_file(tmp_path, monkeypatch, caps
     assert "tau2/dimension-action" in capsys.readouterr().out
 
 
-def test_analyze_runs_the_perron_iteration_once(tmp_path, monkeypatch, capsys):
+def test_analyze_runs_the_perron_kernel_once_each_way(tmp_path, monkeypatch, capsys):
     # main-bounds and the exact entropy of a shift power both read the
-    # Perron data of the one shift, and both dimension actions its left
-    # Perron direction
-    shift, sigma = make_builtin("shift")
+    # Perron data of the one shift (the kernel on A), and both dimension
+    # actions its left Perron direction (the kernel on A^T)
+    shift, sigma = make_builtin("shift", {"shift": build_edge_shift([[1, 2], [1, 0]])})
     path = tmp_path / "shift.json"
     save_system(path, shift, {"s": sigma, "s_inv": sigma.inverse_automorphism()})
-    runs = {"_perron_iteration": 0, "_perron_left_coords": 0}
-    for name in runs:
+    calls = []
 
-        def counted(arg, name=name, iterate=getattr(shifts, name)):
-            runs[name] += 1
-            return iterate(arg)
+    def counted(matrix, kernel=shifts._perron_kernel):
+        calls.append(matrix)
+        return kernel(matrix)
 
-        monkeypatch.setattr(shifts, name, counted)
+    monkeypatch.setattr(shifts, "_perron_kernel", counted)
     assert main(["analyze", str(path)]) == 0
-    assert runs == {"_perron_iteration": 1, "_perron_left_coords": 1}
+    assert sorted(calls) == [((1, 1), (2, 0)), ((1, 2), (1, 0))]
     out = capsys.readouterr().out
     assert "s/entropy-bound" in out and "s_inv/entropy-bound" in out
 

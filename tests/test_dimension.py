@@ -14,8 +14,8 @@ Claims covered:
       is functorial (squares, inverses, compositions), and its consistency
       and commutation checks fire on a code that is no automorphism
     - the inequality verifiers return the designed statuses
-    - lambda_phi matches numpy's Perron root where the left Perron
-      iteration converges slowly
+    - lambda_phi matches numpy's Perron root where a power iteration
+      would converge slowly
     - the finite order is exact past 64 (Phi_7 Phi_12 gives 84) and needs
       S^N = I besides a cyclotomic characteristic polynomial
     - dimension_matrix equals the theta/Delta^-1 reference route, and ray
@@ -23,9 +23,11 @@ Claims covered:
       square and on seeded cycle-plus-chord graphs
     - verify_main_bounds' five rows give the records of the per-component
       branches they replaced, on the same builtins and cycle-plus-chord graphs
-    - the left Perron iteration over nonzero entries gives the dense loop's
-      floats bit for bit, on seeded cycle-plus-chord graphs up to k = 24 and
-      on random irreducible matrices
+    - the Perron kernel's Collatz-Wielandt enclosure, on A and on A^T,
+      holds the 40-digit root and is at most 1e-13 of it wide, and the two
+      intersect, on seeded cycle-plus-chord graphs up to k = 180, random
+      irreducible matrices, [[2]], a period-2 swap and a skewed 12-cycle;
+      perron_left is the kernel's vector on A^T at the pivots
     - a ray whose tail holds a non-edge is refused
 """
 
@@ -37,7 +39,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rule_code
+from conftest import reference_perron_root, rule_code
+from test_ratmat import int_where_integral
 from sftlab import codes, ratmat
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
@@ -71,7 +74,7 @@ from sftlab.cli import main
 from sftlab.records import CheckRecord
 from sftlab.shifts import (
     DEFAULT_TOL,
-    _perron_left_coords,
+    _perron_kernel,
     build_edge_shift,
     dimension_data,
     distinct_roots,
@@ -422,7 +425,7 @@ def test_builtin_orders(name, order):
 
 
 def test_lambda_phi_converges_on_a_long_cycle_with_a_chord():
-    # the left Perron iteration needs tens of thousands of steps here
+    # a power iteration on A + I needs tens of thousands of steps here
     k = 40
     m = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -627,8 +630,9 @@ def test_dimension_matrix_matches_the_reference_route():
         dim = dimension_data(shift)
         s_phi, order, inert, rho, lam = ref_action(auto, dim)
         act = dimension_matrix(auto)
-        # byte-identical: the same values with the same types
-        assert repr(act.S_phi) == repr(s_phi), name
+        # the same values; rref gives ints where they are integral, and the
+        # reference's products keep a Fraction wherever one entered
+        assert act.S_phi == s_phi and int_where_integral(act.S_phi), name
         assert (act.order_if_finite, act.inert) == (order, inert), name
         assert (act.rho, act.lambda_phi) == (rho, lam), name
 
@@ -738,25 +742,6 @@ def test_main_bounds_rows_match_the_reference_route():
     assert ("bound-minus", "Consistent") in statuses
 
 
-# The left Perron iteration with a full dot product per column: the
-# reference for the loop over each column's nonzero entries.
-
-
-def dense_perron_left_coords(dim):
-    a = dim.matrix
-    k = dim.k
-    u = [1.0 / k] * k
-    for _ in range(200000):
-        nxt = [sum(u[i] * a[i][j] for i in range(k)) + u[j] for j in range(k)]
-        norm = sum(abs(x) for x in nxt)
-        nxt = [x / norm for x in nxt]
-        delta = sum(abs(nxt[j] - u[j]) for j in range(k))
-        u = nxt
-        if delta <= 1e-15:
-            return [u[p] for p in dim.pivots]
-    raise AssertionError("power iteration did not converge")
-
-
 def _random_irreducible_matrices(seed, sizes):
     """Sparse entries 0-2 over a random Hamiltonian cycle, so irreducible."""
     rng = random.Random(seed)
@@ -769,11 +754,46 @@ def _random_irreducible_matrices(seed, sizes):
         yield matrix
 
 
-def test_perron_left_coords_keep_the_dense_bits():
-    cases = [shift for _, shift, _ in _seeded_cycles_with_a_chord(11, (3, 9, 16, 24))]
-    cases += [build_edge_shift(m) for m in _random_irreducible_matrices(5, (1, 2, 4, 7, 12))]
-    for shift in cases:
-        assert shift.irreducible
-        dim = dimension_data(shift)
-        # float equality, not approx: the same bits
-        assert _perron_left_coords(dim) == tuple(dense_perron_left_coords(dim)), shift
+def _skewed_cycle():
+    """A 12-cycle with 9 loops at state 0 and 7 at state 5: its Perron
+    vector spans ten orders of magnitude, so numpy's plain eigenvector
+    certifies the root only to about 1e-6 relative and one solve from the
+    flat vector to about 6e-3."""
+    m = [[int(j == (i + 1) % 12) for j in range(12)] for i in range(12)]
+    m[0][0], m[5][5] = 9, 7
+    return m
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param(shift.matrix, id=name)
+        for name, shift, _ in _seeded_cycles_with_a_chord(11, (3, 9, 16, 24, 180))
+    ]
+    + [
+        pytest.param(m, id=f"random{len(m)}")
+        for m in _random_irreducible_matrices(5, (1, 2, 4, 7, 12))
+    ]
+    + [
+        pytest.param([[2]], id="full_2"),
+        pytest.param([[0, 1], [1, 0]], id="swap"),
+        pytest.param(_skewed_cycle(), id="skewed_cycle12"),
+    ],
+)
+def test_perron_kernel_encloses_the_root_both_ways(matrix):
+    shift = build_edge_shift(matrix)
+    assert shift.irreducible
+    root = reference_perron_root(matrix)
+    slack = root / 10**38  # the reference's own precision
+    right = perron_data(shift)
+    left = _perron_kernel(tuple(zip(*shift.matrix)))
+    for lo, hi in (right.enclosure, left.enclosure):
+        assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+        assert lo - slack <= root <= hi + slack
+        assert hi - lo <= root / 10**13
+    assert max(right.enclosure[0], left.enclosure[0]) <= min(right.enclosure[1], left.enclosure[1])
+    dim = dimension_data(shift)
+    assert dim.perron_left == tuple(left.v_right[p] for p in dim.pivots)
+    for data in (right, left):
+        assert min(data.v_right) > 0 and math.isclose(sum(data.v_right), 1.0)
+        assert abs(data.lambda_ - root) <= 4 * root / 10**15

@@ -20,10 +20,10 @@ Claims covered:
       the values of the column-dot products and the Fraction elimination
       kept here as references, on seeded integer and rational matrices and
       on zero rows and columns, rank-deficient, 1 x n, n x 1, empty and
-      all-zero input; rref and inverse give Fraction entries; vec_mat,
-      started from its first weighted row, gives the values and types of
-      the combination added into a row of int zeros, for int, Fraction
-      and Fraction(1) weights
+      all-zero input; rref and inverse give an int for an integral entry
+      and a Fraction otherwise; vec_mat, started from its first weighted
+      row, gives the values and types of the combination added into a row
+      of int zeros, for int, Fraction and Fraction(1) weights
     - polynomial division, gcd, square-free part, and zero-root stripping
       behave on exact integer/rational coefficients; division, the monic
       gcd and the square-free part agree with sympy on polynomials with
@@ -405,6 +405,11 @@ def fraction_rref(rows):
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
+def int_where_integral(m):
+    """Every entry of ``m`` is an int when integral and a Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else F) for row in m for x in row)
+
+
 def _shaped_matrices(rng, rational):
     """Seeded matrices of every shape from 1 x 1 to 6 x 6, with zero rows,
     zero columns, repeated (rank-deficient) rows and all-zero ones among
@@ -440,14 +445,14 @@ def test_kernels_match_the_reference(rational):
     for a in matrices:
         reduced, pivots = ratmat.rref(a)
         assert (reduced, pivots) == fraction_rref(a), a
-        assert all(type(x) is F for row in reduced for x in row)
+        assert int_where_integral(reduced)
         b = rng.choice([m for m in matrices if len(m) == len(a[0])])
         assert ratmat.mat_mul(a, b) == dot_mat_mul(a, b), (a, b)
         for row in a:
             assert ratmat.vec_mat(row, b) == dot_vec_mat(row, b)
         if len(a) == len(a[0]) and len(reduced) == len(a):
             inv = ratmat.inverse(a)
-            assert all(type(x) is F for row in inv for x in row)
+            assert int_where_integral(inv)
             assert dot_mat_mul(a, inv) == ratmat.identity(len(a))
     # the empty matrix and products through an empty inner dimension
     assert ratmat.rref(()) == fraction_rref(()) == ((), ())

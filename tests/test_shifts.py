@@ -12,10 +12,11 @@ Claims covered:
       every 0/1 3x3 matrix, primitive with networkx there; on random
       matrices with entries 0-2 all three flags agree with networkx, and
       reach_exact(n) is the zero pattern of ratmat.mat_pow(A, n)
-    - perron_data: eigenvalue, eigenvector residual, entropy in nats,
-      including the periodic (irreducible, non-primitive) case; the power
-      iteration runs once per shift, and a reducible shift is refused on
-      every call
+    - perron_data: eigenvalue, eigenvector, entropy in nats, including the
+      periodic (irreducible, non-primitive) case; the Perron kernel runs
+      once per shift, and a reducible shift is refused on every call; lambda
+      and h are within 1e-15 relative of the 40-digit root on every builtin
+      shift and on the cubic realization [[5,1,0],[5,0,1],[4,1,0]]
     - entries outside the edge indices are inadmissible, at their position
     - dimension_data: exact restricted action, rank, inverse, rho_minus
       (also with a repeated eigenvalue); integer input keeps Python ints
@@ -28,12 +29,15 @@ Claims covered:
 import math
 from fractions import Fraction
 
+import mpmath
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_perron_root
 from sftlab import ratmat, shifts
+from sftlab.builtins import _SHIFT_MATRICES, _SQUARES, shift_builtin
 from sftlab.errors import (
     InadmissibleWord,
     InternalInvariantViolation,
@@ -357,7 +361,7 @@ def test_perron_full_shift():
 
 
 def test_perron_periodic_irreducible():
-    # power iteration must still converge on a period-2 matrix
+    # the roots +1 and -1 share the spectral radius of a period-2 matrix
     data = perron_data(build_edge_shift([[0, 1], [1, 0]]))
     assert data.lambda_ == pytest.approx(1.0, abs=1e-9)
     assert data.entropy == pytest.approx(0.0, abs=1e-9)
@@ -370,21 +374,34 @@ def test_perron_rejects_reducible():
             perron_data(shift)
 
 
-def test_perron_iteration_runs_once_per_shift(monkeypatch):
+def test_perron_kernel_runs_once_per_shift(monkeypatch):
     calls = []
 
-    def counted(shift):
-        calls.append(shift)
-        return iterate(shift)
+    def counted(matrix):
+        calls.append(matrix)
+        return kernel(matrix)
 
-    iterate = shifts._perron_iteration
-    monkeypatch.setattr(shifts, "_perron_iteration", counted)
+    kernel = shifts._perron_kernel
+    monkeypatch.setattr(shifts, "_perron_kernel", counted)
     shift = build_edge_shift(GOLDEN)
     data = perron_data(shift)
     assert perron_data(shift) is data
-    assert calls == [shift]
+    assert calls == [shift.matrix]
     # the kept result is the one a fresh shift computes
     assert perron_data(build_edge_shift(GOLDEN)) == data
+
+
+@pytest.mark.parametrize("name", [*_SHIFT_MATRICES, *_SQUARES, "cubic"])
+def test_perron_root_and_entropy_to_the_last_bits(name):
+    # the cubic realization is the entropy-bound-failure witness's matrix
+    cubic = name == "cubic"
+    shift = build_edge_shift([[5, 1, 0], [5, 0, 1], [4, 1, 0]]) if cubic else shift_builtin(name)
+    root = reference_perron_root(shift.matrix)
+    data = perron_data(shift)
+    assert abs(data.lambda_ - root) <= root / 10**15
+    with mpmath.workdps(40):
+        h = mpmath.log(mpmath.mpf(root.numerator) / root.denominator)
+        assert abs(data.entropy - h) <= h / 10**15
 
 
 # -- eventual-range data ----------------------------------------------------

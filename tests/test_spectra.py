@@ -223,8 +223,8 @@ def test_eb_failure_confirmed_for_cubic_realization():
     out = verify_eb_failure(search_primitive_realization(CUBIC))
     assert out["status"] == "Confirmed"
     assert out["lhs"] == pytest.approx(1.905344651429093)
-    assert out["rhs"] == pytest.approx(1.7877535743089603)
-    assert out["gap"] == pytest.approx(0.11759107712013273)
+    assert out["rhs"] == pytest.approx(1.7877535743089827)
+    assert out["gap"] == pytest.approx(0.1175910771201103)
 
 
 def test_eb_failure_values_do_not_depend_on_tol():
@@ -232,7 +232,7 @@ def test_eb_failure_values_do_not_depend_on_tol():
     # fixed precision
     matrix = search_primitive_realization(CUBIC)
     loose, tight = verify_eb_failure(matrix, tol=0.5), verify_eb_failure(matrix, tol=1e-9)
-    assert loose["rhs"] == tight["rhs"] == pytest.approx(1.7877535743089603)
+    assert loose["rhs"] == tight["rhs"] == pytest.approx(1.7877535743089827)
 
 
 def test_eb_failure_inconclusive_for_full_shift():
@@ -259,4 +259,4 @@ def test_eb_failure_invariant_under_conjugation():
     conjugated = mat_mul(mat_mul(perm, rows), inv)
     out = verify_eb_failure([[int(v) for v in row] for row in conjugated])
     assert out["status"] == "Confirmed"
-    assert out["gap"] == pytest.approx(0.11759107712013273)
+    assert out["gap"] == pytest.approx(0.1175910771201103)
