@@ -24,8 +24,11 @@ in :func:`sftlab.systems.parse_rule` first.  A code's output on given
 windows is one gather per level (:meth:`SlidingBlockCode.outputs`); every
 enumeration of a rule reads it so, over :meth:`EdgeShift.ranked_words`.
 compose is a product construction level by level, which reads no table,
-and pad_code inserts levels.  An :class:`Automorphism` is a pair of codes
-certified to compose to the identity in both orders.
+and pad_code inserts levels.  sigma^s on the window [-m, a] is the identity
+read at s (:func:`read_at`): its levels padded by m + s edges in front and
+a - s behind, so shift powers are built by padding and recognized by
+comparing levels (:func:`shift_power_of`).  An :class:`Automorphism` is a
+pair of codes certified to compose to the identity in both orders.
 """
 
 from collections.abc import ItemsView, Mapping
@@ -544,17 +547,23 @@ def identity_code(shift):
     return SlidingBlockCode(shift, shift, 0, 0, [np.arange(shift.n_edges)[None, :]])
 
 
+def read_at(code, s, memory, anticipation):
+    """The window-1 code ``code`` read at coordinate s of the window
+    [-memory, anticipation]: x -> code(x[s]).  Its levels are ``code``'s
+    padded by memory + s edges in front and anticipation - s behind, so
+    sigma^s is the identity read at s and reads no table."""
+    levels = _padded(code, memory + s, anticipation - s)
+    return SlidingBlockCode(code.source, code.target, memory, anticipation, levels)
+
+
 def shift_code(shift):
-    """The shift map itself: memory 0, anticipation 1."""
-    return SlidingBlockCode.tabulated(
-        shift, shift, 0, 1, shift.word_count(2), lambda cols: cols[1]
-    )
+    """The shift map itself, the identity read at 1: memory 0, anticipation 1."""
+    return read_at(identity_code(shift), 1, 0, 1)
 
 
 def inverse_shift_code(shift):
-    return SlidingBlockCode.tabulated(
-        shift, shift, 1, 0, shift.word_count(2), lambda cols: cols[0]
-    )
+    """sigma^-1, the identity read at -1: memory 1, anticipation 0."""
+    return read_at(identity_code(shift), -1, 1, 0)
 
 
 def compose(outer, inner):
@@ -788,16 +797,19 @@ def _pair_arrays(prod):
 
 def shift_power_of(code):
     """Exponent s when the code is exactly the shift power sigma^s on its
-    own window (rule(w) = w[m+s]); None otherwise."""
+    own window [-m, a], the identity read at s (:func:`read_at`); None
+    otherwise.  Canonical levels are compared, so no window is enumerated.
+    sigma^s reads edge m + s, so D^- <= m + s and D^+ <= a - s; those s are
+    tried, least |s| first and then s > 0."""
     if code.source != code.target:
         return None
-    matches = range(-code.memory, code.anticipation + 1)
-    for _, cols in code.source.ranked_words(code.window):
-        out = code.outputs(cols)
-        matches = [s for s in matches if np.array_equal(out, cols[code.memory + s])]
-        if not matches:
-            return None
-    return min(matches, key=lambda s: (abs(s), s < 0))
+    m, a = code.memory, code.anticipation
+    identity = identity_code(code.source)
+    candidates = range(max(code.prefix_lcp, 0) - m, a - max(code.suffix_lcp, 0) + 1)
+    for s in sorted(candidates, key=lambda s: (abs(s), s < 0)):
+        if all(map(np.array_equal, read_at(identity, s, m, a).levels, code.levels)):
+            return s
+    return None
 
 
 def factor_product_code(code):

@@ -55,7 +55,7 @@ def coded_minus_naive(code, j):
         return True
     if j - m <= 0:  # the window's edges at coordinates <= 0
         return _one_output_per_group(code, slice(None, m - j + 1))
-    return _one_output_per_reach(code, code.source.reach_exact(j - m - 1), 0, _windows(code))
+    return _one_output_per_reach(code, code.source.reach_exact(j - m - 1), 0)
 
 
 def coded_plus_naive(code, j):
@@ -66,7 +66,7 @@ def coded_plus_naive(code, j):
     if j + a >= 0:  # the window's edges at coordinates >= 0
         return _one_output_per_group(code, slice(m - j, None))
     reach = code.source.reach_exact(-(j + a) - 1).T  # row s: states reaching s
-    return _one_output_per_reach(code, reach, -1, _windows(code))
+    return _one_output_per_reach(code, reach, -1)
 
 
 def _windows(code):
@@ -85,13 +85,13 @@ def _one_output_per_group(code, agreed):
     return np.array_equal(written[keys], outputs)
 
 
-def _one_output_per_reach(code, reach, end, windows):
-    """Per row of ``reach``: do the windows (``windows`` yields edge columns
-    and outputs) whose edge at ``end`` is at a state of the row (starts there;
-    for end = -1 ends there) have at most one output between them?"""
+def _one_output_per_reach(code, reach, end):
+    """Per row of ``reach``: do the code's windows whose edge at ``end`` is
+    at a state of the row (starts there; for end = -1 ends there) have at
+    most one output between them?"""
     edge_states = (code.source.edge_sources, code.source.edge_targets)[end]
     presence = np.zeros((code.source.k, code.target.n_edges), dtype=bool)
-    for cols, outputs in windows:
+    for cols, outputs in _windows(code):
         presence[edge_states[cols[end]], outputs] = True
     return bool(np.all((reach @ presence).sum(axis=1) <= 1))
 

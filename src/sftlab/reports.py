@@ -34,12 +34,10 @@ from .builtins import (
 from .codes import (
     automorphism_power,
     codes_equal,
-    compose,
+    identity_code,
     infer_inverse,
-    iterates,
     pad_code,
-    shift_code,
-    inverse_shift_code,
+    read_at,
     SlidingBlockCode,
 )
 from .coding_range import (
@@ -485,48 +483,31 @@ def _criterion_unit_circle(rec, tol, shifts, built):
         )
 
 
-def _shift_powers(shift):
-    """{r: sigma^r} for r = -3..3 on ``shift``, each power composed once
-    from the one before: the codes :func:`_random_code` draws from.  It
-    also keeps, under (r1, r2), each product sigma^r1 o sigma^r2 that
-    :func:`_random_code` has built."""
-    powers = {}
-    for sign, code in ((1, shift_code(shift)), (-1, inverse_shift_code(shift))):
-        walk = iterates(code)
-        for r in range(4):
-            powers[sign * r] = next(walk)
-    return powers
-
-
-def _random_code(rng, powers):
-    """A random certified-valid sliding block code with window <= 7 on the
-    shift of ``powers`` (:func:`_shift_powers`)."""
-    shift = powers[0].source
+def _random_code(rng, shift):
+    """A random certified-valid sliding block code with window <= 7 on
+    ``shift``: the identity or, on one state, a drawn symbol permutation,
+    read at r (:func:`read_at`) for r in -3..3, on one state possibly at
+    r + r2 for r2 in +-1, +-2 on a window wider by |r2| (the code composed
+    with sigma^r2), then possibly padded.  Read at r, the identity is
+    sigma^r on its window [-max(-r, 0), max(r, 0)]."""
+    code = identity_code(shift)
     kind = rng.randrange(4)
-    r = 0  # the exponent when the code is a pool power, else None
+    r = 0
     if kind == 1:
         r = rng.randint(1, 3)
     elif kind == 2:
         r = -rng.randint(1, 3)
     elif kind == 3 and shift.k == 1:
-        r = None
-        n = shift.n_edges
-        perm = list(range(n))
+        perm = list(range(shift.n_edges))
         rng.shuffle(perm)
         code = SlidingBlockCode.from_column(shift, shift, 0, 0, perm)
-    if r is not None:
-        code = powers[r]
+    memory, anticipation = max(-r, 0), max(r, 0)
     if rng.random() < 0.5 and shift.k == 1:
         sign = 1 if rng.random() < 0.5 else -1
         r2 = sign * rng.randint(1, 2)
-        other = powers[r2]
-        if code.window + other.window - 1 <= 7:
-            if r is None:
-                code = compose(code, other)
-            elif (r, r2) in powers:
-                code = powers[r, r2]
-            else:
-                code = powers[r, r2] = compose(code, other)
+        r += r2
+        memory, anticipation = memory + max(-r2, 0), anticipation + max(r2, 0)
+    code = read_at(code, r, memory, anticipation)
     room = 7 - code.window
     if room > 0 and rng.random() < 0.6:
         code = pad_code(
@@ -539,7 +520,7 @@ def _random_code(rng, powers):
 
 def _criterion_oracle_equivalence(rec, tol, shifts, built):
     rng = random.Random(20260823)
-    pool = [_shift_powers(shifts[name]) for name in ("full_2", "full_3", "full_4", "golden_mean")]
+    pool = [shifts[name] for name in ("full_2", "full_3", "full_4", "golden_mean")]
     mismatches = 0
     cases = 500
     for _ in range(cases):

@@ -9,6 +9,12 @@ Claims covered:
     - infer_inverse finds a radius-bounded inverse or reports its absence
     - shift-power recognition and product-code factorization round-trip;
       recognized_exponents names the paper's exact cases with their tracks
+    - sigma and sigma^-1, the identity read at +-1, have the levels of their
+      tables; shift_power_of compares levels with the identity read at each
+      s that D^- and D^+ allow, enumerates no window, and answers as the
+      window walk on shift powers and their pads, seeded random columns and
+      the builtins' codes and tracks, on nine small shifts (reducible and
+      non-essential ones included)
     - the window budget resolves from the innermost window_budget scope,
       the environment, then the default, and bounds compose, padding and
       reversal
@@ -20,7 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import rule_code
-from sftlab.builtins import make_builtin
+from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import (
     SlidingBlockCode,
     automorphism_power,
@@ -49,6 +55,7 @@ from sftlab.errors import (
 )
 from sftlab.shifts import (
     DEFAULT_BUDGET,
+    EdgeShift,
     build_edge_shift,
     kronecker_product,
     resolve_budget,
@@ -250,6 +257,99 @@ def test_shift_power_prefers_smallest_window(full2):
     # a padded identity matches s = 0 even though wider shifts also fit
     padded = pad_code(identity_code(full2), 1, 1)
     assert shift_power_of(padded) == 0
+
+
+def ref_shift_power_of(code):
+    """The window walk that recognized shift powers by enumeration: the s
+    in [-m, a] whose edge column equals the output on every window, least
+    |s| first and then s > 0."""
+    if code.source != code.target:
+        return None
+    matches = range(-code.memory, code.anticipation + 1)
+    for _, cols in code.source.ranked_words(code.window):
+        out = code.outputs(cols)
+        matches = [s for s in matches if np.array_equal(out, cols[code.memory + s])]
+        if not matches:
+            return None
+    return min(matches, key=lambda s: (abs(s), s < 0))
+
+
+#: [[1]], the 2- and 3-cycles, full shifts, the golden mean, an irreducible
+#: 2-state shift, a reducible one and one that is not essential
+RECOGNITION_SHIFTS = tuple(
+    build_edge_shift(m)
+    for m in (
+        [[1]],
+        [[0, 1], [1, 0]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[2]],
+        [[3]],
+        [[1, 1], [1, 0]],
+        [[2, 1], [1, 2]],
+        [[1, 1], [0, 1]],
+        [[1, 1], [0, 0]],
+    )
+)
+
+
+def test_shift_power_of_enumerates_no_window(monkeypatch, full2, golden):
+    cycle2 = build_edge_shift([[0, 1], [1, 0]])
+    padded_cube = pad_code(power(shift_code(full2), 3), 2, 1)
+    five = make_builtin("five_symbol")[1].forward
+    prod = kronecker_product(golden, cycle2)
+    tracks = verify_automorphism(
+        product_code(shift_code(golden), identity_code(cycle2), prod),
+        product_code(inverse_shift_code(golden), identity_code(cycle2), prod),
+    ).tracks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was enumerated")
+
+    monkeypatch.setattr(EdgeShift, "ranked_words", refuse)
+    assert shift_power_of(padded_cube) == 3
+    assert shift_power_of(inverse_shift_code(golden)) == -1
+    assert shift_power_of(five) is None
+    assert [shift_power_of(t.forward) for t in tracks] == [1, 0]
+
+
+def test_shift_and_inverse_are_their_tables():
+    for shift in RECOGNITION_SHIFTS:
+        for code, read in ((shift_code(shift), 1), (inverse_shift_code(shift), 0)):
+            table = rule_code(shift, 1 - read, read, {w: w[read] for w in shift.words(2)})
+            assert (code.memory, code.anticipation) == (table.memory, table.anticipation)
+            assert all(map(np.array_equal, code.levels, table.levels)), shift
+
+
+def test_shift_power_of_agrees_with_the_window_walk():
+    rng = np.random.default_rng(30)
+    for shift in RECOGNITION_SHIFTS:
+        powers = [identity_code(shift)]
+        for sigma in (shift_code(shift), inverse_shift_code(shift)):
+            powers += [power(sigma, n) for n in range(4)]
+        pads = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2))
+        codes = [pad_code(c, *pad) for c in powers for pad in pads]
+        for memory, anticipation in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            window = memory + anticipation + 1
+            for edge in rng.integers(window, size=3):
+                # a column that reads one edge, the same with one entry changed, and noise
+                read = np.concatenate([cols[edge] for _, cols in shift.ranked_words(window)])
+                changed = read.copy()
+                changed[rng.integers(len(read))] = rng.integers(shift.n_edges)
+                noise = rng.integers(shift.n_edges, size=len(read))
+                codes += [
+                    SlidingBlockCode.from_column(shift, shift, memory, anticipation, column)
+                    for column in (read, changed, noise)
+                ]
+        for code in codes:
+            assert shift_power_of(code) == ref_shift_power_of(code), (shift, code)
+
+
+def test_shift_power_of_agrees_with_the_window_walk_on_the_builtins():
+    for name, params in DEFAULT_SUITE:
+        _, auto = make_builtin(name, params)
+        for a in {auto, *auto.tracks}:
+            for code in (a.forward, a.inverse):
+                assert shift_power_of(code) == ref_shift_power_of(code), name
 
 
 def test_product_code_and_factorization(full2, golden):

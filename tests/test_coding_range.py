@@ -5,10 +5,11 @@ literal two-point quantifier oracles on every system in a small pool, on
 the one-edge codes and on the marker involutions, and the oracles'
 one-output-per-group form against the pairwise comparison, on that pool,
 on codes that are not automorphisms and on the acceptance suite's seeded
-stream; the oracles read edge columns, never word tuples, and see a group
-whole across chunks; the profile values for the named examples are frozen
-from independent hand calculation (shift powers code exactly by their
-exponent; the product examples code track by track).  W read off each
+stream (window-1 codes read at an offset); the oracles read edge columns,
+never word tuples, and see a group whole across chunks; the profile values
+for the named examples are frozen from independent hand calculation (shift
+powers code exactly by their exponent; the product examples code track by
+track).  W read off each
 iterate's window is the largest coded coordinate by the literal oracles on
 the builtins and the marker involutions: nothing beyond an automorphism's
 window is coded.
@@ -45,7 +46,7 @@ from sftlab.codes import (
     verify_automorphism,
 )
 from sftlab.errors import PreconditionFailed, WindowBudgetExceeded
-from sftlab.reports import _random_code, _shift_powers
+from sftlab.reports import _random_code
 from sftlab.shifts import (
     WORD_CHUNK,
     EdgeShift,
@@ -291,10 +292,10 @@ def test_set_form_oracles_match_the_pairwise_reference_on_the_acceptance_stream(
     # the first 100 cases of acceptance criterion 12's seeded stream
     rng = random.Random(20260823)
     pool = [
-        _shift_powers(build_edge_shift([[2]])),
-        _shift_powers(build_edge_shift([[3]])),
-        _shift_powers(build_edge_shift([[4]])),
-        _shift_powers(shift_builtin("golden_mean")),
+        build_edge_shift([[2]]),
+        build_edge_shift([[3]]),
+        build_edge_shift([[4]]),
+        shift_builtin("golden_mean"),
     ]
     for case in range(100):
         code = _random_code(rng, pool[rng.randrange(len(pool))])

@@ -6,8 +6,9 @@ tuples, walked one window at a time) are the reference: a property test
 draws random automorphism codes and checks every operation against them.
 
 Claims covered:
-    - on automorphisms from the acceptance suite's generator and on random
-      codes that permute parallel edges, compose/power, pad_code, product_code, codes_equal, reverse_code and
+    - on automorphisms from the acceptance suite's generator (window-1 codes
+      read at an offset, then padded) and on random codes that permute
+      parallel edges, compose/power, pad_code, product_code, codes_equal, reverse_code and
       infer_inverse build the same rule table as the dict implementation
     - prefix_lcp and suffix_lcp, read off the diagram's levels, equal the
       longest common prefix and suffix of windows with different outputs,
@@ -49,7 +50,7 @@ from sftlab.codes import (
 from sftlab.coding_range import coded_minus_naive, coded_plus_naive, reverse_code, window_w
 from sftlab.entropy import _distinct_windows
 from sftlab.errors import NotInvertibleWithin
-from sftlab.reports import _random_code, _shift_powers
+from sftlab.reports import _random_code
 from sftlab.shifts import build_edge_shift, kronecker_product, transpose_shift, window_budget
 from sftlab.systems import load_system_file, save_system
 
@@ -174,7 +175,7 @@ def ref_distinct_windows(auto, count, width, ordered):
 
 
 def small_code(seed, shift):
-    code = _random_code(random.Random(seed), _shift_powers(shift))
+    code = _random_code(random.Random(seed), shift)
     assume(code.window <= 5)
     return code
 

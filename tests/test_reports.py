@@ -1,11 +1,20 @@
-"""Report structure, determinism, and the named verification suites."""
+"""Report structure, determinism, and the named verification suites.
+
+Acceptance criterion 12 composes nothing: its 500 seeded codes, window-1
+codes read at an offset and padded, equal in memory, anticipation and
+levels, with the same j, the codes built from sigma^r by iterates and
+compose.
+"""
 
 import inspect
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import rule_code
 from sftlab.reports import (
     ACCEPTANCE_CRITERIA,
     CheckRecord,
@@ -188,7 +197,7 @@ def test_run_criterion_prefixes_names():
     assert all(r.status == "Confirmed" for r in records)
 
 
-def test_oracle_criterion_builds_each_pool_power_once(monkeypatch):
+def test_oracle_criterion_composes_nothing(monkeypatch):
     calls = []
 
     def counted(outer, inner):
@@ -196,16 +205,66 @@ def test_oracle_criterion_builds_each_pool_power_once(monkeypatch):
         return compose(outer, inner)
 
     compose = codes.compose
-    monkeypatch.setattr(codes, "compose", counted)  # the powers' iterates
-    monkeypatch.setattr(reports, "compose", counted)  # per-case products
+    monkeypatch.setattr(codes, "compose", counted)
     (record,) = run_criterion("12-oracle-equivalence")
-    # 4 pool shifts x 2 signs x (sigma^2, sigma^3), then the drawn products:
-    # 63 distinct products of two pool powers, each built once, and 59
-    # products of a symbol permutation with a pool power
-    assert len(calls) == 16 + 63 + 59
+    # every code is a window-1 code read at an offset, then padded
+    assert calls == []
     assert record.status == "Confirmed"
     assert record.lhs == "0 discrepancies"
     assert record.detail == "500 randomized (code, j) cases, seeded"
+
+
+def ref_random_code(rng, powers):
+    """Criterion 12's generator as it was built by composition: ``powers``
+    holds sigma^r for r = -3..3 from ``codes.iterates`` of sigma or
+    sigma^-1 read from their tables, and each product is ``codes.compose``."""
+    shift = powers[0].source
+    kind = rng.randrange(4)
+    r = 0
+    if kind == 1:
+        r = rng.randint(1, 3)
+    elif kind == 2:
+        r = -rng.randint(1, 3)
+    elif kind == 3 and shift.k == 1:
+        r = None
+        perm = list(range(shift.n_edges))
+        rng.shuffle(perm)
+        code = codes.SlidingBlockCode.from_column(shift, shift, 0, 0, perm)
+    if r is not None:
+        code = powers[r]
+    if rng.random() < 0.5 and shift.k == 1:
+        sign = 1 if rng.random() < 0.5 else -1
+        code = codes.compose(code, powers[sign * rng.randint(1, 2)])
+    room = 7 - code.window
+    if room > 0 and rng.random() < 0.6:
+        code = codes.pad_code(
+            code,
+            extra_memory=rng.randint(0, min(2, room)),
+            extra_anticipation=rng.randint(0, max(0, min(2, room - 2))),
+        )
+    return code
+
+
+def test_oracle_criterion_stream_matches_the_composed_codes():
+    # the seeded stream of criterion 12, against its codes built by compose
+    run_shifts, _ = reports._run_builtins()
+    names = ("full_2", "full_3", "full_4", "golden_mean")
+    pool = [run_shifts[name] for name in names]
+    powers = []
+    for shift in pool:
+        powers.append({})
+        for sign, read in ((1, 1), (-1, 0)):
+            table = {w: w[read] for w in shift.words(2)}
+            walk = codes.iterates(rule_code(shift, 1 - read, read, table))
+            powers[-1].update((sign * r, next(walk)) for r in range(4))
+    new, old = random.Random(20260823), random.Random(20260823)
+    for case in range(500):
+        code = reports._random_code(new, pool[new.randrange(len(pool))])
+        ref = ref_random_code(old, powers[old.randrange(len(powers))])
+        assert (code.memory, code.anticipation) == (ref.memory, ref.anticipation), case
+        assert len(code.levels) == len(ref.levels), case
+        assert all(map(np.array_equal, code.levels, ref.levels)), case
+        assert new.randint(-5, 5) == old.randint(-5, 5), case
 
 
 def test_five_symbol_criterion_lets_a_budget_overrun_propagate():
