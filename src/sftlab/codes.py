@@ -7,28 +7,30 @@ concatenate into admissible paths.
 
 A code is the quasi-reduced ordered decision diagram of its outputs over
 the window's positions (Bryant, IEEE Trans. Comput. C-35, 1986, over the
-edge alphabet with every level kept), and the constructor takes its
-levels (or a rule mapping, read as its column).  A node at level L is one distinct function of the edges after an
-L-edge prefix of a window: it carries the state its prefix ends at and has
-one child per edge out of that state that a window continues with.  Level
-L is an array with one row per node and one column per source edge,
-holding the child's index at level L + 1 (the target edge at the last
-level), -1 where the edge does not continue; level 0 is the single root.
-Nodes are numbered bottom-up in the lexicographic order of their rows, so
-equal codes have equal arrays.
+edge alphabet with every level kept), and the constructor takes its levels
+(or a rule mapping, read as its column).  A node at level L is one distinct
+function of the edges after an L-edge prefix of a window: it carries the
+state its prefix ends at and has one child per edge out of that state that
+a window continues with.  Level L is an array with one row per node and
+one column per source edge, holding the child's index at level L + 1 (the
+target edge at the last level), -1 where the edge does not continue; level
+0 is the single root.  Nodes are numbered bottom-up in the lexicographic
+order of their rows, so equal codes have equal arrays.
 
 A rule table, the outputs in window rank order, is read into its levels
 bottom-up by :meth:`SlidingBlockCode.from_column`, which can also check
-that the outputs are target edges and compose; a system file's table is checked entry by entry
-in :func:`sftlab.systems.parse_rule` first.  A code's output on given
-windows is one gather per level (:meth:`SlidingBlockCode.outputs`); every
-enumeration of a rule reads it so, over :meth:`EdgeShift.ranked_words`.
-compose is a product construction level by level, which reads no table,
-and pad_code inserts levels.  sigma^s on the window [-m, a] is the identity
-read at s (:func:`read_at`): its levels padded by m + s edges in front and
-a - s behind, so shift powers are built by padding and recognized by
-comparing levels (:func:`shift_power_of`).  An :class:`Automorphism` is a
-pair of codes certified to compose to the identity in both orders.
+that the outputs are target edges and compose; a system file's table is
+checked entry by entry in :func:`sftlab.systems.parse_rule` first.  A
+code's output on given windows is one gather per level
+(:meth:`SlidingBlockCode.outputs`).  compose, product codes (whose nodes
+are pairs of track nodes) and their split into tracks (each node's
+children gathered by track edge) work level by level and enumerate no
+window; pad_code inserts levels.  sigma^s on the window [-m, a] is the
+identity read at s (:func:`read_at`): its levels padded by m + s edges in
+front and a - s behind, so shift powers are built by padding and
+recognized by comparing levels (:func:`shift_power_of`).  An
+:class:`Automorphism` is a pair of codes certified to compose to the
+identity in both orders.
 """
 
 from collections.abc import ItemsView, Mapping
@@ -93,15 +95,6 @@ class SlidingBlockCode:
         if check:
             code.check_composable()
         return code
-
-    @classmethod
-    def tabulated(cls, source, target, memory, anticipation, count, outputs):
-        """Code whose column is ``outputs(cols)`` over the chunks of its
-        ``count`` windows (see :meth:`EdgeShift.ranked_words`)."""
-        column = np.empty(count, dtype=_index_dtype(target.n_edges))
-        for start, cols in source.ranked_words(memory + anticipation + 1):
-            column[start : start + len(cols[0])] = outputs(cols)
-        return cls.from_column(source, target, memory, anticipation, column)
 
     @property
     def window(self):
@@ -525,21 +518,18 @@ def _reachable(levels):
 def reverse_code(code):
     """Conjugate by coordinate reversal: windows reverse, memory and
     anticipation swap, and edges pass through the transpose bijection
-    (:func:`transpose_shift`).  Tabulated: each transpose window is read
-    back to front through the bijection's inverse."""
+    (:func:`transpose_shift`).  Each transpose window is read back to front
+    through the bijection's inverse."""
     if code.source != code.target:
         raise PreconditionFailed("reverse_code needs an endomorphism-shaped code")
     tshift, bijection = transpose_shift(code.source)
-    count = tshift.ensure_budget(code.window)
+    column = np.empty(tshift.ensure_budget(code.window), dtype=_index_dtype(tshift.n_edges))
     back = np.argsort(bijection)  # transpose edge -> original edge
     forth = np.asarray(bijection)
-
-    def outputs(cols):
-        return forth[code.outputs(tuple(back[c] for c in reversed(cols)))]
-
-    return SlidingBlockCode.tabulated(
-        tshift, tshift, code.anticipation, code.memory, count, outputs
-    )
+    for start, cols in tshift.ranked_words(code.window):
+        outputs = code.outputs(tuple(back[c] for c in reversed(cols)))
+        column[start : start + len(cols[0])] = forth[outputs]
+    return SlidingBlockCode.from_column(tshift, tshift, code.anticipation, code.memory, column)
 
 
 def identity_code(shift):
@@ -659,10 +649,10 @@ class Automorphism:
 
     @functools.cached_property
     def tracks(self):
-        """The automorphisms this one is the coordinatewise product of, read
-        once from the recorded factors of its shift and split further when
-        they are products themselves; ``(self,)`` when the codes do not
-        factor."""
+        """The automorphisms this one is the coordinatewise product of, split
+        off the diagrams once by the recorded factors of its shift (no window
+        is enumerated) and further when they are products themselves;
+        ``(self,)`` when the codes do not factor."""
         fwd = factor_product_code(self.forward)
         inv = None if fwd is None else factor_product_code(self.inverse)
         if inv is None:
@@ -761,7 +751,8 @@ def automorphism_power(auto, n):
 
 
 def product_code(left, right, prod_shift):
-    """Coordinatewise action of two codes on a recorded product shift."""
+    """Coordinatewise action of two codes on a recorded product shift: the
+    product of their diagrams on the common window, nodes pairs of nodes."""
     if prod_shift.product_of is None:
         raise ShiftMismatch("product_code needs a shift built by kronecker_product")
     a_shift, b_shift = prod_shift.product_of
@@ -771,17 +762,23 @@ def product_code(left, right, prod_shift):
         raise ShiftMismatch("factor codes must be endomorphism-shaped")
     m = max(left.memory, right.memory)
     a = max(left.anticipation, right.anticipation)
-    count = prod_shift.ensure_budget(m + a + 1)
+    prod_shift.ensure_budget(m + a + 1)
     track_a, track_b, pair_edge = _pair_arrays(prod_shift)
-
-    def outputs(cols):
-        wa = cols[m - left.memory : m + left.anticipation + 1]
-        wb = cols[m - right.memory : m + right.anticipation + 1]
-        oa = left.outputs(tuple(track_a[c] for c in wa))
-        ob = right.outputs(tuple(track_b[c] for c in wb))
-        return pair_edge[oa, ob]
-
-    return SlidingBlockCode.tabulated(prod_shift, prod_shift, m, a, count, outputs)
+    levels_a = _padded(left, m - left.memory, a - left.anticipation)
+    levels_b = _padded(right, m - right.memory, a - right.anticipation)
+    nodes_a = nodes_b = np.zeros(1, dtype=np.intp)  # the pair of roots
+    tables = []
+    for level_a, level_b, size in zip(levels_a, levels_b, map(len, levels_b[1:])):
+        child_a = level_a[nodes_a[:, None], track_a]  # a product edge moves each track node
+        child_b = level_b[nodes_b[:, None], track_b]
+        live = (child_a >= 0) & (child_b >= 0)
+        held, ids = _nodes(np.where(live, child_a * size + child_b, -1).reshape(-1, 1))
+        nodes_a, nodes_b = np.divmod(held[:, 0], size)
+        tables.append(ids[:-1].reshape(live.shape))
+    out_a = levels_a[-1][nodes_a[:, None], track_a]
+    out_b = levels_b[-1][nodes_b[:, None], track_b]
+    tables.append(np.where((out_a >= 0) & (out_b >= 0), pair_edge[out_a, out_b], -1))
+    return SlidingBlockCode(prod_shift, prod_shift, m, a, _reduce(tables))
 
 
 def _pair_arrays(prod):
@@ -815,27 +812,30 @@ def shift_power_of(code):
 def factor_product_code(code):
     """Split a code on a recorded product shift into track codes.
 
-    Returns (left, right) when the rule acts coordinatewise, else None.
+    Returns (left, right) when the rule acts coordinatewise on some window,
+    else None.  Each track is read bottom-up, a node's children (track nodes
+    one level down, the track edges of the outputs at the last) gathered by
+    track edge; a track edge that leads on pairs with one of the other track
+    that does.  So the track is a code iff every gather holds one value.  No
+    budget is charged: the code's window was charged when it was built.
     """
     prod = code.source
-    if prod.product_of is None or code.target != prod:
+    if prod.product_of is None or code.target != prod or code.levels[0].max() < 0:
         return None
-    a_shift, b_shift = prod.product_of
-    track_a, track_b, _ = _pair_arrays(prod)
-    # each track's output must be a function of that track's window; the
-    # factors then reproduce the rule, as pairs determine product edges
     factors = []
-    for shift, track in ((a_shift, track_a), (b_shift, track_b)):
-        column = np.full(shift.word_count(code.window), -1, dtype=np.int64)
-        for _, cols in prod.ranked_words(code.window):
-            out = code.outputs(cols)
-            if not _record(column, shift.rank(tuple(track[c] for c in cols)), track[out]):
+    for shift, track in zip(prod.product_of, _pair_arrays(prod)):
+        levels, below = [], track
+        for depth, rows in enumerate(reversed(code.levels)):
+            node, edge = np.nonzero(rows >= 0)
+            children = below[rows[node, edge]]
+            gathered = np.full((len(rows), shift.n_edges), -1, dtype=np.intp)
+            gathered[node, track[edge]] = children  # scatter, then compare
+            if (gathered[node, track[edge]] != children).any():
                 return None
-        if np.any(column < 0):
-            return None
-        factors.append(
-            SlidingBlockCode.from_column(shift, shift, code.memory, code.anticipation, column)
-        )
+            if depth < code.window - 1:  # the root stays
+                gathered, below = _nodes(gathered)
+            levels.append(gathered)
+        factors.append(SlidingBlockCode(shift, shift, code.memory, code.anticipation, levels[::-1]))
     return tuple(factors)
 
 
