@@ -28,7 +28,10 @@ children gathered by track edge) work level by level and enumerate no
 window; pad_code inserts levels.  sigma^s on the window [-m, a] is the
 identity read at s (:func:`read_at`): its levels padded by m + s edges in
 front and a - s behind, so shift powers are built by padding and
-recognized by comparing levels (:func:`shift_power_of`).  An
+recognized by comparing levels (:func:`shift_power_of`, once per code).
+A code commutes with sigma, so a compose whose inner code is sigma^s pads
+the outer code by m + s and a - s instead of building the product; it
+still charges the composite window's words first.  An
 :class:`Automorphism` is a pair of codes certified to compose to the
 identity in both orders.
 """
@@ -559,13 +562,20 @@ def inverse_shift_code(shift):
 def compose(outer, inner):
     """outer(inner(x)) as a single code; memories and anticipations add.
     Built level by level by :func:`_product` and reduced, so no table is
-    read; the budget still counts the composite window's words."""
+    read; the budget still counts the composite window's words.  When the
+    inner code is sigma^s on [-m, a] (:func:`shift_power_of`), the levels
+    are the outer's padded by m + s and a - s instead: canonical levels are
+    unique, so they equal the reduced product's."""
     if inner.target != outer.source:
         raise ShiftMismatch("inner target and outer source differ")
     m = inner.memory + outer.memory
     a = inner.anticipation + outer.anticipation
     inner.source.ensure_budget(m + a + 1)
-    levels = _reduce(_product(outer, inner))
+    s = shift_power_of(inner)
+    if s is None:
+        levels = _reduce(_product(outer, inner))
+    else:  # D^- <= m + s and D^+ <= a - s, so both pads are >= 0
+        levels = _padded(outer, inner.memory + s, inner.anticipation - s)
     return SlidingBlockCode(inner.source, outer.target, m, a, levels)
 
 
@@ -797,16 +807,20 @@ def shift_power_of(code):
     own window [-m, a], the identity read at s (:func:`read_at`); None
     otherwise.  Canonical levels are compared, so no window is enumerated.
     sigma^s reads edge m + s, so D^- <= m + s and D^+ <= a - s; those s are
-    tried, least |s| first and then s > 0."""
-    if code.source != code.target:
-        return None
-    m, a = code.memory, code.anticipation
-    identity = identity_code(code.source)
-    candidates = range(max(code.prefix_lcp, 0) - m, a - max(code.suffix_lcp, 0) + 1)
-    for s in sorted(candidates, key=lambda s: (abs(s), s < 0)):
-        if all(map(np.array_equal, read_at(identity, s, m, a).levels, code.levels)):
-            return s
-    return None
+    tried, least |s| first and then s > 0.  The answer is kept on the code."""
+    kept = code.__dict__
+    if "_shift_power" not in kept:
+        found = None
+        if code.source == code.target:
+            m, a = code.memory, code.anticipation
+            identity = identity_code(code.source)
+            candidates = range(max(code.prefix_lcp, 0) - m, a - max(code.suffix_lcp, 0) + 1)
+            for s in sorted(candidates, key=lambda s: (abs(s), s < 0)):
+                if all(map(np.array_equal, read_at(identity, s, m, a).levels, code.levels)):
+                    found = s
+                    break
+        kept["_shift_power"] = found
+    return kept["_shift_power"]
 
 
 def factor_product_code(code):

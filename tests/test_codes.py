@@ -15,20 +15,31 @@ Claims covered:
       window walk on shift powers and their pads, seeded random columns and
       the builtins' codes and tracks, on nine small shifts (reducible and
       non-essential ones included)
+    - compose by a code that is sigma^s pads the outer code to the levels
+      that the reduced product gives, on those nine shifts; iterates of
+      shift powers (the builtins sigma, sigma^-1, tau_golden and sigma x
+      sigma^-1, and sigma/sigma^-1 tables on a cycle plus a chord) build no
+      product, while five_symbol's do; the composite window is charged
+      before the pad; each code is recognized once across compose,
+      recognized_exponents and column_census
     - the window budget resolves from the innermost window_budget scope,
       the environment, then the default, and bounds compose, padding and
       reversal
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from conftest import rule_code
+from sftlab import codes
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import (
     SlidingBlockCode,
+    _product,
+    _reduce,
     automorphism_power,
     codes_equal,
     compose,
@@ -40,12 +51,14 @@ from sftlab.codes import (
     pad_code,
     power,
     product_code,
+    read_at,
     recognized_exponents,
     shift_code,
     shift_power_of,
     verify_automorphism,
 )
-from sftlab.coding_range import reverse_code
+from sftlab.coding_range import coding_range_profile, lyapunov_bounds, reverse_code
+from sftlab.entropy import column_census
 from sftlab.errors import (
     NotInverse,
     NotInvertibleWithin,
@@ -53,6 +66,7 @@ from sftlab.errors import (
     ShiftMismatch,
     WindowBudgetExceeded,
 )
+from sftlab.reports import _random_code
 from sftlab.shifts import (
     DEFAULT_BUDGET,
     EdgeShift,
@@ -394,6 +408,89 @@ def test_recognized_exponents_needs_product_shift():
 def test_product_code_requires_recorded_product(full2):
     with pytest.raises(ShiftMismatch):
         product_code(shift_code(full2), shift_code(full2), full2)
+
+
+# -- compose by a shift power -----------------------------------------------
+
+
+def test_compose_by_a_shift_power_gives_the_reduced_product():
+    # on zero-entropy cycles the inner code is sigma^s for several s, so the
+    # s recognized is not asserted, only the levels
+    rng, draw = np.random.default_rng(33), random.Random(33)
+    for shift in RECOGNITION_SHIFTS:
+        outers = [_random_code(draw, shift) for _ in range(2)]
+        for memory, anticipation in ((0, 1), (1, 1)):  # random columns, windows 2 and 3
+            column = rng.integers(shift.n_edges, size=shift.word_count(memory + anticipation + 1))
+            outers.append(SlidingBlockCode.from_column(shift, shift, memory, anticipation, column))
+        for s, (extra_m, extra_a) in itertools.product(range(-3, 4), ((0, 0), (1, 0), (0, 1))):
+            inner = read_at(identity_code(shift), s, max(-s, 0) + extra_m, max(s, 0) + extra_a)
+            assert shift_power_of(inner) is not None
+            for outer in outers:
+                got = compose(outer, inner)
+                expected = _reduce(_product(outer, inner))
+                assert got.memory == outer.memory + inner.memory
+                assert got.anticipation == outer.anticipation + inner.anticipation
+                assert len(got.levels) == len(expected)
+                assert all(map(np.array_equal, got.levels, expected)), (shift, s, outer)
+
+
+def test_iterates_of_shift_powers_build_no_product(monkeypatch):
+    # sigma and sigma^-1 as explicit rule tables on a 4-cycle plus the chord 0 -> 2
+    chord = build_edge_shift([[0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    tables = verify_automorphism(
+        rule_code(chord, 0, 1, {w: w[1] for w in chord.words(2)}),
+        rule_code(chord, 1, 0, {w: w[0] for w in chord.words(2)}),
+    )
+    names = ("shift", "inverse_shift", "tau_golden", "sigma_x_sigma_inv")
+    autos = [make_builtin(name)[1] for name in names] + [tables]
+    _, five = make_builtin("five_symbol", {"completion": "swap"})
+    product = codes._product
+
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(codes, "_product", refuse)
+    for auto in autos:
+        # the exact slopes are checked against the profile's W data
+        assert lyapunov_bounds(auto, coding_range_profile(auto, 4)).method.startswith("exact")
+    built = []
+    monkeypatch.setattr(codes, "_product", lambda *args: built.append(args) or product(*args))
+    coding_range_profile(five, 2)
+    assert built
+
+
+def test_compose_by_sigma_charges_the_composite_window_first(monkeypatch, full2, golden):
+    def refuse(*args):
+        raise AssertionError("padded before the budget was charged")
+
+    for outer in (xor_code(full2), shift_code(golden)):
+        sigma = shift_code(outer.source)
+        assert shift_power_of(sigma) == 1
+        count = outer.source.word_count(outer.window + sigma.window - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "_padded", refuse)
+            with pytest.raises(WindowBudgetExceeded), window_budget(count - 1):
+                compose(outer, sigma)
+        with window_budget(count):
+            assert compose(outer, sigma).window == outer.window + 1
+
+
+def test_each_code_is_recognized_once(monkeypatch):
+    _, auto = make_builtin("sigma_x_sigma_inv")
+    tracks = auto.tracks
+    read = codes.read_at
+    compared = []
+    monkeypatch.setattr(
+        codes, "read_at", lambda code, s, m, a: compared.append((m, a)) or read(code, s, m, a)
+    )
+    assert [s for _, s in recognized_exponents(auto)[1]] == [1, -1]
+    for track in tracks:
+        compose(track.forward, track.forward)
+    assert column_census(auto, 1, 3).certified
+    recognized_exponents(auto)
+    # sigma and sigma^-1 on the full 2-shift each allow one s, so one
+    # comparison each
+    assert compared == [(t.forward.memory, t.forward.anticipation) for t in tracks]
 
 
 # -- budget resolution ------------------------------------------------------
