@@ -15,7 +15,7 @@ automorphism's code codes nothing beyond its window (:func:`window_w`):
 W^- = m - max(D^-, 0), and dually W^+ = max(D^+, 0) - a.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -136,8 +136,9 @@ def _scanned_tracks(auto):
 
 def _combined(per_track):
     """W values of a product from the same n's values on its tracks."""
-    n, minus, plus, minus_inv, plus_inv = zip(*map(astuple, per_track))
-    return WValues(n[0], min(minus), max(plus), min(minus_inv), max(plus_inv))
+    fields = ((w.minus, w.plus, w.minus_inv, w.plus_inv) for w in per_track)
+    minus, plus, minus_inv, plus_inv = zip(*fields)
+    return WValues(per_track[0].n, min(minus), max(plus), min(minus_inv), max(plus_inv))
 
 
 def window_w(code):
@@ -218,7 +219,8 @@ def coding_range_profile(auto, n_max):
         inverse = iterates(track.inverse)
         next(forward), next(inverse)  # phi^0
         walks.append(map(_scan_w, range(1, n_max + 1), forward, inverse))
-    _, wm, wp, wmi, wpi = zip(*(astuple(_combined(t)) for t in zip(*walks)))
+    combined = map(_combined, zip(*walks))
+    wm, wp, wmi, wpi = zip(*((w.minus, w.plus, w.minus_inv, w.plus_inv) for w in combined))
     # proved shape constraints; failing any is a library bug
     for seq, label, sign, kind in (
         (wm, "W^-(phi)", 1, "superadditive"),

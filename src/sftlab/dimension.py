@@ -7,9 +7,10 @@ are finite unions of distinct rays at a common level.  The theta map sends a
 beam to an exact rational vector inside the eventual range, and pushing
 canonical zero-rays through a certified automorphism yields the automorphism's
 matrix on that space, solved from integer representatives of the classes in
-the direct limit of Z^k under A.  The verifiers at the bottom evaluate the
-entropy and spectral-radius inequalities with certified interval right-hand
-sides.
+the direct limit of Z^k under A; an image's count vector is read off the end
+states of its output words, and no ray of it is built.  The verifiers at the
+bottom evaluate the entropy and spectral-radius inequalities with certified
+interval right-hand sides.
 """
 
 import math
@@ -210,24 +211,15 @@ def unstable_measure(beam):
     return lam ** (-beam.level) * total
 
 
-def apply_automorphism_to_ray(auto, n, ray):
-    """Image of a 0-ray under the n-th power of a certified automorphism,
-    as a beam at level -W^-(n, phi^-1).
-
+def _image_words(code, wv, ray):
+    """Image of a 0-ray under ``code`` (W values ``wv``): its level, the
+    output edges fixed by the tail (one period, then the rest) and the set of
+    distinct output words after them, each nonempty and ending one ray.
     Output coordinates far enough left inherit the input tail's period; the
-    finitely many undetermined coordinates are enumerated over all admissible
-    right extensions of the tail, and distinct output words become the rays.
-    """
-    shift = auto.shift
-    if ray.shift != shift:
-        raise ShiftMismatch("ray does not live on the automorphism's shift")
-    if ray.level != 0:
-        raise PreconditionFailed("image beams are computed from 0-rays")
-    if n == 0:
-        return Beam(level=0, rays=(ray,))
-    code = auto.power(n)
+    finitely many undetermined ones are enumerated over all admissible right
+    extensions of the tail."""
+    shift = ray.shift
     mem, ant = code.memory, code.anticipation
-    wv = w_values(auto, n, forward=code)
     level_out = -wv.minus_inv
     w_fwd = wv.minus
     p = len(ray.cycle)
@@ -246,14 +238,12 @@ def apply_automorphism_to_ray(auto, n, ray):
     else:
         chunks = [()]
     fixed_len = p + (w_fwd - 1 - cut)
+    tail = np.array(ray.word(lo, min(hi, 0)), dtype=np.intp)[:, None]
     fixed_part = None
     variable_words = set()
     for cols in chunks:
         rows = len(cols[0]) if cols else 1
-        tail = tuple(
-            np.full(rows, ray.tail_edge(i), dtype=np.intp) for i in range(lo, min(hi, 0) + 1)
-        )
-        seg = np.stack(code.image(tail + cols), axis=1)
+        seg = np.stack(code.image(tuple(np.broadcast_to(tail, (len(tail), rows))) + cols), axis=1)
         if fixed_part is None:
             fixed_part = seg[0, :fixed_len]
         if np.any(seg[:, :fixed_len] != fixed_part):
@@ -261,12 +251,25 @@ def apply_automorphism_to_ray(auto, n, ray):
                 "output coordinates left of W^- varied with the extension"
             )
         variable_words.update(map(tuple, seg[:, fixed_len:].tolist()))
-    out_cycle = tuple(fixed_part[:p].tolist())
-    base = tuple(fixed_part[p:].tolist())
-    rays = [
-        Ray(shift, level_out, out_cycle, base + word)
-        for word in variable_words
-    ]
+    return level_out, tuple(fixed_part.tolist()), variable_words
+
+
+def apply_automorphism_to_ray(auto, n, ray):
+    """Image of a 0-ray under the n-th power of a certified automorphism,
+    as a beam at level -W^-(n, phi^-1): one ray per distinct output word of
+    :func:`_image_words`, sorted by tail, so its count vector counts the end
+    states of those words, as :func:`dimension_matrix` reads them."""
+    shift = auto.shift
+    if ray.shift != shift:
+        raise ShiftMismatch("ray does not live on the automorphism's shift")
+    if ray.level != 0:
+        raise PreconditionFailed("image beams are computed from 0-rays")
+    if n == 0:
+        return Beam(level=0, rays=(ray,))
+    code = auto.power(n)
+    level_out, fixed, words = _image_words(code, w_values(auto, n, forward=code), ray)
+    p = len(ray.cycle)
+    rays = [Ray(shift, level_out, fixed[:p], fixed[p:] + word) for word in words]
     rays.sort(key=lambda r: r._key)
     return Beam(level=level_out, rays=tuple(rays))
 
@@ -330,12 +333,14 @@ def dimension_matrix(auto):
     one linear condition c S = y; the stacked conditions determine S, and
     the redundant conditions double as a well-definedness check.  The
     classes live in the direct limit of Z^k under A: a beam with count
-    vector v at level m has class v A^k Delta^-(k+m).  S commutes with
-    Delta, so each condition is multiplied by Delta^(k+M), where M >= 0 is
-    at least every image level; it becomes the integer condition
-    coords(v A^(k+M)) S = coords(v' A^(k+M-m)), whose solution is S itself
-    once S commutes with Delta, and whose consistency is the consistency of
-    the original conditions.
+    vector v at level m has class v A^k Delta^-(k+m): a 0-ray's v is a unit
+    vector, and an image's counts the end states of its output words, read
+    by :func:`_image_words` from the code and W values read once per call.
+    S commutes with Delta, so each condition is multiplied by Delta^(k+M),
+    where M >= 0 is at least every image level; it becomes the integer
+    condition coords(v A^(k+M)) S = coords(v' A^(k+M-m)), whose solution is
+    S itself once S commutes with Delta, and whose consistency is the
+    consistency of the original conditions.
     """
     shift = auto.shift
     if not shift.irreducible:
@@ -345,23 +350,25 @@ def dimension_matrix(auto):
     dim = dimension_data(shift)
     k = shift.k
     d = dim.d
-    beams = []
-    images = []
-    for state in range(k):
-        ray = canonical_zero_ray(shift, state)
-        beams.append(Beam(level=0, rays=(ray,)))
-        images.append(apply_automorphism_to_ray(auto, 1, ray))
-    lift = max(0, *(image.level for image in images))
+    code = auto.forward
+    wv = w_values(auto, 1, forward=code)
+    if shift._zero_rays is None:  # phi and phi^-1 push the same rays
+        shift._zero_rays = tuple(canonical_zero_ray(shift, state) for state in range(k))
+    images = []  # (count vector, level) of each state's 0-ray image
+    for ray in shift._zero_rays:
+        level, _, words = _image_words(code, wv, ray)
+        ends = shift.edge_targets[[word[-1] for word in words]]
+        images.append((tuple(np.bincount(ends, minlength=k).tolist()), level))
+    lift = max(0, *(level for _, level in images))
 
-    def lifted(beam):
+    def lifted(v, level):
         # coords of v A^(k+lift-m), an integer vector of the eventual range
-        v = beam.count_vector
-        for _ in range(lift - beam.level):
+        for _ in range(lift - level):
             v = ratmat.vec_mat(v, dim.matrix)
         return dim.coords(ratmat.vec_mat(v, dim.eventual_power))
 
-    c_rows = [lifted(beam) for beam in beams]
-    y_rows = [lifted(image) for image in images]
+    c_rows = [lifted(row, 0) for row in ratmat.identity(k)]
+    y_rows = [lifted(v, level) for v, level in images]
     # the pivot columns of the transposed rows are the first d independent
     # condition rows; solve from those, then check the rest for consistency
     _, chosen = ratmat.rref(tuple(zip(*c_rows)))

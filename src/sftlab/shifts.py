@@ -119,9 +119,9 @@ class EdgeShift:
     longest kept length: it descends the rank tables over the top edges
     only and gathers the tail from the kept words of length s, which is
     all the memory a long length adds (at most WORD_CHUNK x s int64
-    cells).  It also keeps one :func:`perron_data` record, one
-    :func:`dimension_data` record and one :func:`transpose_shift` record,
-    each computed the first time it is asked for.
+    cells).  It also keeps one :func:`perron_data`, :func:`dimension_data`
+    and :func:`transpose_shift` record and the canonical 0-rays of
+    ``dimension_matrix``, each computed the first time it is asked for.
     """
 
     def __init__(self, matrix):
@@ -143,6 +143,7 @@ class EdgeShift:
         self._reach = {}
         self._perron = None  # see perron_data
         self._dimension = None  # see dimension_data
+        self._zero_rays = None  # see dimension.dimension_matrix
         self._transpose = None  # see transpose_shift
         self._products = {}  # product shifts of builtins, see builtins._product
         self._ranking = []  # rank tables by tail length, see _rank_tables

@@ -21,6 +21,9 @@ Claims covered:
     - dimension_matrix equals the theta/Delta^-1 reference route, and ray
       images equal per-window lookups, on every builtin with its inverse and
       square and on seeded cycle-plus-chord graphs
+    - dimension_matrix reads W once per call, builds no ray or beam for an
+      image and finds the 0-rays of phi^-1 kept on the shift, and the image
+      walk charges its extension before any image
     - verify_main_bounds' five rows give the records of the per-component
       branches they replaced, on the same builtins and cycle-plus-chord graphs
     - the Perron kernel's Collatz-Wielandt enclosure, on A and on A^T,
@@ -635,6 +638,64 @@ def test_dimension_matrix_matches_the_reference_route():
         assert act.S_phi == s_phi and int_where_integral(act.S_phi), name
         assert (act.order_if_finite, act.inert) == (order, inert), name
         assert (act.rho, act.lambda_phi) == (rho, lam), name
+
+
+def test_dimension_matrix_reads_w_once_and_builds_no_image_ray(monkeypatch):
+    # sigma and sigma^-1 as explicit rule tables on a 5-cycle plus the chord
+    # 1 -> 4, and tau_golden, whose W values come from its tracks
+    chord = build_edge_shift(
+        [[int(j == (i + 1) % 5 or (i, j) == (1, 4)) for j in range(5)] for i in range(5)]
+    )
+    sigma = codes.verify_automorphism(
+        rule_code(chord, 0, 1, {w: w[1] for w in chord.words(2)}),
+        rule_code(chord, 1, 0, {w: w[0] for w in chord.words(2)}),
+    )
+    _, tau = make_builtin("tau_golden")
+    autos = [sigma, sigma.inverse_automorphism(), tau, tau.inverse_automorphism()]
+    expected = [ref_action(auto, dimension_data(auto.shift))[0] for auto in autos]
+    reads, beams = [], []
+    real_w_values = w_values
+    monkeypatch.setattr(
+        "sftlab.dimension.w_values",
+        lambda *args, **kwargs: reads.append(args) or real_w_values(*args, **kwargs),
+    )
+    ray_init, beam_init = Ray.__post_init__, Beam.__post_init__
+    for calls, (auto, s_phi) in enumerate(zip(autos, expected), start=1):
+        transients = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Ray, "__post_init__", lambda ray: transients.append(ray.transient) or ray_init(ray))
+            patch.setattr(Beam, "__post_init__", lambda beam: beams.append(beam) or beam_init(beam))
+            assert dimension_matrix(auto).S_phi == s_phi
+        assert len(reads) == calls
+        # phi builds the shift's 0-rays, which have no transient, while every
+        # image ray would have one (its variable output word is never empty);
+        # phi^-1 finds the 0-rays kept on the shift and builds no ray at all
+        if calls % 2:
+            assert transients and not any(transients)
+        else:
+            assert transients == []
+    assert beams == []
+
+
+def test_image_walk_charges_its_extension_before_reading_an_image(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an image was read before the walk was charged")
+
+    for name in ("inverse_shift", "sigma_x_sigma_inv"):
+        shift, auto = make_builtin(name)
+        power = automorphism_power(auto, 2)
+        ray = canonical_zero_ray(shift, 0)
+        ext_len = power.forward.anticipation - w_values(power, 1).minus_inv
+        assert ext_len > 0, name
+        count = shift.word_count(ext_len)
+        with monkeypatch.context() as patch:
+            patch.setattr(codes.SlidingBlockCode, "image", refuse)
+            for run in (dimension_matrix, lambda p: apply_automorphism_to_ray(p, 1, ray)):
+                with pytest.raises(WindowBudgetExceeded) as caught, window_budget(count - 1):
+                    run(power)
+                assert caught.value.needed == count, name
+        with window_budget(count):
+            dimension_matrix(power)
 
 
 # verify_main_bounds reads each inequality off one row (name, failed
