@@ -46,7 +46,6 @@ from .coding_range import (
     coding_range_profile,
     lyapunov_bounds,
     reverse_automorphism,
-    w_values,
 )
 from .dimension import (
     Beam,

@@ -107,21 +107,6 @@ class WValues:
     plus_inv: int
 
 
-def w_values(auto, n, forward=None):
-    """Exact W^-(n, phi), W^+(n, phi) and the same for phi^-1.  ``forward``
-    is the code of phi^n when the caller has built it already; it is used
-    when the automorphism is its own single track."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    per_track = []
-    for track in _scanned_tracks(auto):
-        fwd = forward if track is auto else None
-        if fwd is None:
-            fwd = track.power(n)
-        per_track.append(_scan_w(n, fwd, track.power(-n)))
-    return _combined(per_track)
-
-
 def _scanned_tracks(auto):
     """The tracks whose W values make up the automorphism's.  A half-line
     codes coordinate j of a product iff it codes j on every track, and the

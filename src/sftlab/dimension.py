@@ -7,10 +7,13 @@ are finite unions of distinct rays at a common level.  The theta map sends a
 beam to an exact rational vector inside the eventual range, and pushing
 canonical zero-rays through a certified automorphism yields the automorphism's
 matrix on that space, solved from integer representatives of the classes in
-the direct limit of Z^k under A; an image's count vector is read off the end
-states of its output words, and no ray of it is built.  The verifiers at the
-bottom evaluate the entropy and spectral-radius inequalities with certified
-interval right-hand sides.
+the direct limit of Z^k under A.  There is one push, :func:`_image_words`:
+a 0-ray the shift keeps (:func:`canonical_zero_ray`) goes through one
+automorphism (``automorphism_power(auto, n)`` for a power), with W read from
+that automorphism's coding-range profile at n = 1.  An image's count vector
+is read off the end states of its output words, and :func:`dimension_matrix`
+builds no ray of it.  The verifiers at the bottom evaluate the entropy and
+spectral-radius inequalities with certified interval right-hand sides.
 """
 
 import math
@@ -20,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .coding_range import lyapunov_bounds, w_values
+from .coding_range import coding_range_profile, lyapunov_bounds
 from .errors import (
     InconsistentSystem,
     InternalInvariantViolation,
@@ -153,31 +156,21 @@ class Beam:
         return tuple(v)
 
 
-def canonical_zero_ray(shift, state, variant=0):
-    """Deterministic 0-ray ending at ``state``.
-
-    Candidate cycles through the state are enumerated by (length, lex) order
-    of their edge words and deduplicated by tail equality; ``variant`` picks
-    the variant-th distinct tail (0 = canonical, 1 = the alternative used by
-    well-definedness tests).
-    """
-    found = []
-    seen = set()
-    limit = max(2 * shift.k, 4) + variant
-    for length in range(1, limit + 1):
+def canonical_zero_ray(shift, state):
+    """The 0-ray ending at ``state`` that the shift keeps: its cycle is the
+    first cycle word through the state in (length, lex) order of edge words,
+    a simple cycle, so of at most k edges.  Each state's ray is found the
+    first time that state is asked for, so a state with no cycle through it
+    raises only when asked for."""
+    rays = shift._zero_rays
+    if state in rays:
+        return rays[state]
+    for length in range(1, shift.k + 1):
         for w in shift.words(length, start_state=state):
-            if shift.edges[w[-1]][1] != state:
-                continue
-            ray = Ray(shift, 0, w, ())
-            if ray._key in seen:
-                continue
-            seen.add(ray._key)
-            found.append(ray)
-            if len(found) > variant:
-                return found[variant]
-    raise InternalInvariantViolation(
-        f"fewer than {variant + 1} distinct cycles through state {state}"
-    )
+            if shift.target(w[-1]) == state:
+                rays[state] = Ray(shift, 0, w, ())
+                return rays[state]
+    raise InternalInvariantViolation(f"no cycle through state {state}")
 
 
 def refine_ray(ray, to_level):
@@ -254,20 +247,19 @@ def _image_words(code, wv, ray):
     return level_out, tuple(fixed_part.tolist()), variable_words
 
 
-def apply_automorphism_to_ray(auto, n, ray):
-    """Image of a 0-ray under the n-th power of a certified automorphism,
-    as a beam at level -W^-(n, phi^-1): one ray per distinct output word of
-    :func:`_image_words`, sorted by tail, so its count vector counts the end
-    states of those words, as :func:`dimension_matrix` reads them."""
+def apply_automorphism_to_ray(auto, ray):
+    """Image of a 0-ray under a certified automorphism (pass
+    ``automorphism_power(auto, n)`` for phi^n), as a beam at level
+    -W^-(phi^-1): one ray per distinct output word of :func:`_image_words`,
+    sorted by tail, so its count vector counts the end states of those
+    words, as :func:`dimension_matrix` reads them."""
     shift = auto.shift
     if ray.shift != shift:
         raise ShiftMismatch("ray does not live on the automorphism's shift")
     if ray.level != 0:
         raise PreconditionFailed("image beams are computed from 0-rays")
-    if n == 0:
-        return Beam(level=0, rays=(ray,))
-    code = auto.power(n)
-    level_out, fixed, words = _image_words(code, w_values(auto, n, forward=code), ray)
+    wv = coding_range_profile(auto, 1).at(1)
+    level_out, fixed, words = _image_words(auto.forward, wv, ray)
     p = len(ray.cycle)
     rays = [Ray(shift, level_out, fixed[:p], fixed[p:] + word) for word in words]
     rays.sort(key=lambda r: r._key)
@@ -335,7 +327,8 @@ def dimension_matrix(auto):
     classes live in the direct limit of Z^k under A: a beam with count
     vector v at level m has class v A^k Delta^-(k+m): a 0-ray's v is a unit
     vector, and an image's counts the end states of its output words, read
-    by :func:`_image_words` from the code and W values read once per call.
+    by :func:`_image_words` from the code and W values read once per call,
+    for each state's 0-ray kept on the shift (:func:`canonical_zero_ray`).
     S commutes with Delta, so each condition is multiplied by Delta^(k+M),
     where M >= 0 is at least every image level; it becomes the integer
     condition coords(v A^(k+M)) S = coords(v' A^(k+M-m)), whose solution is
@@ -350,13 +343,10 @@ def dimension_matrix(auto):
     dim = dimension_data(shift)
     k = shift.k
     d = dim.d
-    code = auto.forward
-    wv = w_values(auto, 1, forward=code)
-    if shift._zero_rays is None:  # phi and phi^-1 push the same rays
-        shift._zero_rays = tuple(canonical_zero_ray(shift, state) for state in range(k))
+    wv = coding_range_profile(auto, 1).at(1)
     images = []  # (count vector, level) of each state's 0-ray image
-    for ray in shift._zero_rays:
-        level, _, words = _image_words(code, wv, ray)
+    for state in range(k):
+        level, _, words = _image_words(auto.forward, wv, canonical_zero_ray(shift, state))
         ends = shift.edge_targets[[word[-1] for word in words]]
         images.append((tuple(np.bincount(ends, minlength=k).tolist()), level))
     lift = max(0, *(level for _, level in images))

@@ -412,7 +412,7 @@ def _criterion_measure_coherence(rec, tol, shifts, built):
             ray = canonical_zero_ray(shift, state)
             beam = Beam(level=0, rays=(ray,))
             base = unstable_measure(beam)
-            image = apply_automorphism_to_ray(auto, 1, ray)
+            image = apply_automorphism_to_ray(auto, ray)
             scaled = unstable_measure(image)
             total += 1
             if abs(scaled / base - action.lambda_phi) > 1e-6:

@@ -79,7 +79,7 @@ def resolve_budget():
 #: Words per chunk when an enumeration runs over edge arrays (ranked_words).
 #: A length whose words fit in one chunk is enumerated once per shift and
 #: kept (EdgeShift's one-chunk memo): at most WORD_CHUNK x length int64
-#: cells per length, plus the word tuples once words() has asked for them.
+#: cells per length, and no word tuples.
 #: Longer lengths stream chunk by chunk as top edges over a tail of s
 #: edges, s the longest length that is kept (EdgeShift.unrank): they keep
 #: nothing of their own, only that tail, at most WORD_CHUNK x s cells.
@@ -111,17 +111,18 @@ class EdgeShift:
 
     Next to the rank tables and the reach patterns, a shift keeps each word
     length it has enumerated whose words fit in one chunk (at most
-    WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only,
-    and the word tuples built from them the first time :meth:`words` asks.
-    A length costs at most WORD_CHUNK x length int64 cells plus its tuples.
+    WORD_CHUNK): the edge columns from one :meth:`unrank` call, read-only.
+    A length costs at most WORD_CHUNK x length int64 cells; :meth:`words`
+    streams its tuples from those columns and keeps none.
     Longer lengths are streamed anew on every walk by :meth:`unrank`, which
     splits each word into its top edges and a tail of s edges, s the
     longest kept length: it descends the rank tables over the top edges
     only and gathers the tail from the kept words of length s, which is
     all the memory a long length adds (at most WORD_CHUNK x s int64
     cells).  It also keeps one :func:`perron_data`, :func:`dimension_data`
-    and :func:`transpose_shift` record and the canonical 0-rays of
-    ``dimension_matrix``, each computed the first time it is asked for.
+    and :func:`transpose_shift` record, and per state the canonical 0-ray
+    that every push of a 0-ray reads (``dimension.canonical_zero_ray``),
+    each computed the first time it is asked for.
     """
 
     def __init__(self, matrix):
@@ -143,11 +144,11 @@ class EdgeShift:
         self._reach = {}
         self._perron = None  # see perron_data
         self._dimension = None  # see dimension_data
-        self._zero_rays = None  # see dimension.dimension_matrix
+        self._zero_rays = {}  # state -> kept 0-ray, see dimension.canonical_zero_ray
         self._transpose = None  # see transpose_shift
         self._products = {}  # product shifts of builtins, see builtins._product
         self._ranking = []  # rank tables by tail length, see _rank_tables
-        self._one_chunk = {}  # length -> [edge columns, word tuples or None]
+        self._one_chunk = {}  # length -> edge columns, see _kept
         self._paths = [1] * self.k  # paths from each state, next tail length
         self._counts = {}  # length -> word count, see word_count
         a = np.array(self.matrix, dtype=np.int64)
@@ -208,8 +209,9 @@ class EdgeShift:
             raise InadmissibleWord(word, i)
 
     def words(self, length, start_state=None):
-        """Yield all admissible words of ``length`` edges, lexicographically
-        by edge index (rank order).  ``start_state`` restricts the first
+        """Yield all admissible words of ``length`` edges as tuples,
+        lexicographically by edge index (rank order), read off the edge
+        columns of :meth:`ranked_words`.  ``start_state`` restricts the first
         edge's source; a state outside 0..k-1 raises ValueError."""
         if length < 0:
             raise ValueError("word length must be nonnegative")
@@ -217,15 +219,8 @@ class EdgeShift:
             self._block(1, start_state)  # refuses a state outside 0..k-1
             yield ()
             return
-        kept = self._kept(length)
-        if kept is None:
-            for _, cols in self.ranked_words(length, start_state):
-                yield from zip(*(c.tolist() for c in cols))
-            return
-        if kept[1] is None:
-            kept[1] = list(zip(*(c.tolist() for c in kept[0])))
-        lo, hi = self._block(length, start_state)
-        yield from kept[1][lo:hi]
+        for _, cols in self.ranked_words(length, start_state):
+            yield from zip(*(c.tolist() for c in cols))
 
     # -- ranks: positions in the order words() yields --
     #
@@ -299,7 +294,7 @@ class EdgeShift:
             if r:
                 x -= tables[r][3][e]
         # x is now the rank of each word's last s edges among the words of s edges
-        return tuple(top) + tuple(c[x] for c in self._kept(s)[0]) if s else tuple(top)
+        return tuple(top) + tuple(c[x] for c in self._kept(s)) if s else tuple(top)
 
     def ranked_words(self, length, start_state=None):
         """Yield (rank of the first word, edge columns) over the admissible
@@ -311,7 +306,7 @@ class EdgeShift:
         kept = self._kept(length)
         if kept is not None:
             if lo < hi:
-                yield lo, tuple(c[lo:hi] for c in kept[0])
+                yield lo, tuple(c[lo:hi] for c in kept)
             return
         for first in range(lo, hi, WORD_CHUNK):
             yield first, self.unrank(length, first, min(first + WORD_CHUNK, hi))
@@ -327,25 +322,17 @@ class EdgeShift:
         return int(start[start_state]), int(start[start_state + 1])
 
     def _kept(self, length):
-        """The one-chunk memo entry of ``length``, made on first use; None
+        """The kept edge columns of ``length``, made on first use; None
         when its words do not fit in one chunk."""
         kept = self._one_chunk.get(length)
         if kept is None:
             count = self._block(length, None)[1]
             if count > WORD_CHUNK:
                 return None
-            cols = self.unrank(length, 0, count)
-            for c in cols:
+            kept = self._one_chunk[length] = self.unrank(length, 0, count)
+            for c in kept:
                 c.flags.writeable = False
-            kept = self._one_chunk[length] = [cols, None]
         return kept
-
-    def rank_of(self, word):
-        """Rank of one nonempty word (a tuple of edge indices) among the
-        admissible words of its length; None when it is not admissible."""
-        if not self.is_admissible(word):
-            return None
-        return int(self.rank([np.array([e]) for e in word])[0])
 
     def word_count(self, length):
         """Exact number of admissible words with ``length`` edges, kept per

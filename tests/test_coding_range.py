@@ -15,6 +15,7 @@ the builtins and the marker involutions: nothing beyond an automorphism's
 window is coded.
 """
 
+import dataclasses
 from fractions import Fraction
 import itertools
 import random
@@ -30,13 +31,13 @@ from sftlab.coding_range import (
     coding_range_profile,
     lyapunov_bounds,
     reverse_automorphism,
-    w_values,
     window_w,
 )
 from sftlab.codes import (
     RuleView,
     SlidingBlockCode,
     _RuleItems,
+    automorphism_power,
     codes_equal,
     compose,
     identity_code,
@@ -111,20 +112,20 @@ def test_profile_at_accessor():
     assert (v.n, v.minus, v.plus, v.minus_inv, v.plus_inv) == (2, -2, -2, 2, 2)
 
 
+def _w_of_power(auto, n):
+    """W values at n read as phi^n's own at 1, phi^n composed anew."""
+    return dataclasses.replace(coding_range_profile(automorphism_power(auto, n), 1).at(1), n=n)
+
+
 @pytest.mark.parametrize("name,params", DEFAULT_SUITE, ids=[n for n, _ in DEFAULT_SUITE])
 def test_profile_walk_matches_powers_built_from_scratch(name, params):
-    # the profile builds phi^n from phi^(n-1); w_values composes phi^n anew
+    # the profile builds phi^n from phi^(n-1); automorphism_power composes
+    # phi^n and phi^-n anew, whose own profile at 1 reads the same W
     _, auto = make_builtin(name, dict(params))
     p = coding_range_profile(auto, 3)
     for n in (1, 2, 3):
-        assert p.at(n) == w_values(auto, n)
+        assert p.at(n) == _w_of_power(auto, n)
     assert coding_range_profile(auto.inverse_automorphism(), 3) == p.inverse()
-
-
-def test_w_values_rejects_bad_n():
-    _, auto = make_builtin("shift")
-    with pytest.raises(ValueError):
-        w_values(auto, 0)
 
 
 def test_profile_rejects_bad_n_max():
@@ -136,7 +137,7 @@ def test_profile_rejects_bad_n_max():
 def test_w_values_budget():
     _, auto = make_builtin("five_symbol", {"completion": "swap"})
     with pytest.raises(WindowBudgetExceeded), window_budget(20):
-        w_values(auto, 2)
+        _w_of_power(auto, 2)
 
 
 # -- slope enclosures -------------------------------------------------------
@@ -334,7 +335,7 @@ def test_one_odd_window_makes_its_group_uncoded(side, memory, anticipation, j, w
         "minus": (coded_minus_naive, pairwise_minus),
         "plus": (coded_plus_naive, pairwise_plus),
     }[side]
-    for rank in (FULL_2X2.rank_of(window), 0, -1):
+    for rank in (int(FULL_2X2.rank([np.array([e]) for e in window])[0]), 0, -1):
         constant, odd = _one_window_differs(memory, anticipation, rank)
         assert naive(constant, j) is True and pairwise(constant, j)
         assert naive(odd, j) is False, rank
@@ -574,7 +575,7 @@ def test_vertex_swap_after_shift_profile_to_depth_ten():
         p = coding_range_profile(auto, 10)
     assert p.w_minus == p.w_plus == tuple(-n for n in range(1, 11))
     assert p.w_minus_inv == p.w_plus_inv == tuple(range(1, 11))
-    assert p.at(2) == w_values(auto, 2)
+    assert p.at(2) == _w_of_power(auto, 2)
     for code in (auto.forward, auto.inverse, auto.power(3)):
         _assert_w_read_matches_naive(code, range(-code.window, code.window + 1))
 

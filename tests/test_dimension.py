@@ -24,6 +24,11 @@ Claims covered:
     - dimension_matrix reads W once per call, builds no ray or beam for an
       image and finds the 0-rays of phi^-1 kept on the shift, and the image
       walk charges its extension before any image
+    - the canonical 0-ray is the first cycle word through its state, kept
+      per state; a state with no cycle raises alone, and one acceptance run
+      builds each shift's 0-rays once
+    - a ray pushed through automorphism_power(phi, -1) and through
+      phi.inverse_automorphism() gives one beam
     - verify_main_bounds' five rows give the records of the per-component
       branches they replaced, on the same builtins and cycle-plus-chord graphs
     - the Perron kernel's Collatz-Wielandt enclosure, on A and on A^T,
@@ -47,7 +52,7 @@ from test_ratmat import int_where_integral
 from sftlab import codes, ratmat
 from sftlab.builtins import DEFAULT_SUITE, make_builtin
 from sftlab.codes import automorphism_power, compose_automorphisms
-from sftlab.coding_range import coding_range_profile, lyapunov_bounds, w_values
+from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 from sftlab.dimension import (
     Beam,
     Ray,
@@ -75,6 +80,7 @@ from sftlab.errors import (
 )
 from sftlab.cli import main
 from sftlab.records import CheckRecord
+from sftlab.reports import run_suite
 from sftlab.shifts import (
     DEFAULT_TOL,
     _perron_kernel,
@@ -141,13 +147,47 @@ def test_beam_validation():
         Beam(level=0, rays=())
 
 
-def test_canonical_zero_ray_variants():
-    full2 = build_edge_shift([[2]])
-    assert canonical_zero_ray(full2, 0, variant=0).cycle == (0,)
-    assert canonical_zero_ray(full2, 0, variant=1) != canonical_zero_ray(full2, 0)
+def test_canonical_zero_ray_is_the_first_cycle_and_kept_per_state():
+    for matrix in ([[2]], GOLDEN, [[2, 1], [1, 2]], [[0, 1, 0], [0, 0, 1], [1, 1, 0]]):
+        shift = build_edge_shift(matrix)
+        for state in range(shift.k):
+            first = min(
+                (len(w), w)
+                for length in range(1, shift.k + 1)
+                for w in shift.words(length, start_state=state)
+                if shift.target(w[-1]) == state
+            )[1]
+            ray = canonical_zero_ray(shift, state)
+            assert (ray.cycle, ray.transient, ray.level) == (first, (), 0)
+            assert canonical_zero_ray(shift, state) is ray
     golden = build_edge_shift(GOLDEN)
-    assert canonical_zero_ray(golden, 0).cycle == (0,)
-    assert canonical_zero_ray(golden, 1).end_state == 1
+    assert canonical_zero_ray(golden, 1).cycle == (2, 1)
+    # state 1 of [[1, 1], [0, 0]] has no edge out: it alone raises, and the
+    # refusal is not kept
+    dead_end = build_edge_shift([[1, 1], [0, 0]])
+    assert canonical_zero_ray(dead_end, 0).cycle == (0,)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantViolation, match="no cycle through state 1"):
+            canonical_zero_ray(dead_end, 1)
+    assert set(dead_end._zero_rays) == {0}
+
+
+def test_one_acceptance_run_builds_each_shifts_zero_rays_once(monkeypatch):
+    built = []
+    ray_init = Ray.__post_init__
+
+    def recorded(ray):
+        ray_init(ray)
+        if ray.level == 0 and not ray.transient:
+            built.append((ray.shift, ray.end_state))
+
+    monkeypatch.setattr(Ray, "__post_init__", recorded)
+    run_suite("acceptance")
+    # only canonical_zero_ray builds a 0-ray with no transient: an image
+    # ray's variable output word is never empty, and criterion 08 refines
+    # to depths of at least 1
+    keys = [(id(shift), state) for shift, state in built]
+    assert built and len(set(keys)) == len(keys)
 
 
 def test_refine_ray_counts_extensions():
@@ -248,17 +288,27 @@ def test_measure_scales_by_lambda(name, ratio):
     shift, auto = make_builtin(name)
     ray = canonical_zero_ray(shift, 0)
     base = unstable_measure(Beam(level=0, rays=(ray,)))
-    image = apply_automorphism_to_ray(auto, 1, ray)
+    image = apply_automorphism_to_ray(auto, ray)
     assert unstable_measure(image) / base == pytest.approx(ratio, abs=1e-9)
 
 
 def test_apply_automorphism_n_zero_and_level_guard():
+    # phi^0 is the identity automorphism, whose image of a ray is the ray
     shift, auto = make_builtin("shift")
     ray = canonical_zero_ray(shift, 0)
-    assert apply_automorphism_to_ray(auto, 0, ray).rays == (ray,)
+    assert apply_automorphism_to_ray(automorphism_power(auto, 0), ray).rays == (ray,)
     deep = Ray(shift, 1, (0,), ())
     with pytest.raises(PreconditionFailed):
-        apply_automorphism_to_ray(auto, 1, deep)
+        apply_automorphism_to_ray(auto, deep)
+
+
+@pytest.mark.parametrize("name,params", DEFAULT_SUITE, ids=[n for n, _ in DEFAULT_SUITE])
+def test_apply_automorphism_to_the_minus_first_power_is_the_inverse(name, params):
+    shift, auto = make_builtin(name, dict(params))
+    power, inverse = automorphism_power(auto, -1), auto.inverse_automorphism()
+    for state in range(shift.k):
+        ray = canonical_zero_ray(shift, state)
+        assert apply_automorphism_to_ray(power, ray) == apply_automorphism_to_ray(inverse, ray)
 
 
 def test_apply_automorphism_builds_each_power_once_within_budget(monkeypatch):
@@ -273,13 +323,13 @@ def test_apply_automorphism_builds_each_power_once_within_budget(monkeypatch):
     monkeypatch.setattr(codes, "compose", counting_compose)
     shift, auto = make_builtin("shift")
     ray = canonical_zero_ray(shift, 0)
-    # phi^2 and phi^-2 are one compose each
-    apply_automorphism_to_ray(auto, 2, ray)
+    # phi^2 and phi^-2 are one compose each, and the push composes nothing
+    apply_automorphism_to_ray(automorphism_power(auto, 2), ray)
     assert completed == [3, 3]
     # phi^2 has 8 windows of width 3: the budget refuses it before any work
     completed.clear()
     with pytest.raises(WindowBudgetExceeded), window_budget(4):
-        apply_automorphism_to_ray(auto, 2, ray)
+        apply_automorphism_to_ray(automorphism_power(auto, 2), ray)
     assert completed == []
 
 
@@ -540,7 +590,7 @@ def test_distortion_spectrum_check():
 def ref_image_beam(auto, ray):
     code = auto.power(1)
     mem, ant = code.memory, code.anticipation
-    wv = w_values(auto, 1)
+    wv = coding_range_profile(auto, 1).at(1)
     level_out, w_fwd = -wv.minus_inv, wv.minus
     p, q = len(ray.cycle), len(ray.transient)
     cut = min(-ant - q, w_fwd - 1)
@@ -572,7 +622,7 @@ def ref_action(auto, dim):
     for state in range(shift.k):
         ray = canonical_zero_ray(shift, state)
         image = ref_image_beam(auto, ray)
-        beam = apply_automorphism_to_ray(auto, 1, ray)
+        beam = apply_automorphism_to_ray(auto, ray)
         assert beam.level == image.level
         assert [(r.cycle, r.transient) for r in beam.rays] == [
             (r.cycle, r.transient) for r in image.rays
@@ -652,20 +702,18 @@ def test_dimension_matrix_reads_w_once_and_builds_no_image_ray(monkeypatch):
     )
     _, tau = make_builtin("tau_golden")
     autos = [sigma, sigma.inverse_automorphism(), tau, tau.inverse_automorphism()]
-    expected = [ref_action(auto, dimension_data(auto.shift))[0] for auto in autos]
-    reads, beams = [], []
-    real_w_values = w_values
+    reads, beams, got = [], [], []
     monkeypatch.setattr(
-        "sftlab.dimension.w_values",
-        lambda *args, **kwargs: reads.append(args) or real_w_values(*args, **kwargs),
+        "sftlab.dimension.coding_range_profile",
+        lambda *args: reads.append(args) or coding_range_profile(*args),
     )
     ray_init, beam_init = Ray.__post_init__, Beam.__post_init__
-    for calls, (auto, s_phi) in enumerate(zip(autos, expected), start=1):
+    for calls, auto in enumerate(autos, start=1):
         transients = []
         with monkeypatch.context() as patch:
             patch.setattr(Ray, "__post_init__", lambda ray: transients.append(ray.transient) or ray_init(ray))
             patch.setattr(Beam, "__post_init__", lambda beam: beams.append(beam) or beam_init(beam))
-            assert dimension_matrix(auto).S_phi == s_phi
+            got.append(dimension_matrix(auto).S_phi)
         assert len(reads) == calls
         # phi builds the shift's 0-rays, which have no transient, while every
         # image ray would have one (its variable output word is never empty);
@@ -675,6 +723,8 @@ def test_dimension_matrix_reads_w_once_and_builds_no_image_ray(monkeypatch):
         else:
             assert transients == []
     assert beams == []
+    # the reference route runs after, so it cannot have kept the 0-rays
+    assert got == [ref_action(auto, dimension_data(auto.shift))[0] for auto in autos]
 
 
 def test_image_walk_charges_its_extension_before_reading_an_image(monkeypatch):
@@ -685,12 +735,12 @@ def test_image_walk_charges_its_extension_before_reading_an_image(monkeypatch):
         shift, auto = make_builtin(name)
         power = automorphism_power(auto, 2)
         ray = canonical_zero_ray(shift, 0)
-        ext_len = power.forward.anticipation - w_values(power, 1).minus_inv
+        ext_len = power.forward.anticipation - coding_range_profile(power, 1).at(1).minus_inv
         assert ext_len > 0, name
         count = shift.word_count(ext_len)
         with monkeypatch.context() as patch:
             patch.setattr(codes.SlidingBlockCode, "image", refuse)
-            for run in (dimension_matrix, lambda p: apply_automorphism_to_ray(p, 1, ray)):
+            for run in (dimension_matrix, lambda p: apply_automorphism_to_ray(p, ray)):
                 with pytest.raises(WindowBudgetExceeded) as caught, window_budget(count - 1):
                     run(power)
                 assert caught.value.needed == count, name

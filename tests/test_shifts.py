@@ -86,7 +86,6 @@ def test_entries_outside_the_edges_are_inadmissible(word, position):
     # the golden mean has edges 0..2; -1 must not wrap around to edge 2
     shift = build_edge_shift(GOLDEN)
     assert not shift.is_admissible(word)
-    assert shift.rank_of(word) is None
     with pytest.raises(InadmissibleWord) as info:
         shift.check_admissible(word)
     assert info.value.position == position
@@ -102,6 +101,11 @@ def test_words_match_count():
         assert listed == sorted(listed)
 
 
+def _rank(shift, word):
+    """Rank of one admissible word, read through the column form."""
+    return int(shift.rank([np.array([e]) for e in word])[0])
+
+
 @pytest.mark.parametrize("matrix", [[[3]], GOLDEN, [[2, 1], [1, 2]], [[1, 1], [0, 1]]])
 def test_ranks_number_the_words_in_order(matrix):
     shift = build_edge_shift(matrix)
@@ -110,12 +114,12 @@ def test_ranks_number_the_words_in_order(matrix):
         cols = shift.unrank(n, 0, len(listed))
         assert list(zip(*(c.tolist() for c in cols))) == listed
         assert shift.rank(cols).tolist() == list(range(len(listed)))
-        assert [shift.rank_of(w) for w in listed] == list(range(len(listed)))
+        assert [_rank(shift, w) for w in listed] == list(range(len(listed)))
         for state in range(shift.k):
             assert list(shift.words(n, start_state=state)) == [
                 w for w in listed if shift.source(w[0]) == state
             ]
-    assert shift.rank_of((shift.n_edges,)) is None
+    assert not shift.is_admissible((shift.n_edges,))
 
 
 def test_start_states_outside_the_shift_are_refused():
@@ -136,9 +140,9 @@ def test_start_states_outside_the_shift_are_refused():
 
 def test_full_shift_ranks_are_base_q():
     shift = build_edge_shift([[3]])
-    assert shift.rank_of((2, 0, 1)) == 2 * 9 + 0 * 3 + 1
+    assert _rank(shift, (2, 0, 1)) == 2 * 9 + 0 * 3 + 1
     golden = build_edge_shift(GOLDEN)
-    assert golden.rank_of((1, 1)) is None  # edge 1 cannot follow itself
+    assert not golden.is_admissible((1, 1))  # edge 1 cannot follow itself
 
 
 # -- the one-chunk memo: each short length is enumerated once per shift -----

@@ -16,8 +16,8 @@ Claims covered:
     - exact_entropy_of is the sum over the tracks of |s| log(rho)
     - each direction of an automorphism is factored once, also when the
       automorphism is inverted
-    - the ray image on a product reads W from the tracks and builds phi^n
-      once on the product shift, and phi^-n not at all
+    - the ray image through phi^n on a product reads W from the codes of
+      the tracks and builds no power of its own
     - the split read off the diagram gives the levels of the walk over
       every product window, or None with it, on seeded codes over products
       of essential and non-essential shifts: products of random columns,
@@ -35,7 +35,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from sftlab import codes
+from sftlab import codes, coding_range
 from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.codes import (
     Automorphism,
@@ -167,18 +167,22 @@ def test_each_direction_is_factored_once(monkeypatch):
 
 
 def test_ray_image_on_a_product_reads_w_from_the_tracks(monkeypatch):
-    built = []
-    real = Automorphism.power
-
-    def recorded(self, n):
-        built.append((self.shift, n))
-        return real(self, n)
-
-    monkeypatch.setattr(Automorphism, "power", recorded)
     _, auto = make_builtin("sigma_x_sigma_inv")
-    apply_automorphism_to_ray(auto, 2, canonical_zero_ray(auto.shift, 0))
-    on_product = [n for shift, n in built if shift == auto.shift]
-    assert on_product == [2]
+    squared = automorphism_power(auto, 2)
+    built, scanned = [], []
+    real_power, real_scan = Automorphism.power, coding_range._scan_w
+    monkeypatch.setattr(
+        Automorphism, "power", lambda self, n: built.append(n) or real_power(self, n)
+    )
+    monkeypatch.setattr(
+        coding_range,
+        "_scan_w",
+        lambda n, fwd, inv: scanned.append((fwd.source, inv.source)) or real_scan(n, fwd, inv),
+    )
+    apply_automorphism_to_ray(squared, canonical_zero_ray(auto.shift, 0))
+    assert built == []
+    # one scan per track, each on the track's own shift, none on the product
+    assert scanned == [(factor, factor) for factor in auto.shift.product_of]
 
 
 # -- the split against the window walk -------------------------------------
