@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import asdict
+import functools
 import json
 import math
 import sys
@@ -247,6 +248,7 @@ def _tolerance(text):
     return float(text)
 
 
+@functools.cache  # one parser per process: each parse_args fills a new namespace
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sftlab",

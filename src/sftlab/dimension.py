@@ -8,12 +8,13 @@ beam to an exact rational vector inside the eventual range, and pushing
 canonical zero-rays through a certified automorphism yields the automorphism's
 matrix on that space, solved from integer representatives of the classes in
 the direct limit of Z^k under A.  There is one push, :func:`_image_words`:
-a 0-ray the shift keeps (:func:`canonical_zero_ray`) goes through one
-automorphism (``automorphism_power(auto, n)`` for a power), with W read from
-that automorphism's coding-range profile at n = 1.  An image's count vector
-is read off the end states of its output words, and :func:`dimension_matrix`
-builds no ray of it.  The verifiers at the bottom evaluate the entropy and
-spectral-radius inequalities with certified interval right-hand sides.
+0-ray tails go through one automorphism (``automorphism_power`` for a
+power) in one walk, with W read from its profile at n = 1.
+:func:`dimension_matrix` pushes every state's kept cycle (``EdgeShift.cycles``)
+at once, reads each image's count vector off the end states of its output
+words and builds no ray; :func:`apply_automorphism_to_ray` pushes one ray.
+The verifiers at the bottom evaluate the entropy and spectral-radius
+inequalities with certified interval right-hand sides.
 """
 
 import math
@@ -157,20 +158,15 @@ class Beam:
 
 
 def canonical_zero_ray(shift, state):
-    """The 0-ray ending at ``state`` that the shift keeps: its cycle is the
-    first cycle word through the state in (length, lex) order of edge words,
-    a simple cycle, so of at most k edges.  Each state's ray is found the
-    first time that state is asked for, so a state with no cycle through it
-    raises only when asked for."""
+    """The 0-ray ending at ``state`` that the shift keeps, on the state's
+    cycle in ``shift.cycles``, built the first time the state is asked for:
+    a state with no cycle through it raises only when asked for."""
     rays = shift._zero_rays
-    if state in rays:
-        return rays[state]
-    for length in range(1, shift.k + 1):
-        for w in shift.words(length, start_state=state):
-            if shift.target(w[-1]) == state:
-                rays[state] = Ray(shift, 0, w, ())
-                return rays[state]
-    raise InternalInvariantViolation(f"no cycle through state {state}")
+    if state not in rays:
+        if shift.cycles[state] is None:
+            raise InternalInvariantViolation(f"no cycle through state {state}")
+        rays[state] = Ray(shift, 0, shift.cycles[state], ())
+    return rays[state]
 
 
 def refine_ray(ray, to_level):
@@ -204,64 +200,58 @@ def unstable_measure(beam):
     return lam ** (-beam.level) * total
 
 
-def _image_words(code, wv, ray):
-    """Image of a 0-ray under ``code`` (W values ``wv``): its level, the
-    output edges fixed by the tail (one period, then the rest) and the set of
-    distinct output words after them, each nonempty and ending one ray.
-    Output coordinates far enough left inherit the input tail's period; the
-    finitely many undetermined ones are enumerated over all admissible right
-    extensions of the tail."""
-    shift = ray.shift
+def _image_words(code, wv, shift, tails, start_state=None):
+    """Images under ``code`` (W values ``wv``) of the 0-rays with the
+    (cycle, transient) ``tails`` of every state, or of ``start_state`` alone:
+    their level, each ray's output edges fixed by its tail (one period, then
+    the rest, right aligned) and the set of distinct (ray, *word) tuples of
+    the output words after them, each nonempty and ending one image ray.
+    Output coordinates far enough left inherit the input tail's period."""
     mem, ant = code.memory, code.anticipation
-    level_out = -wv.minus_inv
-    w_fwd = wv.minus
-    p = len(ray.cycle)
-    q = len(ray.transient)
-    # outputs at j <= -ant - q read inputs from the pure-cycle zone and are
-    # p-periodic; keep the cut strictly left of the variable region too
-    cut = min(-ant - q, w_fwd - 1)
-    # input coordinates lo..hi: the tail up to 0, then the extension, whose
-    # edges come ranked_words chunk by chunk (one empty extension if none)
-    lo = cut - p + 1 - mem
-    hi = level_out + ant
+    level_out, w_fwd = -wv.minus_inv, wv.minus
+    p = max(len(cycle) for cycle, _ in tails)
+    # outputs at j <= -ant - q read the pure-cycle zone; the cut is left of W^- too
+    cut = min(-ant - max(len(transient) for _, transient in tails), w_fwd - 1)
+    # input coordinates lo..hi: each tail up to 0, then the extension, chunk
+    # by chunk, a row's ray its first edge's source (or one row per ray)
+    lo, hi = cut - p + 1 - mem, level_out + ant
     ext_len = max(0, hi)
     shift.ensure_budget(ext_len)
-    if ext_len:
-        chunks = (cols for _, cols in shift.ranked_words(ext_len, start_state=ray.end_state))
-    else:
-        chunks = [()]
     fixed_len = p + (w_fwd - 1 - cut)
-    tail = np.array(ray.word(lo, min(hi, 0)), dtype=np.intp)[:, None]
-    fixed_part = None
+    tail = np.array(  # edges at lo..min(hi, 0), one column per ray
+        [[t[len(t) - 1 + i] if i > -len(t) else c[(i + len(t) - 1) % len(c)] for c, t in tails]
+         for i in range(lo, min(hi, 0) + 1)], dtype=np.intp)
+    fixed = np.full((len(tails), fixed_len), -1, dtype=np.intp)  # each ray's first row, or -1
     variable_words = set()
-    for cols in chunks:
-        rows = len(cols[0]) if cols else 1
-        seg = np.stack(code.image(tuple(np.broadcast_to(tail, (len(tail), rows))) + cols), axis=1)
-        if fixed_part is None:
-            fixed_part = seg[0, :fixed_len]
-        if np.any(seg[:, :fixed_len] != fixed_part):
+    for _, cols in shift.ranked_words(ext_len, start_state) if ext_len else [(0, ())]:
+        ray = shift.edge_sources[cols[0]] - (start_state or 0) if cols else np.arange(len(tails))
+        seg = np.stack(code.image(tuple(tail[:, ray]) + cols), axis=1)
+        unread = ray[fixed[ray, 0] < 0]
+        fixed[unread] = seg[np.searchsorted(ray, unread), :fixed_len]
+        if np.any(seg[:, :fixed_len] != fixed[ray]):
             raise InternalInvariantViolation(
                 "output coordinates left of W^- varied with the extension"
             )
-        variable_words.update(map(tuple, seg[:, fixed_len:].tolist()))
-    return level_out, tuple(fixed_part.tolist()), variable_words
+        variable_words.update(map(tuple, np.column_stack((ray, seg[:, fixed_len:])).tolist()))
+    return level_out, fixed, variable_words
 
 
 def apply_automorphism_to_ray(auto, ray):
     """Image of a 0-ray under a certified automorphism (pass
     ``automorphism_power(auto, n)`` for phi^n), as a beam at level
     -W^-(phi^-1): one ray per distinct output word of :func:`_image_words`,
-    sorted by tail, so its count vector counts the end states of those
-    words, as :func:`dimension_matrix` reads them."""
+    a batch of this one ray, sorted by tail, so its count vector counts the
+    end states of those words, as :func:`dimension_matrix` reads them."""
     shift = auto.shift
     if ray.shift != shift:
         raise ShiftMismatch("ray does not live on the automorphism's shift")
     if ray.level != 0:
         raise PreconditionFailed("image beams are computed from 0-rays")
     wv = coding_range_profile(auto, 1).at(1)
-    level_out, fixed, words = _image_words(auto.forward, wv, ray)
-    p = len(ray.cycle)
-    rays = [Ray(shift, level_out, fixed[:p], fixed[p:] + word) for word in words]
+    tails = [(ray.cycle, ray.transient)]
+    level_out, fixed, words = _image_words(auto.forward, wv, shift, tails, ray.end_state)
+    fixed, p = tuple(fixed[0].tolist()), len(ray.cycle)
+    rays = [Ray(shift, level_out, fixed[:p], fixed[p:] + word[1:]) for word in words]
     rays.sort(key=lambda r: r._key)
     return Beam(level=level_out, rays=tuple(rays))
 
@@ -327,8 +317,8 @@ def dimension_matrix(auto):
     classes live in the direct limit of Z^k under A: a beam with count
     vector v at level m has class v A^k Delta^-(k+m): a 0-ray's v is a unit
     vector, and an image's counts the end states of its output words, read
-    by :func:`_image_words` from the code and W values read once per call,
-    for each state's 0-ray kept on the shift (:func:`canonical_zero_ray`).
+    by :func:`_image_words` in one walk over every state's kept cycle, with
+    W read once per call and no ray built.  All images share one level m.
     S commutes with Delta, so each condition is multiplied by Delta^(k+M),
     where M >= 0 is at least every image level; it becomes the integer
     condition coords(v A^(k+M)) S = coords(v' A^(k+M-m)), whose solution is
@@ -344,12 +334,11 @@ def dimension_matrix(auto):
     k = shift.k
     d = dim.d
     wv = coding_range_profile(auto, 1).at(1)
-    images = []  # (count vector, level) of each state's 0-ray image
-    for state in range(k):
-        level, _, words = _image_words(auto.forward, wv, canonical_zero_ray(shift, state))
-        ends = shift.edge_targets[[word[-1] for word in words]]
-        images.append((tuple(np.bincount(ends, minlength=k).tolist()), level))
-    lift = max(0, *(level for _, level in images))
+    level, _, words = _image_words(auto.forward, wv, shift, [(c, ()) for c in shift.cycles])
+    # row i counts the end states of state i's image words
+    pairs = np.array(list(words), dtype=np.intp)[:, [0, -1]]
+    counts = np.bincount(pairs[:, 0] * k + shift.edge_targets[pairs[:, 1]], minlength=k * k)
+    lift = max(0, level)
 
     def lifted(v, level):
         # coords of v A^(k+lift-m), an integer vector of the eventual range
@@ -358,7 +347,7 @@ def dimension_matrix(auto):
         return dim.coords(ratmat.vec_mat(v, dim.eventual_power))
 
     c_rows = [lifted(row, 0) for row in ratmat.identity(k)]
-    y_rows = [lifted(v, level) for v, level in images]
+    y_rows = [lifted(v, level) for v in counts.reshape(k, k).tolist()]
     # the pivot columns of the transposed rows are the first d independent
     # condition rows; solve from those, then check the rest for consistency
     _, chosen = ratmat.rref(tuple(zip(*c_rows)))

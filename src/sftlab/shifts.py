@@ -120,9 +120,10 @@ class EdgeShift:
     only and gathers the tail from the kept words of length s, which is
     all the memory a long length adds (at most WORD_CHUNK x s int64
     cells).  It also keeps one :func:`perron_data`, :func:`dimension_data`
-    and :func:`transpose_shift` record, and per state the canonical 0-ray
-    that every push of a 0-ray reads (``dimension.canonical_zero_ray``),
-    each computed the first time it is asked for.
+    and :func:`transpose_shift` record, every state's canonical cycle
+    (:attr:`cycles`, which ``dimension_matrix`` pushes in one walk) and per
+    state the 0-ray on it (``dimension.canonical_zero_ray``), each computed
+    the first time it is asked for.
     """
 
     def __init__(self, matrix):
@@ -352,6 +353,26 @@ class EdgeShift:
         return n
 
     @functools.cached_property
+    def cycles(self):
+        """Per state, the first cycle word through it in (length, lex) order
+        of edge words (None if none): a simple cycle, so one pass over the
+        lengths 1..k finds them all, each taking at each step the first edge
+        from which a path of the remaining length closes it."""
+        found = [None] * self.k
+        reach = [[1 << u for u in range(self.k)]]  # bit s of reach[r][u]: u -> s in r edges
+        for n in range(1, self.k + 1):
+            reach.append([0] * self.k)
+            for u, v, _ in self.edges:
+                reach[n][u] |= reach[n - 1][v]
+            for s in range(self.k):
+                if found[s] is None and reach[n][s] >> s & 1:
+                    found[s], u = (), s
+                    for r in range(n - 1, -1, -1):  # edges leaving u are ranks _block(1, u)
+                        e = next(e for e in range(*self._block(1, u)) if reach[r][self.target(e)] >> s & 1)
+                        found[s], u = found[s] + (e,), self.target(e)
+        return tuple(found)
+
+    @functools.cached_property
     def next_state(self):
         """Read-only (k + 1) x n_edges table: next_state[s, e] is the target
         of e if e leaves s, else -1; row k, before any edge is read, holds
@@ -445,19 +466,22 @@ def _perron_kernel(matrix):
 
     numpy's eigenvalues estimate the Perron root lam, and two solves of
     inverse iteration at mu = lam (1 + 1e-12) from the flat vector give the
-    Perron vector x (mu = lam would be exactly singular on [[2]]); whichever
-    side of the root mu falls on, scaling to 1-norm one makes x positive.
+    Perron vector x (mu = lam would be exactly singular on an exact root),
+    or x = (1,) for [[n]]; whichever side of the root mu falls on, scaling
+    to 1-norm one makes x positive.
     For positive x the root lies between the least and the greatest ratio
     (Ax)_i / x_i (Collatz-Wielandt; Wielandt, Math. Z. 52, 1950), computed
     exactly in integers from x's dyadic floats.  An enclosure wider than
     DEFAULT_TOL relative is refused.
     """
     k = len(matrix)
-    a = np.array(matrix, dtype=float)
-    shifted = np.linalg.eigvals(a).real.max() * (1 + 1e-12) * np.eye(k) - a
-    x = np.linalg.solve(shifted, np.ones(k))
-    x = np.linalg.solve(shifted, x / x.sum())
-    x = (x / x.sum()).tolist()
+    x = [1.0]  # the Perron vector of [[n]]: no eigensolver
+    if k > 1:
+        a = np.array(matrix, dtype=float)
+        shifted = np.linalg.eigvals(a).real.max() * (1 + 1e-12) * np.eye(k) - a
+        x = np.linalg.solve(shifted, np.ones(k))
+        x = np.linalg.solve(shifted, x / x.sum())
+        x = (x / x.sum()).tolist()
     # x_i = n_i / d_i with d_i a power of two: scaled by the largest d_i,
     # the vector is integral
     ratios = [v.as_integer_ratio() for v in x]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output, JSON artifacts, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from sftlab import shifts
+from sftlab import cli, shifts
 from sftlab.builtins import make_builtin, product_automorphism
 from sftlab.cli import main
 from sftlab.codes import identity_code, inverse_shift_code, shift_code, verify_automorphism
@@ -74,6 +75,26 @@ def test_analyze_json_artifact(swap_file, tmp_path, capsys):
     assert doc["exit_code"] == 0
     assert doc["payload"]["t"]["S_phi"] == [["0", "1"], ["1", "0"]]
     assert doc["payload"]["t"]["profile"]["W_minus"] == [0, 0, 0]
+
+
+def test_main_builds_one_parser_and_no_option_carries_over(swap_file, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    options = []
+    for extra in (["--w", "1"], []):
+        json_path = tmp_path / "report.json"
+        assert main(["analyze", swap_file, *extra, "--json", str(json_path)]) == 0
+        options.append(json.loads(json_path.read_text())["options"])
+    assert built.count("sftlab") == 1
+    assert [o["w"] for o in options] == [1, None]
+    assert options[0] == {**options[1], "w": 1}
 
 
 def test_analyze_single_automorphism_with_entropy_bound(tau_file, capsys):

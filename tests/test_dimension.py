@@ -21,9 +21,17 @@ Claims covered:
     - dimension_matrix equals the theta/Delta^-1 reference route, and ray
       images equal per-window lookups, on every builtin with its inverse and
       square and on seeded cycle-plus-chord graphs
-    - dimension_matrix reads W once per call, builds no ray or beam for an
-      image and finds the 0-rays of phi^-1 kept on the shift, and the image
-      walk charges its extension before any image
+    - one batched push of every state's kept cycle gives each state's count
+      vector and level of the per-window reference, and dimension_matrix the
+      reference's S, on every builtin at n = +-1, +-2, +-3, on products of
+      builtins and on seeded cycle-plus-chord graphs
+    - the push compares each row with its own ray's first row, also from an
+      earlier chunk: the true W passes although the rays' fixed parts
+      differ, and W^- overstated by two is refused
+    - dimension_matrix reads W once per call, builds no ray or beam and
+      makes one image call per chunk of extension words, a ray's rows
+      spanning chunks, and the image walk charges its extension before any
+      image
     - the canonical 0-ray is the first cycle word through its state, kept
       per state; a state with no cycle raises alone, and one acceptance run
       builds each shift's 0-rays once
@@ -40,8 +48,10 @@ Claims covered:
 """
 
 import dataclasses
+import functools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +60,7 @@ import pytest
 from conftest import reference_perron_root, rule_code
 from test_ratmat import int_where_integral
 from sftlab import codes, ratmat
-from sftlab.builtins import DEFAULT_SUITE, make_builtin
+from sftlab.builtins import DEFAULT_SUITE, make_builtin, product_automorphism
 from sftlab.codes import automorphism_power, compose_automorphisms
 from sftlab.coding_range import coding_range_profile, lyapunov_bounds
 from sftlab.dimension import (
@@ -58,6 +68,7 @@ from sftlab.dimension import (
     Ray,
     _abs_interval,
     _bound,
+    _image_words,
     apply_automorphism_to_ray,
     _finite_order,
     canonical_zero_ray,
@@ -87,6 +98,7 @@ from sftlab.shifts import (
     build_edge_shift,
     dimension_data,
     distinct_roots,
+    kronecker_product,
     perron_data,
     window_budget,
 )
@@ -596,14 +608,13 @@ def ref_image_beam(auto, ray):
     cut = min(-ant - q, w_fwd - 1)
     fixed_len = p + (w_fwd - 1 - cut)
     fixed_part, words = None, set()
+    # input coordinates cut - p + 1 - mem .. level_out + ant: the tail up to
+    # 0, then the extension; every extension repeats most of the windows
+    tail = ray.word(cut - p + 1 - mem, min(0, level_out + ant))
+    rule = functools.cache(code.rule.__getitem__)
     for ext in ray.shift.words(max(0, level_out + ant), start_state=ray.end_state):
-        def edge_at(i):
-            return ray.tail_edge(i) if i <= 0 else ext[i - 1]
-
-        seg = tuple(
-            code.rule[tuple(edge_at(i) for i in range(j - mem, j + ant + 1))]
-            for j in range(cut - p + 1, level_out + 1)
-        )
+        word = tail + ext
+        seg = tuple(rule(word[i : i + mem + ant + 1]) for i in range(level_out - cut + p))
         if fixed_part is None:
             fixed_part = seg[:fixed_len]
         assert seg[:fixed_len] == fixed_part
@@ -615,13 +626,14 @@ def ref_image_beam(auto, ray):
     return Beam(level=level_out, rays=tuple(rays))
 
 
-def ref_action(auto, dim):
-    """(S_phi, order, inert, rho, lambda_phi) by the reference route."""
+def ref_action(auto, dim, images=None):
+    """(S_phi, order, inert, rho, lambda_phi) by the reference route, from
+    ``images``, each state's ref_image_beam, when they are given."""
     shift = auto.shift
     c_rows, y_rows = [], []
     for state in range(shift.k):
         ray = canonical_zero_ray(shift, state)
-        image = ref_image_beam(auto, ray)
+        image = images[state] if images else ref_image_beam(auto, ray)
         beam = apply_automorphism_to_ray(auto, ray)
         assert beam.level == image.level
         assert [(r.cycle, r.transient) for r in beam.rays] == [
@@ -690,9 +702,73 @@ def test_dimension_matrix_matches_the_reference_route():
         assert (act.rho, act.lambda_phi) == (rho, lam), name
 
 
+def _batched_images(auto):
+    """(count vector, level) of each state's 0-ray image from one push of
+    every state's kept cycle, and the rays' fixed parts."""
+    shift = auto.shift
+    wv = coding_range_profile(auto, 1).at(1)
+    level, fixed, words = _image_words(auto.forward, wv, shift, [(c, ()) for c in shift.cycles])
+    counts = [[0] * shift.k for _ in range(shift.k)]
+    for word in words:
+        counts[word[0]][shift.target(word[-1])] += 1
+    return [(tuple(row), level) for row in counts], fixed
+
+
+def _push_cases():
+    builtins = []
+    for name, params in DEFAULT_SUITE:
+        builtins.append((name, make_builtin(name, dict(params))[1]))
+        for n in (1, -1, 2, -2, 3, -3):
+            yield f"{name}^{n}", automorphism_power(builtins[-1][1], n)
+    for (a_name, a), (b_name, b) in zip(builtins, builtins[1:]):
+        yield f"{a_name} x {b_name}", product_automorphism(a, b, kronecker_product(a.shift, b.shift))
+    for name, _, sigma in _seeded_cycles_with_a_chord(7, (4, 5, 7, 10)):
+        yield name, sigma
+        yield f"{name}^-1", sigma.inverse_automorphism()
+
+
+def test_batched_push_matches_the_literal_reference():
+    for name, auto in _push_cases():
+        shift = auto.shift
+        images = [ref_image_beam(auto, canonical_zero_ray(shift, s)) for s in range(shift.k)]
+        assert _batched_images(auto)[0] == [(b.count_vector, b.level) for b in images], name
+        s_phi = ref_action(auto, dimension_data(shift), images)[0]
+        assert dimension_matrix(auto).S_phi == s_phi, name
+
+
+def test_the_push_checks_each_rays_fixed_part_against_its_own_first_row(monkeypatch):
+    # tau_golden's four rays have four different fixed parts, so one fixed
+    # part shared by all rays would refuse the true W
+    _, tau = make_builtin("tau_golden")
+    assert len({tuple(row) for row in _batched_images(tau)[1].tolist()}) == 4
+    s_phi = dimension_matrix(tau).S_phi
+    true_wv = coding_range_profile(tau, 1).at(1)
+
+    def overstated(by):
+        wv = dataclasses.replace(true_wv, minus=true_wv.minus + by)
+        return lambda auto, n: types.SimpleNamespace(at=lambda i: wv)
+
+    # the fixed part ends one coordinate left of W^-, and the 0-rays' tails
+    # still fix the output at W^- itself: overstated by one, W^- gives the
+    # same action; overstated by two, the extension moves a fixed output
+    with monkeypatch.context() as patch:
+        patch.setattr("sftlab.dimension.coding_range_profile", overstated(1))
+        assert dimension_matrix(tau).S_phi == s_phi
+        patch.setattr("sftlab.dimension.coding_range_profile", overstated(2))
+        with pytest.raises(InternalInvariantViolation, match="varied with the extension"):
+            dimension_matrix(tau)
+        # one extension word per chunk on a fresh shift: each row meets its
+        # ray's first row only from an earlier chunk
+        patch.setattr("sftlab.shifts.WORD_CHUNK", 1)
+        _, fresh = make_builtin("tau_golden", shift=build_edge_shift(tau.shift.matrix))
+        with pytest.raises(InternalInvariantViolation, match="varied with the extension"):
+            dimension_matrix(fresh)
+
+
 def test_dimension_matrix_reads_w_once_and_builds_no_image_ray(monkeypatch):
     # sigma and sigma^-1 as explicit rule tables on a 5-cycle plus the chord
-    # 1 -> 4, and tau_golden, whose W values come from its tracks
+    # 1 -> 4, and tau_golden, whose W values come from its tracks, pushed in
+    # chunks of 4 extension words so that a ray's rows span chunks
     chord = build_edge_shift(
         [[int(j == (i + 1) % 5 or (i, j) == (1, 4)) for j in range(5)] for i in range(5)]
     )
@@ -702,28 +778,28 @@ def test_dimension_matrix_reads_w_once_and_builds_no_image_ray(monkeypatch):
     )
     _, tau = make_builtin("tau_golden")
     autos = [sigma, sigma.inverse_automorphism(), tau, tau.inverse_automorphism()]
-    reads, beams, got = [], [], []
-    monkeypatch.setattr(
-        "sftlab.dimension.coding_range_profile",
-        lambda *args: reads.append(args) or coding_range_profile(*args),
-    )
-    ray_init, beam_init = Ray.__post_init__, Beam.__post_init__
-    for calls, auto in enumerate(autos, start=1):
-        transients = []
-        with monkeypatch.context() as patch:
-            patch.setattr(Ray, "__post_init__", lambda ray: transients.append(ray.transient) or ray_init(ray))
-            patch.setattr(Beam, "__post_init__", lambda beam: beams.append(beam) or beam_init(beam))
+    reads, built, got, images, counts = [], [], [], [], []
+    image = codes.SlidingBlockCode.image
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "sftlab.dimension.coding_range_profile",
+            lambda *args: reads.append(args) or coding_range_profile(*args),
+        )
+        patch.setattr(Ray, "__post_init__", built.append)
+        patch.setattr(Beam, "__post_init__", built.append)
+        patch.setattr(codes.SlidingBlockCode, "image", lambda code, cols: images.append(code) or image(code, cols))
+        patch.setattr("sftlab.shifts.WORD_CHUNK", 4)
+        for calls, auto in enumerate(autos, start=1):
+            images.clear()
             got.append(dimension_matrix(auto).S_phi)
-        assert len(reads) == calls
-        # phi builds the shift's 0-rays, which have no transient, while every
-        # image ray would have one (its variable output word is never empty);
-        # phi^-1 finds the 0-rays kept on the shift and builds no ray at all
-        if calls % 2:
-            assert transients and not any(transients)
-        else:
-            assert transients == []
-    assert beams == []
-    # the reference route runs after, so it cannot have kept the 0-rays
+            assert len(reads) == calls
+            ext_len = auto.forward.anticipation - coding_range_profile(auto, 1).at(1).minus_inv
+            expected = len(list(auto.shift.ranked_words(ext_len))) if ext_len > 0 else 1
+            assert images == [auto.forward] * expected
+            counts.append(expected)
+        assert built == []
+    assert max(counts) > 1
+    # the reference route, which builds rays, runs after the spied calls
     assert got == [ref_action(auto, dimension_data(auto.shift))[0] for auto in autos]
 
 

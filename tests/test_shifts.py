@@ -16,7 +16,8 @@ Claims covered:
       periodic (irreducible, non-primitive) case; the Perron kernel runs
       once per shift, and a reducible shift is refused on every call; lambda
       and h are within 1e-15 relative of the 40-digit root on every builtin
-      shift and on the cubic realization [[5,1,0],[5,0,1],[4,1,0]]
+      shift and on the cubic realization [[5,1,0],[5,0,1],[4,1,0]]; the
+      kernel reads [[n]] (n = 1..5) with no eigensolver and no solve
     - entries outside the edge indices are inadmissible, at their position
     - dimension_data: exact restricted action, rank, inverse, rho_minus
       (also with a repeated eigenvalue); integer input keeps Python ints
@@ -393,6 +394,20 @@ def test_perron_kernel_runs_once_per_shift(monkeypatch):
     assert calls == [shift.matrix]
     # the kept result is the one a fresh shift computes
     assert perron_data(build_edge_shift(GOLDEN)) == data
+
+
+def test_perron_kernel_of_a_one_by_one_matrix_needs_no_eigensolver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("LAPACK was called on a 1 x 1 matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for n in range(1, 6):
+        data = shifts._perron_kernel(((n,),))
+        assert data == shifts.PerronData(
+            lambda_=float(n), v_right=(1.0,), entropy=math.log(n), enclosure=(n, n)
+        )
+        assert type(data.lambda_) is float and data.enclosure[0] == Fraction(n)
 
 
 @pytest.mark.parametrize("name", [*_SHIFT_MATRICES, *_SQUARES, "cubic"])
